@@ -12,7 +12,11 @@ Subcommands:
 * ``verify`` runs the exhaustive theorem suites (xct, quarter, discrete,
   forest, bni, all) within explicit bounds.
 * ``export`` emits DOT (Hasse diagram / specialization order) or the
-  space JSON for any of the above sources.
+  space JSON for any of the above sources.  For a semiring source the
+  JSON lattice is the radical-ideal lattice that ``spec`` evaluates (the
+  intersections of primes, plus R), not the lattice of all ideals: four
+  elements (6), (3), (2), R for the integers mod 12, where the full ideal
+  lattice has six.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
 3 not-X-top (with witness), 4 semiring axiom failure.
@@ -24,6 +28,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import cache
 
 from .errors import AxiomError, NotXTopError, XtoplatError
 from .formats import (
@@ -327,6 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call and reused after."""
+    return build_parser()
+
+
 _SOURCE_FIELDS = {
     "classify": ["forest", "chain", "poset", "space"],
     "spec": ["bni", "s3", "table"],
@@ -336,8 +347,7 @@ _SOURCE_FIELDS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command in _SOURCE_FIELDS and not _one_source(args, _SOURCE_FIELDS[args.command]):
         print(
             f"error: {args.command} needs exactly one source "

@@ -6,12 +6,20 @@ addition, 0 absorbing, and 1 ≠ 0.  All five axioms are re-verified on
 every construction path, including the generated B(n, i) tables.
 
 Ideals are plain ``frozenset[int]`` of element indices.  Enumeration runs
-the principal-ideal sum closure to a fixpoint (every ideal is the sum of
-its principal subideals, so the closure is complete); the test-suite
-checks it against an exhaustive subset scan for small carriers.  A prime
-ideal is a proper ideal P with ab ∈ P ⇒ a ∈ P or b ∈ P: elementwise and
+the principal-ideal sum closure to a fixpoint on element bitmasks (every
+ideal is the sum of its principal subideals, so the closure is complete)
+and re-checks each result against the ideal axioms; the test-suite checks
+it against an exhaustive subset scan for small carriers.  A prime ideal
+is a proper ideal P with ab ∈ P ⇒ a ∈ P or b ∈ P: elementwise and
 idealwise primality coincide for commutative semirings and the
 elementwise form is directly checkable.
+
+Spec(R) is embedded in the lattice of radical ideals, the meet-closure
+of Spec(R) ∪ {R}, not in the lattice of all ideals: every closed set is
+V(I) = V(√I) with √I an intersection of primes, so both lattices give the
+same topology on Spec(R) and on each of its subspaces, and the radical
+one has a handful of elements where the full one can have hundreds.
+:func:`ideal_lattice` stays as the definitional reference.
 
 The B(n, i) family lives on {0, ..., n-1} with sums/products wrapped into
 [i, n-1] modulo n-i on overflow; B(n, 0) is the ring of integers mod n
@@ -30,7 +38,7 @@ from typing import Sequence
 
 from .errors import AxiomError, NotAnIdealError, RangeError
 from .lattice import EmbeddedSubset, FiniteLattice
-from .poset import FinitePoset
+from .poset import FinitePoset, _bits, _mask_to_set
 from .topology import XTopSpace, build_space
 
 
@@ -222,9 +230,9 @@ def is_ideal(R: FiniteSemiring, members: frozenset[int]) -> bool:
     ) and all(R.mul[r][a] in members for r in R.elements() for a in members)
 
 
-def ideal_sum(R: FiniteSemiring, I: frozenset[int], J: frozenset[int]) -> frozenset[int]:
-    add = R.add
-    return frozenset(add[a][b] for a in I for b in J)
+def _by_size(sets):
+    """Sort sets by (size, sorted elements): the order of every ideal listing."""
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
 @lru_cache(maxsize=64)
@@ -232,23 +240,38 @@ def ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
     """All ideals: the sum-closure of the principal ideals, to a fixpoint.
 
     Closing under sums with principal ideals suffices: every ideal is the
-    sum of the principal ideals of its members.
+    sum of the principal ideals of its members.  Ideals are element
+    bitmasks during the closure: ``plus[b][a]`` is the mask of b + (a), so
+    I + (a) is the OR of the rows ``plus[b][a]`` over the members b of I.
+    Every result is re-checked with :func:`is_ideal`.
     """
-    principals = {principal_ideal(R, a) for a in R.elements()}
-    found = set(principals)
+    els = R.elements()
+    principal = [principal_ideal(R, a) for a in els]
+    # one generator a per distinct principal ideal (a)
+    generators = list({I: a for a, I in enumerate(principal)}.values())
+    plus = [
+        [sum(1 << e for e in {R.add[b][x] for x in principal[a]}) for a in els]
+        for b in els
+    ]
+    found = {sum(1 << x for x in principal[a]) for a in generators}
     frontier = list(found)
     while frontier:
-        new: list[frozenset[int]] = []
+        new: list[int] = []
         for I in frontier:
-            for J in principals:
-                s = ideal_sum(R, I, J)
+            rows = [plus[b] for b in _bits(I)]
+            for a in generators:
+                s = 0
+                for row in rows:
+                    s |= row[a]
                 if s not in found:
                     found.add(s)
                     new.append(s)
         frontier = new
-    for I in found:
-        assert is_ideal(R, I)
-    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+    out = [_mask_to_set(m) for m in found]
+    for I in out:
+        if not is_ideal(R, I):
+            raise NotAnIdealError(f"{sorted(I)} is not an ideal")
+    return tuple(_by_size(out))
 
 
 def is_subtractive(R: FiniteSemiring, I: frozenset[int]) -> bool:
@@ -420,19 +443,19 @@ def ideal_label(R: FiniteSemiring, I: frozenset[int]) -> str:
     return "{" + ",".join(R.labels[a] for a in sorted(I)) + "}"
 
 
-@lru_cache(maxsize=64)
-def ideal_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[int], ...]]:
-    """The lattice of all ideals under inclusion: meet = ∩, join = ideal sum.
+def _inclusion_lattice(
+    R: FiniteSemiring, family: Sequence[frozenset[int]]
+) -> FiniteLattice:
+    """The lattice of a ∩-closed family of ideals containing R, under ⊆.
 
-    The meet table comes from intersecting element bitmasks; the join
-    I + J is the least ideal above both, found through the up-set rows
-    (the sum is generated by the union, so it is that least upper bound).
+    ``family`` must be sorted by (size, elements).  The meet table comes
+    from intersecting element bitmasks; the join is the least member above
+    both, found through the up-set rows.
     """
-    all_ideals = ideals(R)
-    k = len(all_ideals)
-    elem_mask = [sum(1 << e for e in I) for I in all_ideals]
+    k = len(family)
+    elem_mask = [sum(1 << e for e in I) for I in family]
     by_elem_mask = {m: idx for idx, m in enumerate(elem_mask)}
-    labels = [ideal_label(R, I) for I in all_ideals]
+    labels = [ideal_label(R, I) for I in family]
     rows = []
     for a in range(k):
         row = 0
@@ -455,20 +478,49 @@ def ideal_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[int
             j = by_up_row[row_a & rows[b]]
             meet_a[b] = meet[b][a] = m
             join_a[b] = join[b][a] = j
-    lattice = FiniteLattice(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)))
-    return lattice, all_ideals
+    return FiniteLattice(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)))
+
+
+def ideal_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[int], ...]]:
+    """The lattice of all ideals under inclusion: meet = ∩, join = ideal sum.
+
+    The join I + J is the least ideal above both (the sum is generated by
+    the union, so it is that least upper bound).  This is the definitional
+    lattice of Spec(R); :func:`spec_space` uses the radical-ideal lattice,
+    which gives the same topology from far fewer elements.
+    """
+    all_ideals = ideals(R)
+    return _inclusion_lattice(R, all_ideals), all_ideals
+
+
+def radical_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[int], ...]]:
+    """The meet-closure of Spec(R) ∪ {R}: the radical ideals under inclusion.
+
+    Its elements are the intersections of sets of primes (R being the
+    empty intersection), listed in the order of :func:`ideals`.  Every
+    closed set of Spec(R), Max(R) or Min(R) is V(I) = V(√I), and √I is
+    such an intersection, so this lattice carries the same topology as
+    :func:`ideal_lattice` on every subspace of Spec(R).
+    """
+    full = (1 << R.n) - 1
+    closure = {full}
+    for P in spectrum(R).spec:
+        mask = sum(1 << e for e in P)
+        closure |= {m & mask for m in closure}
+    radicals = tuple(_by_size(_mask_to_set(m) for m in closure))
+    return _inclusion_lattice(R, radicals), radicals
 
 
 def embedded_spectrum(
     R: FiniteSemiring, which: str = "all"
 ) -> tuple[FiniteLattice, EmbeddedSubset]:
-    """The ideal lattice with X = Spec(R), Max(R) or Min(R) embedded."""
+    """The radical-ideal lattice with X = Spec(R), Max(R) or Min(R) embedded."""
     report = spectrum(R)
     chosen = {"all": report.spec, "max": report.max, "min": report.min_primes}
     if which not in chosen:
         raise ValueError("subspace selector must be one of 'all', 'max', 'min'")
-    lattice, all_ideals = ideal_lattice(R)
-    position = {I: k for k, I in enumerate(all_ideals)}
+    lattice, radicals = radical_lattice(R)
+    position = {I: k for k, I in enumerate(radicals)}
     members = frozenset(position[I] for I in chosen[which])
     return lattice, EmbeddedSubset(lattice, members)
 

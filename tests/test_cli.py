@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 verification failure, 2 parse error,
 import io
 import json
 
+import pytest
+
 from xtoplat.cli import main
 from xtoplat.formats import dumps, lattice_to_json
 from xtoplat.lattice import lattice_from_poset
@@ -176,6 +178,24 @@ class TestExport:
         b = run(["export", "--bni", "12", "0", "--format", "json"])[1]
         assert a == b
 
+    def test_semiring_json_carries_the_radical_ideal_lattice(self):
+        from xtoplat.formats import space_from_json
+
+        code, text = run(["export", "--bni", "12", "0", "--format", "json"])
+        assert code == 0
+        payload = json.loads(text)
+        # (6), (3), (2) and R: the intersections of the primes (2) and (3)
+        assert payload["lattice"]["labels"] == [
+            "{0,6}",
+            "{0,3,6,9}",
+            "{0,2,4,6,8,10}",
+            "{0,1,2,3,4,5,6,7,8,9,10,11}",
+        ]
+        space = space_from_json(payload)
+        assert [list(space.labels_of(C)) for C in space.closed_family] == payload[
+            "closed_sets"
+        ]
+
 
 def test_classify_json_is_byte_stable():
     a = run(["classify", "--forest", "T2+V3", "--json"])[1]
@@ -201,6 +221,22 @@ def test_spec_s3_topology_shown():
     code, text = run(["spec", "--s3", "--json"])
     assert code == 0
     assert json.loads(text)["opens"] == [[], ["{0}"], ["{0}", "{0,a}"]]
+
+
+def test_parser_error_leaves_later_calls_unchanged():
+    import subprocess
+    import sys
+
+    argv = ["spec", "--bni", "6", "3", "--subspace", "drop-zero"]
+    with pytest.raises(SystemExit) as err:
+        run(["spec", "--subspace", "nowhere"])
+    assert err.value.code == 2
+    code, text = run(argv)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "xtoplat", *argv], capture_output=True, text=True
+    )
+    assert fresh.returncode == code == 0
+    assert fresh.stdout == text
 
 
 def test_console_entrypoint():

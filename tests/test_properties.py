@@ -38,7 +38,7 @@ def posets(draw, max_size=6):
 
 
 @given(posets())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 def test_upsets_form_a_ring_of_sets(P):
     family = set(P.upsets())
     as_list = sorted(family, key=sorted)
@@ -48,7 +48,7 @@ def test_upsets_form_a_ring_of_sets(P):
 
 
 @given(posets())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 def test_height_is_monotone(P):
     for x in range(P.n):
         for y in range(P.n):
@@ -57,14 +57,14 @@ def test_height_is_monotone(P):
 
 
 @given(posets())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_from_poset_passes_every_cross_check(P):
     for result in cross_check(from_poset(P)):
         assert result.holds, f"{result.check_id}: {result.witness}"
 
 
 @given(posets())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_specialization_order_round_trips(P):
     space = from_poset(P)
     Q = space.specialization_poset()
@@ -74,7 +74,7 @@ def test_specialization_order_round_trips(P):
 
 
 @given(posets(max_size=5), st.integers(min_value=0, max_value=1 << 16))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 def test_carrier_criteria_agree(P, seed):
     try:
         L = lattice_from_poset(P)
@@ -86,20 +86,20 @@ def test_carrier_criteria_agree(P, seed):
 
 
 @given(posets())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_poset_json_round_trip(P):
     assert poset_from_json(poset_to_json(P)) == P
 
 
 @given(st.integers(min_value=2, max_value=14), st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_bni_spectrum_matches_closed_form(n, data):
     i = data.draw(st.integers(min_value=0, max_value=n - 1))
     assert verify_bni(n, i).match
 
 
 @given(posets(max_size=5))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_quarter_ladder(P):
     r = separation_report(from_poset(P))
     ladder = [r.t1, r.t_threequarter, r.t_half, r.t_quarter, r.t0]

@@ -24,9 +24,14 @@ from xtoplat import (
 )
 from xtoplat.enumeration import canonical_form
 from xtoplat.poset import chain, dual_tree
-from xtoplat.semiring import is_ideal, is_prime_ideal, principal_ideal
-from xtoplat.separation import separation_report
-from xtoplat.topology import is_xtop_by_irreducibility, is_xtop_by_unions
+from xtoplat.semiring import ideal_label, is_ideal, is_prime_ideal, principal_ideal
+from xtoplat.cli import _semiring_subspace
+from xtoplat.separation import (
+    classify_points,
+    jacobson_and_prime_meets,
+    separation_report,
+)
+from xtoplat.topology import build_space, is_xtop_by_irreducibility, is_xtop_by_unions
 
 from .oracles import ideals_by_subset_scan, wrap_by_search
 
@@ -145,6 +150,13 @@ class TestIdeals:
                 R = bni(n, i)
                 assert set(ideals(R)) == ideals_by_subset_scan(R)
         assert set(ideals(s3())) == ideals_by_subset_scan(s3())
+
+    def test_failed_ideal_check_raises_not_assert(self, monkeypatch):
+        import xtoplat.semiring as semiring
+
+        monkeypatch.setattr(semiring, "is_ideal", lambda R, I: False)
+        with pytest.raises(NotAnIdealError):
+            semiring.ideals.__wrapped__(bni(6, 0))
 
     def test_every_enumerated_ideal_passes_predicate(self):
         for n, i in ((10, 3), (12, 11), (9, 1)):
@@ -290,6 +302,51 @@ class TestSpecSpace:
             spec_space(s3(), "everything")
 
 
+DIFFERENTIAL_SOURCES = [pytest.param(s3(), id="s3")] + [
+    pytest.param(bni(n, i), id=f"B({n},{i})") for n in range(2, 13) for i in range(n)
+]
+
+
+def _space_over_all_ideals(R, which):
+    """The definitional route: X embedded in the lattice of all ideals."""
+    L, all_ideals = ideal_lattice(R)
+    rep = spectrum(R)
+    chosen = {
+        "all": rep.spec,
+        "max": rep.max,
+        "min": rep.min_primes,
+        "drop-zero": [P for P in rep.spec if P != frozenset({R.zero})],
+    }[which]
+    position = {I: k for k, I in enumerate(all_ideals)}
+    return build_space(L, frozenset(position[I] for I in chosen))
+
+
+@pytest.mark.parametrize("which", ["all", "max", "min", "drop-zero"])
+@pytest.mark.parametrize("R", DIFFERENTIAL_SOURCES)
+def test_radical_lattice_matches_the_ideal_lattice(R, which):
+    fast = _semiring_subspace(R, which)
+    slow = _space_over_all_ideals(R, which)
+    assert fast.labels_of(fast.points) == slow.labels_of(slow.points)
+    for family in ("closed_family", "open_family"):
+        assert [fast.labels_of(S) for S in getattr(fast, family)] == [
+            slow.labels_of(S) for S in getattr(slow, family)
+        ]
+    assert separation_report(fast) == separation_report(slow)
+    assert classify_points(fast) == classify_points(slow)
+    pm_fast, pm_slow = jacobson_and_prime_meets(fast), jacobson_and_prime_meets(slow)
+    assert (
+        fast.label(pm_fast.jacobson),
+        fast.label(pm_fast.min_meet),
+        pm_fast.jacobson_irredundant,
+        pm_fast.min_meet_irredundant,
+    ) == (
+        slow.label(pm_slow.jacobson),
+        slow.label(pm_slow.min_meet),
+        pm_slow.jacobson_irredundant,
+        pm_slow.min_meet_irredundant,
+    )
+
+
 class TestVerifyBni:
     def test_7_1(self):
         v = verify_bni(7, 1)
@@ -363,14 +420,21 @@ class TestDiscretenessEquivalences:
 
 
 def test_zn_singleton_opens_have_principal_witnesses():
-    # each {(p)} in Spec(Z_n) is the covariety of the ideal (n / p^m)
-    from xtoplat.semiring import ideal_lattice
-
+    # each {(p)} in Spec(Z_n) is the covariety of the ideal (n / p^m); the
+    # space's lattice holds radical ideals only, so V(I) is read at √I, the
+    # intersection of the primes containing I
     for n in (12, 30, 60):
         R = bni(n, 0)
         space = spec_space(R)
-        _, all_ideals = ideal_lattice(R)
-        position = {I: k for k, I in enumerate(all_ideals)}
+        primes = spectrum(R).spec
+
+        def position(I):
+            root = frozenset(range(n))
+            for P in primes:
+                if I <= P:
+                    root &= P
+            return space.lattice.labels.index(ideal_label(R, root))
+
         remaining = n
         d = 2
         parts = {}
@@ -385,6 +449,6 @@ def test_zn_singleton_opens_have_principal_witnesses():
         if remaining > 1:
             parts[remaining] = remaining
         for p, power in parts.items():
-            witness = position[principal_ideal(R, (n // power) % n)]
-            target = position[principal_ideal(R, p)]
+            witness = position(principal_ideal(R, (n // power) % n))
+            target = position(principal_ideal(R, p))
             assert space.covariety(witness) == frozenset({target})
