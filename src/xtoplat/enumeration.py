@@ -59,7 +59,8 @@ def canonical_form(P: FinitePoset) -> tuple[int, int]:
                 used[i] = False
 
     extend()
-    assert best is not None
+    if best is None:
+        raise ValueError("no linear extension: the relation is not a partial order")
     return n, best
 
 

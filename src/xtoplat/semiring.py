@@ -70,12 +70,18 @@ class FiniteSemiring:
 
 
 def _resolve(labels: Sequence[str], entry) -> int:
+    """The index of an element given by its label or by its index."""
     if isinstance(entry, str):
         try:
             return labels.index(entry)
         except ValueError:
             raise ValueError(f"unknown element label {entry!r}") from None
-    return int(entry)
+    # bool is an int subclass, but true/false are not element indices
+    if isinstance(entry, bool) or not isinstance(entry, int):
+        raise ValueError(f"element {entry!r} is neither a label nor an index")
+    if not 0 <= entry < len(labels):
+        raise ValueError(f"element index {entry} out of range")
+    return entry
 
 
 def semiring_from_tables(
@@ -87,7 +93,8 @@ def semiring_from_tables(
 ) -> FiniteSemiring:
     """Validate the five semiring axioms and return the semiring.
 
-    Table entries and ``zero``/``one`` may be given as labels or indices.
+    Table entries and ``zero``/``one`` may be given as labels (str) or
+    indices (int, not bool); anything else raises :class:`ValueError`.
     Raises :class:`AxiomError` naming the violated axiom and a witness.
     """
     labels = tuple(labels)
@@ -102,11 +109,6 @@ def semiring_from_tables(
     mul_t = tuple(tuple(_resolve(labels, e) for e in row) for row in mul)
     z = _resolve(labels, zero)
     o = _resolve(labels, one)
-    for table in (add_t, mul_t):
-        for row in table:
-            for e in row:
-                if not 0 <= e < n:
-                    raise ValueError("table entry out of range")
 
     def witness(*idx: int) -> tuple[str, ...]:
         return tuple(labels[i] for i in idx)
@@ -564,7 +566,12 @@ def verify_bni(n: int, i: int) -> BniVerification:
     dimension 1, where m_n = {0, 2, ..., n-1}; the middle range
     2 <= i <= n-2 gives {0, m_n} ∪ {pB : p | n-i} in dimension 2.
     """
-    R = bni(n, i)
+    return _verify_bni(bni(n, i), i)
+
+
+def _verify_bni(R: FiniteSemiring, i: int) -> BniVerification:
+    """:func:`verify_bni` for R = B(R.n, i), already built."""
+    n = R.n
     computed = spectrum(R)
     zero_ideal = frozenset({0})
     m_n = frozenset({0}) | frozenset(range(2, n))

@@ -1,34 +1,41 @@
 """Point classification and separation axioms for materialized spaces.
 
-Every axiom flag is computed from its raw definition by brute force over
-the finite open/closed families, never via the structure theorems that
-relate them.  The theorems instead become executable checks in
-:func:`cross_check`, which evaluates both sides of each equivalence
+Every axiom flag is computed from its definition, never via the structure
+theorems that relate them.  The theorems instead become executable checks
+in :func:`cross_check`, which evaluates both sides of each equivalence
 independently and reports disagreements with a witness.
 
-Two computational shortcuts are used, both justified by closure
-properties of the materialized families and guarded by runtime
-assertions rather than taken on faith:
+Every finite topology is Alexandrov (Alexandroff 1937; Stong 1966), so the
+point-level sets are read off the specialization order of X, x <= y iff
+x <= y in L, with these one-line reductions:
 
-* the kernel Ker(x) (intersection of all open sets containing x, computed
-  by scanning the open family) is itself open, so "some open set around x
-  avoids S" is equivalent to "Ker(x) ∩ S = ∅";
-* finite unions of open sets are open, so the minimal open set around a
-  finite F is the union of the kernels of its points.
+* closure({x}) = V(x) = ↑x and Ker(x) = ↓x: y lies in every D(a) that
+  contains x iff a <= y implies a <= x for all a, iff y <= x (take a = y).
+  Ker(x) is a finite intersection of opens, so it is open; that is checked
+  once per space.  Hence "some open set around x avoids S" is
+  "↓x ∩ S = ∅", and the least open set around F is the union of the ↓f.
+* q is completely strongly irreducible iff ⋀{a ∈ X : a ≰ q} ≰ q: any A
+  with no member below q and ⋀A <= q is a subset of that set, whose meet
+  is then <= ⋀A <= q too.
+* The connected components are the comparability components of the
+  order: each is an up-set and a down-set, hence clopen, and a relatively
+  clopen part of one is closed under comparability, hence empty or all.
+* T_F needs only |F| <= 2: a failing F has some y ∈ F ∩ Ker(x) (else
+  {x} ⊢ F) and some f ∈ F with x ∈ Ker(f) (else F ⊢ {x}), and then
+  {y, f} fails too.
 
-The T_F quantifier ranges over *all* subsets F of X \\ {x}; there is no
-pair-only reduction.  Compactness is degenerate at finite scale (every
-subset is compact), so the KC flag reduces to "every subset is closed"
-and is computed as ``len(closed_family) == 2^|X|`` over the materialized
-family.  "Spectral" is likewise recorded as T0: every finite T0 space is
-spectral, and the projective-limit characterizations are out of scope.
+Compactness is degenerate at finite scale (every subset is compact), so
+the KC flag reduces to "every subset is closed" and is computed as
+``len(closed_family) == 2^|X|`` over the materialized family.  "Spectral"
+is likewise recorded as T0: every finite T0 space is spectral, and the
+projective-limit characterizations are out of scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
+from .errors import XtoplatError
 from .lattice import EmbeddedSubset, has_complete_max_property
 from .poset import _mask_to_set, has_dual_tree_component, is_forest_of_trees
 from .topology import (
@@ -37,9 +44,6 @@ from .topology import (
     is_xtop_by_unions,
     radical_info,
 )
-
-_CSI_EXHAUSTIVE_LIMIT = 14
-_COMPONENT_BRUTE_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,7 @@ class CheckResult:
 
 
 class _Analysis:
-    """Shared per-space scratch state: points as bit positions, families as masks."""
+    """Per-space scratch state: points as bit positions, families as masks."""
 
     def __init__(self, space: XTopSpace):
         self.space = space
@@ -152,20 +156,19 @@ class _Analysis:
         self.open_set = frozenset(self.open_masks)
         self.closed_set = frozenset(self.closed_masks)
         self.clopen_masks = sorted(self.open_set & self.closed_set)
-        # closure({x}) = V(x) and Ker(x) = ∩{U open : x ∈ U}
-        self.closure1 = [self._mask(space.variety(x)) for x in self.pts]
-        self.kernel1 = []
-        for k in range(self.n):
-            acc = self.full
-            for U in self.open_masks:
-                if U >> k & 1:
-                    acc &= U
-            self.kernel1.append(acc)
-        # the kernels being open backs every "minimal neighborhood" argument
-        assert all(m in self.open_set for m in self.kernel1)
-        self.spec_poset = space.specialization_poset()
-        self.min_mask = self._mask(space.min_points())
-        self.max_mask = self._mask(space.max_points())
+        # the poset lists the points in sorted order too, so its rows are masks
+        P = self.spec_poset = space.specialization_poset()
+        self.closure1 = [P.up_mask(k) for k in range(self.n)]
+        self.kernel1 = list(P.down_rows())
+        for k, kernel in enumerate(self.kernel1):
+            if kernel not in self.open_set:
+                label = space.label(self.pts[k])
+                raise XtoplatError(
+                    f"Ker({label!r}) is not open: the open family does not "
+                    "match the specialization order"
+                )
+        self.min_mask = sum(1 << k for k in P.minimals())
+        self.max_mask = sum(1 << k for k in P.maximals())
 
     def _mask(self, S) -> int:
         return sum(1 << self.pos[x] for x in S)
@@ -240,48 +243,14 @@ class _Analysis:
         return True
 
     def _csi(self) -> int:
-        """Completely strongly irreducible points of X (subsets checked exhaustively).
-
-        Beyond the exhaustive limit the worst-subset reduction is used:
-        over A ⊆ {a : a ≰ q} the meet is smallest at the full set, so
-        q ∈ CSI iff ⋀{a ∈ X : a ≰ q} ≰ q.
-        """
+        """Completely strongly irreducible points: ⋀{a ∈ X : a ≰ q} ≰ q."""
         L = self.space.lattice
-        if self.n <= _CSI_EXHAUSTIVE_LIMIT:
-            meets = self._subset_meets()
-            out = 0
-            for k in range(self.n):
-                q = self.pts[k]
-                below = sum(
-                    1 << i for i in range(self.n) if L.leq(self.pts[i], q)
-                )
-                candidates = self.full & ~below
-                good = True
-                A = candidates
-                while A:
-                    if L.leq(meets[A], q):
-                        good = False
-                        break
-                    A = (A - 1) & candidates
-                if good:
-                    out |= 1 << k
-            return out
         out = 0
         for k in range(self.n):
-            q = self.pts[k]
-            worst = L.meet_all(a for a in self.pts if not L.leq(a, q))
-            if not L.leq(worst, q):
+            worst = L.meet_all(self.unmask(self.full & ~self.kernel1[k]))
+            if not L.leq(worst, self.pts[k]):
                 out |= 1 << k
         return out
-
-    def _subset_meets(self) -> list[int]:
-        """meets[S] = ⋀{points in S} as a lattice index, for every subset mask."""
-        L = self.space.lattice
-        meets = [L.top] * (1 << self.n)
-        for S in range(1, 1 << self.n):
-            low = S & -S
-            meets[S] = L.meet(meets[S & ~low], self.pts[low.bit_length() - 1])
-        return meets
 
     # -- pairwise separation ---------------------------------------------------
 
@@ -302,45 +271,21 @@ class _Analysis:
         )
 
     def tf(self) -> bool:
-        """For every x and every finite F ⊆ X\\{x}: {x} ⊢ F or F ⊢ {x}."""
-        min_open = [0] * (1 << self.n)
-        for S in range(1, 1 << self.n):
-            low = S & -S
-            min_open[S] = min_open[S & ~low] | self.kernel1[low.bit_length() - 1]
-            assert min_open[S] in self.open_set
+        """For every x and every F = {y, f} ⊆ X\\{x}, y = f allowed: {x} ⊢ F or F ⊢ {x}."""
         for k in range(self.n):
-            rest = self.full & ~(1 << k)
-            F = rest
-            while F:
-                if self.kernel1[k] & F and min_open[F] >> k & 1:
-                    return False
-                F = (F - 1) & rest
+            others = [i for i in range(self.n) if i != k]
+            for j, y in enumerate(others):
+                for f in others[j:]:
+                    x_shields_F = not self.kernel1[k] & (1 << y | 1 << f)
+                    F_shields_x = not (self.kernel1[y] | self.kernel1[f]) >> k & 1
+                    if not (x_shields_F or F_shields_x):
+                        return False
         return True
 
     # -- connectedness ---------------------------------------------------------
 
-    def is_connected_subset(self, S: int) -> bool:
-        """No split of S into two nonempty relatively-clopen parts."""
-        if S == 0:
-            return True
-        rel_opens = {U & S for U in self.open_masks}
-        return not any(
-            A and A != S and S & ~A in rel_opens for A in rel_opens
-        )
-
     def components(self) -> list[int]:
-        """C(x) for each point: the maximal connected set containing x."""
-        if self.n <= _COMPONENT_BRUTE_LIMIT and len(self.open_masks) <= 1024:
-            comp = [1 << k for k in range(self.n)]
-            for S in range(1, 1 << self.n):
-                if self.is_connected_subset(S):
-                    for k in range(self.n):
-                        if S >> k & 1:
-                            comp[k] |= S
-            return comp
-        # components of a finite space are the comparability components of
-        # its specialization order; agreement with the brute-force route is
-        # covered by the exhaustive small-instance tests
+        """C(x) for each point: its comparability component."""
         comp = [0] * self.n
         for part in self.spec_poset.order_components():
             mask = sum(1 << k for k in part)
@@ -415,19 +360,14 @@ class _Analysis:
         return tuple(self.labels(m) for m in parts)
 
 
-@lru_cache(maxsize=128)
-def _analyze(space: XTopSpace) -> _Analysis:
-    return _Analysis(space)
-
-
 def special_sets(space: XTopSpace) -> SpecialSets:
     """Min/Max/SI/CSI/AMin/BMax plus the topological point classes."""
-    return _analyze(space).special()
+    return _Analysis(space).special()
 
 
 def classify_points(space: XTopSpace) -> tuple[PointClassification, ...]:
     """One row of flags per point, in sorted point order."""
-    a = _analyze(space)
+    a = _Analysis(space)
     s = a.special()
     return tuple(
         PointClassification(
@@ -450,7 +390,7 @@ def classify_points(space: XTopSpace) -> tuple[PointClassification, ...]:
 
 def components(space: XTopSpace) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
     """(connected components, quasicomponents) as partitions of the point set."""
-    a = _analyze(space)
+    a = _Analysis(space)
     comp = a.components()
     quasi = a.quasicomponents()
     comps = sorted({m for m in comp}, key=lambda m: m & -m)
@@ -460,13 +400,17 @@ def components(space: XTopSpace) -> tuple[tuple[frozenset[int], ...], tuple[froz
 
 def jacobson_and_prime_meets(space: XTopSpace) -> PrimeMeets:
     """⋀Max(X) and ⋀Min(X) with single-drop irredundance flags."""
-    return _analyze(space).prime_meets()
+    return _Analysis(space).prime_meets()
 
 
 def separation_report(space: XTopSpace) -> SeparationReport:
-    """Evaluate every axiom from its raw definition over the finite families."""
-    a = _analyze(space)
-    s = a.special()
+    """Evaluate every axiom from its definition (see the module docstring)."""
+    a = _Analysis(space)
+    return _report(a, a.special())
+
+
+def _report(a: _Analysis, s: SpecialSets) -> SeparationReport:
+    space = a.space
     n = a.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     t0 = all(a.distinguishable(i, j) for i, j in pairs)
@@ -551,9 +495,9 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
     Each check must hold on every valid space; a failure indicates a bug
     and its witness names the violating point or flag assignment.
     """
-    a = _analyze(space)
-    s = special_sets(space)
-    r = separation_report(space)
+    a = _Analysis(space)
+    s = a.special()
+    r = _report(a, s)
     pm = a.prime_meets()
     L = space.lattice
     X = space.points

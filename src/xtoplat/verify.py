@@ -27,8 +27,9 @@ from .enumeration import (
     canonical_form,
     forest_specs,
 )
+from .errors import RangeError
 from .poset import chain, dual_tree, forest, tree
-from .semiring import bni, omega, spec_space, verify_bni
+from .semiring import _verify_bni, bni, omega, spec_space
 from .separation import cross_check, jacobson_and_prime_meets, separation_report
 from .topology import from_poset, is_xtop_by_irreducibility, is_xtop_by_unions
 
@@ -213,7 +214,8 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
         for i in range(n):
             instances += 1
             name = f"B({n},{i})"
-            verdict = verify_bni(n, i)
+            R = bni(n, i)
+            verdict = _verify_bni(R, i)
 
             def expect(condition: bool, check: str, witness: str):
                 nonlocal checks
@@ -228,7 +230,6 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
                 f"spec sizes {sorted(len(P) for P in verdict.computed_spec)} vs "
                 f"{sorted(len(P) for P in verdict.predicted_spec)}",
             )
-            R = bni(n, i)
             space = spec_space(R)
             report = separation_report(space)
             spec_shape = canonical_form(space.specialization_poset())
@@ -300,23 +301,37 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
     return SuiteResult("bni", instances, checks, failures)
 
 
+# each suite with the bound it takes
 _SUITES = {
-    "xct": lambda max_size, max_n: verify_xct(max_size or 5),
-    "quarter": lambda max_size, max_n: verify_quarter(max_size or 5),
-    "discrete": lambda max_size, max_n: verify_discrete(max_size or 5),
-    "forest": lambda max_size, max_n: verify_forest(max_size or 8),
-    "bni": lambda max_size, max_n: verify_bni_grid(max_n or 20),
+    "xct": (verify_xct, "max_size"),
+    "quarter": (verify_quarter, "max_size"),
+    "discrete": (verify_discrete, "max_size"),
+    "forest": (verify_forest, "max_size"),
+    "bni": (verify_bni_grid, "max_n"),
 }
 
 
 def run_suites(
     suite: str, max_size: int | None = None, max_n: int | None = None
 ) -> list[SuiteResult]:
-    """Run one named suite, or all of them."""
+    """Run one named suite, or all of them; a bound of None means the suite's default.
+
+    Raises :class:`RangeError` for ``max_size < 1`` or ``max_n < 2``, which
+    would sweep no instance at all.
+    """
+    if max_size is not None and max_size < 1:
+        raise RangeError(f"--max-size must be at least 1, got {max_size}")
+    if max_n is not None and max_n < 2:
+        raise RangeError(f"--max-n must be at least 2, got {max_n}")
     if suite == "all":
         names = ["xct", "quarter", "discrete", "forest", "bni"]
     elif suite in _SUITES:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    return [_SUITES[name](max_size, max_n) for name in names]
+    bounds = {"max_size": max_size, "max_n": max_n}
+    results = []
+    for name in names:
+        run, bound = _SUITES[name]
+        results.append(run() if bounds[bound] is None else run(bounds[bound]))
+    return results

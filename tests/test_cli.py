@@ -126,6 +126,31 @@ class TestSpec:
         assert code == 0
         assert "K.dim(R): 1" in text
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("add", [[0, 1], [1, True]], "element True is neither a label nor an index"),
+            ("mul", [[0, 0], [0, 1.7]], "element 1.7 is neither a label nor an index"),
+            ("zero", False, "element False is neither a label nor an index"),
+            ("one", 7, "element index 7 out of range"),
+        ],
+    )
+    def test_entry_neither_label_nor_index_exit_2(
+        self, tmp_path, capsys, field, value, message
+    ):
+        boolean = {
+            "labels": ["0", "1"],
+            "add": [[0, 1], [1, 1]],
+            "mul": [[0, 0], [0, 1]],
+            "zero": 0,
+            "one": 1,
+        }
+        path = tmp_path / "table.json"
+        path.write_text(dumps({**boolean, field: value}))
+        code, text = run(["spec", "--table", str(path)])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestVerify:
     def test_xct_small(self):
@@ -147,6 +172,19 @@ class TestVerify:
     def test_quarter_and_discrete_small(self):
         assert run(["verify", "quarter", "--max-size", "4"])[0] == 0
         assert run(["verify", "discrete", "--max-size", "4"])[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["xct", "--max-size", "0"], "--max-size must be at least 1, got 0"),
+            (["xct", "--max-size", "-3"], "--max-size must be at least 1, got -3"),
+            (["bni", "--max-n", "1"], "--max-n must be at least 2, got 1"),
+        ],
+    )
+    def test_bound_that_sweeps_nothing_exit_2(self, capsys, argv, message):
+        code, text = run(["verify", *argv])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestExport:

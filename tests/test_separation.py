@@ -7,6 +7,10 @@ is exercised exhaustively in test_acceptance.py; this module pins the
 concrete examples.
 """
 
+from dataclasses import replace
+
+import pytest
+
 from xtoplat import (
     antichain,
     chain,
@@ -21,9 +25,25 @@ from xtoplat import (
     special_sets,
     tree,
 )
+from xtoplat.enumeration import forest_specs
+from xtoplat.errors import XtoplatError
 from xtoplat.semiring import bni, s3, spec_space
+from xtoplat.topology import build_space, is_xtop_by_unions
 
-from .oracles import naive_components, naive_t0, naive_t1, naive_t2, naive_tf
+from .oracles import naive_components, naive_t0, naive_t1, naive_t2, naive_tf, subsets
+
+
+@pytest.fixture(scope="module")
+def carriers_and_forests(lattices_upto_5):
+    """Every X-top (L, X) with |L| <= 5 (89 spaces, 11 not T_F) and every
+    T/V/C forest on <= 7 points (106 spaces, 33 not T_F)."""
+    spaces = []
+    for L in lattices_upto_5:
+        for X in subsets(i for i in range(L.n) if i != L.top):
+            if is_xtop_by_unions(L, X):
+                spaces.append(build_space(L, X))
+    spaces.extend(from_poset(forest(spec)) for spec in forest_specs(7))
+    return spaces
 
 
 class TestSpecialSets:
@@ -111,9 +131,8 @@ class TestSeparationReport:
             if r.t_half:
                 assert r.t_quarter
 
-    def test_flags_match_naive_scans(self, posets_upto_5):
-        for P in posets_upto_5:
-            space = from_poset(P)
+    def test_flags_match_naive_scans(self, posets_upto_5, carriers_and_forests):
+        for space in [from_poset(P) for P in posets_upto_5] + carriers_and_forests:
             r = separation_report(space)
             assert r.t0 == naive_t0(space)
             assert r.t1 == naive_t1(space)
@@ -142,11 +161,11 @@ class TestComponents:
         comps, quasis = components(space)
         assert len(comps) == 3 and len(quasis) == 3
 
-    def test_matches_naive_union_of_connected_sets(self, posets_upto_5):
-        for P in posets_upto_5:
-            if P.n > 4:
-                continue
-            space = from_poset(P)
+    def test_matches_naive_union_of_connected_sets(
+        self, posets_upto_5, carriers_and_forests
+    ):
+        small = [from_poset(P) for P in posets_upto_5 if P.n <= 4]
+        for space in small + carriers_and_forests:
             comps, _ = components(space)
             by_point = naive_components(space)
             for part in comps:
@@ -216,12 +235,18 @@ class TestDegenerateCarriers:
         assert r.discrete and r.irreducible
         assert all(c.holds for c in cross_check(space))
 
+    def test_open_family_off_the_order_is_refused(self):
+        base = from_poset(chain(2))
+        # drop Ker(bottom) = {bottom}, so ↓x is no longer an open set
+        opens = tuple(U for U in base.open_family if len(U) != 1)
+        broken = replace(base, open_family=opens)
+        with pytest.raises(XtoplatError, match="is not open"):
+            separation_report(broken)
+
 
 def test_cross_check_on_every_small_sub_carrier(posets_upto_5):
     # smaller carriers inside the same lattice are genuinely different
     # instances (the lattice keeps elements whose varieties shrink)
-    from .oracles import subsets
-
     for P in posets_upto_5:
         if P.n > 4:
             continue
@@ -232,9 +257,9 @@ def test_cross_check_on_every_small_sub_carrier(posets_upto_5):
                 assert result.holds, (P, sorted(Y), result.check_id, result.witness)
 
 
-class TestBigCarrierFallbacks:
-    """|X| above the exhaustive-enumeration guards exercises the reduced
-    CSI test and the comparability-component route."""
+class TestLongChainCarriers:
+    """Sixteen points, where a scan over all 2^|X| subsets would be slow:
+    the order-based CSI, components and T_F still agree with cross_check."""
 
     def test_sixteen_point_chain(self):
         space = from_poset(chain(16))

@@ -1,0 +1,20 @@
+"""Properties of the library source itself."""
+
+import ast
+from pathlib import Path
+
+import xtoplat
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements, so a guard written as one
+    # silently stops guarding; the library raises explicit errors instead
+    found = []
+    for path in sorted(Path(xtoplat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
