@@ -43,7 +43,7 @@ from .formats import (
 )
 from .poset import chain, forest
 from .semiring import FiniteSemiring, bni, s3, spectrum, spec_space
-from .separation import classify_points, separation_report
+from .separation import report_and_points
 from .topology import XTopSpace, from_poset
 from .verify import run_suites
 
@@ -96,8 +96,7 @@ def _yes(value: bool) -> str:
 
 
 def _render_separation(space: XTopSpace, out) -> None:
-    report = separation_report(space)
-    points = classify_points(space)
+    report, points = report_and_points(space)
     print(f"points ({space.n_points}): " + " ".join(space.labels_of(space.points)), file=out)
     print(f"K.dim: {report.kdim}", file=out)
     for name in _BOOL_FIELDS:
@@ -173,7 +172,7 @@ def _semiring_subspace(R: FiniteSemiring, selector: str) -> XTopSpace:
 def _cmd_classify(args, out) -> int:
     space = _space_from_args(args)
     if args.json:
-        payload = report_to_json(separation_report(space), classify_points(space))
+        payload = report_to_json(*report_and_points(space))
         print(dumps(payload), file=out)
     else:
         _render_separation(space, out)
@@ -206,9 +205,7 @@ def _cmd_spec(args, out) -> int:
                 if f.type == "bool"
             },
             "subspace": args.subspace,
-            "separation": report_to_json(
-                separation_report(space), classify_points(space)
-            ),
+            "separation": report_to_json(*report_and_points(space)),
         }
         print(dumps(payload), file=out)
         return 0

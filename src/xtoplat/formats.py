@@ -63,10 +63,13 @@ def poset_to_json(P: FinitePoset) -> dict[str, Any]:
 def poset_from_json(data: dict[str, Any]) -> FinitePoset:
     if not isinstance(data, dict) or "labels" not in data:
         raise ValueError("poset JSON needs a 'labels' field")
+    labels = data["labels"]
+    if not isinstance(labels, list) or not all(isinstance(name, str) for name in labels):
+        raise ValueError("'labels' must be a list of strings")
     pairs = [tuple(p) for p in data.get("leq", [])]
     if any(len(p) != 2 for p in pairs):
         raise ValueError("'leq' entries must be [smaller, larger] pairs")
-    return poset_from_relation(data["labels"], pairs)
+    return poset_from_relation(labels, pairs)
 
 
 # -- lattices -----------------------------------------------------------------
@@ -134,7 +137,14 @@ def space_from_json(data: dict[str, Any]) -> XTopSpace:
     if not isinstance(data, dict) or "lattice" not in data or "X" not in data:
         raise ValueError("space JSON needs 'lattice' and 'X' fields")
     L = lattice_from_json(data["lattice"])
-    members = frozenset(L.poset.index(name) for name in data["X"])
+    X = data["X"]
+    if not isinstance(X, list) or not all(isinstance(name, str) for name in X):
+        raise ValueError("'X' must be a list of labels")
+    index = {name: i for i, name in enumerate(L.labels)}
+    unknown = next((name for name in X if name not in index), None)
+    if unknown is not None:
+        raise ValueError(f"'X' names unknown label {unknown!r}")
+    members = frozenset(index[name] for name in X)
     space = build_space(L, members)
     if "closed_sets" in data:
         given = {frozenset(part) for part in map(tuple, data["closed_sets"])}

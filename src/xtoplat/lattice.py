@@ -15,12 +15,23 @@ bottom is all of P.  Under this convention the varieties of the embedded
 copy of P are exactly the up-sets, i.e. closed = up-closed (the Alexandrov
 picture with the specialization order equal to the original order).
 
-Construction verifies the tables completely: the quadratic pointwise
-checks (bounds, commutativity, idempotence, absorption, agreement with
-the order) plus glb/lub universality, which reduces to one bitmask test
-per pair over the down-/up-set rows.  A table that is the greatest lower
-bound for every pair is automatically associative, so no cubic check is
-needed.
+Construction of a table-backed :class:`FiniteLattice` verifies the tables
+completely: the quadratic pointwise checks (bounds, commutativity,
+idempotence, absorption, agreement with the order) plus glb/lub
+universality, which reduces to one bitmask test per pair over the
+down-/up-set rows.  A table that is the greatest lower bound for every
+pair is automatically associative, so no cubic check is needed.
+
+The up-set lattice is stored as its masks instead (:class:`UpsetLattice`):
+meet is OR, join is AND and a <= b is "mask a contains mask b", so it
+builds no order rows and no tables unless a caller reads them.  Its
+construction checks the mask family F in O(|F|·|P|): 0 ∈ F, every mask
+is up-closed, and U | ↑x and U & ~↓x are in F for every U ∈ F and x ∈ P.
+The last two close F under union and intersection (U ∪ V adds the ↑x for
+x ∈ V; U ∩ V removes the ↓x for x ∉ V), so OR and AND are the glb and
+lub of F under reverse inclusion; from 0 they reach every up-set (each
+is a union of principal ones), and up-closure admits nothing else, so F
+is exactly the up-sets of P.
 """
 
 from __future__ import annotations
@@ -68,6 +79,14 @@ class FiniteLattice:
         self.validate()
 
     def validate(self) -> None:
+        """Verify that meet and join are the glb and lub of every pair.
+
+        Runs once, at construction, whatever the storage: subclasses
+        supply the check for their own representation as ``_verify``.
+        """
+        self._verify()
+
+    def _verify(self) -> None:
         """Verify the tables are exactly the glb/lub for every pair.
 
         down(meet[a][b]) == down(a) ∩ down(b) says precisely "c <= meet
@@ -105,6 +124,11 @@ class FiniteLattice:
     def labels(self) -> tuple[str, ...]:
         return self.poset.labels
 
+    def check(self, i: int) -> None:
+        """Raise IndexError unless i is an element index."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"element index {i} out of range 0..{self.n - 1}")
+
     def leq(self, a: int, b: int) -> bool:
         return self.poset.leq(a, b)
 
@@ -138,19 +162,173 @@ class FiniteLattice:
         return frozenset(a for a in ms if not any(self.poset.lt(b, a) for b in ms))
 
     def __eq__(self, other: object) -> bool:
+        # validated tables are determined by the order
         if not isinstance(other, FiniteLattice):
             return NotImplemented
-        return (
-            self.poset == other.poset
-            and self.meet_table == other.meet_table
-            and self.join_table == other.join_table
-        )
+        return self.labels == other.labels and self.poset == other.poset
 
     def __hash__(self) -> int:
-        return hash((self.poset, self.meet_table, self.join_table))
+        return hash(self.labels)
 
     def __repr__(self) -> str:
-        return f"FiniteLattice({self.n} elements, bottom={self.labels[self.bottom]!r}, top={self.labels[self.top]!r})"
+        return f"{type(self).__name__}({self.n} elements, bottom={self.labels[self.bottom]!r}, top={self.labels[self.top]!r})"
+
+
+class UpsetLattice(FiniteLattice):
+    """The up-sets of a poset under reverse inclusion, stored as bitmasks.
+
+    Element k is the up-set ``masks[k]``; the masks are sorted by (size,
+    mask), so the top ∅ is element 0 and the bottom, all of the ground
+    poset, is the last.  Meet is OR, join is AND and a <= b iff
+    masks[a] ⊇ masks[b].  The order (``poset``) and the meet/join tables
+    are built on first read; the queries never read them.  Principal
+    up-sets carry the label of their generator, the others set notation.
+    """
+
+    # the inherited poset/meet_table/join_table slots stay unused: the
+    # properties below shadow them and build into _order/_meet/_join
+    __slots__ = ("ground", "masks", "_labels", "_position", "_order", "_meet", "_join")
+
+    def __init__(self, ground: FinitePoset, masks: Iterable[int]):
+        if ground.n == 0:
+            raise EmptyPosetError("the empty poset has no up-set lattice")
+        masks = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+        full = (1 << ground.n) - 1
+        if any(m & ~full for m in masks):
+            raise ValueError("up-set mask mentions elements out of range")
+        principal = {ground.up_mask(x): x for x in range(ground.n)}
+        self.ground = ground
+        self.masks = masks
+        self._labels = tuple(
+            ground.labels[principal[m]] if m in principal else _set_label(ground, m)
+            for m in masks
+        )
+        self._position = {m: k for k, m in enumerate(masks)}
+        self._order = self._meet = self._join = None
+        self.top = 0
+        self.bottom = len(masks) - 1
+        self.validate()
+
+    def _verify(self) -> None:
+        """The masks are exactly the up-sets (see the module docstring)."""
+        P = self.ground
+        up = [P.up_mask(x) for x in range(P.n)]
+        down = P.down_rows()
+        full = (1 << P.n) - 1
+        position = self._position
+        if len(position) != len(self.masks):
+            raise ValueError("up-set masks must be distinct")
+        if 0 not in position:
+            raise NotALatticeError("join", self._labels[0], self._labels[-1])
+        for k, U in enumerate(self.masks):
+            for x in range(P.n):
+                grown = U | up[x]
+                if (U >> x & 1 and grown != U) or grown not in position:
+                    raise NotALatticeError("meet", self._labels[k], P.labels[x])
+                if U & ~down[x] not in position:
+                    outside = _set_label(P, full & ~down[x])
+                    raise NotALatticeError("join", self._labels[k], outside)
+
+    @property
+    def n(self) -> int:
+        return len(self.masks)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self._labels
+
+    @property
+    def poset(self) -> FinitePoset:
+        if self._order is None:
+            rows = []
+            for a in self.masks:
+                row = 0
+                for k, b in enumerate(self.masks):
+                    if a | b == a:
+                        row |= 1 << k
+                rows.append(row)
+            self._order = FinitePoset(self._labels, rows)
+        return self._order
+
+    @property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        if self._meet is None:
+            self._meet = self._table(lambda a, b: a | b)
+        return self._meet
+
+    @property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        if self._join is None:
+            self._join = self._table(lambda a, b: a & b)
+        return self._join
+
+    def _table(self, op) -> tuple[tuple[int, ...], ...]:
+        position = self._position
+        return tuple(tuple(position[op(a, b)] for b in self.masks) for a in self.masks)
+
+    def leq(self, a: int, b: int) -> bool:
+        masks = self.masks
+        if not (0 <= a < len(masks) and 0 <= b < len(masks)):
+            self.check(a)
+            self.check(b)
+        return masks[a] | masks[b] == masks[a]
+
+    def meet(self, a: int, b: int) -> int:
+        return self._position[self.masks[a] | self.masks[b]]
+
+    def join(self, a: int, b: int) -> int:
+        return self._position[self.masks[a] & self.masks[b]]
+
+    def meet_all(self, elems: Iterable[int]) -> int:
+        masks = self.masks
+        acc = 0
+        for e in elems:
+            acc |= masks[e]
+        return self._position[acc]
+
+    def join_all(self, elems: Iterable[int]) -> int:
+        masks = self.masks
+        acc = masks[self.bottom]
+        for e in elems:
+            acc &= masks[e]
+        return self._position[acc]
+
+    def maximals_of(self, members: Iterable[int]) -> frozenset[int]:
+        """Members with no other member's mask inside their own.
+
+        Indices follow mask size, so scanning upwards meets every strictly
+        smaller mask first; comparing against the maximals kept so far
+        suffices, because each smaller member contains one of them.
+        """
+        return self._extremes(sorted(set(members)), lambda kept, m: kept & ~m == 0)
+
+    def minimals_of(self, members: Iterable[int]) -> frozenset[int]:
+        """Members with no other member's mask around their own (dually)."""
+        return self._extremes(
+            sorted(set(members), reverse=True), lambda kept, m: m & ~kept == 0
+        )
+
+    def _extremes(self, ordered: list[int], beaten) -> frozenset[int]:
+        kept: list[int] = []
+        out = []
+        for a in ordered:
+            self.check(a)
+            m = self.masks[a]
+            if not any(beaten(k, m) for k in kept):
+                kept.append(m)
+                out.append(a)
+        return frozenset(out)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, UpsetLattice) and self.ground == other.ground:
+            return True
+        return super().__eq__(other)
+
+    __hash__ = FiniteLattice.__hash__
+
+
+def _set_label(P: FinitePoset, mask: int) -> str:
+    return "{" + ",".join(P.labels[i] for i in sorted(_mask_to_set(mask))) + "}"
 
 
 @dataclass(frozen=True)
@@ -162,7 +340,7 @@ class EmbeddedSubset:
 
     def __post_init__(self):
         for x in self.members:
-            self.lattice.poset._check(x)
+            self.lattice.check(x)
         if self.lattice.top in self.members:
             raise SubsetViolationError("the top element cannot belong to X")
 
@@ -193,40 +371,17 @@ def lattice_from_poset(P: FinitePoset) -> FiniteLattice:
     return FiniteLattice(P, meet, join)
 
 
-def upset_lattice(P: FinitePoset) -> tuple[FiniteLattice, dict[int, int]]:
+def upset_lattice(P: FinitePoset) -> tuple[UpsetLattice, dict[int, int]]:
     """The lattice of up-sets of P under reverse inclusion, plus the embedding.
 
     Meet is set union and join set intersection (reverse inclusion swaps
     them); the embedding sends x to its principal up-set ↑x and is
-    order-preserving and injective.  Principal up-sets keep the original
-    element's label; other up-sets are labelled with set notation.
+    order-preserving and injective.  The lattice is an
+    :class:`UpsetLattice`: the up-set masks themselves, with no order rows
+    or tables until a caller reads them.
     """
-    if P.n == 0:
-        raise EmptyPosetError("the empty poset has no up-set lattice")
-    masks = sorted(P.upset_masks(), key=lambda m: (bin(m).count("1"), m))
-    position = {m: k for k, m in enumerate(masks)}
-    principal = {P.up_mask(x): x for x in range(P.n)}
-    labels = []
-    for m in masks:
-        if m in principal:
-            labels.append(P.labels[principal[m]])
-        else:
-            members = ",".join(P.labels[i] for i in sorted(_mask_to_set(m)))
-            labels.append("{" + members + "}")
-    # reverse inclusion: A <= B  iff  A ⊇ B
-    up_rows = []
-    for a in masks:
-        row = 0
-        for k, b in enumerate(masks):
-            if a | b == a:
-                row |= 1 << k
-        up_rows.append(row)
-    order = FinitePoset(labels, up_rows)
-    k = len(masks)
-    meet = [[position[masks[a] | masks[b]] for b in range(k)] for a in range(k)]
-    join = [[position[masks[a] & masks[b]] for b in range(k)] for a in range(k)]
-    lattice = FiniteLattice(order, meet, join)
-    embedding = {x: position[P.up_mask(x)] for x in range(P.n)}
+    lattice = UpsetLattice(P, P.upset_masks())
+    embedding = {x: lattice._position[P.up_mask(x)] for x in range(P.n)}
     return lattice, embedding
 
 
@@ -252,7 +407,7 @@ def has_complete_max_property(L: FiniteLattice, X: EmbeddedSubset) -> bool:
 def _require_between(L: FiniteLattice, X: EmbeddedSubset, A: Iterable[int]) -> frozenset[int]:
     A = frozenset(A)
     for a in A:
-        L.poset._check(a)
+        L.check(a)
     if not X.members <= A:
         raise SubsetViolationError("X must be contained in A")
     return A

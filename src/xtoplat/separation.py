@@ -23,6 +23,13 @@ x <= y in L, with these one-line reductions:
 * T_F needs only |F| <= 2: a failing F has some y ∈ F ∩ Ker(x) (else
   {x} ⊢ F) and some f ∈ F with x ∈ Ker(f) (else F ⊢ {x}), and then
   {y, f} fails too.
+* A closed set C is irreducible iff C = closure({x}) = ↑x for some
+  x ∈ C: C is the union of ↑m over its minimal points m, and with two or
+  more of them, ↑m and the union of the others split C into two proper
+  closed parts; conversely a cover of ↑x by closed sets has x, hence ↑x,
+  in one of them.  So X is irreducible iff some closure({x}) is X, and
+  the space is sober (one generic point per irreducible closed set) iff
+  the closures of distinct points differ.
 
 Compactness is degenerate at finite scale (every subset is compact), so
 the KC flag reduces to "every subset is closed" and is computed as
@@ -307,30 +314,16 @@ class _Analysis:
     # -- global flags ------------------------------------------------------------
 
     def irreducible(self) -> bool:
-        if self.n == 0:
-            return False
-        proper = [C for C in self.closed_masks if C != self.full]
-        return not any(
-            A | B == self.full for i, A in enumerate(proper) for B in proper[i:]
-        )
+        """X is irreducible iff X = closure({x}) for some point x."""
+        return self.full in self.closure1
 
     def connected_flag(self) -> bool:
         return not any(0 < W < self.full for W in self.clopen_masks)
 
     def sober(self) -> bool:
-        for C in self.closed_masks:
-            if C == 0:
-                continue
-            traces = {F & C for F in self.closed_masks}
-            proper = [T for T in traces if T != C]
-            if any(
-                A | B == C for i, A in enumerate(proper) for B in proper[i:]
-            ):
-                continue  # not irreducible
-            generic = [k for k in range(self.n) if C >> k & 1 and self.closure1[k] == C]
-            if len(generic) != 1:
-                return False
-        return True
+        """The irreducible closed sets are the closure({x}), so sober iff
+        no two points share a closure."""
+        return len(set(self.closure1)) == self.n
 
     def ind_zero_dim(self) -> bool:
         return all(
@@ -368,7 +361,11 @@ def special_sets(space: XTopSpace) -> SpecialSets:
 def classify_points(space: XTopSpace) -> tuple[PointClassification, ...]:
     """One row of flags per point, in sorted point order."""
     a = _Analysis(space)
-    s = a.special()
+    return _points(a, a.special())
+
+
+def _points(a: _Analysis, s: SpecialSets) -> tuple[PointClassification, ...]:
+    space = a.space
     return tuple(
         PointClassification(
             label=space.label(x),
@@ -407,6 +404,15 @@ def separation_report(space: XTopSpace) -> SeparationReport:
     """Evaluate every axiom from its definition (see the module docstring)."""
     a = _Analysis(space)
     return _report(a, a.special())
+
+
+def report_and_points(
+    space: XTopSpace,
+) -> tuple[SeparationReport, tuple[PointClassification, ...]]:
+    """:func:`separation_report` and :func:`classify_points` from one analysis."""
+    a = _Analysis(space)
+    s = a.special()
+    return _report(a, s), _points(a, s)
 
 
 def _report(a: _Analysis, s: SpecialSets) -> SeparationReport:

@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .errors import EmptyPosetError, NotXTopError, SubsetViolationError
 from .lattice import EmbeddedSubset, FiniteLattice, upset_lattice
-from .poset import FinitePoset
+from .poset import FinitePoset, _bits
 
 XLike = EmbeddedSubset | Iterable[int]
 
@@ -40,7 +40,7 @@ def _members(L: FiniteLattice, X: XLike) -> frozenset[int]:
         return X.members
     members = frozenset(X)
     for x in members:
-        L.poset._check(x)
+        L.check(x)
     if L.top in members:
         raise SubsetViolationError("the top element cannot belong to X")
     return members
@@ -48,7 +48,7 @@ def _members(L: FiniteLattice, X: XLike) -> frozenset[int]:
 
 def variety(L: FiniteLattice, X: XLike, a: int) -> frozenset[int]:
     """V(a) = {x ∈ X : a <= x}."""
-    L.poset._check(a)
+    L.check(a)
     return frozenset(x for x in _members(L, X) if L.leq(a, x))
 
 
@@ -102,16 +102,13 @@ def is_xtop_by_irreducibility(L: FiniteLattice, X: XLike) -> bool:
     """True iff every x ∈ X is strongly irreducible over the radical elements."""
     members = _members(L, X)
     radicals = sorted(radical_info(L, X).radical_elements)
-    up = L.poset._up
-    meet = L.meet_table
+    leq, meet = L.leq, L.meet
     for x in members:
-        bit = 1 << x
         # only pairs with neither element below x can violate the condition
-        outside = [a for a in radicals if not up[a] & bit]
+        outside = [a for a in radicals if not leq(a, x)]
         for i, a in enumerate(outside):
-            meet_a = meet[a]
             for b in outside[i:]:
-                if up[meet_a[b]] & bit:
+                if leq(meet(a, b), x):
                     return False
     return True
 
@@ -147,7 +144,7 @@ class XTopSpace:
         return tuple(self.label(x) for x in sorted(S))
 
     def variety(self, a: int) -> frozenset[int]:
-        self.lattice.poset._check(a)
+        self.lattice.check(a)
         return self.varieties[a]
 
     def covariety(self, a: int) -> frozenset[int]:
@@ -236,6 +233,12 @@ def build_space(L: FiniteLattice, X: XLike) -> XTopSpace:
     varieties = tuple(
         frozenset(x for x in members if L.leq(a, x)) for a in range(L.n)
     )
+    return _space(L, members, varieties)
+
+
+def _space(
+    L: FiniteLattice, members: frozenset[int], varieties: tuple[frozenset[int], ...]
+) -> XTopSpace:
     closed = sorted(set(varieties), key=lambda v: (len(v), sorted(v)))
     opens = sorted((members - c for c in closed), key=lambda v: (len(v), sorted(v)))
     return XTopSpace(L, members, varieties, tuple(closed), tuple(opens))
@@ -245,10 +248,14 @@ def from_poset(P: FinitePoset) -> XTopSpace:
     """The Alexandrov-style space whose closed sets are the up-sets of P.
 
     Realized by embedding P into its up-set lattice and taking X to be the
-    image; the closure of a point is ↑x, its kernel ↓x, and the result is
-    always a valid space.
+    image; the closure of a point is ↑x and its kernel ↓x.  V(U) is read
+    off the mask: for an up-set U, ↑x ⊆ U iff x ∈ U, so V(U) is the image
+    of U itself.  No union check runs, because the lattice's validation
+    has shown that its elements are exactly the up-sets, which are closed
+    under union.
     """
     if P.n == 0:
         raise EmptyPosetError("from_poset needs at least one element")
     L, embedding = upset_lattice(P)
-    return build_space(L, frozenset(embedding.values()))
+    varieties = tuple(frozenset(embedding[x] for x in _bits(U)) for U in L.masks)
+    return _space(L, frozenset(embedding.values()), varieties)

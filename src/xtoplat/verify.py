@@ -269,7 +269,7 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
                     f"t0={report.t0}, t_quarter={report.t_quarter}",
                 )
                 zero_ideal_index = next(
-                    x for x in space.points if space.lattice.poset.labels[x] == "{0}"
+                    x for x in space.points if space.lattice.labels[x] == "{0}"
                 )
                 punctured = space.subspace(space.points - {zero_ideal_index})
                 punctured_report = separation_report(punctured)

@@ -173,3 +173,27 @@ def naive_components(space: XTopSpace) -> dict[int, frozenset[int]]:
                 acc |= S
         out[x] = acc
     return out
+
+
+def naive_irreducible(space: XTopSpace) -> bool:
+    """X is non-empty and no two proper closed sets cover it."""
+    if not space.points:
+        return False
+    proper = [C for C in space.closed_family if C != space.points]
+    return not any(A | B == space.points for A in proper for B in proper)
+
+
+def naive_sober(space: XTopSpace) -> bool:
+    """Every irreducible closed set (under the trace topology) has exactly
+    one generic point, a point whose closure is the whole set."""
+    closed = space.closed_family
+    for C in closed:
+        if not C:
+            continue
+        proper = [F & C for F in closed if F & C != C]
+        if any(A | B == C for A in proper for B in proper):
+            continue  # not irreducible
+        generic = [x for x in C if naive_closure(space, frozenset({x})) == C]
+        if len(generic) != 1:
+            return False
+    return True

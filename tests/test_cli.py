@@ -76,6 +76,49 @@ class TestClassify:
         assert run(["classify"])[0] == 2
         assert run(["classify", "--forest", "T2", "--chain", "3"])[0] == 2
 
+    @pytest.mark.parametrize(
+        "source, data, message",
+        [
+            ("--poset", {"labels": "ab"}, "'labels' must be a list of strings"),
+            ("--poset", {"labels": ["a", 3]}, "'labels' must be a list of strings"),
+            (
+                "--space",
+                {"lattice": {"labels": ["a", "b"], "leq": [["a", "b"]]}, "X": "a"},
+                "'X' must be a list of labels",
+            ),
+            (
+                "--space",
+                {"lattice": {"labels": ["a", "b"], "leq": [["a", "b"]]}, "X": ["zz"]},
+                "'X' names unknown label 'zz'",
+            ),
+        ],
+    )
+    def test_malformed_labels_exit_2(self, tmp_path, capsys, source, data, message):
+        path = tmp_path / "input.json"
+        path.write_text(dumps(data))
+        code, text = run(["classify", source, str(path)])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_never_builds_the_order_or_tables_of_the_upset_lattice(self, monkeypatch):
+        from xtoplat import cli
+        from xtoplat.topology import from_poset
+
+        spaces = []
+
+        def recording(P):
+            spaces.append(from_poset(P))
+            return spaces[-1]
+
+        monkeypatch.setattr(cli, "from_poset", recording)
+        argv = ["classify", "--forest", "V3+V3+V3"]
+        assert run(argv)[0] == run(argv + ["--json"])[0] == 0
+        assert [space.lattice.n for space in spaces] == [729, 729]
+        first, second = (space.lattice for space in spaces)
+        assert first == second and hash(first) == hash(second)
+        for L in (first, second):
+            assert (L._order, L._meet, L._join) == (None, None, None)
+
 
 class TestSpec:
     def test_bni_5_4(self):

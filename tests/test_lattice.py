@@ -7,6 +7,7 @@ from xtoplat import (
     EmptyPosetError,
     NotALatticeError,
     SubsetViolationError,
+    UpsetLattice,
     chain,
     dual_tree,
     has_complete_max_property,
@@ -20,7 +21,7 @@ from xtoplat import (
 )
 from xtoplat.semiring import bni, embedded_spectrum, spectrum
 
-from .oracles import glb_search, lub_search
+from .oracles import glb_search, lub_search, upsets_by_filter
 
 
 def diamond_m3():
@@ -101,12 +102,35 @@ class TestUpsetLattice:
 
     def test_passes_table_search_oracle(self, posets_upto_5):
         for P in posets_upto_5:
-            if P.n > 4:
-                continue
             L, _ = upset_lattice(P)
             rebuilt = lattice_from_poset(L.poset)
             assert rebuilt.meet_table == L.meet_table
             assert rebuilt.join_table == L.join_table
+            # the order: reverse inclusion of the up-sets, found by filtering
+            upsets = sorted(
+                upsets_by_filter(P), key=lambda S: (len(S), sum(1 << i for i in S))
+            )
+            assert L.n == len(upsets)
+            for a, A in enumerate(upsets):
+                for b, B in enumerate(upsets):
+                    assert L.poset.leq(a, b) == L.leq(a, b) == (A >= B)
+
+    @pytest.mark.parametrize("P", [chain(3), tree(2), dual_tree(2), diamond_m3()])
+    def test_mask_family_missing_an_upset_is_refused(self, P):
+        family = P.upset_masks()
+        assert UpsetLattice(P, family).n == len(family)
+        for k in range(len(family)):
+            with pytest.raises(NotALatticeError):
+                UpsetLattice(P, family[:k] + family[k + 1 :])
+
+    @pytest.mark.parametrize("P", [chain(3), tree(2), dual_tree(2), diamond_m3()])
+    def test_mask_family_with_a_non_upset_is_refused(self, P):
+        family = P.upset_masks()
+        strays = [m for m in range(1 << P.n) if m not in family]
+        assert strays
+        for m in strays:
+            with pytest.raises(NotALatticeError):
+                UpsetLattice(P, family + [m])
 
     def test_principal_upsets_keep_their_labels(self):
         L, emb = upset_lattice(tree(2))

@@ -30,7 +30,16 @@ from xtoplat.errors import XtoplatError
 from xtoplat.semiring import bni, s3, spec_space
 from xtoplat.topology import build_space, is_xtop_by_unions
 
-from .oracles import naive_components, naive_t0, naive_t1, naive_t2, naive_tf, subsets
+from .oracles import (
+    naive_components,
+    naive_irreducible,
+    naive_sober,
+    naive_t0,
+    naive_t1,
+    naive_t2,
+    naive_tf,
+    subsets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +147,8 @@ class TestSeparationReport:
             assert r.t1 == naive_t1(space)
             assert r.t2 == naive_t2(space)
             assert r.tf == naive_tf(space)
+            assert r.irreducible == naive_irreducible(space)
+            assert r.sober == naive_sober(space)
 
     def test_report_serializes(self):
         d = separation_report(from_poset(tree(2))).to_dict()

@@ -173,6 +173,12 @@ class TestBuildSpace:
                 frozenset(emb[x] for x in U) for U in P.upsets()
             }
             assert set(space.closed_family) == expected
+            # the mask route against build_space over the tabled lattice
+            reference = build_space(lattice_from_poset(L.poset), frozenset(emb.values()))
+            assert space.points == reference.points
+            assert space.varieties == reference.varieties
+            assert space.closed_family == reference.closed_family
+            assert space.open_family == reference.open_family
 
     def test_from_poset_rejects_empty(self):
         with pytest.raises(EmptyPosetError):
