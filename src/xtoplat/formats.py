@@ -90,6 +90,15 @@ def lattice_from_json(data: dict[str, Any]) -> FiniteLattice:
     for key in ("meet", "join"):
         if key in data:
             table = data[key]
+            if not isinstance(table, list) or not all(
+                isinstance(row, list) and all(isinstance(e, str) for e in row)
+                for row in table
+            ):
+                raise ValueError(f"{key!r} must be a list of rows, each a list of labels")
+            known = set(P.labels)
+            unknown = next((e for row in table for e in row if e not in known), None)
+            if unknown is not None:
+                raise ValueError(f"{key!r} names unknown label {unknown!r}")
             expected = derived.meet_table if key == "meet" else derived.join_table
             given = tuple(
                 tuple(P.index(entry) for entry in row) for row in table

@@ -317,12 +317,16 @@ def run_suites(
     """Run one named suite, or all of them; a bound of None means the suite's default.
 
     Raises :class:`RangeError` for ``max_size < 1`` or ``max_n < 2``, which
-    would sweep no instance at all.
+    would sweep no instance at all, and for ``max_size > 7`` on a suite that
+    enumerates posets: ``all_posets(8)`` scans 2^28 relation codes.
     """
     if max_size is not None and max_size < 1:
         raise RangeError(f"--max-size must be at least 1, got {max_size}")
     if max_n is not None and max_n < 2:
         raise RangeError(f"--max-n must be at least 2, got {max_n}")
+    enumerates = suite in ("xct", "quarter", "discrete", "all")
+    if enumerates and max_size is not None and max_size > 7:
+        raise RangeError(f"--max-size must be at most 7 for verify {suite}, got {max_size}")
     if suite == "all":
         names = ["xct", "quarter", "discrete", "forest", "bni"]
     elif suite in _SUITES:

@@ -197,3 +197,36 @@ def naive_sober(space: XTopSpace) -> bool:
         if len(generic) != 1:
             return False
     return True
+
+
+def naive_clopens(space: XTopSpace) -> list[frozenset[int]]:
+    closed = set(space.closed_family)
+    return [U for U in space.open_family if U in closed]
+
+
+def naive_quasicomponents(space: XTopSpace) -> dict[int, frozenset[int]]:
+    """Q(x) as the intersection of the clopen sets containing x."""
+    clopens = naive_clopens(space)
+    out = {}
+    for x in space.points:
+        acc = space.points
+        for W in clopens:
+            if x in W:
+                acc &= W
+        out[x] = acc
+    return out
+
+
+def naive_connected(space: XTopSpace) -> bool:
+    """No clopen set other than ∅ and X."""
+    return not any(W and W != space.points for W in naive_clopens(space))
+
+
+def naive_ind_zero_dim(space: XTopSpace) -> bool:
+    """Every open U and x ∈ U have a clopen W with x ∈ W ⊆ U."""
+    clopens = naive_clopens(space)
+    return all(
+        any(x in W and W <= U for W in clopens)
+        for U in space.open_family
+        for x in U
+    )

@@ -91,6 +91,50 @@ class TestClassify:
                 {"lattice": {"labels": ["a", "b"], "leq": [["a", "b"]]}, "X": ["zz"]},
                 "'X' names unknown label 'zz'",
             ),
+            (
+                "--space",
+                {
+                    "lattice": {
+                        "labels": ["a", "b"],
+                        "leq": [["a", "b"]],
+                        "meet": [["a", "zz"], ["a", "b"]],
+                    },
+                    "X": ["a"],
+                },
+                "'meet' names unknown label 'zz'",
+            ),
+            (
+                "--space",
+                {
+                    "lattice": {
+                        "labels": ["a", "b"],
+                        "leq": [["a", "b"]],
+                        "meet": ["aa", "ab"],
+                    },
+                    "X": ["a"],
+                },
+                "'meet' must be a list of rows, each a list of labels",
+            ),
+            (
+                "--space",
+                {
+                    "lattice": {
+                        "labels": ["a", "b"],
+                        "leq": [["a", "b"]],
+                        "join": [["a", "b"], ["b", 1]],
+                    },
+                    "X": ["a"],
+                },
+                "'join' must be a list of rows, each a list of labels",
+            ),
+            (
+                "--space",
+                {
+                    "lattice": {"labels": ["a", "b"], "leq": [["a", "b"]], "join": "ab"},
+                    "X": ["a"],
+                },
+                "'join' must be a list of rows, each a list of labels",
+            ),
         ],
     )
     def test_malformed_labels_exit_2(self, tmp_path, capsys, source, data, message):
@@ -228,6 +272,24 @@ class TestVerify:
         code, text = run(["verify", *argv])
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("suite", ["xct", "quarter", "discrete", "all"])
+    def test_bound_beyond_the_enumeration_exit_2(self, monkeypatch, capsys, suite):
+        from xtoplat import verify
+
+        def refuse(n):
+            raise AssertionError(f"enumeration started at n={n}")
+
+        monkeypatch.setattr(verify, "all_posets_upto", refuse)
+        monkeypatch.setattr(verify, "all_lattices_upto", refuse)
+        code, text = run(["verify", suite, "--max-size", "8"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: --max-size must be at most 7 for verify {suite}, got 8\n"
+        )
+
+    def test_forest_takes_a_bound_beyond_the_enumeration(self):
+        assert run(["verify", "forest", "--max-size", "8"])[0] == 0
 
 
 class TestExport:

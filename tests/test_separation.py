@@ -27,12 +27,18 @@ from xtoplat import (
 )
 from xtoplat.enumeration import forest_specs
 from xtoplat.errors import XtoplatError
+from xtoplat.lattice import EmbeddedSubset, has_complete_max_property
 from xtoplat.semiring import bni, s3, spec_space
-from xtoplat.topology import build_space, is_xtop_by_unions
+from xtoplat.topology import build_space, is_xtop_by_unions, radical_info
 
 from .oracles import (
+    naive_closure,
     naive_components,
+    naive_connected,
+    naive_ind_zero_dim,
+    naive_interior,
     naive_irreducible,
+    naive_quasicomponents,
     naive_sober,
     naive_t0,
     naive_t1,
@@ -149,6 +155,31 @@ class TestSeparationReport:
             assert r.tf == naive_tf(space)
             assert r.irreducible == naive_irreducible(space)
             assert r.sober == naive_sober(space)
+            # the point classes and partitions read off the order
+            s = special_sets(space)
+            X = space.points
+            assert s.cl == {x for x in X if frozenset({x}) in space.closed_family}
+            assert s.iso == {x for x in X if frozenset({x}) in space.open_family}
+            assert s.ro == {
+                x
+                for x in X
+                if naive_interior(space, naive_closure(space, frozenset({x}))) == {x}
+            }
+            quasi = set(naive_quasicomponents(space).values())
+            assert set(components(space)[1]) == quasi
+            assert {frozenset(part) for part in r.quasicomponents} == {
+                frozenset(space.labels_of(Q)) for Q in quasi
+            }
+            assert r.totally_separated == all(len(Q) == 1 for Q in quasi)
+            assert r.ind_zero_dim == naive_ind_zero_dim(space)
+            assert r.connected == naive_connected(space)
+            # every proper radical lies below a point, so Max(X) is the
+            # set of maximal proper radicals
+            L = space.lattice
+            carrier = radical_info(L, X).radical_elements - {L.top}
+            assert r.complete_max_property == has_complete_max_property(
+                L, EmbeddedSubset(L, carrier)
+            )
 
     def test_report_serializes(self):
         d = separation_report(from_poset(tree(2))).to_dict()

@@ -36,3 +36,48 @@ def test_only_the_order_modules_reach_into_order_rows():
             if isinstance(node, ast.Attribute) and node.attr in private
         ]
     assert found == []
+
+
+def _owners(tree: ast.AST) -> dict[ast.AST, str]:
+    """Each node mapped to the dotted name of the class/function around it."""
+    owner: dict[ast.AST, str] = {}
+
+    def visit(node: ast.AST, name: str):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{name}.{child.name}" if name else child.name
+            owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, "")
+    return owner
+
+
+def test_separation_reads_families_only_to_check_them():
+    # the report reads every flag off the specialization order; the
+    # families are read once to check that each Ker(x) is open (and for
+    # their sizes), and cross_check reads them for the definitional side
+    path = Path(xtoplat.__file__).parent / "separation.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = _owners(tree)
+
+    def outside(node, *allowed):
+        name = owner[node]
+        return not any(name == a or name.startswith(a + ".") for a in allowed)
+
+    family_reads = [
+        f"{owner[node]}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("open_family", "closed_family")
+        and outside(node, "_Analysis.__init__", "cross_check")
+    ]
+    radical_calls = [
+        f"{owner[node]}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and node.id == "radical_info"
+        and outside(node, "cross_check")
+    ]
+    assert family_reads == [] and radical_calls == []
