@@ -41,9 +41,9 @@ from .formats import (
     space_to_dot,
     space_to_json,
 )
-from .poset import chain, forest
+from .poset import FinitePoset, chain, forest
 from .semiring import FiniteSemiring, bni, s3, spectrum, spec_space
-from .separation import report_and_points
+from .separation import PointClassification, SeparationReport, report_and_points
 from .topology import XTopSpace, from_poset
 from .verify import run_suites
 
@@ -95,9 +95,10 @@ def _yes(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _render_separation(space: XTopSpace, out) -> None:
-    report, points = report_and_points(space)
-    print(f"points ({space.n_points}): " + " ".join(space.labels_of(space.points)), file=out)
+def _render_separation(
+    report: SeparationReport, points: tuple[PointClassification, ...], out
+) -> None:
+    print(f"points ({len(points)}): " + " ".join(p.label for p in points), file=out)
     print(f"K.dim: {report.kdim}", file=out)
     for name in _BOOL_FIELDS:
         print(f"{name}: {_yes(getattr(report, name))}", file=out)
@@ -127,14 +128,20 @@ def _load_json_file(path: str) -> dict:
         return json.load(handle)
 
 
-def _space_from_args(args) -> XTopSpace:
+def _source_from_args(args) -> FinitePoset | XTopSpace:
+    """The poset a forest, chain or poset source names, or the space file."""
     if args.forest is not None:
-        return from_poset(forest(parse_forest_spec(args.forest)))
+        return forest(parse_forest_spec(args.forest))
     if args.chain is not None:
-        return from_poset(chain(args.chain))
+        return chain(args.chain)
     if args.poset is not None:
-        return from_poset(poset_from_json(_load_json_file(args.poset)))
+        return poset_from_json(_load_json_file(args.poset))
     return space_from_json(_load_json_file(args.space))
+
+
+def _space_from_args(args) -> XTopSpace:
+    source = _source_from_args(args)
+    return from_poset(source) if isinstance(source, FinitePoset) else source
 
 
 def _semiring_from_args(args) -> FiniteSemiring:
@@ -170,12 +177,12 @@ def _semiring_subspace(R: FiniteSemiring, selector: str) -> XTopSpace:
 
 
 def _cmd_classify(args, out) -> int:
-    space = _space_from_args(args)
+    # a poset source is classified off its order, without its up-set lattice
+    report, points = report_and_points(_source_from_args(args))
     if args.json:
-        payload = report_to_json(*report_and_points(space))
-        print(dumps(payload), file=out)
+        print(dumps(report_to_json(report, points)), file=out)
     else:
-        _render_separation(space, out)
+        _render_separation(report, points, out)
     return 0
 
 
@@ -225,7 +232,7 @@ def _cmd_spec(args, out) -> int:
     )
     print(f"topology opens ({args.subspace}): {opens}", file=out)
     print(f"-- separation report for Spec(R) subspace '{args.subspace}' --", file=out)
-    _render_separation(space, out)
+    _render_separation(*report_and_points(space), out)
     return 0
 
 

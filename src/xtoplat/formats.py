@@ -66,9 +66,12 @@ def poset_from_json(data: dict[str, Any]) -> FinitePoset:
     labels = data["labels"]
     if not isinstance(labels, list) or not all(isinstance(name, str) for name in labels):
         raise ValueError("'labels' must be a list of strings")
-    pairs = [tuple(p) for p in data.get("leq", [])]
-    if any(len(p) != 2 for p in pairs):
-        raise ValueError("'leq' entries must be [smaller, larger] pairs")
+    pairs = data.get("leq", [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(e, str) for e in p)
+        for p in pairs
+    ):
+        raise ValueError("'leq' entries must be [smaller, larger] pairs of labels")
     return poset_from_relation(labels, pairs)
 
 

@@ -15,7 +15,6 @@ distinct).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -209,56 +208,60 @@ class FinitePoset:
     # -- up-sets ------------------------------------------------------------
 
     def upsets(self) -> tuple[frozenset[int], ...]:
-        """All up-closed subsets, including ∅ and the full set.
-
-        Generated recursively (an up-set either contains a chosen maximal
-        element m, or avoids ↓m entirely), so the cost is proportional to
-        the output rather than 2^n.
-        """
+        """All up-closed subsets, including ∅ and the full set."""
         masks = sorted(self.upset_masks())
         return tuple(_mask_to_set(m) for m in masks)
 
     def upset_masks(self) -> list[int]:
-        down = [self.down_mask(i) for i in range(self.n)]
+        """Every up-set as a mask, split on a maximal element m of the
+        undecided ones: first the up-sets that contain m, then those that
+        avoid ↓m entirely.
 
-        @lru_cache(maxsize=None)
-        def gen(alive: int) -> tuple[int, ...]:
-            if alive == 0:
-                return (0,)
-            # any element maximal inside `alive`
-            m = next(
-                i
-                for i in range(self.n)
-                if alive >> i & 1 and self._up[i] & alive == 1 << i
-            )
-            with_m = tuple(u | 1 << m for u in gen(alive & ~(1 << m)))
-            without_m = gen(alive & ~down[m])
-            return with_m + without_m
-
-        result = list(gen((1 << self.n) - 1))
-        gen.cache_clear()
-        return result
+        The split is memoized on the undecided set, so the cost follows
+        the output rather than 2^n, and it runs on an explicit stack, so
+        a long chain does not exhaust the recursion limit.
+        """
+        up = self._up
+        down = self.down_rows()
+        full = (1 << self.n) - 1
+        done: dict[int, tuple[int, ...]] = {0: (0,)}
+        stack = [full]
+        while stack:
+            alive = stack[-1]
+            if alive in done:
+                stack.pop()
+                continue
+            # the least element maximal inside `alive`
+            m = next(i for i in _bits(alive) if up[i] & alive == 1 << i)
+            with_m, without_m = alive & ~(1 << m), alive & ~down[m]
+            pending = [rest for rest in (with_m, without_m) if rest not in done]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            bit = 1 << m
+            done[alive] = tuple(u | bit for u in done[with_m]) + done[without_m]
+        return list(done[full])
 
     # -- structure ----------------------------------------------------------
 
     def order_components(self) -> tuple[frozenset[int], ...]:
-        """Connected components of the comparability graph, sorted."""
-        seen: set[int] = set()
+        """Connected components of the comparability graph, in order of
+        their least element."""
+        down = self.down_rows()
         comps = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            comp = {start}
-            frontier = [start]
+        left = (1 << self.n) - 1
+        while left:
+            comp = frontier = left & -left
             while frontier:
-                i = frontier.pop()
-                for j in range(self.n):
-                    if j not in comp and (self.leq(i, j) or self.leq(j, i)):
-                        comp.add(j)
-                        frontier.append(j)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return tuple(sorted(comps, key=lambda c: min(c)))
+                reach = 0
+                for i in _bits(frontier):
+                    reach |= self._up[i] | down[i]
+                frontier = reach & ~comp
+                comp |= reach
+            left &= ~comp
+            comps.append(_mask_to_set(comp))
+        return tuple(comps)
 
     def restrict(self, members: Iterable[int]) -> "FinitePoset":
         """Induced subposet on the given elements (original label text kept)."""
@@ -348,18 +351,24 @@ def antichain(k: int) -> FinitePoset:
 
 
 def tree(n: int) -> FinitePoset:
-    """T_n: one maximal element ``m`` over n pairwise-incomparable minimals."""
+    """T_n: one maximal element ``m`` over n pairwise-incomparable minimals.
+
+    The minimals take the first n of ``_letters`` other than ``m``.
+    """
     if n < 1:
         raise ZeroSizeError("a tree needs at least one minimal element")
-    labels = _letters(n) + ["m"]
+    labels = [name for name in _letters(n + 1) if name != "m"][:n] + ["m"]
     return _from_pairs(labels, [(i, n) for i in range(n)])
 
 
 def dual_tree(m: int) -> FinitePoset:
-    """V_m: one minimal element ``r`` under m pairwise-incomparable maximals."""
+    """V_m: one minimal element ``r`` under m pairwise-incomparable maximals.
+
+    The maximals take the first m of ``_letters`` other than ``r``.
+    """
     if m < 1:
         raise ZeroSizeError("a dual tree needs at least one maximal element")
-    labels = ["r"] + _letters(m)
+    labels = ["r"] + [name for name in _letters(m + 1) if name != "r"][:m]
     return _from_pairs(labels, [(0, i) for i in range(1, m + 1)])
 
 

@@ -1,4 +1,4 @@
-"""Point classification and separation axioms for materialized spaces.
+"""Point classification and separation axioms for finite spaces.
 
 Every axiom flag is computed from its definition, never via the structure
 theorems that relate them.  The theorems instead become executable checks
@@ -38,9 +38,13 @@ x <= y in L, with these one-line reductions:
   in one of them.  So X is irreducible iff some closure({x}) is X, and
   the space is sober (one generic point per irreducible closed set) iff
   the closures of distinct points differ.
+* Every space is quasi-Hausdorff: if two points i, j have no disjoint
+  open neighbourhoods, ↓i ∩ ↓j holds some k, and then i and j both lie in
+  ↑k = closure({k}).  The report records the field as true;
+  :func:`cross_check` still runs the pair scan.
 * The maximal proper radicals are Max(X), so the complete-max property is
-  evaluated over Max(X): a proper radical r = ⋀V(r) has V(r) ≠ ∅, so r
-  lies below a point, and every point is radical.
+  the BMax condition over all of Max(X): a proper radical r = ⋀V(r) has
+  V(r) ≠ ∅, so r lies below a point, and every point is radical.
 
 Compactness is degenerate at finite scale (every subset is compact), so
 the KC flag reduces to "every subset is closed" and is computed as
@@ -48,6 +52,27 @@ the KC flag reduces to "every subset is closed" and is computed as
 ``len(open_family) == 2^|X|``: reads of the family sizes, not scans.
 "Spectral" is recorded as T0: every finite T0 space is spectral, and the
 projective-limit characterizations are out of scope.
+
+A :class:`~xtoplat.poset.FinitePoset` P is accepted wherever a space is
+classified, and read as the space ``from_poset(P)``: X is {↑x : x ∈ P}
+inside the lattice of up-sets under reverse inclusion, so the order of X
+is the order of P.  Neither that lattice nor its families are built; the
+few reads that need them are lemmas of the order:
+
+* ⋀A = ∪{↑a : a ∈ A} (meet is union), and ↑q ⊆ ⋀A iff q ∈ ↑a for some
+  a ∈ A, so ⋀A <= q iff A ∩ ↓q ≠ ∅.
+* Hence SI = CSI = X (a ∧ b <= q puts a or b in ↓q), AMin = Min (↓m = {m}
+  for m minimal) and BMax = Max (no maximal point lies below another).
+* x is excluded iff ∪{↑y : y ≠ x} = ∪{↑y : y ∉ ↑x}: the two meets
+  ⋀(X \\ {x}) and ⋀D(x) are those unions, since D(x) = X \\ V(x) and
+  V(x) = ↑x.
+* Ker(x) = ↓x is open without a check: the closed sets are all the
+  up-sets, so the open sets are all the down-sets.
+* KC and discrete both hold iff every ↑x is a singleton: the closed sets
+  are the up-sets, and every subset is one iff the order is an antichain.
+
+Its points are listed in (|↑x|, ↑x) order, the index order of the up-set
+lattice, so the report and the point rows match ``from_poset(P)``'s.
 """
 
 from __future__ import annotations
@@ -55,9 +80,15 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .errors import XtoplatError
+from .errors import EmptyPosetError, XtoplatError
 from .lattice import EmbeddedSubset, has_complete_max_property
-from .poset import _mask_to_set, has_dual_tree_component, is_forest_of_trees
+from .poset import (
+    FinitePoset,
+    _bits,
+    _mask_to_set,
+    has_dual_tree_component,
+    is_forest_of_trees,
+)
 from .topology import (
     XTopSpace,
     is_xtop_by_irreducibility,
@@ -163,27 +194,45 @@ class CheckResult:
 
 
 class _Analysis:
-    """Per-space scratch state: points as bit positions, the order as mask rows."""
+    """Per-space scratch state: points as bit positions, the order as mask rows.
 
-    def __init__(self, space: XTopSpace):
-        self.space = space
-        self.pts = space.sorted_points()
-        self.n = len(self.pts)
+    Point k is ``pts[k]``: a lattice index for a space, an element of P for
+    a poset source, whose ``space`` is None.  The reads that need the
+    lattice or the families (``_meet_avoids``, ``si_mask``, ``excl_mask``,
+    the Ker(x)-is-open check, ``kc`` and ``discrete``) take the poset
+    lemmas of the module docstring there instead.
+    """
+
+    def __init__(self, source: XTopSpace | FinitePoset):
+        if isinstance(source, FinitePoset):
+            if source.n == 0:
+                raise EmptyPosetError("from_poset needs at least one element")
+            self.space = None
+            self.pts, P = _in_upset_order(source)
+        else:
+            space = self.space = source
+            self.pts = space.sorted_points()
+            # the poset lists the points in sorted order too, so its rows are masks
+            P = space.specialization_poset()
+        self.spec_poset = P
+        self.n = P.n
         self.full = (1 << self.n) - 1
-        # the poset lists the points in sorted order too, so its rows are masks
-        P = self.spec_poset = space.specialization_poset()
         self.closure1 = [P.up_mask(k) for k in range(self.n)]
         self.kernel1 = list(P.down_rows())
+        self.min_mask = sum(1 << k for k in P.minimals())
+        self.max_mask = sum(1 << k for k in P.maximals())
+        if self.space is None:
+            # ↓x is a down-set, so open; every subset is closed (and open)
+            # iff every ↑x is a singleton
+            self.kc = self.discrete = self.max_mask == self.full
+            return
         opens = set(space.open_family)
         for k, kernel in enumerate(self.kernel1):
             if self.unmask(kernel) not in opens:
-                label = space.label(self.pts[k])
                 raise XtoplatError(
-                    f"Ker({label!r}) is not open: the open family does not "
+                    f"Ker({P.labels[k]!r}) is not open: the open family does not "
                     "match the specialization order"
                 )
-        self.min_mask = sum(1 << k for k in P.minimals())
-        self.max_mask = sum(1 << k for k in P.maximals())
         self.kc = len(space.closed_family) == 1 << self.n
         self.discrete = len(opens) == 1 << self.n
 
@@ -195,7 +244,7 @@ class _Analysis:
         return frozenset(self.pts[k] for k in _mask_to_set(mask))
 
     def labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.space.label(self.pts[k]) for k in sorted(_mask_to_set(mask)))
+        return tuple(self.spec_poset.labels[k] for k in _bits(mask))
 
     # -- distinguished point sets -------------------------------------------
 
@@ -227,10 +276,25 @@ class _Analysis:
 
     @cached_property
     def excl_mask(self) -> int:
+        if self.space is None:
+            return self._where(self._excluded_in_order)
         return self._where(lambda k: self.space.excluded_meet(self.pts[k])[2])
+
+    def _excluded_in_order(self, k: int) -> bool:
+        """∪{↑y : y ≠ x} = ∪{↑y : y ∉ ↑x} for the point x at k."""
+        up_k = self.closure1[k]
+        others = outside = 0
+        for y, up in enumerate(self.closure1):
+            if y != k:
+                others |= up
+            if not up_k >> y & 1:
+                outside |= up
+        return others == outside
 
     @cached_property
     def si_mask(self) -> int:
+        if self.space is None:
+            return self.full
         return self._where(self._strongly_irreducible)
 
     def _strongly_irreducible(self, k: int) -> bool:
@@ -266,6 +330,8 @@ class _Analysis:
 
     def _meet_avoids(self, mask: int, k: int) -> bool:
         """The meet of the points in ``mask`` is not below point k."""
+        if self.space is None:
+            return mask & self.kernel1[k] == 0
         L = self.space.lattice
         return not L.leq(L.meet_all(self.unmask(mask)), self.pts[k])
 
@@ -334,35 +400,53 @@ class _Analysis:
         return PrimeMeets(j, q, j_irr, q_irr)
 
 
+def _in_upset_order(P: FinitePoset) -> tuple[tuple[int, ...], FinitePoset]:
+    """P's elements in (|↑x|, ↑x) order, and P relabelled in that order.
+
+    That is the index order of the principal up-sets in
+    ``upset_lattice(P)``, so position k here is point k of ``from_poset(P)``.
+    """
+    order = tuple(
+        sorted(range(P.n), key=lambda x: (P.up_mask(x).bit_count(), P.up_mask(x)))
+    )
+    position = [0] * P.n
+    for k, x in enumerate(order):
+        position[x] = k
+    rows = [sum(1 << position[y] for y in _bits(P.up_mask(x))) for x in order]
+    return order, FinitePoset([P.labels[x] for x in order], rows)
+
+
 def special_sets(space: XTopSpace) -> SpecialSets:
     """Min/Max/SI/CSI/AMin/BMax plus the topological point classes."""
     return _Analysis(space).special()
 
 
-def classify_points(space: XTopSpace) -> tuple[PointClassification, ...]:
-    """One row of flags per point, in sorted point order."""
-    a = _Analysis(space)
-    return _points(a, a.special())
+def classify_points(source: XTopSpace | FinitePoset) -> tuple[PointClassification, ...]:
+    """One row of flags per point, in sorted point order (for a poset, the
+    (|↑x|, ↑x) order of the module docstring)."""
+    return _points(_Analysis(source))
 
 
-def _points(a: _Analysis, s: SpecialSets) -> tuple[PointClassification, ...]:
-    space = a.space
+def _points(a: _Analysis) -> tuple[PointClassification, ...]:
+    # closed points are Max; kerneled and isolated points are both Min
+    masks = {
+        "is_closed": a.max_mask,
+        "is_kerneled": a.min_mask,
+        "is_isolated": a.min_mask,
+        "is_regular_open": a.ro_mask,
+        "is_excluded": a.excl_mask,
+        "is_min": a.min_mask,
+        "is_max": a.max_mask,
+        "in_SI": a.si_mask,
+        "in_CSI": a.csi_mask,
+        "is_abs_min": a.amin_mask,
+        "is_barely_max": a.bmax_mask,
+    }
     return tuple(
         PointClassification(
-            label=space.label(x),
-            is_closed=x in s.cl,
-            is_kerneled=x in s.k,
-            is_isolated=x in s.iso,
-            is_regular_open=x in s.ro,
-            is_excluded=x in s.excl,
-            is_min=x in s.min,
-            is_max=x in s.max,
-            in_SI=x in s.si,
-            in_CSI=x in s.csi,
-            is_abs_min=x in s.amin,
-            is_barely_max=x in s.bmax,
+            label, **{name: mask >> k & 1 == 1 for name, mask in masks.items()}
         )
-        for x in a.pts
+        for k, label in enumerate(a.spec_poset.labels)
     )
 
 
@@ -381,17 +465,17 @@ def jacobson_and_prime_meets(space: XTopSpace) -> PrimeMeets:
     return _Analysis(space).prime_meets()
 
 
-def separation_report(space: XTopSpace) -> SeparationReport:
+def separation_report(source: XTopSpace | FinitePoset) -> SeparationReport:
     """Evaluate every axiom from its definition (see the module docstring)."""
-    return _report(_Analysis(space))
+    return _report(_Analysis(source))
 
 
 def report_and_points(
-    space: XTopSpace,
+    source: XTopSpace | FinitePoset,
 ) -> tuple[SeparationReport, tuple[PointClassification, ...]]:
     """:func:`separation_report` and :func:`classify_points` from one analysis."""
-    a = _Analysis(space)
-    return _report(a), _points(a, a.special())
+    a = _Analysis(source)
+    return _report(a), _points(a)
 
 
 def _report(a: _Analysis) -> SeparationReport:
@@ -408,17 +492,11 @@ def _report(a: _Analysis) -> SeparationReport:
         if a.distinguishable(i, j)
     )
     t2 = all(a.disjoint_open_separated(i, j) for i, j in pairs)
-    quasi_hausdorff = all(
-        a.disjoint_open_separated(i, j)
-        or any(C >> i & 1 and C >> j & 1 for C in a.closure1)
-        for i, j in pairs
-    )
     # closed points are Max; kerneled and isolated points are both Min
     minima, maxima = a.min_mask, a.max_mask
     comp = a.components()
     singletons = len(comp) == n
     parts = tuple(a.labels(m) for m in comp)
-    L = a.space.lattice
     return SeparationReport(
         kdim=a.kdim(),
         t0=t0,
@@ -437,7 +515,7 @@ def _report(a: _Analysis) -> SeparationReport:
         connected=len(comp) <= 1,
         sober=a.sober(),
         spectral=t0,
-        quasi_hausdorff=quasi_hausdorff,
+        quasi_hausdorff=True,
         totally_separated=singletons,
         totally_disconnected=singletons,
         ind_zero_dim=singletons,
@@ -446,9 +524,7 @@ def _report(a: _Analysis) -> SeparationReport:
         bmax=a.bmax_mask == maxima,
         pamin=a.amin_mask == a.full,
         pbmax=a.bmax_mask == a.full,
-        complete_max_property=has_complete_max_property(
-            L, EmbeddedSubset(L, a.unmask(maxima))
-        ),
+        complete_max_property=a.bmax_mask == maxima,
         components=parts,
         quasicomponents=parts,
     )
@@ -489,6 +565,13 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
     clopens = closed & opens
     quasi = {x: X.intersection(*(W for W in clopens if x in W)) for x in X}
     totally_separated = all(len(Q) == 1 for Q in quasi.values())
+    # the report records quasi-Hausdorff as a lemma; this is the pair scan
+    quasi_hausdorff = all(
+        a.disjoint_open_separated(i, j)
+        or any(C >> i & 1 and C >> j & 1 for C in a.closure1)
+        for i in range(a.n)
+        for j in range(i + 1, a.n)
+    )
     checks: list[CheckResult] = []
 
     def add(check_id: str, holds: bool, witness: str | None = None):
@@ -517,7 +600,7 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
         [
             ("t2", r.t2),
             ("r1", r.r1),
-            ("kdim==0 and quasi_hausdorff", r.kdim == 0 and r.quasi_hausdorff),
+            ("kdim==0 and quasi_hausdorff", r.kdim == 0 and quasi_hausdorff),
         ]
     )
     add("t2-iff-r1-iff-dim0-quasihausdorff", ok, w)
@@ -566,7 +649,10 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
         ("X == AMin", X == s.amin),
         ("X == BMax", X == s.bmax),
         ("t1 and bmax", r.t1 and r.bmax),
-        ("t1 and complete_max_property", r.t1 and r.complete_max_property),
+        (
+            "t1 and complete_max_property",
+            r.t1 and has_complete_max_property(L, EmbeddedSubset(L, X)),
+        ),
     ]
     ok, w = _bool_chain(names)
     if ok and r.discrete:
@@ -602,11 +688,11 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
     ok, w = _bool_chain([("kc", r.t1half_kc), ("discrete", r.discrete)])
     add("kc-iff-discrete-at-finite-scale", ok, w)
 
-    ok = r.t2 == (r.t1 and r.quasi_hausdorff) and (not r.t1 or r.t2)
+    ok = r.t2 == (r.t1 and quasi_hausdorff) and (not r.t1 or r.t2)
     add(
         "t2-iff-t1-quasihausdorff",
         ok,
-        f"t1={r.t1}; t2={r.t2}; quasi_hausdorff={r.quasi_hausdorff}",
+        f"t1={r.t1}; t2={r.t2}; quasi_hausdorff={quasi_hausdorff}",
     )
 
     if r.ind_zero_dim:

@@ -150,12 +150,6 @@ class XTopSpace:
     def covariety(self, a: int) -> frozenset[int]:
         return self.points - self.variety(a)
 
-    def is_closed(self, S: Iterable[int]) -> bool:
-        return frozenset(S) in set(self.closed_family)
-
-    def is_open(self, S: Iterable[int]) -> bool:
-        return frozenset(S) in set(self.open_family)
-
     def _require_subset(self, Y: Iterable[int]) -> frozenset[int]:
         Y = frozenset(Y)
         if not Y <= self.points:
@@ -211,12 +205,6 @@ class XTopSpace:
                     row |= 1 << pos[y]
             rows.append(row)
         return FinitePoset([self.label(x) for x in pts], rows)
-
-    def min_points(self) -> frozenset[int]:
-        return self.lattice.minimals_of(self.points)
-
-    def max_points(self) -> frozenset[int]:
-        return self.lattice.maximals_of(self.points)
 
 
 def build_space(L: FiniteLattice, X: XLike) -> XTopSpace:

@@ -7,6 +7,7 @@ library cannot hide in its own oracle.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from xtoplat import FinitePoset, FiniteSemiring, XTopSpace
@@ -47,6 +48,27 @@ def upsets_by_filter(P: FinitePoset) -> set[frozenset[int]]:
         if all(not P.leq(a, b) or b in S for a in S for b in range(P.n)):
             out.add(S)
     return out
+
+
+def recursive_upset_masks(P: FinitePoset) -> list[int]:
+    """The up-set masks in the order of the memoized recursion: the
+    up-sets with the least element m maximal among the undecided ones,
+    then those avoiding ↓m."""
+    down = P.down_rows()
+
+    @lru_cache(maxsize=None)
+    def gen(alive: int) -> tuple[int, ...]:
+        if alive == 0:
+            return (0,)
+        m = next(
+            i
+            for i in range(P.n)
+            if alive >> i & 1 and P.up_mask(i) & alive == 1 << i
+        )
+        with_m = tuple(u | 1 << m for u in gen(alive & ~(1 << m)))
+        return with_m + gen(alive & ~down[m])
+
+    return list(gen((1 << P.n) - 1))
 
 
 def glb_search(P: FinitePoset, a: int, b: int) -> int | None:
@@ -153,6 +175,23 @@ def naive_t2(space: XTopSpace) -> bool:
             for U in space.open_family
             for V in space.open_family
         )
+        for i, x in enumerate(pts)
+        for y in pts[i + 1 :]
+    )
+
+
+def naive_quasi_hausdorff(space: XTopSpace) -> bool:
+    """Any two points have disjoint open neighbourhoods or share the
+    closure of one point."""
+    pts = sorted(space.points)
+    closures = [naive_closure(space, frozenset({z})) for z in pts]
+    return all(
+        any(
+            x in U and y in V and not U & V
+            for U in space.open_family
+            for V in space.open_family
+        )
+        or any(x in C and y in C for C in closures)
         for i, x in enumerate(pts)
         for y in pts[i + 1 :]
     )

@@ -135,6 +135,26 @@ class TestClassify:
                 },
                 "'join' must be a list of rows, each a list of labels",
             ),
+            (
+                "--poset",
+                {"labels": ["a", "b"], "leq": ["ab"]},
+                "'leq' entries must be [smaller, larger] pairs of labels",
+            ),
+            (
+                "--poset",
+                {"labels": ["a", "b"], "leq": [["a", 1]]},
+                "'leq' entries must be [smaller, larger] pairs of labels",
+            ),
+            (
+                "--poset",
+                {"labels": ["a", "b"], "leq": [["a", "b", "b"]]},
+                "'leq' entries must be [smaller, larger] pairs of labels",
+            ),
+            (
+                "--poset",
+                {"labels": ["a", "b"], "leq": 1},
+                "'leq' entries must be [smaller, larger] pairs of labels",
+            ),
         ],
     )
     def test_malformed_labels_exit_2(self, tmp_path, capsys, source, data, message):
@@ -145,6 +165,8 @@ class TestClassify:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_never_builds_the_order_or_tables_of_the_upset_lattice(self, monkeypatch):
+        # export still materializes the space; the DOT output needs neither
+        # the lattice's order nor its tables
         from xtoplat import cli
         from xtoplat.topology import from_poset
 
@@ -155,13 +177,54 @@ class TestClassify:
             return spaces[-1]
 
         monkeypatch.setattr(cli, "from_poset", recording)
-        argv = ["classify", "--forest", "V3+V3+V3"]
-        assert run(argv)[0] == run(argv + ["--json"])[0] == 0
+        argv = ["export", "--format", "dot", "--forest", "V3+V3+V3"]
+        assert run(argv)[0] == run(argv + ["--closed-sets"])[0] == 0
         assert [space.lattice.n for space in spaces] == [729, 729]
         first, second = (space.lattice for space in spaces)
         assert first == second and hash(first) == hash(second)
         for L in (first, second):
             assert (L._order, L._meet, L._join) == (None, None, None)
+
+
+    @pytest.mark.parametrize(
+        "source", [["--forest", "V3+T2+C3"], ["--chain", "5"], ["--poset", None]]
+    )
+    def test_poset_sources_never_build_the_upset_lattice(
+        self, tmp_path, monkeypatch, source
+    ):
+        from xtoplat import lattice, topology
+        from xtoplat.poset import FinitePoset
+
+        def refuse(*args):
+            raise AssertionError("the up-set lattice was built")
+
+        monkeypatch.setattr(lattice, "upset_lattice", refuse)
+        monkeypatch.setattr(topology, "upset_lattice", refuse)
+        monkeypatch.setattr(FinitePoset, "upset_masks", refuse)
+        if source[1] is None:
+            path = tmp_path / "poset.json"
+            path.write_text(
+                dumps({"labels": ["a", "b", "c"], "leq": [["a", "b"], ["a", "c"]]})
+            )
+            source = [source[0], str(path)]
+        for argv in (["classify", *source], ["classify", *source, "--json"]):
+            code, text = run(argv)
+            assert code == 0 and text
+
+    @pytest.mark.parametrize("spec", ["T13", "V18", "T30+V30"])
+    def test_wide_forest_labels_stay_distinct(self, spec):
+        code, text = run(["classify", "--forest", spec, "--json"])
+        assert code == 0
+        labels = [p["label"] for p in json.loads(text)["points"]]
+        assert len(labels) == len(set(labels))
+
+    def test_long_chain_and_many_component_forest(self):
+        # a 500-point chain, as deep as a recursive up-set walk would go,
+        # and a forest with 4^20 up-sets, which classify never enumerates
+        code, text = run(["classify", "--chain", "500", "--json"])
+        assert code == 0 and json.loads(text)["kdim"] == 499
+        code, text = run(["classify", "--forest", "+".join(["V3"] * 20), "--json"])
+        assert code == 0 and len(json.loads(text)["components"]) == 20
 
 
 class TestSpec:
@@ -309,6 +372,12 @@ class TestExport:
         path = tmp_path / "empty.json"
         path.write_text(dumps({"labels": [], "leq": []}))
         assert run(["export", "--poset", str(path)])[0] == 2
+
+    def test_long_chain_dot(self):
+        # the up-set walk of a 500-chain is 500 splits deep
+        code, text = run(["export", "--format", "dot", "--chain", "500"])
+        assert code == 0
+        assert text.count("->") == 499
 
     def test_json_format_round_trips(self):
         code, text = run(["export", "--forest", "T2", "--format", "json"])

@@ -26,7 +26,12 @@ from xtoplat.poset import (
     is_forest_of_trees,
 )
 
-from .oracles import chains_ending_at, longest_chain_length, upsets_by_filter
+from .oracles import (
+    chains_ending_at,
+    longest_chain_length,
+    recursive_upset_masks,
+    upsets_by_filter,
+)
 
 
 class TestFromRelation:
@@ -95,6 +100,14 @@ class TestShapes:
         V = dual_tree(4)
         mins, maxs = V.extremes()
         assert len(maxs) == 4 and len(mins) == 1
+
+    def test_wide_shapes_skip_the_root_letter(self):
+        # the leaves take letters in order, passing over the root's
+        T, V = tree(14), dual_tree(19)
+        assert T.labels[12:] == ("n", "o", "m")
+        assert V.labels[17:] == ("q", "s", "t")
+        assert T.labels[:12] == tree(12).labels[:12]
+        assert V.labels[:18] == dual_tree(17).labels
 
     def test_zero_size_rejected(self):
         for builder in (tree, dual_tree):
@@ -218,6 +231,11 @@ class TestUpsets:
     def test_matches_filter_oracle(self, posets_upto_5):
         for P in posets_upto_5:
             assert set(P.upsets()) == upsets_by_filter(P)
+
+    def test_order_matches_the_recursive_walk(self, posets_upto_6):
+        shapes = [[("V", 3)] * 3, [("T", 3), ("C", 4), ("V", 2)], [("C", 9)]]
+        for P in list(posets_upto_6) + [forest(spec) for spec in shapes]:
+            assert P.upset_masks() == recursive_upset_masks(P)
 
     def test_closed_under_union_and_intersection(self, posets_upto_6):
         for P in posets_upto_6:

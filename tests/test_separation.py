@@ -21,6 +21,7 @@ from xtoplat import (
     forest,
     from_poset,
     jacobson_and_prime_meets,
+    report_and_points,
     separation_report,
     special_sets,
     tree,
@@ -38,6 +39,7 @@ from .oracles import (
     naive_ind_zero_dim,
     naive_interior,
     naive_irreducible,
+    naive_quasi_hausdorff,
     naive_quasicomponents,
     naive_sober,
     naive_t0,
@@ -155,6 +157,7 @@ class TestSeparationReport:
             assert r.tf == naive_tf(space)
             assert r.irreducible == naive_irreducible(space)
             assert r.sober == naive_sober(space)
+            assert r.quasi_hausdorff == naive_quasi_hausdorff(space)
             # the point classes and partitions read off the order
             s = special_sets(space)
             X = space.points
@@ -185,6 +188,22 @@ class TestSeparationReport:
         d = separation_report(from_poset(tree(2))).to_dict()
         assert d["t_threequarter"] is True
         assert isinstance(d["components"], list)
+
+
+class TestPosetSource:
+    """A poset is classified off its order, as the space from_poset gives."""
+
+    def test_matches_the_materialized_space(self, posets_upto_6):
+        for P in posets_upto_6:
+            assert report_and_points(P) == report_and_points(from_poset(P)), P
+        for spec in forest_specs(8):
+            P = forest(spec)
+            assert report_and_points(P) == report_and_points(from_poset(P)), spec
+
+    def test_single_entry_points_agree(self):
+        P = forest([("T", 2), ("V", 2), ("C", 3)])
+        assert separation_report(P) == separation_report(from_poset(P))
+        assert classify_points(P) == classify_points(from_poset(P))
 
 
 class TestComponents:
