@@ -244,6 +244,7 @@ def _cmd_verify(args, out) -> int:
                 "suite": r.suite,
                 "instances": r.instances,
                 "checks": r.checks,
+                "seconds": round(r.seconds, 3),
                 "failures": [
                     {"instance": f.instance, "check": f.check, "witness": f.witness}
                     for f in r.failures

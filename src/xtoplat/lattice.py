@@ -138,6 +138,12 @@ class FiniteLattice:
     def join(self, a: int, b: int) -> int:
         return self.join_table[a][b]
 
+    def variety_masks(self, members: Iterable[int]) -> tuple[int, ...]:
+        """V(a) = {x ∈ members : a <= x} for every element a, as a mask
+        over element indices: the up-row of a restricted to the members."""
+        xmask = sum(1 << x for x in set(members))
+        return tuple(row & xmask for row in self.poset._up)
+
     def meet_all(self, elems: Iterable[int]) -> int:
         """Greatest lower bound of a set; the empty meet is the top."""
         acc = self.top
@@ -275,6 +281,18 @@ class UpsetLattice(FiniteLattice):
 
     def meet(self, a: int, b: int) -> int:
         return self._position[self.masks[a] | self.masks[b]]
+
+    def variety_masks(self, members: Iterable[int]) -> tuple[int, ...]:
+        """V(a) for every element a, read off the masks: x ∈ V(a) iff
+        mask x ⊆ mask a.  Builds neither the order nor the tables."""
+        masks = self.masks
+        out = [0] * len(masks)
+        for x in set(members):
+            mx, bit = masks[x], 1 << x
+            for a, ma in enumerate(masks):
+                if ma | mx == ma:
+                    out[a] |= bit
+        return tuple(out)
 
     def join(self, a: int, b: int) -> int:
         return self._position[self.masks[a] & self.masks[b]]

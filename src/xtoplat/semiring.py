@@ -227,9 +227,13 @@ def is_ideal(R: FiniteSemiring, members: frozenset[int]) -> bool:
     """Nonempty, contains zero, closed under + and under r·(-)."""
     if not members or R.zero not in members:
         return False
+    # row a of the addition table lists the a + b, and row a of the product
+    # the a·r = r·a (commutativity is checked at construction)
     return all(
-        R.add[a][b] in members for a in members for b in members
-    ) and all(R.mul[r][a] in members for r in R.elements() for a in members)
+        members.issuperset(map(R.add[a].__getitem__, members))
+        and members.issuperset(R.mul[a])
+        for a in members
+    )
 
 
 def _by_size(sets):
@@ -366,9 +370,14 @@ def spectrum(R: FiniteSemiring) -> SpectrumReport:
     full = frozenset(R.elements())
     proper = [I for I in all_ideals if I != full]
     spec = tuple(I for I in all_ideals if is_prime_ideal(R, I))
-    maximal = tuple(
-        I for I in proper if not any(I < J for J in proper)
-    )
+    # by decreasing size: a strictly larger proper ideal lies under some
+    # maximal one already kept, so comparing with those suffices
+    kept: list[frozenset[int]] = []
+    for I in sorted(proper, key=len, reverse=True):
+        if not any(I < M for M in kept):
+            kept.append(I)
+    kept_set = set(kept)
+    maximal = tuple(I for I in proper if I in kept_set)
     min_primes = tuple(
         P for P in spec if not any(Q < P for Q in spec)
     )

@@ -45,6 +45,14 @@ x <= y in L, with these one-line reductions:
 * The maximal proper radicals are Max(X), so the complete-max property is
   the BMax condition over all of Max(X): a proper radical r = ⋀V(r) has
   V(r) ≠ ∅, so r lies below a point, and every point is radical.
+* BMax = Max and AMin = Min, so ``bmax``, ``amin`` and
+  ``complete_max_property`` hold on every X-top space: each point q is
+  strongly irreducible over the radical elements, which are closed under
+  meets, so ⋀(Max(X) \\ {q}) <= q would put some other maximal point
+  below q, and dually for Min(X).  Likewise Max(X) and Min(X) are
+  discrete subspaces: for m in either set Y, V(m) ∩ Y = {m} is closed,
+  and a finite T1 space is discrete.  The fields are kept; they carry no
+  information at finite scale.
 
 Compactness is degenerate at finite scale (every subset is compact), so
 the KC flag reduces to "every subset is closed" and is computed as
@@ -89,12 +97,7 @@ from .poset import (
     has_dual_tree_component,
     is_forest_of_trees,
 )
-from .topology import (
-    XTopSpace,
-    is_xtop_by_irreducibility,
-    is_xtop_by_unions,
-    radical_info,
-)
+from .topology import XTopSpace, _irreducible, _radical_info, _union_witness
 
 
 @dataclass(frozen=True)
@@ -538,6 +541,27 @@ def _eq_witness(a: _Analysis, left: frozenset[int], right: frozenset[int]) -> st
     return f"point {a.space.label(diff[0])!r}" if diff else "sets equal"
 
 
+def _mask(S) -> int:
+    return sum(1 << x for x in S)
+
+
+def _least_around(family: set[int], S: int, full: int) -> int:
+    """The intersection of the members of ``family`` that contain mask S
+    (the smallest one, when the family is closed under intersections)."""
+    acc = full
+    for F in family:
+        if F & S == S:
+            acc &= F
+    return acc
+
+
+def _trace_is_discrete(varieties: tuple[int, ...], Y: frozenset[int]) -> bool:
+    """The subspace topology on Y, whose closed sets are the V(a) ∩ Y, is
+    discrete: it has all 2^|Y| of them."""
+    ymask = _mask(Y)
+    return len({v & ymask for v in varieties}) == 1 << len(Y)
+
+
 def _bool_chain(name_values: list[tuple[str, bool]]) -> tuple[bool, str | None]:
     values = {v for _, v in name_values}
     if len(values) <= 1:
@@ -557,13 +581,19 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
     pm = a.prime_meets()
     L = space.lattice
     X = space.points
-    # the definitional side of the point classes the report reads off the order
-    closed, opens = set(space.closed_family), set(space.open_family)
-    closed_pts = frozenset(x for x in X if frozenset({x}) in closed)
-    isolated = frozenset(x for x in X if frozenset({x}) in opens)
-    kerneled = frozenset(x for x in X if space.kernel(x) == {x})
+    # the definitional side of the point classes the report reads off the
+    # order, from the families as masks over lattice indices
+    full = _mask(X)
+    closed = {_mask(C) for C in space.closed_family}
+    opens = {_mask(U) for U in space.open_family}
     clopens = closed & opens
-    quasi = {x: X.intersection(*(W for W in clopens if x in W)) for x in X}
+    closed_pts = frozenset(x for x in X if 1 << x in closed)
+    isolated = frozenset(x for x in X if 1 << x in opens)
+    kerneled = frozenset(x for x in X if _least_around(opens, 1 << x, full) == 1 << x)
+    quasi = {x: frozenset(_bits(_least_around(clopens, 1 << x, full))) for x in X}
+    # the varieties and radicals of (L, X), shared by the carrier checks
+    varieties = L.variety_masks(X)
+    rad = _radical_info(L, varieties)
     totally_separated = all(len(Q) == 1 for Q in quasi.values())
     # the report records quasi-Hausdorff as a lemma; this is the pair scan
     quasi_hausdorff = all(
@@ -636,7 +666,9 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
     )
 
     boundary = frozenset(
-        x for x in X if space.closure(space.covariety(x)) == X - {x}
+        x
+        for x in X
+        if _least_around(closed, full & ~varieties[x], full) == full & ~(1 << x)
     )
     add(
         "regular-open-iff-isolated-excluded",
@@ -724,11 +756,11 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
 
     add(
         "union-criterion-iff-irreducibility",
-        is_xtop_by_unions(L, X) == is_xtop_by_irreducibility(L, X),
+        (_union_witness(varieties) is None)
+        == _irreducible(L, varieties, rad.radical_elements),
         "the two carrier criteria disagree",
     )
 
-    rad = radical_info(L, X)
     radical_maxima = L.maximals_of(rad.radical_elements - {L.top})
     add(
         "maxima-of-radicals",
@@ -736,27 +768,25 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
         _eq_witness(a, radical_maxima & X, s.max),
     )
 
-    max_sub = space.subspace(s.max)
     ok, w = _bool_chain(
         [
             ("bmax", r.bmax),
             ("jacobson irredundant", pm.jacobson_irredundant),
             (
                 "Max(X) discrete",
-                len(set(max_sub.open_family)) == 1 << len(s.max),
+                _trace_is_discrete(varieties, s.max),
             ),
         ]
     )
     add("jacobson-irredundant-iff-bmax-iff-max-discrete", ok, w)
 
-    min_sub = space.subspace(s.min)
     ok, w = _bool_chain(
         [
             ("amin", r.amin),
             ("min meet irredundant", pm.min_meet_irredundant),
             (
                 "Min(X) discrete",
-                len(set(min_sub.open_family)) == 1 << len(s.min),
+                _trace_is_discrete(varieties, s.min),
             ),
         ]
     )

@@ -17,6 +17,13 @@ procedures are provided:
 The two agree on every instance (this equivalence is re-verified
 exhaustively by the test-suite and the ``verify xct`` CLI suite).
 
+Both run on the varieties as bitmasks over lattice indices, computed once
+per (L, X) by the lattice's ``variety_masks``.  The irreducibility test
+reorders its quantifiers to loop over radical pairs only: a point x fails
+at (a, b) iff a ∧ b <= x, a ≰ x and b ≰ x, iff x ∈ V(a ∧ b) \\ (V(a) ∪ V(b)),
+so some x fails at (a, b) iff that mask is non-empty (never for a = b),
+one mask test per pair.
+
 X = ∅ is accepted everywhere and yields the empty space; the empty-meet
 convention (⋀∅ = top, V(top) = ∅) keeps every operation consistent there.
 """
@@ -24,7 +31,7 @@ convention (⋀∅ = top, V(top) = ∅) keeps every operation consistent there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EmptyPosetError, NotXTopError, SubsetViolationError
 from .lattice import EmbeddedSubset, FiniteLattice, upset_lattice
@@ -71,45 +78,53 @@ def radical_info(L: FiniteLattice, X: XLike) -> RadicalInfo:
     X itself always consists of radical elements, √ is inflationary and
     idempotent, and the radical elements are closed under meets.
     """
-    members = _members(L, X)
-    radical = tuple(
-        L.meet_all(x for x in members if L.leq(a, x)) for a in range(L.n)
-    )
-    fixed = frozenset(a for a in range(L.n) if radical[a] == a)
+    return _radical_info(L, L.variety_masks(_members(L, X)))
+
+
+def _radical_info(L: FiniteLattice, varieties: Sequence[int]) -> RadicalInfo:
+    """:func:`radical_info` from the variety masks: one meet per distinct V(a)."""
+    meets = {v: L.meet_all(_bits(v)) for v in set(varieties)}
+    radical = tuple(meets[v] for v in varieties)
+    fixed = frozenset(a for a, r in enumerate(radical) if r == a)
     return RadicalInfo(radical, fixed)
 
 
 def is_xtop_by_unions(L: FiniteLattice, X: XLike) -> bool:
     """True iff for all a, b there is c with V(a) ∪ V(b) = V(c)."""
-    return _union_witness(L, X) is None
+    return _union_witness(L.variety_masks(_members(L, X))) is None
 
 
-def _union_witness(L: FiniteLattice, X: XLike) -> tuple[int, int] | None:
-    members = _members(L, X)
-    varieties: dict[frozenset[int], int] = {}
-    for a in range(L.n):
-        v = frozenset(x for x in members if L.leq(a, x))
-        varieties.setdefault(v, a)
-    values = sorted(varieties, key=lambda v: (len(v), sorted(v)))
+def _union_witness(varieties: Sequence[int]) -> tuple[int, int] | None:
+    """The first pair of distinct varieties, in (size, sorted elements)
+    order, whose union is not a variety, named by their least elements."""
+    first: dict[int, int] = {}
+    for a, v in enumerate(varieties):
+        first.setdefault(v, a)
+    values = sorted(first, key=lambda v: (v.bit_count(), list(_bits(v))))
     for i, va in enumerate(values):
         for vb in values[i + 1 :]:
-            if va | vb not in varieties:
-                return varieties[va], varieties[vb]
+            if va | vb not in first:
+                return first[va], first[vb]
     return None
 
 
 def is_xtop_by_irreducibility(L: FiniteLattice, X: XLike) -> bool:
     """True iff every x ∈ X is strongly irreducible over the radical elements."""
-    members = _members(L, X)
-    radicals = sorted(radical_info(L, X).radical_elements)
-    leq, meet = L.leq, L.meet
-    for x in members:
-        # only pairs with neither element below x can violate the condition
-        outside = [a for a in radicals if not leq(a, x)]
-        for i, a in enumerate(outside):
-            for b in outside[i:]:
-                if leq(meet(a, b), x):
-                    return False
+    varieties = L.variety_masks(_members(L, X))
+    return _irreducible(L, varieties, _radical_info(L, varieties).radical_elements)
+
+
+def _irreducible(
+    L: FiniteLattice, varieties: Sequence[int], radicals: Iterable[int]
+) -> bool:
+    """No radical pair (a, b) has a point in V(a ∧ b) \\ (V(a) ∪ V(b))."""
+    radicals = sorted(radicals)
+    meet = L.meet
+    for i, a in enumerate(radicals):
+        va = varieties[a]
+        for b in radicals[i + 1 :]:
+            if varieties[meet(a, b)] & ~(va | varieties[b]):
+                return False
     return True
 
 
@@ -214,14 +229,13 @@ def build_space(L: FiniteLattice, X: XLike) -> XTopSpace:
     varieties have a union that is not a variety.
     """
     members = _members(L, X)
-    witness = _union_witness(L, members)
+    masks = L.variety_masks(members)
+    witness = _union_witness(masks)
     if witness is not None:
         a, b = witness
         raise NotXTopError(L.labels[a], L.labels[b])
-    varieties = tuple(
-        frozenset(x for x in members if L.leq(a, x)) for a in range(L.n)
-    )
-    return _space(L, members, varieties)
+    sets = {v: frozenset(_bits(v)) for v in set(masks)}
+    return _space(L, members, tuple(sets[v] for v in masks))
 
 
 def _space(

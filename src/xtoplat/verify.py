@@ -19,6 +19,7 @@ failures with minimal witnesses.  Suites:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .enumeration import (
@@ -88,10 +89,12 @@ class SuiteResult:
     instances: int
     checks: int
     failures: list[SuiteFailure]
+    seconds: float = 0.0  # wall time of the sweep, set by run_suites
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """No failures, and at least one instance: an empty sweep checks nothing."""
+        return self.instances > 0 and not self.failures
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -337,5 +340,8 @@ def run_suites(
     results = []
     for name in names:
         run, bound = _SUITES[name]
-        results.append(run() if bounds[bound] is None else run(bounds[bound]))
+        start = time.perf_counter()
+        result = run() if bounds[bound] is None else run(bounds[bound])
+        result.seconds = time.perf_counter() - start
+        results.append(result)
     return results

@@ -10,7 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from xtoplat import FinitePoset, FiniteSemiring, XTopSpace
+from xtoplat import FiniteLattice, FinitePoset, FiniteSemiring, RadicalInfo, XTopSpace
+from xtoplat.semiring import ideals
 
 
 def subsets(items):
@@ -94,6 +95,13 @@ def ideals_by_subset_scan(R: FiniteSemiring) -> set[frozenset[int]]:
         if closed_add and absorbs:
             out.add(S)
     return out
+
+
+def pairwise_maximal_ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
+    """The proper ideals under no other proper ideal, by comparing every pair."""
+    full = frozenset(R.elements())
+    proper = [I for I in ideals(R) if I != full]
+    return tuple(I for I in proper if not any(I < J for J in proper))
 
 
 def wrap_by_search(v: int, n: int, i: int) -> int:
@@ -269,3 +277,38 @@ def naive_ind_zero_dim(space: XTopSpace) -> bool:
         for U in space.open_family
         for x in U
     )
+
+
+# -- carrier criteria through leq/meet calls, one point at a time -------------
+
+
+def leq_union_witness(L: FiniteLattice, X: frozenset[int]) -> tuple[int, int] | None:
+    """The first pair of varieties, in (size, sorted elements) order, whose
+    union is not a variety, each named by its least element."""
+    varieties: dict[frozenset[int], int] = {}
+    for a in range(L.n):
+        varieties.setdefault(frozenset(x for x in X if L.leq(a, x)), a)
+    values = sorted(varieties, key=lambda v: (len(v), sorted(v)))
+    for i, va in enumerate(values):
+        for vb in values[i + 1 :]:
+            if va | vb not in varieties:
+                return varieties[va], varieties[vb]
+    return None
+
+
+def leq_radical_info(L: FiniteLattice, X: frozenset[int]) -> RadicalInfo:
+    """√a = ⋀{x ∈ X : a <= x} for every a, and its fixed points."""
+    radical = tuple(L.meet_all(x for x in X if L.leq(a, x)) for a in range(L.n))
+    return RadicalInfo(radical, frozenset(a for a in range(L.n) if radical[a] == a))
+
+
+def leq_is_xtop_by_irreducibility(L: FiniteLattice, X: frozenset[int]) -> bool:
+    """Every x ∈ X: radical a, b not below x have a ∧ b not below x."""
+    radicals = sorted(leq_radical_info(L, X).radical_elements)
+    for x in X:
+        outside = [a for a in radicals if not L.leq(a, x)]
+        for i, a in enumerate(outside):
+            for b in outside[i:]:
+                if L.leq(L.meet(a, b), x):
+                    return False
+    return True

@@ -315,6 +315,16 @@ class TestVerify:
         assert payload[0]["suite"] == "bni"
         assert payload[0]["failures"] == []
 
+    def test_json_reports_seconds_per_suite(self):
+        code, text = run(["verify", "all", "--max-size", "3", "--max-n", "4", "--json"])
+        assert code == 0
+        payload = json.loads(text)
+        assert [r["suite"] for r in payload] == ["xct", "quarter", "discrete", "forest", "bni"]
+        assert all(isinstance(r["seconds"], float) and r["seconds"] >= 0 for r in payload)
+        # the text output carries no timing
+        code, text = run(["verify", "all", "--max-size", "3", "--max-n", "4"])
+        assert code == 0 and "second" not in text and len(text.splitlines()) == 5
+
     def test_forest_small(self):
         code, text = run(["verify", "forest", "--max-size", "5"])
         assert code == 0
@@ -427,6 +437,15 @@ class TestVerifyFailurePath:
         code, text = run(["verify", "xct"])
         assert code == 1
         assert "FAIL" in text and "instance: check [w]" in text
+
+    def test_suite_with_zero_instances_fails(self, monkeypatch):
+        from xtoplat import verify
+
+        monkeypatch.setattr(verify, "forest_specs", lambda *args, **kwargs: iter(()))
+        code, text = run(["verify", "forest"])
+        assert (code, text) == (1, "FAIL forest: 0 instances, 0 checks, 0 failures\n")
+        code, text = run(["verify", "forest", "--json"])
+        assert code == 1 and json.loads(text)[0]["instances"] == 0
 
 
 def test_spec_s3_topology_shown():

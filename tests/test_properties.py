@@ -15,6 +15,7 @@ from xtoplat import (
 from xtoplat.errors import NotALatticeError
 from xtoplat.formats import poset_from_json, poset_to_json
 from xtoplat.poset import FinitePoset
+from xtoplat.semiring import bni, semiring_from_tables, spectrum
 
 
 @st.composite
@@ -35,6 +36,51 @@ def posets(draw, max_size=6):
             j += 1
         up[i] = row
     return FinitePoset([f"e{i}" for i in range(n)], up)
+
+
+@st.composite
+def semirings(draw):
+    """A product B(n, i) × B(m, j) of two small grid semirings, or the
+    up-sets of a random poset under (union, intersection)."""
+    if draw(st.booleans()):
+        factors = []
+        for _ in range(2):
+            n = draw(st.integers(min_value=2, max_value=5))
+            factors.append(bni(n, draw(st.integers(min_value=0, max_value=n - 1))))
+        A, B = factors
+        pairs = [(a, b) for a in range(A.n) for b in range(B.n)]
+        index = {p: k for k, p in enumerate(pairs)}
+
+        def table(op_a, op_b):
+            return [
+                [index[op_a[a][c], op_b[b][d]] for c, d in pairs] for a, b in pairs
+            ]
+
+        return semiring_from_tables(
+            [f"{a}.{b}" for a, b in pairs],
+            table(A.add, B.add),
+            table(A.mul, B.mul),
+            index[A.zero, B.zero],
+            index[A.one, B.one],
+        )
+    P = draw(posets(max_size=4))
+    masks = P.upset_masks()
+    index = {m: k for k, m in enumerate(masks)}
+    return semiring_from_tables(
+        [f"u{m}" for m in masks],
+        [[index[a | b] for b in masks] for a in masks],
+        [[index[a & b] for b in masks] for a in masks],
+        index[0],
+        index[(1 << P.n) - 1],
+    )
+
+
+@given(semirings())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_maximal_ideals_match_the_pairwise_scan(R):
+    from .oracles import pairwise_maximal_ideals
+
+    assert spectrum(R).max == pairwise_maximal_ideals(R)
 
 
 @given(posets())

@@ -158,6 +158,14 @@ class TestIdeals:
         with pytest.raises(NotAnIdealError):
             semiring.ideals.__wrapped__(bni(6, 0))
 
+    def test_predicate_matches_the_subset_scan(self):
+        # is_ideal rejects every non-ideal subset, not only accepts ideals
+        from .oracles import subsets
+
+        for R in [s3()] + [bni(n, i) for n in range(2, 9) for i in range(n)]:
+            accepted = {S for S in subsets(R.elements()) if is_ideal(R, S)}
+            assert accepted == ideals_by_subset_scan(R)
+
     def test_every_enumerated_ideal_passes_predicate(self):
         for n, i in ((10, 3), (12, 11), (9, 1)):
             R = bni(n, i)
@@ -239,6 +247,23 @@ class TestSpectrum:
         assert is_prime_ideal(R, principal_ideal(R, 2))
         assert not is_prime_ideal(R, principal_ideal(R, 4))
         assert not is_prime_ideal(R, frozenset(range(12)))
+
+
+class TestMaximalIdeals:
+    """The maximal-ideal scan against the pairwise scan over proper ideals."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_bni_grid(self, n):
+        from .oracles import pairwise_maximal_ideals
+
+        for i in range(n):
+            R = bni(n, i)
+            assert spectrum(R).max == pairwise_maximal_ideals(R)
+
+    def test_s3(self):
+        from .oracles import pairwise_maximal_ideals
+
+        assert spectrum(s3()).max == pairwise_maximal_ideals(s3())
 
 
 class TestIdealLattice:

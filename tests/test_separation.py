@@ -280,6 +280,14 @@ class TestCrossCheck:
         assert "union-criterion-iff-irreducibility" in ids
         assert "discrete-characterizations" in ids
 
+    def test_leaves_the_upset_order_and_tables_unbuilt(self):
+        # the carrier checks read the up-set masks, never the lattice's order
+        space = from_poset(forest([("V", 3)] * 3))
+        failing = [c for c in cross_check(space) if not c.holds]
+        assert failing == []
+        L = space.lattice
+        assert L._order is None and L._meet is None and L._join is None
+
 
 class TestDegenerateCarriers:
     def test_empty_subspace(self):

@@ -358,3 +358,78 @@ def test_carrier_criteria_agree_on_all_six_element_lattices(lattices_upto_6):
         for mask in range(1 << len(candidates)):
             X = frozenset(c for k, c in enumerate(candidates) if mask >> k & 1)
             assert is_xtop_by_unions(L, X) == is_xtop_by_irreducibility(L, X)
+
+
+class TestMaskCriteria:
+    """The variety-mask criteria against the leq-based oracles: the verdicts,
+    the union witness (hence the NotXTopError message) and RadicalInfo."""
+
+    @staticmethod
+    def agree(L, X):
+        from xtoplat.topology import _union_witness
+
+        from .oracles import (
+            leq_is_xtop_by_irreducibility,
+            leq_radical_info,
+            leq_union_witness,
+        )
+
+        X = frozenset(X)
+        masks = L.variety_masks(X)
+        assert masks == tuple(
+            sum(1 << x for x in X if L.leq(a, x)) for a in range(L.n)
+        )
+        witness = leq_union_witness(L, X)
+        assert _union_witness(masks) == witness
+        assert is_xtop_by_unions(L, X) == (witness is None)
+        assert is_xtop_by_irreducibility(L, X) == leq_is_xtop_by_irreducibility(L, X)
+        assert radical_info(L, X) == leq_radical_info(L, X)
+        if witness is None:
+            varieties = build_space(L, X).varieties
+            assert varieties == tuple(
+                frozenset(x for x in X if L.leq(a, x)) for a in range(L.n)
+            )
+        else:
+            with pytest.raises(NotXTopError) as err:
+                build_space(L, X)
+            a, b = witness
+            assert str(err.value) == str(NotXTopError(L.labels[a], L.labels[b]))
+        return witness is None
+
+    def test_every_carrier_candidate_up_to_six_elements(self, lattices_upto_6):
+        verdicts = []
+        for L in lattices_upto_6:
+            for X in subsets(i for i in range(L.n) if i != L.top):
+                verdicts.append(self.agree(L, X))
+        # both verdicts occur, so the witness comparison is exercised
+        assert True in verdicts and False in verdicts
+
+    def test_upset_lattices_of_posets_up_to_five_points(self, posets_upto_5):
+        for P in posets_upto_5:
+            space = from_poset(P)
+            L, X = space.lattice, space.points
+            for Y in (X, L.maximals_of(X), L.minimals_of(X)):
+                assert self.agree(L, Y)
+            # the mask storage reads the same varieties as the order rows
+            assert L.variety_masks(X) == lattice_from_poset(L.poset).variety_masks(X)
+
+    def test_every_candidate_over_small_upset_lattices(self, posets_upto_5):
+        verdicts = []
+        for P in posets_upto_5:
+            if P.n > 3:
+                continue
+            L, _ = upset_lattice(P)
+            for X in subsets(i for i in range(L.n) if i != L.top):
+                verdicts.append(self.agree(L, X))
+        assert True in verdicts and False in verdicts
+
+    def test_witness_order_past_five_elements(self):
+        # (size, sorted elements) and (size, mask) order the varieties
+        # differently here, and the first non-closed union changes with it
+        L, _ = upset_lattice(antichain(4))
+        names = ["a1", "a2", "{a0,a2}", "{a1,a3}", "{a0,a1,a2,a3}"]
+        X = frozenset(L.labels.index(name) for name in names)
+        assert not self.agree(L, X)
+        with pytest.raises(NotXTopError) as err:
+            build_space(L, X)
+        assert "V('{a1,a3}') ∪ V('{a0,a2}')" in str(err.value)
