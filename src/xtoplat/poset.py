@@ -297,17 +297,13 @@ def _from_pairs(labels: Sequence[str], index_pairs: Iterable[tuple[int, int]]) -
     up = [1 << i for i in range(n)]
     for i, j in index_pairs:
         up[i] |= 1 << j
-    changed = True
-    while changed:  # Warshall closure on mask rows
-        changed = False
+    # Warshall on mask rows: after step k, every row holds what it reaches
+    # through intermediates among 0..k, so one pass closes any relation
+    for k in range(n):
+        bit, row = 1 << k, up[k]
         for i in range(n):
-            row = up[i]
-            for j in range(n):
-                if row >> j & 1 and up[j] & ~row:
-                    row |= up[j]
-            if row != up[i]:
-                up[i] = row
-                changed = True
+            if up[i] & bit:
+                up[i] |= row
     return FinitePoset(labels, up)
 
 

@@ -17,9 +17,6 @@ x <= y in L, with these one-line reductions:
 * {x} is closed iff ↑x = {x} and open iff ↓x = {x}, so the closed points
   are Max(X) and the isolated and kerneled points are Min(X).
 * interior(S) = {y : ↓y ⊆ S}, since ↓y is the least open set around y.
-* q is completely strongly irreducible iff ⋀{a ∈ X : a ≰ q} ≰ q: any A
-  with no member below q and ⋀A <= q is a subset of that set, whose meet
-  is then <= ⋀A <= q too.
 * The connected components are the comparability components of the
   order: each is an up-set and a down-set, hence clopen, and a relatively
   clopen part of one is closed under comparability, hence empty or all.
@@ -38,55 +35,66 @@ x <= y in L, with these one-line reductions:
   in one of them.  So X is irreducible iff some closure({x}) is X, and
   the space is sober (one generic point per irreducible closed set) iff
   the closures of distinct points differ.
+* T0 holds: the specialization order is antisymmetric, so of two points
+  x ≠ y at least one is outside the other's kernel.  "Spectral" is
+  recorded as T0: every finite T0 space is spectral, and the
+  projective-limit characterizations are out of scope.
+* T1 = R0 = T2 = R1, and each holds iff every ↑x is {x}.  Every pair is
+  distinguishable (T0), so R0 = T1 and R1 = T2.  T1 says no x < y, and
+  then the ↓x are disjoint singletons, so T2 holds; if x < y, x lies in
+  ↓x ∩ ↓y and T2 fails.
 * Every space is quasi-Hausdorff: if two points i, j have no disjoint
   open neighbourhoods, ↓i ∩ ↓j holds some k, and then i and j both lie in
-  ↑k = closure({k}).  The report records the field as true;
-  :func:`cross_check` still runs the pair scan.
-* The maximal proper radicals are Max(X), so the complete-max property is
-  the BMax condition over all of Max(X): a proper radical r = ⋀V(r) has
-  V(r) ≠ ∅, so r lies below a point, and every point is radical.
-* BMax = Max and AMin = Min, so ``bmax``, ``amin`` and
-  ``complete_max_property`` hold on every X-top space: each point q is
-  strongly irreducible over the radical elements, which are closed under
-  meets, so ⋀(Max(X) \\ {q}) <= q would put some other maximal point
-  below q, and dually for Min(X).  Likewise Max(X) and Min(X) are
-  discrete subspaces: for m in either set Y, V(m) ∩ Y = {m} is closed,
-  and a finite T1 space is discrete.  The fields are kept; they carry no
-  information at finite scale.
+  ↑k = closure({k}).  The report records the field as true.
 
-Compactness is degenerate at finite scale (every subset is compact), so
-the KC flag reduces to "every subset is closed" and is computed as
-``len(closed_family) == 2^|X|``, and the discrete flag as
-``len(open_family) == 2^|X|``: reads of the family sizes, not scans.
-"Spectral" is recorded as T0: every finite T0 space is spectral, and the
-projective-limit characterizations are out of scope.
+The report sets T0 and quasi-Hausdorff true and reads T1 = R0 = T2 = R1
+off the rows ↑x; :func:`cross_check` still runs the pair scans.
+
+The classes defined by meets in L are order reads too.  For A ⊆ X,
+V(⋀A) = closure(A) = ∪{↑a : a ∈ A}: V(⋀A) is closed and contains A; a
+closed set V(b) ⊇ A has b <= ⋀A, so V(b) ⊇ V(⋀A); and a finite union of
+the closed sets ↑a is closed.  So ⋀A <= q iff A ∩ ↓q ≠ ∅, and:
+
+* SI = CSI = X: a ∧ b <= q puts a or b in ↓q, and ⋀{a ∈ X : a ≰ q} <= q
+  would put some a ≰ q in ↓q.  So ``es`` holds.
+* AMin = Min and BMax = Max: ⋀(Min(X) \\ {m}) <= m needs another minimal
+  point in ↓m = {m}, and no maximal point lies below another.  The
+  complete-max property is the BMax condition over the maximal proper
+  radicals, which are Max(X): a proper radical r = ⋀V(r) has V(r) ≠ ∅,
+  so r lies below a point, and every point is radical.  So ``amin``,
+  ``bmax`` and ``complete_max_property`` hold on every X-top space; ``pamin`` is Min(X) = X and ``pbmax`` is Max(X) = X.  Likewise
+  Max(X) and Min(X) are discrete subspaces: for m in either set Y,
+  V(m) ∩ Y = {m} is closed, and a finite T1 space is discrete.
+* x is excluded, ⋀(X \\ {x}) = ⋀D(x), iff ∪{↑y : y ≠ x} = ∪{↑y : y ∉ ↑x}:
+  D(x) = X \\ ↑x; a meet m of points is radical (V(m) contains the
+  points, so ⋀V(m) <= m), and two radicals are equal iff their varieties
+  are, since r = ⋀V(r).
+* Every up-set U of X is the closed set V(⋀U), so the closed sets are the
+  up-sets and the open sets the down-sets.  Compactness is degenerate at
+  finite scale (every subset is compact), so KC is "every subset is
+  closed", and KC and discreteness both hold iff every ↑x is {x}.
+
+So every source takes one route: its points and their specialization
+order.  A space's families are read once, to check that each Ker(x) is
+open, and its lattice only for the prime meets J(X) and Q(X).
+:func:`cross_check` takes the other side of each theorem from the
+families and from meets in L.
 
 A :class:`~xtoplat.poset.FinitePoset` P is accepted wherever a space is
 classified, and read as the space ``from_poset(P)``: X is {↑x : x ∈ P}
 inside the lattice of up-sets under reverse inclusion, so the order of X
-is the order of P.  Neither that lattice nor its families are built; the
-few reads that need them are lemmas of the order:
-
-* ⋀A = ∪{↑a : a ∈ A} (meet is union), and ↑q ⊆ ⋀A iff q ∈ ↑a for some
-  a ∈ A, so ⋀A <= q iff A ∩ ↓q ≠ ∅.
-* Hence SI = CSI = X (a ∧ b <= q puts a or b in ↓q), AMin = Min (↓m = {m}
-  for m minimal) and BMax = Max (no maximal point lies below another).
-* x is excluded iff ∪{↑y : y ≠ x} = ∪{↑y : y ∉ ↑x}: the two meets
-  ⋀(X \\ {x}) and ⋀D(x) are those unions, since D(x) = X \\ V(x) and
-  V(x) = ↑x.
-* Ker(x) = ↓x is open without a check: the closed sets are all the
-  up-sets, so the open sets are all the down-sets.
-* KC and discrete both hold iff every ↑x is a singleton: the closed sets
-  are the up-sets, and every subset is one iff the order is an antichain.
-
-Its points are listed in (|↑x|, ↑x) order, the index order of the up-set
-lattice, so the report and the point rows match ``from_poset(P)``'s.
+is the order of P, and the open sets are all the down-sets, so Ker(x) =
+↓x is open without a check.  Neither that lattice nor its families are
+built.  Its points are listed in (|↑x|, ↑x) order, the index order of the
+up-set lattice, so the report and the point rows match
+``from_poset(P)``'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import combinations
 
 from .errors import EmptyPosetError, XtoplatError
 from .lattice import EmbeddedSubset, has_complete_max_property
@@ -200,10 +208,9 @@ class _Analysis:
     """Per-space scratch state: points as bit positions, the order as mask rows.
 
     Point k is ``pts[k]``: a lattice index for a space, an element of P for
-    a poset source, whose ``space`` is None.  The reads that need the
-    lattice or the families (``_meet_avoids``, ``si_mask``, ``excl_mask``,
-    the Ker(x)-is-open check, ``kc`` and ``discrete``) take the poset
-    lemmas of the module docstring there instead.
+    a poset source, whose ``space`` is None.  Every read is an order lemma
+    of the module docstring, whatever the source; only ``prime_meets``
+    reads the lattice.
     """
 
     def __init__(self, source: XTopSpace | FinitePoset):
@@ -213,10 +220,17 @@ class _Analysis:
             self.space = None
             self.pts, P = _in_upset_order(source)
         else:
-            space = self.space = source
-            self.pts = space.sorted_points()
+            self.space = source
+            self.pts = source.sorted_points()
             # the poset lists the points in sorted order too, so its rows are masks
-            P = space.specialization_poset()
+            P = source.specialization_poset()
+            opens = set(source.open_family)
+            for k, kernel in enumerate(P.down_rows()):
+                if self.unmask(kernel) not in opens:
+                    raise XtoplatError(
+                        f"Ker({P.labels[k]!r}) is not open: the open family does not "
+                        "match the specialization order"
+                    )
         self.spec_poset = P
         self.n = P.n
         self.full = (1 << self.n) - 1
@@ -224,20 +238,6 @@ class _Analysis:
         self.kernel1 = list(P.down_rows())
         self.min_mask = sum(1 << k for k in P.minimals())
         self.max_mask = sum(1 << k for k in P.maximals())
-        if self.space is None:
-            # ↓x is a down-set, so open; every subset is closed (and open)
-            # iff every ↑x is a singleton
-            self.kc = self.discrete = self.max_mask == self.full
-            return
-        opens = set(space.open_family)
-        for k, kernel in enumerate(self.kernel1):
-            if self.unmask(kernel) not in opens:
-                raise XtoplatError(
-                    f"Ker({P.labels[k]!r}) is not open: the open family does not "
-                    "match the specialization order"
-                )
-        self.kc = len(space.closed_family) == 1 << self.n
-        self.discrete = len(opens) == 1 << self.n
 
     def _where(self, holds) -> int:
         """The mask of the points k with holds(k)."""
@@ -254,13 +254,14 @@ class _Analysis:
     def special(self) -> SpecialSets:
         u = self.unmask
         minima, maxima = u(self.min_mask), u(self.max_mask)
+        # SI = CSI = X, AMin = Min and BMax = Max (module docstring)
         return SpecialSets(
             min=minima,
             max=maxima,
-            si=u(self.si_mask),
-            csi=u(self.csi_mask),
-            amin=u(self.amin_mask),
-            bmax=u(self.bmax_mask),
+            si=u(self.full),
+            csi=u(self.full),
+            amin=minima,
+            bmax=maxima,
             iso=minima,
             ro=u(self.ro_mask),
             cl=maxima,
@@ -279,9 +280,7 @@ class _Analysis:
 
     @cached_property
     def excl_mask(self) -> int:
-        if self.space is None:
-            return self._where(self._excluded_in_order)
-        return self._where(lambda k: self.space.excluded_meet(self.pts[k])[2])
+        return self._where(self._excluded_in_order)
 
     def _excluded_in_order(self, k: int) -> bool:
         """∪{↑y : y ≠ x} = ∪{↑y : y ∉ ↑x} for the point x at k."""
@@ -294,67 +293,7 @@ class _Analysis:
                 outside |= up
         return others == outside
 
-    @cached_property
-    def si_mask(self) -> int:
-        if self.space is None:
-            return self.full
-        return self._where(self._strongly_irreducible)
-
-    def _strongly_irreducible(self, k: int) -> bool:
-        L = self.space.lattice
-        q = self.pts[k]
-        xs = self.pts
-        for i, a in enumerate(xs):
-            if L.leq(a, q):
-                continue
-            for b in xs[i + 1 :]:
-                if not L.leq(b, q) and L.leq(L.meet(a, b), q):
-                    return False
-        return True
-
-    @cached_property
-    def csi_mask(self) -> int:
-        """Completely strongly irreducible points: ⋀{a ∈ X : a ≰ q} ≰ q."""
-        return self._where(lambda k: self._meet_avoids(self.full & ~self.kernel1[k], k))
-
-    @cached_property
-    def amin_mask(self) -> int:
-        return self._barely(self.min_mask)
-
-    @cached_property
-    def bmax_mask(self) -> int:
-        return self._barely(self.max_mask)
-
-    def _barely(self, extremes: int) -> int:
-        """The members q of ``extremes`` with ⋀(extremes \\ {q}) ≰ q."""
-        return self._where(
-            lambda k: extremes >> k & 1 and self._meet_avoids(extremes & ~(1 << k), k)
-        )
-
-    def _meet_avoids(self, mask: int, k: int) -> bool:
-        """The meet of the points in ``mask`` is not below point k."""
-        if self.space is None:
-            return mask & self.kernel1[k] == 0
-        L = self.space.lattice
-        return not L.leq(L.meet_all(self.unmask(mask)), self.pts[k])
-
     # -- pairwise separation ---------------------------------------------------
-
-    def distinguishable(self, a: int, b: int) -> bool:
-        return not (self.kernel1[a] >> b & 1 and self.kernel1[b] >> a & 1)
-
-    def separated(self, a: int, b: int) -> bool:
-        return not self.kernel1[a] >> b & 1 and not self.kernel1[b] >> a & 1
-
-    def disjoint_open_separated(self, a: int, b: int) -> bool:
-        return self.kernel1[a] & self.kernel1[b] == 0
-
-    def anti_t2(self) -> bool:
-        return self.n >= 2 and not any(
-            self.disjoint_open_separated(a, b)
-            for a in range(self.n)
-            for b in range(a + 1, self.n)
-        )
 
     def tf(self) -> bool:
         """For every x and every F = {y, f} ⊆ X\\{x}, y = f allowed: {x} ⊢ F or F ⊢ {x}."""
@@ -440,10 +379,11 @@ def _points(a: _Analysis) -> tuple[PointClassification, ...]:
         "is_excluded": a.excl_mask,
         "is_min": a.min_mask,
         "is_max": a.max_mask,
-        "in_SI": a.si_mask,
-        "in_CSI": a.csi_mask,
-        "is_abs_min": a.amin_mask,
-        "is_barely_max": a.bmax_mask,
+        # SI = CSI = X, AMin = Min and BMax = Max (module docstring)
+        "in_SI": a.full,
+        "in_CSI": a.full,
+        "is_abs_min": a.min_mask,
+        "is_barely_max": a.max_mask,
     }
     return tuple(
         PointClassification(
@@ -482,52 +422,41 @@ def report_and_points(
 
 
 def _report(a: _Analysis) -> SeparationReport:
-    n = a.n
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    t0 = all(a.distinguishable(i, j) for i, j in pairs)
-    r0 = all(
-        a.separated(i, j) for i, j in pairs if a.distinguishable(i, j)
-    )
-    t1 = all(a.separated(i, j) for i, j in pairs)
-    r1 = all(
-        a.disjoint_open_separated(i, j)
-        for i, j in pairs
-        if a.distinguishable(i, j)
-    )
-    t2 = all(a.disjoint_open_separated(i, j) for i, j in pairs)
     # closed points are Max; kerneled and isolated points are both Min
     minima, maxima = a.min_mask, a.max_mask
+    # T1 = R0 = T2 = R1 = KC = discrete: every ↑x is {x} (module docstring)
+    antichain = maxima == a.full
     comp = a.components()
-    singletons = len(comp) == n
+    singletons = len(comp) == a.n
     parts = tuple(a.labels(m) for m in comp)
     return SeparationReport(
         kdim=a.kdim(),
-        t0=t0,
+        t0=True,
         t_quarter=maxima | minima == a.full,
         t_half=maxima | minima == a.full,
         t_threequarter=maxima | a.ro_mask == a.full,
-        t1=t1,
-        t2=t2,
-        t1half_kc=a.kc,
-        r0=r0,
-        r1=r1,
+        t1=antichain,
+        t2=antichain,
+        t1half_kc=antichain,
+        r0=antichain,
+        r1=antichain,
         tf=a.tf(),
-        es=(minima & ~maxima) & ~a.csi_mask == 0,
-        discrete=a.discrete,
+        es=True,
+        discrete=antichain,
         irreducible=a.irreducible(),
         connected=len(comp) <= 1,
         sober=a.sober(),
-        spectral=t0,
+        spectral=True,
         quasi_hausdorff=True,
         totally_separated=singletons,
         totally_disconnected=singletons,
         ind_zero_dim=singletons,
-        stone=t0 and singletons,
-        amin=a.amin_mask == minima,
-        bmax=a.bmax_mask == maxima,
-        pamin=a.amin_mask == a.full,
-        pbmax=a.bmax_mask == a.full,
-        complete_max_property=a.bmax_mask == maxima,
+        stone=singletons,
+        amin=True,
+        bmax=True,
+        pamin=minima == a.full,
+        pbmax=maxima == a.full,
+        complete_max_property=True,
         components=parts,
         quasicomponents=parts,
     )
@@ -573,7 +502,9 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
     """Evaluate both sides of every finite-scale structure theorem.
 
     Each check must hold on every valid space; a failure indicates a bug
-    and its witness names the violating point or flag assignment.
+    and its witness names the violating point or flag assignment.  The
+    report reads every flag off the specialization order; the other sides
+    come from the families, from pair scans and from meets in L.
     """
     a = _Analysis(space)
     s = a.special()
@@ -589,25 +520,61 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
     clopens = closed & opens
     closed_pts = frozenset(x for x in X if 1 << x in closed)
     isolated = frozenset(x for x in X if 1 << x in opens)
-    kerneled = frozenset(x for x in X if _least_around(opens, 1 << x, full) == 1 << x)
+    kernel = {x: _least_around(opens, 1 << x, full) for x in X}
+    kerneled = frozenset(x for x in X if kernel[x] == 1 << x)
     quasi = {x: frozenset(_bits(_least_around(clopens, 1 << x, full))) for x in X}
+    kc = len(closed) == 1 << len(X)
+    discrete = len(opens) == 1 << len(X)
     # the varieties and radicals of (L, X), shared by the carrier checks
     varieties = L.variety_masks(X)
     rad = _radical_info(L, varieties)
     totally_separated = all(len(Q) == 1 for Q in quasi.values())
-    # the report records quasi-Hausdorff as a lemma; this is the pair scan
+
+    # the lattice classes, from meets in L: ⋀A <= q iff q ∈ V(⋀A)
+    def meet_avoids(A, q: int) -> bool:
+        return not varieties[L.meet_all(A)] >> q & 1
+
+    csi = frozenset(
+        q for q in X if meet_avoids([x for x in X if not varieties[x] >> q & 1], q)
+    )
+    amin = frozenset(m for m in s.min if meet_avoids(s.min - {m}, m))
+    bmax = frozenset(m for m in s.max if meet_avoids(s.max - {m}, m))
+    excl = frozenset(x for x in X if space.excluded_meet(x)[2])
+    es = s.min - s.max <= csi
+    complete_max = has_complete_max_property(L, EmbeddedSubset(L, X))
+
+    # the report records T0, T1 = R0 = T2 = R1 and quasi-Hausdorff as
+    # lemmas; these are the pair scans over the kernels from the open family
+    def separated(x: int, y: int) -> bool:
+        return not kernel[x] >> y & 1 and not kernel[y] >> x & 1
+
+    def disjoint(x: int, y: int) -> bool:
+        return kernel[x] & kernel[y] == 0
+
+    pairs = list(combinations(sorted(X), 2))
+    distinguishable = [
+        (x, y) for x, y in pairs if not (kernel[x] >> y & 1 and kernel[y] >> x & 1)
+    ]
+    t0 = len(distinguishable) == len(pairs)
+    t1 = all(separated(x, y) for x, y in pairs)
+    r0 = all(separated(x, y) for x, y in distinguishable)
+    t2 = all(disjoint(x, y) for x, y in pairs)
+    r1 = all(disjoint(x, y) for x, y in distinguishable)
+    anti_t2 = len(X) >= 2 and not any(disjoint(x, y) for x, y in pairs)
     quasi_hausdorff = all(
-        a.disjoint_open_separated(i, j)
-        or any(C >> i & 1 and C >> j & 1 for C in a.closure1)
-        for i in range(a.n)
-        for j in range(i + 1, a.n)
+        disjoint(x, y) or any(varieties[z] >> x & 1 and varieties[z] >> y & 1 for z in X)
+        for x, y in pairs
     )
     checks: list[CheckResult] = []
 
     def add(check_id: str, holds: bool, witness: str | None = None):
         checks.append(CheckResult(check_id, holds, None if holds else witness))
 
-    add("t0-and-sober", r.t0 and r.sober, f"t0={r.t0}; sober={r.sober}")
+    add(
+        "t0-and-sober",
+        r.t0 and t0 and r.sober,
+        f"t0={r.t0}; t0 by pairs={t0}; sober={r.sober}",
+    )
     add(
         "closed-points-are-maximal",
         closed_pts == s.max,
@@ -624,12 +591,22 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
         _eq_witness(a, s.ro | isolated, s.min),
     )
 
-    ok, w = _bool_chain([("t1", r.t1), ("r0", r.r0), ("kdim==0", r.kdim == 0)])
+    ok, w = _bool_chain(
+        [
+            ("t1", r.t1),
+            ("r0", r.r0),
+            ("t1 by pairs", t1),
+            ("r0 by pairs", r0),
+            ("kdim==0", r.kdim == 0),
+        ]
+    )
     add("t1-iff-r0-iff-dim0", ok, w)
     ok, w = _bool_chain(
         [
             ("t2", r.t2),
             ("r1", r.r1),
+            ("t2 by pairs", t2),
+            ("r1 by pairs", r1),
             ("kdim==0 and quasi_hausdorff", r.kdim == 0 and quasi_hausdorff),
         ]
     )
@@ -639,17 +616,17 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
     )
     add("t-quarter-iff-dim-le-1-iff-tf", ok, w)
 
-    decomposition_half = X == s.max | (s.min & s.csi)
+    decomposition_half = X == s.max | (s.min & csi)
     ok, w = _bool_chain(
         [
             ("t_half", r.t_half),
             ("X == Max ∪ (Min ∩ CSI)", decomposition_half),
-            ("t_quarter and es", r.t_quarter and r.es),
+            ("t_quarter and es", r.t_quarter and es),
         ]
     )
     add("t-half-decomposition", ok, w)
 
-    decomposition_tq = X == s.max | (s.min & s.csi & s.excl)
+    decomposition_tq = X == s.max | (s.min & csi & excl)
     ok, w = _bool_chain(
         [
             ("t_threequarter", r.t_threequarter),
@@ -661,8 +638,8 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
 
     add(
         "isolated-iff-min-csi",
-        isolated == s.min & s.csi,
-        _eq_witness(a, isolated, s.min & s.csi),
+        isolated == s.min & csi,
+        _eq_witness(a, isolated, s.min & csi),
     )
 
     boundary = frozenset(
@@ -672,33 +649,40 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
     )
     add(
         "regular-open-iff-isolated-excluded",
-        s.ro == isolated & s.excl == boundary,
-        _eq_witness(a, s.ro, isolated & s.excl) + "; " + _eq_witness(a, s.ro, boundary),
+        s.ro == isolated & excl == boundary and s.excl == excl,
+        _eq_witness(a, s.ro, isolated & excl)
+        + "; "
+        + _eq_witness(a, s.ro, boundary)
+        + "; "
+        + _eq_witness(a, s.excl, excl),
     )
 
     names = [
         ("discrete", r.discrete),
-        ("X == AMin", X == s.amin),
-        ("X == BMax", X == s.bmax),
-        ("t1 and bmax", r.t1 and r.bmax),
-        (
-            "t1 and complete_max_property",
-            r.t1 and has_complete_max_property(L, EmbeddedSubset(L, X)),
-        ),
+        ("discrete by family size", discrete),
+        ("X == AMin", X == amin),
+        ("X == BMax", X == bmax),
+        ("t1 and bmax", t1 and bmax == s.max),
+        ("t1 and complete_max_property", t1 and complete_max),
     ]
     ok, w = _bool_chain(names)
     if ok and r.discrete:
-        ok = s.amin == s.min == X == s.max == s.bmax
+        ok = amin == s.min == X == s.max == bmax
         w = "AMin=Min=X=Max=BMax fails"
     add("discrete-characterizations", ok, w)
 
     ok, w = _bool_chain(
         [
             ("es", r.es),
-            ("csi covers X", s.csi == X),
-            ("si covers X", s.si == X),
+            ("es by meets", es),
+            ("csi covers X", s.csi == csi == X),
+            ("si covers X", s.si == X and _irreducible(L, varieties, X)),
             ("bmax", r.bmax),
+            ("BMax == Max", bmax == s.bmax == s.max),
             ("amin", r.amin),
+            ("AMin == Min", amin == s.amin == s.min),
+            ("complete_max_property", r.complete_max_property),
+            ("complete max property by meets", complete_max),
         ]
     )
     add("finite-carrier-irreducibility", ok, w)
@@ -710,21 +694,26 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
 
     add(
         "anti-hausdorff-iff-irreducible",
-        a.anti_t2() == (r.irreducible and a.n >= 2),
-        f"anti_t2={a.anti_t2()}; irreducible={r.irreducible}; |X|={a.n}",
+        anti_t2 == (r.irreducible and a.n >= 2),
+        f"anti_t2={anti_t2}; irreducible={r.irreducible}; |X|={a.n}",
     )
-    ok, w = _bool_chain(
-        [("discrete", r.discrete), ("t1", r.t1), ("kdim==0", r.kdim == 0)]
-    )
+    ok, w = _bool_chain([("discrete", discrete), ("t1", t1), ("kdim==0", r.kdim == 0)])
     add("discrete-iff-t1-at-finite-scale", ok, w)
-    ok, w = _bool_chain([("kc", r.t1half_kc), ("discrete", r.discrete)])
+    ok, w = _bool_chain(
+        [
+            ("kc", r.t1half_kc),
+            ("discrete", r.discrete),
+            ("kc by family size", kc),
+            ("discrete by family size", discrete),
+        ]
+    )
     add("kc-iff-discrete-at-finite-scale", ok, w)
 
-    ok = r.t2 == (r.t1 and quasi_hausdorff) and (not r.t1 or r.t2)
+    ok = t2 == (t1 and quasi_hausdorff) and (not t1 or t2)
     add(
         "t2-iff-t1-quasihausdorff",
         ok,
-        f"t1={r.t1}; t2={r.t2}; quasi_hausdorff={quasi_hausdorff}",
+        f"t1={t1}; t2={t2}; quasi_hausdorff={quasi_hausdorff}",
     )
 
     if r.ind_zero_dim:
@@ -732,9 +721,9 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
             [
                 ("totally_separated", totally_separated),
                 ("totally_disconnected", r.totally_disconnected),
-                ("t1", r.t1),
-                ("t0", r.t0),
-                ("t2", r.t2),
+                ("t1", t1),
+                ("t0", t0),
+                ("t2", t2),
             ]
         )
     else:
@@ -746,9 +735,9 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
             ("stone", r.stone),
             ("spectral and ind_zero_dim", r.spectral and r.ind_zero_dim),
             ("spectral and totally_separated", r.spectral and totally_separated),
-            ("spectral and t2", r.spectral and r.t2),
-            ("spectral and kc", r.spectral and r.t1half_kc),
-            ("spectral and t1", r.spectral and r.t1),
+            ("spectral and t2", r.spectral and t2),
+            ("spectral and kc", r.spectral and kc),
+            ("spectral and t1", r.spectral and t1),
             ("spectral and kdim==0", r.spectral and r.kdim == 0),
         ]
     )
@@ -770,7 +759,7 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
 
     ok, w = _bool_chain(
         [
-            ("bmax", r.bmax),
+            ("bmax", bmax == s.max),
             ("jacobson irredundant", pm.jacobson_irredundant),
             (
                 "Max(X) discrete",
@@ -782,7 +771,7 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
 
     ok, w = _bool_chain(
         [
-            ("amin", r.amin),
+            ("amin", amin == s.min),
             ("min meet irredundant", pm.min_meet_irredundant),
             (
                 "Min(X) discrete",
@@ -792,14 +781,12 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
     )
     add("min-meet-irredundant-iff-amin-iff-min-discrete", ok, w)
 
-    ok = (not totally_separated or r.t2) and (
-        not r.totally_disconnected or r.t1
-    )
+    ok = (not totally_separated or t2) and (not r.totally_disconnected or t1)
     add(
         "total-separation-implications",
         ok,
         f"totally_separated={totally_separated}; "
-        f"totally_disconnected={r.totally_disconnected}; t1={r.t1}; t2={r.t2}",
+        f"totally_disconnected={r.totally_disconnected}; t1={t1}; t2={t2}",
     )
 
     unrefined = [

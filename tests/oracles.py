@@ -312,3 +312,112 @@ def leq_is_xtop_by_irreducibility(L: FiniteLattice, X: frozenset[int]) -> bool:
                 if L.leq(L.meet(a, b), x):
                     return False
     return True
+
+
+# -- poset closure by iterating to a fixpoint ---------------------------------
+
+
+def fixpoint_from_pairs(labels, index_pairs) -> FinitePoset:
+    """The poset of (i <= j) index pairs, closed by repeating row unions
+    over all rows until a whole pass changes nothing."""
+    n = len(labels)
+    up = [1 << i for i in range(n)]
+    for i, j in index_pairs:
+        up[i] |= 1 << j
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            row = up[i]
+            for j in range(n):
+                if row >> j & 1 and up[j] & ~row:
+                    row |= up[j]
+            if row != up[i]:
+                up[i] = row
+                changed = True
+    return FinitePoset(labels, up)
+
+
+# -- point classes through leq/meet calls and family sizes ---------------------
+
+
+def leq_extremes(space: XTopSpace) -> tuple[frozenset[int], frozenset[int]]:
+    """(Min(X), Max(X)) under the order of L."""
+    L, X = space.lattice, space.points
+    below = {x: {y for y in X if y != x and L.leq(y, x)} for x in X}
+    above = {x: {y for y in X if y != x and L.leq(x, y)} for x in X}
+    return (
+        frozenset(x for x in X if not below[x]),
+        frozenset(x for x in X if not above[x]),
+    )
+
+
+def leq_strongly_irreducible(space: XTopSpace) -> frozenset[int]:
+    """SI: the q with a ∧ b <= q only if a <= q or b <= q, over a, b ∈ X."""
+    L, xs = space.lattice, sorted(space.points)
+    return frozenset(
+        q
+        for q in xs
+        if not any(
+            L.leq(L.meet(a, b), q) and not L.leq(a, q) and not L.leq(b, q)
+            for a in xs
+            for b in xs
+        )
+    )
+
+
+def leq_completely_strongly_irreducible(space: XTopSpace) -> frozenset[int]:
+    """CSI: the q with ⋀{a ∈ X : a ≰ q} ≰ q."""
+    L, X = space.lattice, space.points
+    return frozenset(
+        q for q in X if not L.leq(L.meet_all(a for a in X if not L.leq(a, q)), q)
+    )
+
+
+def leq_barely(space: XTopSpace, extremes: frozenset[int]) -> frozenset[int]:
+    """The q in ``extremes`` with ⋀(extremes \\ {q}) ≰ q: AMin from Min(X),
+    BMax from Max(X)."""
+    L = space.lattice
+    return frozenset(q for q in extremes if not L.leq(L.meet_all(extremes - {q}), q))
+
+
+def lattice_point_classes(space: XTopSpace) -> dict:
+    """The lattice classes and the KC/discrete flags the way they are
+    defined: meets in L, ``excluded_meet`` and the family sizes."""
+    X = space.points
+    minima, maxima = leq_extremes(space)
+    return {
+        "min": minima,
+        "max": maxima,
+        "si": leq_strongly_irreducible(space),
+        "csi": leq_completely_strongly_irreducible(space),
+        "amin": leq_barely(space, minima),
+        "bmax": leq_barely(space, maxima),
+        "excl": frozenset(x for x in X if space.excluded_meet(x)[2]),
+        "kc": len(space.closed_family) == 1 << len(X),
+        "discrete": len(space.open_family) == 1 << len(X),
+    }
+
+
+def pair_scan_flags(kernels: dict[int, frozenset[int]]) -> dict[str, bool]:
+    """T0, R0, T1, R1 and T2 by scanning every pair of points, given the
+    kernel Ker(x) of each point x."""
+    pts = sorted(kernels)
+    pairs = [(x, y) for i, x in enumerate(pts) for y in pts[i + 1 :]]
+    distinguishable = [
+        (x, y) for x, y in pairs if not (y in kernels[x] and x in kernels[y])
+    ]
+
+    def separated(x, y):
+        return y not in kernels[x] and x not in kernels[y]
+
+    def disjoint(x, y):
+        return not kernels[x] & kernels[y]
+
+    return {
+        "t0": len(distinguishable) == len(pairs),
+        "r0": all(separated(x, y) for x, y in distinguishable),
+        "t1": all(separated(x, y) for x, y in pairs),
+        "r1": all(disjoint(x, y) for x, y in distinguishable),
+        "t2": all(disjoint(x, y) for x, y in pairs),
+    }

@@ -21,6 +21,7 @@ from xtoplat import (
     tree,
 )
 from xtoplat.poset import (
+    _from_pairs,
     component_shape,
     has_dual_tree_component,
     is_forest_of_trees,
@@ -28,6 +29,7 @@ from xtoplat.poset import (
 
 from .oracles import (
     chains_ending_at,
+    fixpoint_from_pairs,
     longest_chain_length,
     recursive_upset_masks,
     upsets_by_filter,
@@ -59,6 +61,11 @@ class TestFromRelation:
     def test_closure_is_applied(self):
         P = poset_from_relation(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert P.leq(P.index("a"), P.index("c"))
+
+    def test_one_pass_closure_matches_the_fixpoint(self, posets_upto_5):
+        for P in posets_upto_5:
+            covers = P.covers()
+            assert _from_pairs(P.labels, covers) == fixpoint_from_pairs(P.labels, covers) == P
 
 
 class TestShapes:

@@ -12,10 +12,12 @@ from xtoplat import (
     separation_report,
     verify_bni,
 )
-from xtoplat.errors import NotALatticeError
+from xtoplat.errors import CycleError, NotALatticeError
 from xtoplat.formats import poset_from_json, poset_to_json
-from xtoplat.poset import FinitePoset
+from xtoplat.poset import FinitePoset, _from_pairs
 from xtoplat.semiring import bni, semiring_from_tables, spectrum
+
+from .oracles import fixpoint_from_pairs
 
 
 @st.composite
@@ -151,3 +153,30 @@ def test_quarter_ladder(P):
     ladder = [r.t1, r.t_threequarter, r.t_half, r.t_quarter, r.t0]
     for stronger, weaker in zip(ladder, ladder[1:]):
         assert not stronger or weaker
+
+
+@st.composite
+def pair_lists(draw, max_size=7):
+    """Labels and index pairs on them; about half the lists close a cycle
+    through two or more distinct elements."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    index = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    if n >= 2 and draw(st.booleans()):
+        cycle = draw(st.lists(index, min_size=2, max_size=n, unique=True))
+        pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+    return [f"e{i}" for i in range(n)], pairs
+
+
+@given(pair_lists())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_closure_matches_the_fixpoint(case):
+    labels, pairs = case
+
+    def outcome(build):
+        try:
+            return build(labels, pairs)
+        except CycleError as err:
+            return str(err)
+
+    assert outcome(_from_pairs) == outcome(fixpoint_from_pairs)

@@ -33,12 +33,14 @@ from xtoplat.semiring import bni, s3, spec_space
 from xtoplat.topology import build_space, is_xtop_by_unions, radical_info
 
 from .oracles import (
+    lattice_point_classes,
     naive_closure,
     naive_components,
     naive_connected,
     naive_ind_zero_dim,
     naive_interior,
     naive_irreducible,
+    naive_kernel,
     naive_quasi_hausdorff,
     naive_quasicomponents,
     naive_sober,
@@ -46,6 +48,7 @@ from .oracles import (
     naive_t1,
     naive_t2,
     naive_tf,
+    pair_scan_flags,
     subsets,
 )
 
@@ -204,6 +207,73 @@ class TestPosetSource:
         P = forest([("T", 2), ("V", 2), ("C", 3)])
         assert separation_report(P) == separation_report(from_poset(P))
         assert classify_points(P) == classify_points(from_poset(P))
+
+
+@pytest.fixture(scope="module")
+def lattice_spaces(lattices_upto_6):
+    """Every X-top (L, X) with |L| <= 6 (429 spaces), Spec(B(n, i)) for
+    n <= 14 under all/max/min (312 spaces), and Spec(S3)."""
+    spaces = []
+    for L in lattices_upto_6:
+        for X in subsets(i for i in range(L.n) if i != L.top):
+            if is_xtop_by_unions(L, X):
+                spaces.append(build_space(L, X))
+    for n in range(2, 15):
+        for i in range(n):
+            spaces.extend(spec_space(bni(n, i), which) for which in ("all", "max", "min"))
+    spaces.append(spec_space(s3()))
+    return spaces
+
+
+class TestOrderLemmas:
+    """The report reads the lattice classes, KC/discrete and the pair flags
+    off the specialization order; here they meet the definitions: meets in
+    L, ``excluded_meet``, the family sizes and the pair scans."""
+
+    def test_lattice_classes_match_meets_in_the_lattice(self, lattice_spaces):
+        assert len(lattice_spaces) == 742
+        for space in lattice_spaces:
+            o = lattice_point_classes(space)
+            X = space.points
+            s = special_sets(space)
+            assert (s.min, s.max) == (o["min"], o["max"])
+            assert (s.si, s.csi, s.amin, s.bmax, s.excl) == (
+                o["si"],
+                o["csi"],
+                o["amin"],
+                o["bmax"],
+                o["excl"],
+            )
+            rows = {p.label: p for p in classify_points(space)}
+            for x in X:
+                p = rows[space.label(x)]
+                assert (p.in_SI, p.in_CSI, p.is_abs_min, p.is_barely_max) == (
+                    x in o["si"],
+                    x in o["csi"],
+                    x in o["amin"],
+                    x in o["bmax"],
+                )
+                assert p.is_excluded == (x in o["excl"])
+            r = separation_report(space)
+            assert r.es == (o["min"] - o["max"] <= o["csi"])
+            assert (r.amin, r.bmax, r.complete_max_property) == (
+                o["amin"] == o["min"],
+                o["bmax"] == o["max"],
+                o["bmax"] == o["max"],
+            )
+            assert (r.pamin, r.pbmax) == (o["amin"] == X, o["bmax"] == X)
+            assert (r.t1half_kc, r.discrete) == (o["kc"], o["discrete"])
+
+    def test_pair_flags_match_the_pair_scans(self, lattice_spaces, posets_upto_6):
+        fields = ("t0", "r0", "t1", "r1", "t2")
+        for space in lattice_spaces:
+            flags = pair_scan_flags({x: naive_kernel(space, x) for x in space.points})
+            r = separation_report(space)
+            assert {k: getattr(r, k) for k in fields} == flags
+        for P in posets_upto_6:
+            down = {x: frozenset(y for y in range(P.n) if P.leq(y, x)) for x in range(P.n)}
+            r = separation_report(P)
+            assert {k: getattr(r, k) for k in fields} == pair_scan_flags(down), P
 
 
 class TestComponents:

@@ -56,8 +56,9 @@ def _owners(tree: ast.AST) -> dict[ast.AST, str]:
 
 def test_separation_reads_families_only_to_check_them():
     # the report reads every flag off the specialization order; the
-    # families are read once to check that each Ker(x) is open (and for
-    # their sizes), and cross_check reads them for the definitional side
+    # families are read once to check that each Ker(x) is open, and
+    # cross_check reads them for the definitional side.  The lattice is
+    # read only for the prime meets and by cross_check.
     path = Path(xtoplat.__file__).parent / "separation.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     owner = _owners(tree)
@@ -80,4 +81,12 @@ def test_separation_reads_families_only_to_check_them():
         and node.id == "radical_info"
         and outside(node, "cross_check")
     ]
-    assert family_reads == [] and radical_calls == []
+    lattice_reads = [
+        f"{owner[node]}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "lattice"
+        and not outside(node, "_report", "_points", "_Analysis")
+        and outside(node, "_Analysis.prime_meets")
+    ]
+    assert family_reads == [] and radical_calls == [] and lattice_reads == []
