@@ -154,12 +154,9 @@ def _semiring_from_args(args) -> FiniteSemiring:
 
 
 def _one_source(args, names: list[str]) -> bool:
-    given = [
-        name
-        for name in names
-        if getattr(args, name) not in (None, False)
-    ]
-    return len(given) == 1
+    # by identity: --chain 0 is a given source, though 0 == False
+    values = [getattr(args, name) for name in names]
+    return sum(value is not None and value is not False for value in values) == 1
 
 
 def _semiring_subspace(R: FiniteSemiring, selector: str) -> XTopSpace:

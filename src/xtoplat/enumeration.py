@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import NotALatticeError
-from .lattice import FiniteLattice, lattice_from_poset
+from .lattice import FiniteLattice
 from .poset import FinitePoset, ForestComponent
 
 
@@ -131,7 +131,7 @@ def all_lattices(n: int) -> tuple[FiniteLattice, ...]:
     out = []
     for P in all_posets(n):
         try:
-            out.append(lattice_from_poset(P))
+            out.append(FiniteLattice(P))
         except NotALatticeError:
             continue
     return tuple(out)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .lattice import FiniteLattice, lattice_from_poset
+from .lattice import FiniteLattice
 from .poset import FinitePoset, ForestComponent, poset_from_relation
 from .semiring import FiniteSemiring, semiring_from_tables
 from .separation import PointClassification, SeparationReport
@@ -64,15 +64,18 @@ def poset_from_json(data: dict[str, Any]) -> FinitePoset:
     if not isinstance(data, dict) or "labels" not in data:
         raise ValueError("poset JSON needs a 'labels' field")
     labels = data["labels"]
-    if not isinstance(labels, list) or not all(isinstance(name, str) for name in labels):
+    if not _is_label_list(labels):
         raise ValueError("'labels' must be a list of strings")
     pairs = data.get("leq", [])
     if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(e, str) for e in p)
-        for p in pairs
+        _is_label_list(p) and len(p) == 2 for p in pairs
     ):
         raise ValueError("'leq' entries must be [smaller, larger] pairs of labels")
     return poset_from_relation(labels, pairs)
+
+
+def _is_label_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(name, str) for name in value)
 
 
 # -- lattices -----------------------------------------------------------------
@@ -89,14 +92,11 @@ def lattice_to_json(L: FiniteLattice) -> dict[str, Any]:
 
 def lattice_from_json(data: dict[str, Any]) -> FiniteLattice:
     P = poset_from_json(data)
-    derived = lattice_from_poset(P)
+    derived = FiniteLattice(P)
     for key in ("meet", "join"):
         if key in data:
             table = data[key]
-            if not isinstance(table, list) or not all(
-                isinstance(row, list) and all(isinstance(e, str) for e in row)
-                for row in table
-            ):
+            if not isinstance(table, list) or not all(map(_is_label_list, table)):
                 raise ValueError(f"{key!r} must be a list of rows, each a list of labels")
             known = set(P.labels)
             unknown = next((e for row in table for e in row if e not in known), None)
@@ -127,8 +127,14 @@ def semiring_to_json(R: FiniteSemiring) -> dict[str, Any]:
 
 def semiring_from_json(data: dict[str, Any]) -> FiniteSemiring:
     for key in ("labels", "add", "mul", "zero", "one"):
-        if key not in data:
+        if not isinstance(data, dict) or key not in data:
             raise ValueError(f"semiring JSON needs a {key!r} field")
+    if not _is_label_list(data["labels"]):
+        raise ValueError("'labels' must be a list of strings")
+    for key in ("add", "mul"):
+        table = data[key]
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise ValueError(f"{key!r} must be a list of rows, each a list of elements")
     return semiring_from_tables(
         data["labels"], data["add"], data["mul"], data["zero"], data["one"]
     )
@@ -150,7 +156,7 @@ def space_from_json(data: dict[str, Any]) -> XTopSpace:
         raise ValueError("space JSON needs 'lattice' and 'X' fields")
     L = lattice_from_json(data["lattice"])
     X = data["X"]
-    if not isinstance(X, list) or not all(isinstance(name, str) for name in X):
+    if not _is_label_list(X):
         raise ValueError("'X' must be a list of labels")
     index = {name: i for i, name in enumerate(L.labels)}
     unknown = next((name for name in X if name not in index), None)
@@ -159,7 +165,10 @@ def space_from_json(data: dict[str, Any]) -> XTopSpace:
     members = frozenset(index[name] for name in X)
     space = build_space(L, members)
     if "closed_sets" in data:
-        given = {frozenset(part) for part in map(tuple, data["closed_sets"])}
+        closed_sets = data["closed_sets"]
+        if not isinstance(closed_sets, list) or not all(map(_is_label_list, closed_sets)):
+            raise ValueError("'closed_sets' must be a list of label lists")
+        given = set(map(frozenset, closed_sets))
         computed = {frozenset(space.labels_of(C)) for C in space.closed_family}
         if given != computed:
             raise ValueError("'closed_sets' disagrees with the computed topology")

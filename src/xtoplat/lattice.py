@@ -1,4 +1,4 @@
-"""Finite bounded lattices with verified meet/join tables.
+"""Finite bounded lattices, read off their order.
 
 All lattices here are finite, hence complete; finite meets and joins
 materialize every infinitary operation, so no separate completeness
@@ -15,12 +15,14 @@ bottom is all of P.  Under this convention the varieties of the embedded
 copy of P are exactly the up-sets, i.e. closed = up-closed (the Alexandrov
 picture with the specialization order equal to the original order).
 
-Construction of a table-backed :class:`FiniteLattice` verifies the tables
-completely: the quadratic pointwise checks (bounds, commutativity,
-idempotence, absorption, agreement with the order) plus glb/lub
-universality, which reduces to one bitmask test per pair over the
-down-/up-set rows.  A table that is the greatest lower bound for every
-pair is automatically associative, so no cubic check is needed.
+A :class:`FiniteLattice` is given by its order alone.  c <= glb(a, b)
+iff c <= a and c <= b, so the glb of a and b is the element whose
+down-row is down(a) ∩ down(b), and a poset is a lattice exactly when
+every such intersection, and dually every up(a) ∩ up(b), is some
+element's row.  Construction looks each pair up once in the row
+dictionaries, raises :class:`NotALatticeError` at the first pair whose
+intersection is nobody's row, and keeps the answers as the meet/join
+tables; no table is ever handed in, so none needs re-checking.
 
 The up-set lattice is stored as its masks instead (:class:`UpsetLattice`):
 meet is OR, join is AND and a <= b is "mask a contains mask b", so it
@@ -37,49 +39,26 @@ is exactly the up-sets of P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import EmptyPosetError, NotALatticeError, SubsetViolationError
 from .poset import FinitePoset, _mask_to_set
 
 
 class FiniteLattice:
-    """A finite bounded lattice: a poset plus total meet/join tables."""
+    """A finite bounded lattice, given by its order: meets and joins are
+    looked up in the order rows at construction and kept as tables."""
 
-    __slots__ = ("poset", "meet_table", "join_table", "bottom", "top")
+    __slots__ = ("poset", "_meet", "_join", "bottom", "top")
 
-    def __init__(
-        self,
-        poset: FinitePoset,
-        meet_table: Sequence[Sequence[int]],
-        join_table: Sequence[Sequence[int]],
-    ):
-        n = poset.n
-        if n == 0:
+    def __init__(self, poset: FinitePoset):
+        if poset.n == 0:
             raise EmptyPosetError("a lattice needs at least one element")
-        meet = tuple(tuple(row) for row in meet_table)
-        join = tuple(tuple(row) for row in join_table)
-        if len(meet) != n or len(join) != n or any(len(r) != n for r in meet + join):
-            raise ValueError("meet/join tables must be total n×n tables")
         self.poset = poset
-        self.meet_table = meet
-        self.join_table = join
-        full = (1 << n) - 1
-        down = poset.down_rows()
-        bottoms = [i for i in range(n) if poset._up[i] == full]
-        tops = [i for i in range(n) if down[i] == full]
-        if len(bottoms) != 1 or len(tops) != 1:
-            raise NotALatticeError(
-                "meet" if len(bottoms) != 1 else "join",
-                poset.labels[0],
-                poset.labels[-1],
-            )
-        self.bottom = bottoms[0]
-        self.top = tops[0]
         self.validate()
 
     def validate(self) -> None:
-        """Verify that meet and join are the glb and lub of every pair.
+        """Check that the storage is a lattice.
 
         Runs once, at construction, whatever the storage: subclasses
         supply the check for their own representation as ``_verify``.
@@ -87,32 +66,39 @@ class FiniteLattice:
         self._verify()
 
     def _verify(self) -> None:
-        """Verify the tables are exactly the glb/lub for every pair.
+        """Look up the glb and lub of every index pair a <= b in the order rows.
 
-        down(meet[a][b]) == down(a) ∩ down(b) says precisely "c <= meet
-        iff c is a common lower bound", i.e. the meet is the greatest
-        lower bound; dually for the join.  Commutativity, idempotence,
-        absorption and agreement with the order are consequences of
-        glb/lub-ness, as is associativity, so the two row equalities per
-        unordered pair are a complete axiom check.
+        The glb is the element whose down-row is down(a) ∩ down(b), the
+        lub the one whose up-row is up(a) ∩ up(b) (module docstring).
+        Pairs are scanned row by row, the meet before the join, so the
+        error names the first failing pair of a scan over all ordered
+        pairs too.  The answers become the tables; bottom and top are
+        the meet and the join of everything.
         """
         P = self.poset
         n = P.n
         up = P._up
         down = P.down_rows()
-        meet, join = self.meet_table, self.join_table
+        by_down = {row: c for c, row in enumerate(down)}
+        by_up = {row: c for c, row in enumerate(up)}
+        meet = [[0] * n for _ in range(n)]
+        join = [[0] * n for _ in range(n)]
         for a in range(n):
-            meets_a, joins_a = meet[a], join[a]
-            down_a, up_a = down[a], up[a]
             for b in range(a, n):
-                m, j = meets_a[b], joins_a[b]
-                if (
-                    m != meet[b][a]
-                    or j != join[b][a]
-                    or down[m] != down_a & down[b]
-                    or up[j] != up_a & up[b]
-                ):
+                m = by_down.get(down[a] & down[b])
+                if m is None:
                     raise NotALatticeError("meet", P.labels[a], P.labels[b])
+                j = by_up.get(up[a] & up[b])
+                if j is None:
+                    raise NotALatticeError("join", P.labels[a], P.labels[b])
+                meet[a][b] = meet[b][a] = m
+                join[a][b] = join[b][a] = j
+        self._meet = tuple(map(tuple, meet))
+        self._join = tuple(map(tuple, join))
+        bottom = top = 0
+        for e in range(n):
+            bottom, top = meet[bottom][e], join[top][e]
+        self.bottom, self.top = bottom, top
 
     # -- queries ------------------------------------------------------------
 
@@ -133,10 +119,27 @@ class FiniteLattice:
         return self.poset.leq(a, b)
 
     def meet(self, a: int, b: int) -> int:
-        return self.meet_table[a][b]
+        return self._meet[a][b]
 
     def join(self, a: int, b: int) -> int:
-        return self.join_table[a][b]
+        return self._join[a][b]
+
+    @property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        """meet(a, b) for every pair, kept by ``_verify`` or built on first read."""
+        if self._meet is None:
+            self._meet = self._table(self.meet)
+        return self._meet
+
+    @property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        if self._join is None:
+            self._join = self._table(self.join)
+        return self._join
+
+    def _table(self, op) -> tuple[tuple[int, ...], ...]:
+        n = self.n
+        return tuple(tuple(op(a, b) for b in range(n)) for a in range(n))
 
     def variety_masks(self, members: Iterable[int]) -> tuple[int, ...]:
         """V(a) = {x ∈ members : a <= x} for every element a, as a mask
@@ -148,14 +151,14 @@ class FiniteLattice:
         """Greatest lower bound of a set; the empty meet is the top."""
         acc = self.top
         for e in elems:
-            acc = self.meet_table[acc][e]
+            acc = self._meet[acc][e]
         return acc
 
     def join_all(self, elems: Iterable[int]) -> int:
         """Least upper bound of a set; the empty join is the bottom."""
         acc = self.bottom
         for e in elems:
-            acc = self.join_table[acc][e]
+            acc = self._join[acc][e]
         return acc
 
     def maximals_of(self, members: Iterable[int]) -> frozenset[int]:
@@ -168,7 +171,7 @@ class FiniteLattice:
         return frozenset(a for a in ms if not any(self.poset.lt(b, a) for b in ms))
 
     def __eq__(self, other: object) -> bool:
-        # validated tables are determined by the order
+        # a lattice is determined by its order
         if not isinstance(other, FiniteLattice):
             return NotImplemented
         return self.labels == other.labels and self.poset == other.poset
@@ -191,9 +194,9 @@ class UpsetLattice(FiniteLattice):
     up-sets carry the label of their generator, the others set notation.
     """
 
-    # the inherited poset/meet_table/join_table slots stay unused: the
-    # properties below shadow them and build into _order/_meet/_join
-    __slots__ = ("ground", "masks", "_labels", "_position", "_order", "_meet", "_join")
+    # the inherited poset slot stays unused: the property below shadows
+    # it and builds into _order
+    __slots__ = ("ground", "masks", "_labels", "_position", "_order")
 
     def __init__(self, ground: FinitePoset, masks: Iterable[int]):
         if ground.n == 0:
@@ -255,22 +258,6 @@ class UpsetLattice(FiniteLattice):
                 rows.append(row)
             self._order = FinitePoset(self._labels, rows)
         return self._order
-
-    @property
-    def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        if self._meet is None:
-            self._meet = self._table(lambda a, b: a | b)
-        return self._meet
-
-    @property
-    def join_table(self) -> tuple[tuple[int, ...], ...]:
-        if self._join is None:
-            self._join = self._table(lambda a, b: a & b)
-        return self._join
-
-    def _table(self, op) -> tuple[tuple[int, ...], ...]:
-        position = self._position
-        return tuple(tuple(position[op(a, b)] for b in self.masks) for a in self.masks)
 
     def leq(self, a: int, b: int) -> bool:
         masks = self.masks
@@ -364,29 +351,9 @@ class EmbeddedSubset:
 
 
 def lattice_from_poset(P: FinitePoset) -> FiniteLattice:
-    """Fill meet/join tables by exhaustive glb/lub search over P.
-
-    Raises :class:`NotALatticeError` naming a witness pair as soon as some
-    pair has no greatest lower bound or least upper bound.
-    """
-    if P.n == 0:
-        raise EmptyPosetError("a lattice needs at least one element")
-    n = P.n
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            lower = [c for c in range(n) if P.leq(c, a) and P.leq(c, b)]
-            glb = [c for c in lower if all(P.leq(d, c) for d in lower)]
-            if len(glb) != 1:
-                raise NotALatticeError("meet", P.labels[a], P.labels[b])
-            upper = [c for c in range(n) if P.leq(a, c) and P.leq(b, c)]
-            lub = [c for c in upper if all(P.leq(c, d) for d in upper)]
-            if len(lub) != 1:
-                raise NotALatticeError("join", P.labels[a], P.labels[b])
-            meet[a][b] = glb[0]
-            join[a][b] = lub[0]
-    return FiniteLattice(P, meet, join)
+    """The lattice whose order is P; raises :class:`NotALatticeError`
+    naming the first pair with no meet or no join."""
+    return FiniteLattice(P)
 
 
 def upset_lattice(P: FinitePoset) -> tuple[UpsetLattice, dict[int, int]]:

@@ -459,37 +459,22 @@ def _inclusion_lattice(
 ) -> FiniteLattice:
     """The lattice of a ∩-closed family of ideals containing R, under ⊆.
 
-    ``family`` must be sorted by (size, elements).  The meet table comes
-    from intersecting element bitmasks; the join is the least member above
-    both, found through the up-set rows.
+    ``family`` must be sorted by (size, elements).  Only the inclusion
+    order is built, from element bitmasks; :class:`FiniteLattice` reads
+    the meets (the intersections) and the joins (the least members above
+    both) off it.
     """
-    k = len(family)
     elem_mask = [sum(1 << e for e in I) for I in family]
-    by_elem_mask = {m: idx for idx, m in enumerate(elem_mask)}
-    labels = [ideal_label(R, I) for I in family]
     rows = []
-    for a in range(k):
+    for mask_a in elem_mask:
         row = 0
         bit = 1
-        mask_a = elem_mask[a]
-        for b in range(k):
-            if mask_a & ~elem_mask[b] == 0:
+        for mask_b in elem_mask:
+            if mask_a & ~mask_b == 0:
                 row |= bit
             bit <<= 1
         rows.append(row)
-    poset = FinitePoset(labels, rows)
-    by_up_row = {row: idx for idx, row in enumerate(rows)}
-    meet = [[0] * k for _ in range(k)]
-    join = [[0] * k for _ in range(k)]
-    for a in range(k):
-        mask_a, row_a = elem_mask[a], rows[a]
-        meet_a, join_a = meet[a], join[a]
-        for b in range(a, k):
-            m = by_elem_mask[mask_a & elem_mask[b]]
-            j = by_up_row[row_a & rows[b]]
-            meet_a[b] = meet[b][a] = m
-            join_a[b] = join[b][a] = j
-    return FiniteLattice(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)))
+    return FiniteLattice(FinitePoset([ideal_label(R, I) for I in family], rows))
 
 
 def ideal_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[int], ...]]:

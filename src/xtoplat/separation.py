@@ -506,6 +506,14 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
     report reads every flag off the specialization order; the other sides
     come from the families, from pair scans and from meets in L.
     """
+    return _report_and_checks(space)[2]
+
+
+def _report_and_checks(
+    space: XTopSpace,
+) -> tuple[SeparationReport, PrimeMeets, tuple[CheckResult, ...]]:
+    """The report and prime meets :func:`cross_check` compares, with its
+    results, all from one analysis of the space."""
     a = _Analysis(space)
     s = a.special()
     r = _report(a)
@@ -818,4 +826,4 @@ def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
     else:
         add("dual-tree-blocks-t-threequarter", True)
 
-    return tuple(checks)
+    return r, pm, tuple(checks)

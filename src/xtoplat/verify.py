@@ -31,7 +31,7 @@ from .enumeration import (
 from .errors import RangeError
 from .poset import chain, dual_tree, forest, tree
 from .semiring import _verify_bni, bni, omega, spec_space
-from .separation import cross_check, jacobson_and_prime_meets, separation_report
+from .separation import _report_and_checks, cross_check, separation_report
 from .topology import from_poset, is_xtop_by_irreducibility, is_xtop_by_unions
 
 QUARTER_CHECKS = frozenset(
@@ -159,8 +159,7 @@ def verify_forest(max_size: int = 8) -> SuiteResult:
     for spec in forest_specs(max_size, kinds="TVC"):
         instances += 1
         name = "+".join(f"{kind}{k}" for kind, k in spec)
-        space = from_poset(forest(spec))
-        report = separation_report(space)
+        report, _, results = _report_and_checks(from_poset(forest(spec)))
 
         def expect(condition: bool, check: str, witness: str):
             nonlocal checks
@@ -202,7 +201,7 @@ def verify_forest(max_size: int = 8) -> SuiteResult:
             )
         if has_long_chain:
             expect(not report.t_quarter, "long-chain-blocks-t-quarter", "t_quarter=True")
-        for result in cross_check(space):
+        for result in results:
             checks += 1
             if not result.holds:
                 failures.append(SuiteFailure(name, result.check_id, result.witness))
@@ -234,12 +233,12 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
                 f"{sorted(len(P) for P in verdict.predicted_spec)}",
             )
             space = spec_space(R)
-            report = separation_report(space)
+            report, prime_meets, results = _report_and_checks(space)
             spec_shape = canonical_form(space.specialization_poset())
             if i == 0 or n == 2:
                 expect(report.discrete, "zero-dimensional-spectrum-discrete", "not discrete")
                 expect(
-                    jacobson_and_prime_meets(space).jacobson_irredundant,
+                    prime_meets.jacobson_irredundant,
                     "jacobson-irredundant",
                     "redundant maximal ideal",
                 )
@@ -297,7 +296,7 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
                         f"t_threequarter={punctured_report.t_threequarter}, "
                         f"t1={punctured_report.t1}",
                     )
-            for result in cross_check(space):
+            for result in results:
                 checks += 1
                 if not result.holds:
                     failures.append(SuiteFailure(name, result.check_id, result.witness))

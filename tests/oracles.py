@@ -10,7 +10,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from xtoplat import FiniteLattice, FinitePoset, FiniteSemiring, RadicalInfo, XTopSpace
+from xtoplat import (
+    EmptyPosetError,
+    FiniteLattice,
+    FinitePoset,
+    FiniteSemiring,
+    NotALatticeError,
+    RadicalInfo,
+    XTopSpace,
+)
 from xtoplat.semiring import ideals
 
 
@@ -82,6 +90,54 @@ def lub_search(P: FinitePoset, a: int, b: int) -> int | None:
     upper = [c for c in range(P.n) if P.leq(a, c) and P.leq(b, c)]
     least = [c for c in upper if all(P.leq(c, d) for d in upper)]
     return least[0] if len(least) == 1 else None
+
+
+def lattice_by_search(P: FinitePoset):
+    """(meet table, join table, bottom, top) of P by glb/lub search.
+
+    Every ordered pair is searched, row by row, the meet before the join,
+    and the first pair with no glb or no lub raises
+    :class:`NotALatticeError`; bottom and top are the elements below and
+    above everything.
+    """
+    n = P.n
+    if n == 0:
+        raise EmptyPosetError("a lattice needs at least one element")
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            glb = glb_search(P, a, b)
+            if glb is None:
+                raise NotALatticeError("meet", P.labels[a], P.labels[b])
+            lub = lub_search(P, a, b)
+            if lub is None:
+                raise NotALatticeError("join", P.labels[a], P.labels[b])
+            meet[a][b], join[a][b] = glb, lub
+    (bottom,) = [c for c in range(n) if all(P.leq(c, d) for d in range(n))]
+    (top,) = [c for c in range(n) if all(P.leq(d, c) for d in range(n))]
+    return tuple(map(tuple, meet)), tuple(map(tuple, join)), bottom, top
+
+
+def lattice_outcome(build, P: FinitePoset):
+    """The tables, bottom and top that ``build`` gives P, or its
+    :class:`NotALatticeError` as (kind, witness, message)."""
+    try:
+        L = build(P)
+    except NotALatticeError as err:
+        return err.kind, err.witness, str(err)
+    if isinstance(L, tuple):
+        return L
+    return L.meet_table, L.join_table, L.bottom, L.top
+
+
+def permuted(P: FinitePoset, order) -> FinitePoset:
+    """P with its elements listed in ``order``: index k holds order[k]."""
+    position = {x: k for k, x in enumerate(order)}
+    rows = [
+        sum(1 << position[y] for y in range(P.n) if P.leq(x, y)) for x in order
+    ]
+    return FinitePoset([P.labels[x] for x in order], rows)
 
 
 def ideals_by_subset_scan(R: FiniteSemiring) -> set[frozenset[int]]:

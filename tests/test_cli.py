@@ -21,6 +21,16 @@ def run(argv):
     return code, out.getvalue()
 
 
+# the Boolean semiring {0, 1}, its tables given by element index
+BOOLEAN_SEMIRING = {
+    "labels": ["0", "1"],
+    "add": [[0, 1], [1, 1]],
+    "mul": [[0, 0], [0, 1]],
+    "zero": 0,
+    "one": 1,
+}
+
+
 def m3_space_json():
     P = poset_from_relation(
         ["bot", "p", "q", "r", "top"],
@@ -75,6 +85,11 @@ class TestClassify:
     def test_requires_exactly_one_source(self):
         assert run(["classify"])[0] == 2
         assert run(["classify", "--forest", "T2", "--chain", "3"])[0] == 2
+
+    @pytest.mark.parametrize("command", ["classify", "export"])
+    def test_empty_chain_is_one_source_exit_2(self, capsys, command):
+        assert run([command, "--chain", "0"]) == (2, "")
+        assert capsys.readouterr().err == "error: a chain needs at least one element\n"
 
     @pytest.mark.parametrize(
         "source, data, message",
@@ -154,6 +169,24 @@ class TestClassify:
                 "--poset",
                 {"labels": ["a", "b"], "leq": 1},
                 "'leq' entries must be [smaller, larger] pairs of labels",
+            ),
+            (
+                "--space",
+                {
+                    "lattice": {"labels": ["a", "b"], "leq": [["a", "b"]]},
+                    "X": ["a"],
+                    "closed_sets": 5,
+                },
+                "'closed_sets' must be a list of label lists",
+            ),
+            (
+                "--space",
+                {
+                    "lattice": {"labels": ["a", "b"], "leq": [["a", "b"]]},
+                    "X": ["a"],
+                    "closed_sets": ["a"],
+                },
+                "'closed_sets' must be a list of label lists",
             ),
         ],
     )
@@ -288,15 +321,24 @@ class TestSpec:
     def test_entry_neither_label_nor_index_exit_2(
         self, tmp_path, capsys, field, value, message
     ):
-        boolean = {
-            "labels": ["0", "1"],
-            "add": [[0, 1], [1, 1]],
-            "mul": [[0, 0], [0, 1]],
-            "zero": 0,
-            "one": 1,
-        }
         path = tmp_path / "table.json"
-        path.write_text(dumps({**boolean, field: value}))
+        path.write_text(dumps({**BOOLEAN_SEMIRING, field: value}))
+        code, text = run(["spec", "--table", str(path)])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("add", 5, "'add' must be a list of rows, each a list of elements"),
+            ("labels", "01", "'labels' must be a list of strings"),
+            ("mul", [[0, 0], "01"], "'mul' must be a list of rows, each a list of elements"),
+        ],
+    )
+    def test_malformed_table_exit_2(self, tmp_path, capsys, field, value, message):
+        # each of these was once split into characters or raised a TypeError
+        path = tmp_path / "table.json"
+        path.write_text(dumps({**BOOLEAN_SEMIRING, field: value}))
         code, text = run(["spec", "--table", str(path)])
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -328,6 +370,24 @@ class TestVerify:
     def test_forest_small(self):
         code, text = run(["verify", "forest", "--max-size", "5"])
         assert code == 0
+
+    def test_one_analysis_per_space(self, monkeypatch):
+        from xtoplat import separation
+
+        analysed = []
+        init = separation._Analysis.__init__
+
+        def counting(self, source):
+            analysed.append(source)
+            init(self, source)
+
+        monkeypatch.setattr(separation._Analysis, "__init__", counting)
+        code, text = run(["verify", "forest", "--max-size", "4", "--json"])
+        assert code == 0 and len(analysed) == json.loads(text)[0]["instances"]
+        analysed.clear()
+        code, text = run(["verify", "bni", "--max-n", "5", "--json"])
+        # the middle columns B(4,2), B(5,2), B(5,3) also analyse the punctured spectrum
+        assert code == 0 and len(analysed) == json.loads(text)[0]["instances"] + 3
 
     def test_quarter_and_discrete_small(self):
         assert run(["verify", "quarter", "--max-size", "4"])[0] == 0

@@ -1,5 +1,7 @@
 """Lattices: table construction, up-set lattices, predicates."""
 
+import random
+
 import pytest
 
 from xtoplat import (
@@ -21,7 +23,14 @@ from xtoplat import (
 )
 from xtoplat.semiring import bni, embedded_spectrum, spectrum
 
-from .oracles import glb_search, lub_search, upsets_by_filter
+from .oracles import (
+    glb_search,
+    lattice_by_search,
+    lattice_outcome,
+    lub_search,
+    permuted,
+    upsets_by_filter,
+)
 
 
 def diamond_m3():
@@ -75,6 +84,24 @@ class TestLatticeFromPoset:
                 for b in range(P.n):
                     assert L.meet(a, b) == glb_search(P, a, b)
                     assert L.join(a, b) == lub_search(P, a, b)
+
+
+class TestRowLookupMatchesSearch:
+    def test_every_poset_and_three_permutations(self, posets_upto_6):
+        rng = random.Random(9)
+        cases = 0
+        for P in posets_upto_6:
+            copies = [P]
+            for _ in range(3):
+                order = list(range(P.n))
+                rng.shuffle(order)
+                copies.append(permuted(P, order))
+            for Q in copies:
+                cases += 1
+                assert lattice_outcome(lattice_from_poset, Q) == lattice_outcome(
+                    lattice_by_search, Q
+                ), Q
+        assert cases == 1620
 
 
 class TestUpsetLattice:

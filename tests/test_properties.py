@@ -17,7 +17,7 @@ from xtoplat.formats import poset_from_json, poset_to_json
 from xtoplat.poset import FinitePoset, _from_pairs
 from xtoplat.semiring import bni, semiring_from_tables, spectrum
 
-from .oracles import fixpoint_from_pairs
+from .oracles import fixpoint_from_pairs, lattice_by_search, lattice_outcome, permuted
 
 
 @st.composite
@@ -131,6 +131,24 @@ def test_carrier_criteria_agree(P, seed):
     candidates = [i for i in range(L.n) if i != L.top]
     X = frozenset(c for k, c in enumerate(candidates) if seed >> k & 1)
     assert is_xtop_by_unions(L, X) == is_xtop_by_irreducibility(L, X)
+
+
+@st.composite
+def shuffled_bounded_posets(draw):
+    """A random poset, with a bottom and a top adjoined or not, its
+    elements listed in a random order; about two in five are lattices."""
+    P = draw(posets(max_size=6))
+    n = P.n + 2
+    up = [(1 << n) - 1] + [row << 1 | 1 << n - 1 for row in P._up] + [1 << n - 1]
+    Q = FinitePoset(["bot", *P.labels, "top"], up)
+    keep = [0] * draw(st.booleans()) + list(range(1, n - 1)) + [n - 1] * draw(st.booleans())
+    return permuted(Q.restrict(keep), draw(st.permutations(range(len(keep)))))
+
+
+@given(shuffled_bounded_posets())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_row_lookup_matches_the_search(P):
+    assert lattice_outcome(lattice_from_poset, P) == lattice_outcome(lattice_by_search, P)
 
 
 @given(posets())

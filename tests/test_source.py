@@ -57,8 +57,9 @@ def _owners(tree: ast.AST) -> dict[ast.AST, str]:
 def test_separation_reads_families_only_to_check_them():
     # the report reads every flag off the specialization order; the
     # families are read once to check that each Ker(x) is open, and
-    # cross_check reads them for the definitional side.  The lattice is
-    # read only for the prime meets and by cross_check.
+    # cross_check's body (_report_and_checks) reads them for the
+    # definitional side.  The lattice is read only for the prime meets
+    # and by cross_check.
     path = Path(xtoplat.__file__).parent / "separation.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     owner = _owners(tree)
@@ -72,14 +73,14 @@ def test_separation_reads_families_only_to_check_them():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and node.attr in ("open_family", "closed_family")
-        and outside(node, "_Analysis.__init__", "cross_check")
+        and outside(node, "_Analysis.__init__", "_report_and_checks")
     ]
     radical_calls = [
         f"{owner[node]}:{node.lineno}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Name)
         and node.id == "radical_info"
-        and outside(node, "cross_check")
+        and outside(node, "_report_and_checks")
     ]
     lattice_reads = [
         f"{owner[node]}:{node.lineno}"
