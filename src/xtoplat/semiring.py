@@ -5,6 +5,32 @@ monoid, (R, ·, 1) a commutative monoid, multiplication distributing over
 addition, 0 absorbing, and 1 ≠ 0.  All five axioms are re-verified on
 every construction path, including the generated B(n, i) tables.
 
+The identities, absorption and both commutativities are checked entry by
+entry.  The two associativities and distributivity are checked over G, a
+generating set of (R, +): every element is reachable from 0 by steps
+x ↦ x + g with g ∈ G.  G is picked greedily, adding the least element not
+yet reachable, so G = {1} for every B(n, i).  Given the entrywise axioms,
+three O(n²·|G|) tests are equivalent to the O(n³) definitions:
+
+* + is associative iff (x + g) + y = x + (g + y) for all x, y and g ∈ G
+  (Light's test, Clifford & Preston 1961).  The s with
+  (x + s) + y = x + (s + y) for all x, y include 0 and G, and are closed
+  under +: for s, t among them, (x + (s + t)) + y = ((x + s) + t) + y
+  = (x + s) + (t + y) = x + (s + (t + y)) = x + ((s + t) + y).  So they
+  are all of R, and likewise in the next two lines.
+* · distributes over + iff a(b + g) = ab + ag for all a, b and g ∈ G.
+  The c with a(b + c) = ab + ac for all a, b include 0, as a·0 = 0, and
+  with c they hold c + g: a(b + (c + g)) = a((b + c) + g) = a(b + c) + ag
+  = (ab + ac) + ag = ab + (ac + ag) = ab + a(c + g).
+* · is associative iff (ab)g = a(bg) for all a, b and g ∈ G.  The c with
+  (ab)c = a(bc) for all a, b include 0, and with c they hold c + g, by
+  distributivity:
+  (ab)(c + g) = (ab)c + (ab)g = a(bc) + a(bg) = a(b(c + g)).
+
+Each failing test is itself a violated instance of its axiom, so when one
+fails the O(n³) loops run to report the first violation, axiom and
+witness, in the order of the definitional scan.
+
 Ideals are plain ``frozenset[int]`` of element indices.  Enumeration runs
 the principal-ideal sum closure to a fixpoint on element bitmasks (every
 ideal is the sum of its principal subideals, so the closure is complete)
@@ -34,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import ne
 from typing import Sequence
 
 from .errors import AxiomError, NotAnIdealError, RangeError
@@ -84,6 +111,96 @@ def _resolve(labels: Sequence[str], entry) -> int:
     return entry
 
 
+_PLAIN = frozenset({int, str})
+
+
+def _resolve_row(labels: Sequence[str], lookup: dict, row) -> tuple[int, ...]:
+    """:func:`_resolve` on each entry, by one dict lookup each.
+
+    ``lookup`` maps every str label and every index to the index.  Only plain
+    ``int`` and ``str`` entries take it: True and 1.0 equal 1 and hash
+    like it, so anything else goes through :func:`_resolve`, as does a row
+    with an unknown entry, for its error message.
+    """
+    if set(map(type, row)) <= _PLAIN:
+        try:
+            return tuple(map(lookup.__getitem__, row))
+        except KeyError:
+            pass
+    return tuple(_resolve(labels, e) for e in row)
+
+
+def _additive_generators(add: Sequence[Sequence[int]], zero: int) -> list[int]:
+    """A generating set G of (R, +), picked greedily.
+
+    G takes the least element not yet reachable from ``zero`` by steps
+    x ↦ x + g with g ∈ G, until every element is reachable.  The reached
+    set stays closed under + g for every g already in G, so a new
+    generator is applied to it once and only new elements take all of G.
+    """
+    reached = {zero}
+    gens: list[int] = []
+    for e in range(len(add)):
+        if e in reached:
+            continue
+        gens.append(e)
+        todo = [add[x][e] for x in reached]
+        while todo:
+            y = todo.pop()
+            if y not in reached:
+                reached.add(y)
+                todo.extend(add[y][g] for g in gens)
+    return gens
+
+
+def _generated_axioms_hold(add, mul, gens: Sequence[int]) -> bool:
+    """+ associative, · distributive and · associative, tested over ``gens``.
+
+    Equivalent to the definitions once the identities, absorption and
+    both commutativities hold (see the module docstring); the
+    commutativities let each test compare whole table rows.  The rows are
+    compared lazily, entry by entry: building a tuple per row raised the
+    peak memory of a run over many small semirings.
+    """
+    for g in gens:
+        # (x + g) + y = x + (g + y)
+        add_g = add[g]
+        for add_x in add:
+            if any(map(ne, add[add_x[g]], map(add_x.__getitem__, add_g))):
+                return False
+    for g in gens:
+        # a(b + g) = ab + ag
+        add_g = add[g]
+        for mul_a in mul:
+            ag_plus = add[mul_a[g]].__getitem__
+            if any(map(ne, map(mul_a.__getitem__, add_g), map(ag_plus, mul_a))):
+                return False
+    for g in gens:
+        # (ab)g = a(bg)
+        mul_g = mul[g]
+        for mul_a in mul:
+            if any(map(ne, map(mul_g.__getitem__, mul_a), map(mul_a.__getitem__, mul_g))):
+                return False
+    return True
+
+
+def _raise_first_violation(add, mul, witness) -> None:
+    """The definitional O(n³) scans: raise at the first violated instance."""
+    n = len(add)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    raise AxiomError("additive-associativity", witness(a, b, c))
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    raise AxiomError("multiplicative-associativity", witness(a, b, c))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    raise AxiomError("distributivity", witness(a, b, c))
+
+
 def semiring_from_tables(
     labels: Sequence[str],
     add: Sequence[Sequence],
@@ -93,10 +210,22 @@ def semiring_from_tables(
 ) -> FiniteSemiring:
     """Validate the five semiring axioms and return the semiring.
 
-    Table entries and ``zero``/``one`` may be given as labels (str) or
-    indices (int, not bool); anything else raises :class:`ValueError`.
-    Raises :class:`AxiomError` naming the violated axiom and a witness.
+    ``labels`` is a sequence of distinct strings and ``add``/``mul`` are
+    n×n tables given as sequences of rows; a string in place of any of
+    them raises :class:`ValueError` rather than being split into
+    characters.  Table entries and ``zero``/``one`` may be given as labels
+    (str) or indices (int, not bool); anything else raises
+    :class:`ValueError`.  The associativities and distributivity are
+    tested over a generating set of (R, +), in O(n²·|G|) steps rather than
+    O(n³), and are equivalent to the definitions (module docstring).
+    Raises :class:`AxiomError` naming the first violated axiom and a
+    witness, as the definitional scan finds them.
     """
+    if isinstance(labels, str):
+        raise ValueError("labels must be a sequence of strings, not one string")
+    for name, table in (("add", add), ("mul", mul)):
+        if isinstance(table, str) or any(isinstance(row, str) for row in table):
+            raise ValueError(f"the {name!r} table and its rows must be sequences, not strings")
     labels = tuple(labels)
     n = len(labels)
     if n == 0:
@@ -105,8 +234,11 @@ def semiring_from_tables(
         raise ValueError("element labels must be pairwise distinct")
     if len(add) != n or len(mul) != n or any(len(r) != n for r in list(add) + list(mul)):
         raise ValueError("add/mul tables must be total n×n tables")
-    add_t = tuple(tuple(_resolve(labels, e) for e in row) for row in add)
-    mul_t = tuple(tuple(_resolve(labels, e) for e in row) for row in mul)
+    # only str entries are looked up by label (see _resolve)
+    lookup: dict = {label: k for k, label in enumerate(labels) if isinstance(label, str)}
+    lookup.update((k, k) for k in range(n))
+    add_t = tuple(_resolve_row(labels, lookup, row) for row in add)
+    mul_t = tuple(_resolve_row(labels, lookup, row) for row in mul)
     z = _resolve(labels, zero)
     o = _resolve(labels, one)
 
@@ -131,18 +263,9 @@ def semiring_from_tables(
                 raise AxiomError("additive-commutativity", witness(a, b))
             if mul_t[a][b] != mul_t[b][a]:
                 raise AxiomError("multiplicative-commutativity", witness(a, b))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if add_t[add_t[a][b]][c] != add_t[a][add_t[b][c]]:
-                    raise AxiomError("additive-associativity", witness(a, b, c))
-                if mul_t[mul_t[a][b]][c] != mul_t[a][mul_t[b][c]]:
-                    raise AxiomError("multiplicative-associativity", witness(a, b, c))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul_t[a][add_t[b][c]] != add_t[mul_t[a][b]][mul_t[a][c]]:
-                    raise AxiomError("distributivity", witness(a, b, c))
+    if not _generated_axioms_hold(add_t, mul_t, _additive_generators(add_t, z)):
+        # a failed test is a violated instance, so the scan raises
+        _raise_first_violation(add_t, mul_t, witness)
     return FiniteSemiring(labels, add_t, mul_t, z, o)
 
 
@@ -152,7 +275,9 @@ def bni(n: int, i: int) -> FiniteSemiring:
     A value v > n-1 maps to the unique u with i <= u <= n-1 and
     v ≡ u (mod n-i).  B(n, 0) gives integers mod n, B(2, 1) the Boolean
     semiring.  The generated tables are re-validated against all five
-    axioms, guarding the overflow rule against off-by-one errors.
+    axioms, guarding the overflow rule against off-by-one errors.  Every
+    element is a sum of 1s, so (R, +) is generated by G = {1} and the
+    associativity and distributivity tests take O(n²) steps, not O(n³).
     """
     if n < 2:
         raise RangeError("B(n, i) needs n >= 2")
@@ -247,28 +372,29 @@ def ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
 
     Closing under sums with principal ideals suffices: every ideal is the
     sum of the principal ideals of its members.  Ideals are element
-    bitmasks during the closure: ``plus[b][a]`` is the mask of b + (a), so
-    I + (a) is the OR of the rows ``plus[b][a]`` over the members b of I.
-    Every result is re-checked with :func:`is_ideal`.
+    bitmasks during the closure, which reads one column per distinct
+    principal ideal: ``plus[b][k]`` is the mask of b + P_k for the k-th
+    distinct principal ideal P_k, so I + P_k is the OR of the rows
+    ``plus[b][k]`` over the members b of I.  Every result is re-checked
+    with :func:`is_ideal`.
     """
     els = R.elements()
-    principal = [principal_ideal(R, a) for a in els]
-    # one generator a per distinct principal ideal (a)
-    generators = list({I: a for a, I in enumerate(principal)}.values())
+    principal = list(dict.fromkeys(principal_ideal(R, a) for a in els))
     plus = [
-        [sum(1 << e for e in {R.add[b][x] for x in principal[a]}) for a in els]
+        [sum(1 << e for e in {R.add[b][x] for x in I}) for I in principal]
         for b in els
     ]
-    found = {sum(1 << x for x in principal[a]) for a in generators}
+    found = {sum(1 << x for x in I) for I in principal}
+    columns = range(len(principal))
     frontier = list(found)
     while frontier:
         new: list[int] = []
         for I in frontier:
             rows = [plus[b] for b in _bits(I)]
-            for a in generators:
+            for k in columns:
                 s = 0
                 for row in rows:
-                    s |= row[a]
+                    s |= row[k]
                 if s not in found:
                     found.add(s)
                     new.append(s)

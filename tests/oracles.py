@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from xtoplat import (
+    AxiomError,
     EmptyPosetError,
     FiniteLattice,
     FinitePoset,
@@ -18,6 +19,7 @@ from xtoplat import (
     NotALatticeError,
     RadicalInfo,
     XTopSpace,
+    semiring_from_tables,
 )
 from xtoplat.semiring import ideals
 
@@ -158,6 +160,67 @@ def pairwise_maximal_ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
     full = frozenset(R.elements())
     proper = [I for I in ideals(R) if I != full]
     return tuple(I for I in proper if not any(I < J for J in proper))
+
+
+def axiom_violation_by_scan(labels, add, mul, zero: int, one: int):
+    """The first violated semiring axiom and its witness, or None.
+
+    ``add``/``mul`` are index tables.  Every axiom is scanned from its
+    definition, associativity and distributivity by the O(n³) loops, one
+    pass per axiom in the order :func:`semiring_from_tables` reports.
+    """
+    n = len(labels)
+
+    def witness(*idx):
+        return tuple(labels[i] for i in idx)
+
+    if zero == one:
+        return "distinct-identities", witness(zero)
+    for a in range(n):
+        if add[a][zero] != a or add[zero][a] != a:
+            return "additive-identity", witness(a)
+    for a in range(n):
+        if mul[a][one] != a or mul[one][a] != a:
+            return "multiplicative-identity", witness(a)
+    for a in range(n):
+        if mul[a][zero] != zero or mul[zero][a] != zero:
+            return "absorption", witness(a)
+    for a in range(n):
+        for b in range(n):
+            if add[a][b] != add[b][a]:
+                return "additive-commutativity", witness(a, b)
+            if mul[a][b] != mul[b][a]:
+                return "multiplicative-commutativity", witness(a, b)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    return "additive-associativity", witness(a, b, c)
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    return "multiplicative-associativity", witness(a, b, c)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    return "distributivity", witness(a, b, c)
+    return None
+
+
+def axiom_outcome(labels, add, mul, zero: int, one: int):
+    """The axiom and witness :func:`semiring_from_tables` raises, or None."""
+    try:
+        semiring_from_tables(labels, add, mul, zero, one)
+    except AxiomError as err:
+        return err.axiom, err.witness
+    return None
+
+
+def mutated_tables(R: FiniteSemiring, key: str, a: int, b: int, value: int):
+    """R's table arguments with ``key``'s entries (a, b) and (b, a) set to value."""
+    table = [list(row) for row in getattr(R, key)]
+    table[a][b] = table[b][a] = value
+    tables = {"add": R.add, "mul": R.mul, key: table}
+    return R.labels, tables["add"], tables["mul"], R.zero, R.one
 
 
 def wrap_by_search(v: int, n: int, i: int) -> int:

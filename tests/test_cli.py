@@ -269,6 +269,14 @@ class TestSpec:
         assert payload["separation"]["t_half"] is True
         assert payload["separation"]["t_threequarter"] is False
 
+    def test_bni_210_0(self):
+        # Z/210Z: the 16 ideals dZ/210Z and the 4 primes pZ/210Z, p | 210
+        code, text = run(["spec", "--bni", "210", "0", "--json"])
+        assert code == 0
+        payload = json.loads(text)
+        assert len(payload["ideals"]) == 16
+        assert [P[:2] for P in payload["spec"]] == [["0", "7"], ["0", "5"], ["0", "3"], ["0", "2"]]
+
     def test_s3_topology(self):
         code, text = run(["spec", "--s3", "--json"])
         assert code == 0

@@ -15,9 +15,17 @@ from xtoplat import (
 from xtoplat.errors import CycleError, NotALatticeError
 from xtoplat.formats import poset_from_json, poset_to_json
 from xtoplat.poset import FinitePoset, _from_pairs
-from xtoplat.semiring import bni, semiring_from_tables, spectrum
+from xtoplat.semiring import _additive_generators, bni, semiring_from_tables, spectrum
 
-from .oracles import fixpoint_from_pairs, lattice_by_search, lattice_outcome, permuted
+from .oracles import (
+    axiom_outcome,
+    axiom_violation_by_scan,
+    fixpoint_from_pairs,
+    lattice_by_search,
+    lattice_outcome,
+    mutated_tables,
+    permuted,
+)
 
 
 @st.composite
@@ -40,6 +48,23 @@ def posets(draw, max_size=6):
     return FinitePoset([f"e{i}" for i in range(n)], up)
 
 
+def product(A, B):
+    """The product semiring A × B, with componentwise operations."""
+    pairs = [(a, b) for a in range(A.n) for b in range(B.n)]
+    index = {p: k for k, p in enumerate(pairs)}
+
+    def table(op_a, op_b):
+        return [[index[op_a[a][c], op_b[b][d]] for c, d in pairs] for a, b in pairs]
+
+    return semiring_from_tables(
+        [f"{a}.{b}" for a, b in pairs],
+        table(A.add, B.add),
+        table(A.mul, B.mul),
+        index[A.zero, B.zero],
+        index[A.one, B.one],
+    )
+
+
 @st.composite
 def semirings(draw):
     """A product B(n, i) × B(m, j) of two small grid semirings, or the
@@ -49,22 +74,7 @@ def semirings(draw):
         for _ in range(2):
             n = draw(st.integers(min_value=2, max_value=5))
             factors.append(bni(n, draw(st.integers(min_value=0, max_value=n - 1))))
-        A, B = factors
-        pairs = [(a, b) for a in range(A.n) for b in range(B.n)]
-        index = {p: k for k, p in enumerate(pairs)}
-
-        def table(op_a, op_b):
-            return [
-                [index[op_a[a][c], op_b[b][d]] for c, d in pairs] for a, b in pairs
-            ]
-
-        return semiring_from_tables(
-            [f"{a}.{b}" for a, b in pairs],
-            table(A.add, B.add),
-            table(A.mul, B.mul),
-            index[A.zero, B.zero],
-            index[A.one, B.one],
-        )
+        return product(*factors)
     P = draw(posets(max_size=4))
     masks = P.upset_masks()
     index = {m: k for k, m in enumerate(masks)}
@@ -83,6 +93,24 @@ def test_maximal_ideals_match_the_pairwise_scan(R):
     from .oracles import pairwise_maximal_ideals
 
     assert spectrum(R).max == pairwise_maximal_ideals(R)
+
+
+def test_products_have_more_than_one_additive_generator():
+    R = product(bni(2, 1), bni(3, 0))
+    assert _additive_generators(R.add, R.zero) == [R.index("0.1"), R.index("1.0")]
+    assert axiom_violation_by_scan(R.labels, R.add, R.mul, R.zero, R.one) is None
+
+
+@given(semirings(), st.data())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_generator_check_meets_the_scan(R, data):
+    # R passed the generator check; so must it the scan, and a symmetric
+    # change of one add or mul entry must meet the same verdict in both
+    assert axiom_violation_by_scan(R.labels, R.add, R.mul, R.zero, R.one) is None
+    key = data.draw(st.sampled_from(["add", "mul"]))
+    element = st.integers(min_value=0, max_value=R.n - 1)
+    args = mutated_tables(R, key, data.draw(element), data.draw(element), data.draw(element))
+    assert axiom_outcome(*args) == axiom_violation_by_scan(*args)
 
 
 @given(posets())
@@ -121,18 +149,6 @@ def test_specialization_order_round_trips(P):
     assert sorted(Q.heights()) == sorted(P.heights())
 
 
-@given(posets(max_size=5), st.integers(min_value=0, max_value=1 << 16))
-@settings(max_examples=120, deadline=None, derandomize=True)
-def test_carrier_criteria_agree(P, seed):
-    try:
-        L = lattice_from_poset(P)
-    except NotALatticeError:
-        return
-    candidates = [i for i in range(L.n) if i != L.top]
-    X = frozenset(c for k, c in enumerate(candidates) if seed >> k & 1)
-    assert is_xtop_by_unions(L, X) == is_xtop_by_irreducibility(L, X)
-
-
 @st.composite
 def shuffled_bounded_posets(draw):
     """A random poset, with a bottom and a top adjoined or not, its
@@ -149,6 +165,18 @@ def shuffled_bounded_posets(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_row_lookup_matches_the_search(P):
     assert lattice_outcome(lattice_from_poset, P) == lattice_outcome(lattice_by_search, P)
+
+
+@given(shuffled_bounded_posets(), st.integers(min_value=0, max_value=1 << 16))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_carrier_criteria_agree(P, seed):
+    try:
+        L = lattice_from_poset(P)
+    except NotALatticeError:
+        return
+    candidates = [i for i in range(L.n) if i != L.top]
+    X = frozenset(c for k, c in enumerate(candidates) if seed >> k & 1)
+    assert is_xtop_by_unions(L, X) == is_xtop_by_irreducibility(L, X)
 
 
 @given(posets())

@@ -24,7 +24,13 @@ from xtoplat import (
 )
 from xtoplat.enumeration import canonical_form
 from xtoplat.poset import chain, dual_tree
-from xtoplat.semiring import ideal_label, is_ideal, is_prime_ideal, principal_ideal
+from xtoplat.semiring import (
+    _additive_generators,
+    ideal_label,
+    is_ideal,
+    is_prime_ideal,
+    principal_ideal,
+)
 from xtoplat.cli import _semiring_subspace
 from xtoplat.separation import (
     classify_points,
@@ -33,7 +39,13 @@ from xtoplat.separation import (
 )
 from xtoplat.topology import build_space, is_xtop_by_irreducibility, is_xtop_by_unions
 
-from .oracles import ideals_by_subset_scan, wrap_by_search
+from .oracles import (
+    axiom_outcome,
+    axiom_violation_by_scan,
+    ideals_by_subset_scan,
+    mutated_tables,
+    wrap_by_search,
+)
 
 
 def label_sets(R, family):
@@ -78,6 +90,90 @@ class TestFromTables:
                 "0",
                 "1",
             )
+
+
+    def test_string_labels_tables_and_rows_refused(self):
+        # each string was once split into labels, rows or entries
+        with pytest.raises(ValueError, match="labels must be a sequence of strings"):
+            semiring_from_tables("01", ["01", "11"], [[0, 0], "01"], "0", "1")
+        with pytest.raises(ValueError, match="the 'add' table and its rows"):
+            semiring_from_tables(["0", "1"], ["01", "11"], [[0, 0], [0, 1]], "0", "1")
+        with pytest.raises(ValueError, match="the 'add' table and its rows"):
+            semiring_from_tables(["0", "1"], "0111", [[0, 0], [0, 1]], "0", "1")
+        with pytest.raises(ValueError, match="the 'mul' table and its rows"):
+            semiring_from_tables(["0", "1"], [[0, 1], [1, 1]], [[0, 0], "01"], "0", "1")
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (True, "element True is neither a label nor an index"),
+            (1.0, "element 1.0 is neither a label nor an index"),
+            (2, "element index 2 out of range"),
+            (-1, "element index -1 out of range"),
+            ("b", "unknown element label 'b'"),
+        ],
+    )
+    def test_table_entry_messages(self, entry, message):
+        # True and 1.0 equal the index 1 and hash like it
+        with pytest.raises(ValueError) as err:
+            semiring_from_tables(["0", "1"], [[0, 1], [1, entry]], [[0, 0], [0, 1]], 0, 1)
+        assert str(err.value) == message
+
+    def test_labels_and_indices_mix(self):
+        mixed = semiring_from_tables(["0", "1"], [["0", 1], [1, "1"]], [[0, "0"], ["0", 1]], "0", 1)
+        assert mixed == bni(2, 1)
+
+    def test_greedy_additive_generators(self):
+        for n in range(2, 17):
+            for i in range(n):
+                assert _additive_generators(bni(n, i).add, 0) == [1]
+        R = s3()
+        assert _additive_generators(R.add, R.zero) == [R.index("a"), R.index("1")]
+
+    def test_generator_check_matches_the_scan_on_the_grid(self):
+        for R in [s3()] + [bni(n, i) for n in range(2, 17) for i in range(n)]:
+            assert axiom_violation_by_scan(R.labels, R.add, R.mul, R.zero, R.one) is None
+
+    def test_non_associative_product_is_caught(self):
+        # F2³ on the basis 1, x, y with the commutative bilinear product
+        # x·x = y, x·y = 0, y·y = x: every axiom holds but the associativity
+        # of ·, as (x·x)·y = x and x·(x·y) = 0.  No change of one table entry
+        # of a B(n, i) gets this far: with G = {1}, distributivity makes ac
+        # the sum of c copies of a.
+        basis = [[0b001, 0b010, 0b100], [0b010, 0b100, 0], [0b100, 0, 0b010]]
+        mul = [[0] * 8 for _ in range(8)]
+        for u in range(8):
+            for v in range(8):
+                for i in range(3):
+                    for j in range(3):
+                        if u >> i & v >> j & 1:
+                            mul[u][v] ^= basis[i][j]
+        args = ([str(v) for v in range(8)], [[u ^ v for v in range(8)] for u in range(8)], mul, 0, 1)
+        assert _additive_generators(args[1], 0) == [1, 2, 4]
+        expected = axiom_violation_by_scan(*args)
+        assert expected[0] == "multiplicative-associativity"
+        assert axiom_outcome(*args) == expected
+
+    def test_every_symmetric_mutation_meets_the_scan(self):
+        # each symmetric pair of add or mul entries set to every other
+        # value: commutativity still holds, so the generator tests decide
+        seen = set()
+        for R in [s3()] + [bni(n, i) for n in range(2, 7) for i in range(n)]:
+            for key in ("add", "mul"):
+                for a in range(R.n):
+                    for b in range(a, R.n):
+                        for value in range(R.n):
+                            if getattr(R, key)[a][b] == value:
+                                continue
+                            args = mutated_tables(R, key, a, b, value)
+                            expected = axiom_violation_by_scan(*args)
+                            assert axiom_outcome(*args) == expected
+                            seen.add(expected and expected[0])
+        assert {
+            "additive-associativity",
+            "multiplicative-associativity",
+            "distributivity",
+        } <= seen
 
 
 class TestBni:
@@ -165,6 +261,13 @@ class TestIdeals:
         for R in [s3()] + [bni(n, i) for n in range(2, 9) for i in range(n)]:
             accepted = {S for S in subsets(R.elements()) if is_ideal(R, S)}
             assert accepted == ideals_by_subset_scan(R)
+
+    def test_integers_mod_210(self):
+        # the 16 ideals dZ/210Z, d | 210; the closure reads 16 columns
+        R = bni(210, 0)
+        divisors = [d for d in range(1, 211) if 210 % d == 0]
+        assert set(ideals(R)) == {frozenset(range(0, 210, d)) for d in divisors}
+        assert len(ideals(R)) == 16
 
     def test_every_enumerated_ideal_passes_predicate(self):
         for n, i in ((10, 3), (12, 11), (9, 1)):
