@@ -213,20 +213,24 @@ def semiring_from_tables(
     ``labels`` is a sequence of distinct strings and ``add``/``mul`` are
     n×n tables given as sequences of rows; a string in place of any of
     them raises :class:`ValueError` rather than being split into
-    characters.  Table entries and ``zero``/``one`` may be given as labels
-    (str) or indices (int, not bool); anything else raises
-    :class:`ValueError`.  The associativities and distributivity are
-    tested over a generating set of (R, +), in O(n²·|G|) steps rather than
-    O(n³), and are equivalent to the definitions (module docstring).
+    characters, and so does a label that is not a string.  Table entries
+    and ``zero``/``one`` may be given as labels (str) or indices (int, not
+    bool); anything else raises :class:`ValueError`.  The associativities
+    and distributivity are tested over a generating set of (R, +), in
+    O(n²·|G|) steps rather than O(n³), and are equivalent to the
+    definitions (module docstring).
     Raises :class:`AxiomError` naming the first violated axiom and a
     witness, as the definitional scan finds them.
     """
     if isinstance(labels, str):
         raise ValueError("labels must be a sequence of strings, not one string")
+    labels = tuple(labels)
+    for label in labels:
+        if not isinstance(label, str):
+            raise ValueError(f"label {label!r} is not a string")
     for name, table in (("add", add), ("mul", mul)):
         if isinstance(table, str) or any(isinstance(row, str) for row in table):
             raise ValueError(f"the {name!r} table and its rows must be sequences, not strings")
-    labels = tuple(labels)
     n = len(labels)
     if n == 0:
         raise ValueError("a semiring needs at least one element")
@@ -234,8 +238,7 @@ def semiring_from_tables(
         raise ValueError("element labels must be pairwise distinct")
     if len(add) != n or len(mul) != n or any(len(r) != n for r in list(add) + list(mul)):
         raise ValueError("add/mul tables must be total n×n tables")
-    # only str entries are looked up by label (see _resolve)
-    lookup: dict = {label: k for k, label in enumerate(labels) if isinstance(label, str)}
+    lookup: dict = {label: k for k, label in enumerate(labels)}
     lookup.update((k, k) for k in range(n))
     add_t = tuple(_resolve_row(labels, lookup, row) for row in add)
     mul_t = tuple(_resolve_row(labels, lookup, row) for row in mul)
@@ -491,7 +494,9 @@ def _chain_dim(sets: Sequence[frozenset[int]]) -> int:
 
 @lru_cache(maxsize=64)
 def spectrum(R: FiniteSemiring) -> SpectrumReport:
-    """Definition scans over the enumerated ideals; no theorem shortcuts."""
+    """Definition scans over the enumerated ideals.  Only the flags that
+    hold on every finite semiring (``is_pi_regular``, ``is_fmax``,
+    ``is_fmin``) are set true, with the reason beside them."""
     all_ideals = ideals(R)
     full = frozenset(R.elements())
     proper = [I for I in all_ideals if I != full]
@@ -534,14 +539,6 @@ def spectrum(R: FiniteSemiring) -> SpectrumReport:
         any(R.mul[R.mul[a][b]][a] == a for b in els) for a in els
     )
 
-    def pi_regular(a: int) -> bool:
-        power = R.one
-        for _ in range(R.n):
-            power = R.mul[power][a]
-            if any(R.mul[R.mul[power][b]][power] == power for b in els):
-                return True
-        return False
-
     add_idem = all(R.add[a][a] == a for a in els)
     mul_idem = all(R.mul[a][a] == a for a in els)
     return SpectrumReport(
@@ -556,7 +553,8 @@ def spectrum(R: FiniteSemiring) -> SpectrumReport:
         is_local=len(maximal) == 1,
         is_reduced=nil == frozenset({R.zero}),
         is_vnr=is_vnr,
-        is_pi_regular=all(pi_regular(a) for a in els),
+        # finite: some power e = a^k, k <= n, is idempotent, and e·1·e = e
+        is_pi_regular=True,
         is_add_idempotent=add_idem,
         is_mul_idempotent=mul_idem,
         is_idempotent=add_idem and mul_idem,

@@ -1,9 +1,11 @@
 """Point classification and separation axioms for finite spaces.
 
-Every axiom flag is computed from its definition, never via the structure
-theorems that relate them.  The theorems instead become executable checks
-in :func:`cross_check`, which evaluates both sides of each equivalence
-independently and reports disagreements with a witness.
+Every flag and point class is read off the specialization order of X by
+the order lemmas below, each with its proof.  The structure theorems and
+the definitions those lemmas replace become executable checks in
+:func:`cross_check`, which evaluates the other side of each from the open
+and closed families, from pair scans and from meets in L, and reports
+disagreements with a witness.
 
 Every finite topology is Alexandrov (Alexandroff 1937; Stong 1966), so the
 point-level sets are read off the specialization order of X, x <= y iff
@@ -32,9 +34,11 @@ x <= y in L, with these one-line reductions:
   x ∈ C: C is the union of ↑m over its minimal points m, and with two or
   more of them, ↑m and the union of the others split C into two proper
   closed parts; conversely a cover of ↑x by closed sets has x, hence ↑x,
-  in one of them.  So X is irreducible iff some closure({x}) is X, and
-  the space is sober (one generic point per irreducible closed set) iff
-  the closures of distinct points differ.
+  in one of them.  So X is irreducible iff some ↑x is X, that is iff X
+  has exactly one minimal point (every point lies above a minimal one).
+  The space is sober (one generic point per irreducible closed set) iff
+  the closures of distinct points differ, and they do: ↑x = ↑y gives
+  x <= y <= x.  The report records the field as true.
 * T0 holds: the specialization order is antisymmetric, so of two points
   x ≠ y at least one is outside the other's kernel.  "Spectral" is
   recorded as T0: every finite T0 space is spectral, and the
@@ -47,8 +51,9 @@ x <= y in L, with these one-line reductions:
   open neighbourhoods, ↓i ∩ ↓j holds some k, and then i and j both lie in
   ↑k = closure({k}).  The report records the field as true.
 
-The report sets T0 and quasi-Hausdorff true and reads T1 = R0 = T2 = R1
-off the rows ↑x; :func:`cross_check` still runs the pair scans.
+The report sets T0, sober and quasi-Hausdorff true and reads
+T1 = R0 = T2 = R1 off Max; :func:`cross_check` still runs the pair scans
+and compares the closures.
 
 The classes defined by meets in L are order reads too.  For A ⊆ X,
 V(⋀A) = closure(A) = ∪{↑a : a ∈ A}: V(⋀A) is closed and contains A; a
@@ -74,27 +79,54 @@ the closed sets ↑a is closed.  So ⋀A <= q iff A ∩ ↓q ≠ ∅, and:
   finite scale (every subset is compact), so KC is "every subset is
   closed", and KC and discreteness both hold iff every ↑x is {x}.
 
-So every source takes one route: its points and their specialization
-order.  A space's families are read once, to check that each Ker(x) is
-open, and its lattice only for the prime meets J(X) and Q(X).
-:func:`cross_check` takes the other side of each theorem from the
-families and from meets in L.
+The paper characterizes T1, T¼, T½ and T¾ graphically.  On the order,
+these axioms, T_F and the regular-open and excluded points are reads of
+Min, Max and the rows ↓y:
+
+* For minimal x, interior(↑x) = {y : Min ∩ ↓y = {x}}, and for any other
+  x it is ∅.  If ↓y ⊆ ↑x, every minimal m <= y has x <= m, so m = x and x
+  is minimal, and Min ∩ ↓y = {x} since ↓y holds a minimal point.
+  Conversely, if Min ∩ ↓y = {x}, every z <= y lies above a minimal point
+  of ↓y, which is x, so ↓y ⊆ ↑x.  Hence x is regular open,
+  interior(closure({x})) = {x}, iff x is minimal and no other point y has
+  Min ∩ ↓y = {x}.
+* x is excluded iff x is not minimal or x is regular open.  Every point
+  lies above a minimal one.  If x is not minimal, no minimal point lies
+  in ↑x, so both unions of the excluded lemma are X.  If x is minimal,
+  ∪{↑y : y ≠ x} = X \\ {x}, and ∪{↑y : y ∉ ↑x} is the set of points above
+  a minimal point other than x; the two are equal iff no y ≠ x has
+  Min ∩ ↓y = {x}.
+* T¼ (every point closed or kerneled) and T½ (every point closed or
+  isolated) hold iff X = Max ∪ Min, since the closed points are Max and
+  the kerneled and isolated points are Min.  T_F holds iff X = Max ∪ Min
+  too, that is iff the order has height <= 1: by the |F| <= 2 line, T_F
+  fails iff some y ∈ F lies below x and x below some f ∈ F, a chain
+  y < x < f, and such a chain exists iff some x is neither minimal nor
+  maximal.
+* T¾ (every point closed or regular open) holds iff X = Max ∪ RO.
+
+So every source takes one route: Min, Max, the rows ↓y, the heights and
+the comparability components of its specialization order, in O(n) big-int
+operations beyond those rows.  A space's families are read once, to check
+that each Ker(x) is open, and its lattice only for the prime meets J(X)
+and Q(X).  :func:`cross_check` takes the other side of each lemma and
+theorem from the families, from pair scans and from meets in L.
 
 A :class:`~xtoplat.poset.FinitePoset` P is accepted wherever a space is
 classified, and read as the space ``from_poset(P)``: X is {↑x : x ∈ P}
 inside the lattice of up-sets under reverse inclusion, so the order of X
 is the order of P, and the open sets are all the down-sets, so Ker(x) =
 ↓x is open without a check.  Neither that lattice nor its families are
-built.  Its points are listed in (|↑x|, ↑x) order, the index order of the
-up-set lattice, so the report and the point rows match
+built, and P is read in its own indices.  Only the output lists the
+points, the component parts and their labels in (|↑x|, ↑x) order, the
+index order of the up-set lattice, so the report and the point rows match
 ``from_poset(P)``'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .errors import EmptyPosetError, XtoplatError
 from .lattice import EmbeddedSubset, has_complete_max_property
@@ -110,7 +142,8 @@ from .topology import XTopSpace, _irreducible, _radical_info, _union_witness
 
 @dataclass(frozen=True)
 class PointClassification:
-    """Per-point flags, each computed from its primary definition."""
+    """Per-point flags, each read off the specialization order by a lemma of
+    the module docstring."""
 
     label: str
     is_closed: bool
@@ -207,10 +240,12 @@ class CheckResult:
 class _Analysis:
     """Per-space scratch state: points as bit positions, the order as mask rows.
 
-    Point k is ``pts[k]``: a lattice index for a space, an element of P for
-    a poset source, whose ``space`` is None.  Every read is an order lemma
-    of the module docstring, whatever the source; only ``prime_meets``
-    reads the lattice.
+    Bit k is element k of ``spec_poset``: for a space, the point ``pts[k]``
+    of its sorted points; for a poset source, whose ``space`` is None,
+    element k of P itself.  ``order`` lists the bits in output order and
+    ``position`` inverts it; for a space both are the identity.  Every read
+    is an order lemma of the module docstring, whatever the source; only
+    ``prime_meets`` reads the lattice.
     """
 
     def __init__(self, source: XTopSpace | FinitePoset):
@@ -218,7 +253,8 @@ class _Analysis:
             if source.n == 0:
                 raise EmptyPosetError("from_poset needs at least one element")
             self.space = None
-            self.pts, P = _in_upset_order(source)
+            P = source
+            self.order, self.position = _in_upset_order(P)
         else:
             self.space = source
             self.pts = source.sorted_points()
@@ -231,23 +267,30 @@ class _Analysis:
                         f"Ker({P.labels[k]!r}) is not open: the open family does not "
                         "match the specialization order"
                     )
+            self.order = self.position = range(P.n)
         self.spec_poset = P
         self.n = P.n
         self.full = (1 << self.n) - 1
-        self.closure1 = [P.up_mask(k) for k in range(self.n)]
-        self.kernel1 = list(P.down_rows())
         self.min_mask = sum(1 << k for k in P.minimals())
         self.max_mask = sum(1 << k for k in P.maximals())
-
-    def _where(self, holds) -> int:
-        """The mask of the points k with holds(k)."""
-        return sum(1 << k for k in range(self.n) if holds(k))
+        # regular open: minimal, and no other y has Min ∩ ↓y = {x}; excluded:
+        # not minimal, or regular open (module docstring)
+        shared = 0
+        down = P.down_rows()
+        for y in _bits(self.full & ~self.min_mask):
+            below = down[y] & self.min_mask
+            if below & (below - 1) == 0:
+                shared |= below
+        self.ro_mask = self.min_mask & ~shared
+        self.excl_mask = self.full & ~self.min_mask | self.ro_mask
 
     def unmask(self, mask: int) -> frozenset[int]:
         return frozenset(self.pts[k] for k in _mask_to_set(mask))
 
     def labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.spec_poset.labels[k] for k in _bits(mask))
+        """The labels of the points in ``mask``, in output order."""
+        bits = sorted(_bits(mask), key=self.position.__getitem__)
+        return tuple(self.spec_poset.labels[k] for k in bits)
 
     # -- distinguished point sets -------------------------------------------
 
@@ -269,67 +312,16 @@ class _Analysis:
             excl=u(self.excl_mask),
         )
 
-    @cached_property
-    def ro_mask(self) -> int:
-        """Regular open points: interior(closure({x})) = {x}."""
-        return self._where(lambda k: self._interior(self.closure1[k]) == 1 << k)
-
-    def _interior(self, S: int) -> int:
-        """{y : ↓y ⊆ S}, the union of the open sets contained in S."""
-        return self._where(lambda y: self.kernel1[y] & ~S == 0)
-
-    @cached_property
-    def excl_mask(self) -> int:
-        return self._where(self._excluded_in_order)
-
-    def _excluded_in_order(self, k: int) -> bool:
-        """∪{↑y : y ≠ x} = ∪{↑y : y ∉ ↑x} for the point x at k."""
-        up_k = self.closure1[k]
-        others = outside = 0
-        for y, up in enumerate(self.closure1):
-            if y != k:
-                others |= up
-            if not up_k >> y & 1:
-                outside |= up
-        return others == outside
-
-    # -- pairwise separation ---------------------------------------------------
-
-    def tf(self) -> bool:
-        """For every x and every F = {y, f} ⊆ X\\{x}, y = f allowed: {x} ⊢ F or F ⊢ {x}."""
-        for k in range(self.n):
-            others = [i for i in range(self.n) if i != k]
-            for j, y in enumerate(others):
-                for f in others[j:]:
-                    x_shields_F = not self.kernel1[k] & (1 << y | 1 << f)
-                    F_shields_x = not (self.kernel1[y] | self.kernel1[f]) >> k & 1
-                    if not (x_shields_F or F_shields_x):
-                        return False
-        return True
-
     # -- connectedness ---------------------------------------------------------
 
     def components(self) -> list[int]:
         """The components, which are the quasicomponents: the comparability
-        components of the order, as masks in order of their least point."""
+        components of the order, as masks in order of their first point."""
         parts = self.spec_poset.order_components()
-        return [sum(1 << k for k in part) for part in parts]
+        masks = [sum(1 << k for k in part) for part in parts]
+        return sorted(masks, key=lambda m: min(self.position[k] for k in _bits(m)))
 
-    # -- global flags ------------------------------------------------------------
-
-    def irreducible(self) -> bool:
-        """X is irreducible iff X = closure({x}) for some point x."""
-        return self.full in self.closure1
-
-    def sober(self) -> bool:
-        """The irreducible closed sets are the closure({x}), so sober iff
-        no two points share a closure."""
-        return len(set(self.closure1)) == self.n
-
-    def kdim(self) -> int:
-        if self.n == 0:
-            return 0
-        return self.spec_poset.krull_dim()
+    # -- prime meets -------------------------------------------------------------
 
     def prime_meets(self) -> PrimeMeets:
         L = self.space.lattice
@@ -342,20 +334,14 @@ class _Analysis:
         return PrimeMeets(j, q, j_irr, q_irr)
 
 
-def _in_upset_order(P: FinitePoset) -> tuple[tuple[int, ...], FinitePoset]:
-    """P's elements in (|↑x|, ↑x) order, and P relabelled in that order.
+def _in_upset_order(P: FinitePoset) -> tuple[list[int], dict[int, int]]:
+    """P's elements in (|↑x|, ↑x) order, and each element's position in it.
 
     That is the index order of the principal up-sets in
     ``upset_lattice(P)``, so position k here is point k of ``from_poset(P)``.
     """
-    order = tuple(
-        sorted(range(P.n), key=lambda x: (P.up_mask(x).bit_count(), P.up_mask(x)))
-    )
-    position = [0] * P.n
-    for k, x in enumerate(order):
-        position[x] = k
-    rows = [sum(1 << position[y] for y in _bits(P.up_mask(x))) for x in order]
-    return order, FinitePoset([P.labels[x] for x in order], rows)
+    order = sorted(range(P.n), key=lambda x: (P.up_mask(x).bit_count(), P.up_mask(x)))
+    return order, {x: k for k, x in enumerate(order)}
 
 
 def special_sets(space: XTopSpace) -> SpecialSets:
@@ -385,11 +371,12 @@ def _points(a: _Analysis) -> tuple[PointClassification, ...]:
         "is_abs_min": a.min_mask,
         "is_barely_max": a.max_mask,
     }
+    labels = a.spec_poset.labels
     return tuple(
         PointClassification(
-            label, **{name: mask >> k & 1 == 1 for name, mask in masks.items()}
+            labels[k], **{name: mask >> k & 1 == 1 for name, mask in masks.items()}
         )
-        for k, label in enumerate(a.spec_poset.labels)
+        for k in a.order
     )
 
 
@@ -409,7 +396,8 @@ def jacobson_and_prime_meets(space: XTopSpace) -> PrimeMeets:
 
 
 def separation_report(source: XTopSpace | FinitePoset) -> SeparationReport:
-    """Evaluate every axiom from its definition (see the module docstring)."""
+    """Every axiom verdict, read off the specialization order by the lemmas
+    of the module docstring."""
     return _report(_Analysis(source))
 
 
@@ -424,28 +412,30 @@ def report_and_points(
 def _report(a: _Analysis) -> SeparationReport:
     # closed points are Max; kerneled and isolated points are both Min
     minima, maxima = a.min_mask, a.max_mask
-    # T1 = R0 = T2 = R1 = KC = discrete: every ↑x is {x} (module docstring)
+    # T1 = R0 = T2 = R1 = KC = discrete: every ↑x is {x}; T¼ = T½ = T_F:
+    # height <= 1 (module docstring)
     antichain = maxima == a.full
+    height_le_1 = maxima | minima == a.full
     comp = a.components()
     singletons = len(comp) == a.n
     parts = tuple(a.labels(m) for m in comp)
     return SeparationReport(
-        kdim=a.kdim(),
+        kdim=a.spec_poset.krull_dim() if a.n else 0,
         t0=True,
-        t_quarter=maxima | minima == a.full,
-        t_half=maxima | minima == a.full,
+        t_quarter=height_le_1,
+        t_half=height_le_1,
         t_threequarter=maxima | a.ro_mask == a.full,
         t1=antichain,
         t2=antichain,
         t1half_kc=antichain,
         r0=antichain,
         r1=antichain,
-        tf=a.tf(),
+        tf=height_le_1,
         es=True,
         discrete=antichain,
-        irreducible=a.irreducible(),
+        irreducible=minima.bit_count() == 1,
         connected=len(comp) <= 1,
-        sober=a.sober(),
+        sober=True,
         spectral=True,
         quasi_hausdorff=True,
         totally_separated=singletons,
@@ -573,6 +563,15 @@ def _report_and_checks(
         disjoint(x, y) or any(varieties[z] >> x & 1 and varieties[z] >> y & 1 for z in X)
         for x, y in pairs
     )
+    # T_F by its definition (|F| <= 2 suffices): for every x and every
+    # F = {y, f} ⊆ X \\ {x}, y = f allowed, {x} ⊢ F or F ⊢ {x}
+    tf = all(
+        not kernel[x] & (1 << y | 1 << f) or not (kernel[y] | kernel[f]) >> x & 1
+        for x in X
+        for y, f in combinations_with_replacement(sorted(X - {x}), 2)
+    )
+    # sober iff distinct points have distinct closures (module docstring)
+    sober = len({_least_around(closed, 1 << x, full) for x in X}) == len(X)
     checks: list[CheckResult] = []
 
     def add(check_id: str, holds: bool, witness: str | None = None):
@@ -580,8 +579,8 @@ def _report_and_checks(
 
     add(
         "t0-and-sober",
-        r.t0 and t0 and r.sober,
-        f"t0={r.t0}; t0 by pairs={t0}; sober={r.sober}",
+        r.t0 and t0 and r.sober and sober,
+        f"t0={r.t0}; t0 by pairs={t0}; sober={r.sober}; sober by closures={sober}",
     )
     add(
         "closed-points-are-maximal",
@@ -620,7 +619,12 @@ def _report_and_checks(
     )
     add("t2-iff-r1-iff-dim0-quasihausdorff", ok, w)
     ok, w = _bool_chain(
-        [("t_quarter", r.t_quarter), ("kdim<=1", r.kdim <= 1), ("tf", r.tf)]
+        [
+            ("t_quarter", r.t_quarter),
+            ("kdim<=1", r.kdim <= 1),
+            ("tf", r.tf),
+            ("tf by pairs", tf),
+        ]
     )
     add("t-quarter-iff-dim-le-1-iff-tf", ok, w)
 
@@ -694,9 +698,14 @@ def _report_and_checks(
         ]
     )
     add("finite-carrier-irreducibility", ok, w)
-    # the report's T¼ and T½ both read Max ∪ Min; here T¼ comes from the families
+    # the report's T¼, T½ and T_F all read Max ∪ Min; here T¼ comes from the
+    # families and T_F from the pair scan
     ok, w = _bool_chain(
-        [("t_half", r.t_half), ("t_quarter", X == closed_pts | kerneled), ("tf", r.tf)]
+        [
+            ("t_half", r.t_half),
+            ("t_quarter", X == closed_pts | kerneled),
+            ("tf by pairs", tf),
+        ]
     )
     add("es-collapse", ok, w)
 

@@ -162,6 +162,20 @@ def pairwise_maximal_ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
     return tuple(I for I in proper if not any(I < J for J in proper))
 
 
+def pi_regular_by_powers(R: FiniteSemiring) -> bool:
+    """π-regularity by its definition: every a has a power a^k, 1 <= k <= n,
+    and some b with a^k·b·a^k = a^k."""
+    for a in range(R.n):
+        power = R.one
+        for _ in range(R.n):
+            power = R.mul[power][a]
+            if any(R.mul[R.mul[power][b]][power] == power for b in range(R.n)):
+                break
+        else:
+            return False
+    return True
+
+
 def axiom_violation_by_scan(labels, add, mul, zero: int, one: int):
     """The first violated semiring axiom and its witness, or None.
 

@@ -25,6 +25,7 @@ from .oracles import (
     lattice_outcome,
     mutated_tables,
     permuted,
+    pi_regular_by_powers,
 )
 
 
@@ -93,6 +94,12 @@ def test_maximal_ideals_match_the_pairwise_scan(R):
     from .oracles import pairwise_maximal_ideals
 
     assert spectrum(R).max == pairwise_maximal_ideals(R)
+
+
+@given(semirings())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_pi_regular_matches_the_power_scan(R):
+    assert spectrum(R).is_pi_regular == pi_regular_by_powers(R) is True
 
 
 def test_products_have_more_than_one_additive_generator():

@@ -44,6 +44,7 @@ from .oracles import (
     axiom_violation_by_scan,
     ideals_by_subset_scan,
     mutated_tables,
+    pi_regular_by_powers,
     wrap_by_search,
 )
 
@@ -102,6 +103,13 @@ class TestFromTables:
             semiring_from_tables(["0", "1"], "0111", [[0, 0], [0, 1]], "0", "1")
         with pytest.raises(ValueError, match="the 'mul' table and its rows"):
             semiring_from_tables(["0", "1"], [[0, 1], [1, 1]], [[0, 0], "01"], "0", "1")
+
+    def test_non_string_labels_refused(self):
+        # int labels once built a semiring whose spectrum labels raised TypeError
+        with pytest.raises(ValueError, match="label 10 is not a string"):
+            semiring_from_tables([10, 11], [[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, 1)
+        with pytest.raises(ValueError, match="label None is not a string"):
+            semiring_from_tables(["0", None], [[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, 1)
 
     @pytest.mark.parametrize(
         "entry, message",
@@ -230,6 +238,11 @@ class TestIdeals:
     def test_s3(self):
         R = s3()
         assert label_sets(R, ideals(R)) == {("0",), ("0", "a"), ("0", "1", "a")}
+
+    def test_pi_regular_matches_the_power_scan(self):
+        # the report records π-regularity as a finite-carrier constant
+        for R in [bni(n, i) for n in range(2, 17) for i in range(n)] + [s3()]:
+            assert spectrum(R).is_pi_regular == pi_regular_by_powers(R) is True
 
     def test_boolean(self):
         R = bni(2, 1)

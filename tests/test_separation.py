@@ -1,7 +1,7 @@
 """Separation axioms, point classification, and the theorem cross-checker.
 
-The flags are computed from raw definitions; here they are compared with
-naive open-family scans (oracles.py) and with directly computable
+The flags are read off the specialization order; here they are compared
+with naive open-family scans (oracles.py) and with directly computable
 structure (kernel/closure shapes, component counts).  cross_check itself
 is exercised exhaustively in test_acceptance.py; this module pins the
 concrete examples.
@@ -264,6 +264,33 @@ class TestOrderLemmas:
             assert (r.pamin, r.pbmax) == (o["amin"] == X, o["bmax"] == X)
             assert (r.t1half_kc, r.discrete) == (o["kc"], o["discrete"])
 
+    def test_graphical_reads_match_the_definitions(self, lattice_spaces, posets_upto_6):
+        # RO and Excl off Min and the rows ↓y, T_F and T¾ off Max ∪ Min and
+        # Max ∪ RO, against interior(closure({x})), excluded_meet and the
+        # subset scan for T_F; a poset source is compared with from_poset(P)
+        sources = [(space, space) for space in lattice_spaces]
+        posets = list(posets_upto_6) + [forest(spec) for spec in forest_specs(8)]
+        sources += [(P, from_poset(P)) for P in posets]
+        assert len(sources) == 742 + 405 + 183
+        for source, space in sources:
+            r, points = report_and_points(source)
+            X = space.points
+            ro = {
+                x
+                for x in X
+                if naive_interior(space, naive_closure(space, frozenset({x}))) == {x}
+            }
+            excl = {x for x in X if space.excluded_meet(x)[2]}
+            closed = {x for x in X if naive_closure(space, frozenset({x})) == {x}}
+            assert [p.is_regular_open for p in points] == [
+                x in ro for x in space.sorted_points()
+            ], source
+            assert [p.is_excluded for p in points] == [
+                x in excl for x in space.sorted_points()
+            ], source
+            assert r.t_threequarter == (closed | ro == X), source
+            assert r.tf == naive_tf(space), source
+
     def test_pair_flags_match_the_pair_scans(self, lattice_spaces, posets_upto_6):
         fields = ("t0", "r0", "t1", "r1", "t2")
         for space in lattice_spaces:
@@ -349,6 +376,52 @@ class TestCrossCheck:
         assert len(ids) == len(set(ids))
         assert "union-criterion-iff-irreducibility" in ids
         assert "discrete-characterizations" in ids
+
+    def test_names_a_wrong_order_read(self, monkeypatch):
+        # the report's T_F, RO and sober are order reads; cross_check's own
+        # sides (the T_F pair scan, the boundary and excluded_meet, the
+        # closures from the closed family) must catch them
+        from xtoplat import separation
+
+        space = from_poset(forest([("T", 2), ("T", 3)]))
+        report = separation._report
+
+        def failing_ids(source=space):
+            return {c.check_id for c in cross_check(source) if not c.holds}
+
+        # a closed family whose point closures all equal X is not sober
+        coarse = replace(space, closed_family=(frozenset(), space.points))
+        assert "t0-and-sober" in failing_ids(coarse)
+
+        monkeypatch.setattr(
+            separation, "_report", lambda a: replace(report(a), tf=not report(a).tf)
+        )
+        assert failing_ids() == {"t-quarter-iff-dim-le-1-iff-tf"}
+        # T¼, T½ and T_F share one read; wrong together, they still differ
+        # from kdim, the families and the pair scan
+        monkeypatch.setattr(
+            separation,
+            "_report",
+            lambda a: replace(report(a), t_quarter=False, t_half=False, tf=False),
+        )
+        assert failing_ids() == {
+            "t-quarter-iff-dim-le-1-iff-tf",
+            "t-half-decomposition",
+            "es-collapse",
+        }
+        monkeypatch.setattr(separation, "_report", report)
+        init = separation._Analysis.__init__
+
+        def drop_first_ro(self, source):
+            init(self, source)
+            self.ro_mask &= self.ro_mask - 1
+
+        monkeypatch.setattr(separation._Analysis, "__init__", drop_first_ro)
+        assert failing_ids() == {
+            "regular-open-iff-isolated-excluded",
+            "t-threequarter-decomposition",
+            "tree-forests-are-t-threequarter",
+        }
 
     def test_leaves_the_upset_order_and_tables_unbuilt(self):
         # the carrier checks read the up-set masks, never the lattice's order
