@@ -1,13 +1,34 @@
 """Exhaustive generation of small posets, lattices and forests.
 
-Posets on n labelled elements are generated as transitive relations inside
-the upper triangle (every finite poset admits a linear extension, so each
-isomorphism class has at least one such representative).  Deduplication up
-to isomorphism uses a canonical form: the minimum, over all linear
-extensions, of the bit-encoding of the relabelled relation.  Two posets
-are isomorphic iff their canonical forms agree, because the set of
-upper-triangle representatives of a class is exactly its set of
-linear-extension relabellings.
+A poset on n labelled elements is encoded by its strict relation inside
+the upper triangle: bit ``a*(2n-a-1)/2 + (b-a-1)`` of the code is set iff
+a < b.  Every finite poset has a linear extension, so every isomorphism
+class has such codes, and they are exactly its linear-extension
+relabellings.  The canonical form of a poset is the least code of its
+class, and a class is represented by the poset that code decodes to.
+Three facts make the generation cheap:
+
+1. **Extension instead of a scan.**  An upper-triangle code is a partial
+   order iff, for each a, the strict up-set of a is an up-set of the
+   order on {a+1, ..., n-1}.  (Transitivity says exactly that: a < b and
+   b < c give a < c.  Conversely, if a < b < c then b lies in the up-set
+   of a, so c does too.)  The most significant bits of a code are the
+   rows of the largest a, so choosing the rows for a = n-2, ..., 0 in
+   turn, each row over the up-sets in increasing order, streams every
+   partial-order code once and in increasing order.
+2. **One search per class.**  A single search over the linear extensions
+   of a poset yields every code of its class.  The first code of a class
+   the stream reaches is therefore the least one: it is kept as the
+   representative, the rest of the class is marked covered, and covered
+   codes are skipped (and forgotten) when the stream reaches them.
+   Classes come out in increasing order of their canonical forms.
+3. **Lattices from bounded posets.**  A lattice with n >= 2 elements is
+   0 ⊕ P ⊕ 1 for a unique poset P on n - 2 points: strip the bounds.  Its
+   linear extensions are 0, an extension of P, then 1.  The bits of the
+   bounds are set in every one of them, and P's bit (a, b) sits at
+   lattice bit (a+1, b+1), a position that grows with P's.  So the least
+   code of the lattice comes from the least code of P, and lattices come
+   out in the order of their P.
 
 Everything is deterministic; the verify suites are seed-free.
 """
@@ -15,106 +36,120 @@ Everything is deterministic; the verify suites are seed-free.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator, Sequence
 
-from .errors import NotALatticeError
+from .errors import NotALatticeError, RangeError
 from .lattice import FiniteLattice
 from .poset import FinitePoset, ForestComponent
+
+
+def _row_base(n: int, a: int) -> int:
+    """Code bit of the pair (a, a+1); the pairs (a, b) follow it in b."""
+    return a * (2 * n - a - 1) // 2
+
+
+def _class_codes(down: Sequence[int]) -> set[int]:
+    """The codes of every linear-extension relabelling of the relation.
+
+    ``down[i]`` is the mask of the elements strictly below i.  An element
+    can be placed once its down-set is; placing it at position p sets the
+    bit (q, p) for the position q of each element below it.  A relation
+    with a cycle has no linear extension and yields no code.
+    """
+    n = len(down)
+    full = (1 << n) - 1
+    # column[p][q]: the code bit of the pair of positions (q, p)
+    column = [[1 << (_row_base(n, q) + p - q - 1) for q in range(p)] for p in range(n)]
+    position = [0] * n
+    codes: set[int] = set()
+
+    def place(p: int, placed: int, code: int) -> None:
+        if placed == full:
+            codes.add(code)
+            return
+        bits = column[p]
+        free = full & ~placed
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
+            below = down[i]
+            if below & ~placed:
+                continue
+            grown = code
+            while below:
+                b = below & -below
+                below ^= b
+                grown |= bits[position[b.bit_length() - 1]]
+            position[i] = p
+            place(p + 1, placed | low, grown)
+
+    place(0, 0, 0)
+    return codes
 
 
 def canonical_form(P: FinitePoset) -> tuple[int, int]:
     """(n, encoding): equal for two posets iff they are order-isomorphic."""
     n = P.n
-    lt = [[P.lt(i, j) for j in range(n)] for i in range(n)]
-
-    def encode(order: list[int]) -> int:
-        code = 0
-        bit = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if lt[order[a]][order[b]]:
-                    code |= 1 << bit
-                bit += 1
-        return code
-
-    best: int | None = None
-    order: list[int] = []
-    used = [False] * n
-
-    def extend():
-        nonlocal best
-        if len(order) == n:
-            code = encode(order)
-            if best is None or code < best:
-                best = code
-            return
-        for i in range(n):
-            # i can come next iff everything below it is already placed
-            if not used[i] and all(
-                used[j] or not lt[j][i] for j in range(n)
-            ):
-                used[i] = True
-                order.append(i)
-                extend()
-                order.pop()
-                used[i] = False
-
-    extend()
-    if best is None:
+    down = [sum(1 << j for j in range(n) if P.lt(j, i)) for i in range(n)]
+    codes = _class_codes(down)
+    if not codes:
         raise ValueError("no linear extension: the relation is not a partial order")
-    return n, best
+    return n, min(codes)
 
 
-def _poset_from_code(n: int, code: int) -> FinitePoset:
-    pairs = []
-    bit = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            if code >> bit & 1:
-                pairs.append((a, b))
-            bit += 1
-    up = [1 << i for i in range(n)]
-    for a, b in pairs:
-        up[a] |= 1 << b
-    return FinitePoset([f"p{i}" for i in range(n)], up)
+def _order_codes(n: int) -> Iterator[tuple[int, list[int]]]:
+    """(code, strict up rows) of every partial order inside the upper
+    triangle, in increasing order of the code.  The rows list is reused:
+    read it before asking for the next code."""
+    rows = [0] * n
+
+    def choose(a: int, upsets: list[int], code: int):
+        # upsets: the up-sets of the order on {a+1, ..., n-1}, ascending
+        if a < 0:
+            yield code, rows
+            return
+        shift = _row_base(n, a)
+        bit = 1 << a
+        for row in upsets:
+            rows[a] = row
+            # the up-sets of the order on {a, ..., n-1}: each one avoiding
+            # a, followed by its union with a when it holds the up-set of a
+            wider = []
+            for S in upsets:
+                wider.append(S)
+                if row & ~S == 0:
+                    wider.append(S | bit)
+            yield from choose(a - 1, wider, code | (row >> a + 1) << shift)
+
+    yield from choose(n - 1, [0], 0)
+
+
+def _rows_poset(n: int, rows: Sequence[int]) -> FinitePoset:
+    return FinitePoset([f"p{i}" for i in range(n)], [rows[i] | 1 << i for i in range(n)])
+
+
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise RangeError(f"n must be at least 0, got {n}")
 
 
 @lru_cache(maxsize=None)
 def all_posets(n: int) -> tuple[FinitePoset, ...]:
     """All posets on n elements, one representative per isomorphism class."""
+    _check_size(n)
     if n == 0:
         return ()
-    m = n * (n - 1) // 2
-    seen: set[tuple[int, int]] = set()
+    covered: set[int] = set()
     out: list[FinitePoset] = []
-    for code in range(1 << m):
-        # decode the strict upper-triangle relation and check transitivity
-        lt_rows = [0] * n
-        bit = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if code >> bit & 1:
-                    lt_rows[a] |= 1 << b
-                bit += 1
-        transitive = True
-        for a in range(n):
-            row = lt_rows[a]
-            b = 0
-            rest = row
-            while rest:
-                if rest & 1 and lt_rows[b] & ~row:
-                    transitive = False
-                    break
-                rest >>= 1
-                b += 1
-            if not transitive:
-                break
-        if not transitive:
+    for code, rows in _order_codes(n):
+        if code in covered:
+            covered.remove(code)
             continue
-        P = FinitePoset([f"p{i}" for i in range(n)], [lt_rows[i] | 1 << i for i in range(n)])
-        key = canonical_form(P)
-        if key not in seen:
-            seen.add(key)
-            out.append(_poset_from_code(*key))
+        P = _rows_poset(n, rows)
+        covered |= _class_codes([row & ~(1 << i) for i, row in enumerate(P.down_rows())])
+        covered.remove(code)
+        out.append(P)
     return tuple(out)
 
 
@@ -128,10 +163,23 @@ def all_posets_upto(n: int) -> tuple[FinitePoset, ...]:
 @lru_cache(maxsize=None)
 def all_lattices(n: int) -> tuple[FiniteLattice, ...]:
     """All lattices on n elements, one representative per isomorphism class."""
+    _check_size(n)
+    if n == 0:
+        return ()
+    if n == 1:
+        return (FiniteLattice(_rows_poset(1, [0])),)
+    # 0 ⊕ P ⊕ 1: the bottom is index 0, P's point i is index i + 1, the
+    # top is index n - 1
+    top = 1 << (n - 1)
+    above_bottom = (top << 1) - 2
+    inner = [
+        [P.up_mask(i) & ~(1 << i) for i in range(P.n)] for P in all_posets(n - 2)
+    ] or [[]]  # n = 2: the empty P
     out = []
-    for P in all_posets(n):
+    for P_rows in inner:
+        rows = [above_bottom] + [row << 1 | top for row in P_rows] + [0]
         try:
-            out.append(FiniteLattice(P))
+            out.append(FiniteLattice(_rows_poset(n, rows)))
         except NotALatticeError:
             continue
     return tuple(out)

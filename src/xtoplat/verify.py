@@ -303,6 +303,11 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
     return SuiteResult("bni", instances, checks, failures)
 
 
+# the largest bounds run_suites accepts
+MAX_ENUMERATED_SIZE = 7
+MAX_FOREST_SIZE = 11
+MAX_N = 30
+
 # each suite with the bound it takes
 _SUITES = {
     "xct": (verify_xct, "max_size"),
@@ -319,16 +324,32 @@ def run_suites(
     """Run one named suite, or all of them; a bound of None means the suite's default.
 
     Raises :class:`RangeError` for ``max_size < 1`` or ``max_n < 2``, which
-    would sweep no instance at all, and for ``max_size > 7`` on a suite that
-    enumerates posets: ``all_posets(8)`` scans 2^28 relation codes.
+    would sweep no instance at all, and for bounds past what a sweep
+    finishes in about a minute:
+
+    * ``max_size > 7`` on a suite that enumerates posets: the enumeration
+      searches the linear extensions of each class once, and
+      ``all_posets(7)`` takes about 1 s but ``all_posets(8)`` about 30 s;
+    * ``max_size > 11`` for ``forest``: every forest gets the full
+      cross-check, and the sweep took 7.6 s at 10 points and 28 s at 11;
+    * ``max_n > 30`` for ``bni``: every ideal of every B(n, i) is
+      enumerated, and ``--max-n 30`` takes about 60 s.
     """
     if max_size is not None and max_size < 1:
         raise RangeError(f"--max-size must be at least 1, got {max_size}")
     if max_n is not None and max_n < 2:
         raise RangeError(f"--max-n must be at least 2, got {max_n}")
+    if max_n is not None and max_n > MAX_N:
+        raise RangeError(f"--max-n must be at most {MAX_N}, got {max_n}")
     enumerates = suite in ("xct", "quarter", "discrete", "all")
-    if enumerates and max_size is not None and max_size > 7:
-        raise RangeError(f"--max-size must be at most 7 for verify {suite}, got {max_size}")
+    if enumerates and max_size is not None and max_size > MAX_ENUMERATED_SIZE:
+        raise RangeError(
+            f"--max-size must be at most {MAX_ENUMERATED_SIZE} for verify {suite}, got {max_size}"
+        )
+    if suite == "forest" and max_size is not None and max_size > MAX_FOREST_SIZE:
+        raise RangeError(
+            f"--max-size must be at most {MAX_FOREST_SIZE} for verify forest, got {max_size}"
+        )
     if suite == "all":
         names = ["xct", "quarter", "discrete", "forest", "bni"]
     elif suite in _SUITES:

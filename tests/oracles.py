@@ -554,3 +554,86 @@ def pair_scan_flags(kernels: dict[int, frozenset[int]]) -> dict[str, bool]:
         "r1": all(disjoint(x, y) for x, y in distinguishable),
         "t2": all(disjoint(x, y) for x, y in pairs),
     }
+
+
+# -- posets up to isomorphism by scanning every relation code ------------------
+
+
+def canonical_form_by_extensions(P: FinitePoset) -> tuple[int, int]:
+    """(n, least code): the upper-triangle code of P relabelled along each
+    linear extension in turn, encoded pair by pair, minimized."""
+    n = P.n
+    lt = [[P.lt(i, j) for j in range(n)] for i in range(n)]
+
+    def encode(order: list[int]) -> int:
+        code = 0
+        bit = 0
+        for a in range(n):
+            for b in range(a + 1, n):
+                if lt[order[a]][order[b]]:
+                    code |= 1 << bit
+                bit += 1
+        return code
+
+    best: int | None = None
+    order: list[int] = []
+    used = [False] * n
+
+    def extend():
+        nonlocal best
+        if len(order) == n:
+            code = encode(order)
+            if best is None or code < best:
+                best = code
+            return
+        for i in range(n):
+            # i can come next iff everything below it is already placed
+            if not used[i] and all(used[j] or not lt[j][i] for j in range(n)):
+                used[i] = True
+                order.append(i)
+                extend()
+                order.pop()
+                used[i] = False
+
+    extend()
+    if best is None:
+        raise ValueError("no linear extension: the relation is not a partial order")
+    return n, best
+
+
+def code_rows(n: int, code: int) -> list[int]:
+    """The strict up rows of the upper-triangle code, decoded bit by bit."""
+    rows = [0] * n
+    bit = 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            if code >> bit & 1:
+                rows[a] |= 1 << b
+            bit += 1
+    return rows
+
+
+def poset_from_code(n: int, code: int) -> FinitePoset:
+    """The poset on p0..p{n-1} whose strict relation is the upper-triangle code."""
+    rows = code_rows(n, code)
+    return FinitePoset([f"p{i}" for i in range(n)], [rows[i] | 1 << i for i in range(n)])
+
+
+@lru_cache(maxsize=None)
+def posets_by_code_scan(n: int) -> tuple[FinitePoset, ...]:
+    """One poset per class on n points: scan all 2^(n(n-1)/2) codes, keep
+    the transitive ones and the first of each canonical form, decoded
+    from that form."""
+    if n == 0:
+        return ()
+    seen: set[tuple[int, int]] = set()
+    out: list[FinitePoset] = []
+    for code in range(1 << n * (n - 1) // 2):
+        lt = code_rows(n, code)
+        if any(lt[b] & ~lt[a] for a in range(n) for b in range(n) if lt[a] >> b & 1):
+            continue
+        key = canonical_form_by_extensions(poset_from_code(n, code))
+        if key not in seen:
+            seen.add(key)
+            out.append(poset_from_code(*key))
+    return tuple(out)

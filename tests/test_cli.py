@@ -432,6 +432,30 @@ class TestVerify:
     def test_forest_takes_a_bound_beyond_the_enumeration(self):
         assert run(["verify", "forest", "--max-size", "8"])[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["forest", "--max-size", "12"],
+                "--max-size must be at most 11 for verify forest, got 12",
+            ),
+            (["bni", "--max-n", "31"], "--max-n must be at most 30, got 31"),
+            (["bni", "--max-n", "100000"], "--max-n must be at most 30, got 100000"),
+            (["all", "--max-n", "31"], "--max-n must be at most 30, got 31"),
+        ],
+    )
+    def test_bound_past_the_cap_exit_2(self, monkeypatch, capsys, argv, message):
+        from xtoplat import verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        suites = {name: (refuse, bound) for name, (_, bound) in verify._SUITES.items()}
+        monkeypatch.setattr(verify, "_SUITES", suites)
+        code, text = run(["verify", *argv])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestExport:
     def test_forest_t5_dot(self):
