@@ -34,11 +34,41 @@ witness, in the order of the definitional scan.
 Ideals are plain ``frozenset[int]`` of element indices.  Enumeration runs
 the principal-ideal sum closure to a fixpoint on element bitmasks (every
 ideal is the sum of its principal subideals, so the closure is complete)
-and re-checks each result against the ideal axioms; the test-suite checks
-it against an exhaustive subset scan for small carriers.  A prime ideal
-is a proper ideal P with ab ∈ P ⇒ a ∈ P or b ∈ P: elementwise and
-idealwise primality coincide for commutative semirings and the
-elementwise form is directly checkable.
+and checks each set I it reaches on the masks it builds anyway; the
+test-suite checks the result against an exhaustive subset scan for small
+carriers.  Given 1·b = b, a + 0 = a, 0·b = 0 and commutativity, three
+tests are equivalent to :func:`is_ideal` (0 ∈ I, I + I ⊆ I, R·I ⊆ I):
+
+* 0 ∈ I;
+* (b) ⊆ I for every b ∈ I, which is R·I ⊆ I, as (b) = {rb : r ∈ R};
+* I + P = I for every principal ideal P ⊆ I.  For an ideal I,
+  I + P ⊆ I + I ⊆ I, and I ⊆ I + P as 0 = 0·c ∈ P and a + 0 = a.
+  Conversely, for a, b ∈ I the principal ideal (b) ⊆ I holds b = 1·b, so
+  a + b ∈ I + (b) = I.
+
+A prime ideal is a proper ideal P with ab ∈ P ⇒ a ∈ P or b ∈ P:
+elementwise and idealwise primality coincide for commutative semirings
+and the elementwise form is directly checkable.  :func:`spectrum` finds
+the primes without enumerating ideals, by two lemmas for commutative
+semirings with 1 (Golan 1999, *Semirings and their Applications*).  Write
+b | c for c ∈ (b), and sat(a) = {b : b | a^k for some k ≥ 1}:
+
+* Spec(R) is the set of the R \\ sat(a), a not nilpotent, that are
+  closed under +.  For a prime P, S = R \\ P holds 1, and holds bc iff
+  it holds b and c (P is prime, and an ideal).  So S holds the product s
+  of its members and every b | s^k, and each b ∈ S divides s: S = sat(s),
+  and s is not nilpotent, as its powers lie in S ∌ 0.  Conversely, let a
+  be non-nilpotent and P = R \\ sat(a) closed under +.  Then 0 ∈ P, as
+  0 | a^k forces a^k = 0; rb ∈ P for b ∈ P, as rb | a^k gives b | a^k;
+  1 ∉ P, as 1 | a; and b | a^j, c | a^k give bc | a^(j+k).  So P is a
+  prime ideal.  That is at most n candidates, read off
+  ``div[c]`` = {b : b | c}, built once in O(n²), and each checked for
+  sums in O(n²).
+* Maximal ideals are prime.  Let M be maximal, ab ∈ M and a ∉ M.  Then
+  M + (a) is an ideal above M holding a, so it is R, and 1 = m + ra for
+  some m ∈ M and r ∈ R; then b = mb + rab ∈ M.  Every proper ideal lies
+  under a maximal one, so Max(R) is the set of the maximal primes, and
+  Min(R) is the set of the minimal primes by definition.
 
 Spec(R) is embedded in the lattice of radical ideals, the meet-closure
 of Spec(R) ∪ {R}, not in the lattice of all ideals: every closed set is
@@ -65,7 +95,7 @@ from typing import Sequence
 
 from .errors import AxiomError, NotAnIdealError, RangeError
 from .lattice import EmbeddedSubset, FiniteLattice
-from .poset import FinitePoset, _bits, _mask_to_set
+from .poset import FinitePoset, _bits
 from .topology import XTopSpace, build_space
 
 
@@ -364,9 +394,11 @@ def is_ideal(R: FiniteSemiring, members: frozenset[int]) -> bool:
     )
 
 
-def _by_size(sets):
-    """Sort sets by (size, sorted elements): the order of every ideal listing."""
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+def _by_size(masks) -> tuple[frozenset[int], ...]:
+    """Element masks as sets sorted by (size, sorted elements): the order
+    of every ideal listing."""
+    listed = sorted(map(list, map(_bits, masks)), key=lambda s: (len(s), s))
+    return tuple(map(frozenset, listed))
 
 
 @lru_cache(maxsize=64)
@@ -375,44 +407,67 @@ def ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
 
     Closing under sums with principal ideals suffices: every ideal is the
     sum of the principal ideals of its members.  Ideals are element
-    bitmasks during the closure, which reads one column per distinct
-    principal ideal: ``plus[b][k]`` is the mask of b + P_k for the k-th
-    distinct principal ideal P_k, so I + P_k is the OR of the rows
-    ``plus[b][k]`` over the members b of I.  Every result is re-checked
-    with :func:`is_ideal`.
+    bitmasks during the closure.  ``packed[b]`` holds, in blocks of n
+    bits, the mask of b + P_k in block k for each of the K distinct
+    principal ideals P_k, and the mask of (b) in block K.  So one OR of
+    ``packed[b]`` over the members b of I gives every I + P_k and the
+    union of the (b), b ∈ I, at once.
+
+    Each set I the closure reaches is checked as it is expanded, on those
+    masks: 0 ∈ I, (b) ⊆ I for every b ∈ I, and I + P_k = I for every
+    P_k ⊆ I.  Given the axioms checked at construction this is
+    :func:`is_ideal` (module docstring); a failure raises
+    :class:`NotAnIdealError`.
     """
-    els = R.elements()
-    principal = list(dict.fromkeys(principal_ideal(R, a) for a in els))
-    plus = [
-        [sum(1 << e for e in {R.add[b][x] for x in I}) for I in principal]
-        for b in els
-    ]
-    found = {sum(1 << x for x in I) for I in principal}
-    columns = range(len(principal))
-    frontier = list(found)
+    n = R.n
+    bit = [1 << e for e in range(n)]
+    # a sum of distinct powers of two is their OR; row b of the product
+    # lists the b·r = r·b, so it spans (b)
+    spans = [sum(set(map(bit.__getitem__, row))) for row in R.mul]
+    principal = list(dict.fromkeys(spans))
+    members = [list(_bits(P)) for P in principal]
+    packed = []
+    for add_b, span in zip(R.add, spans):
+        bits_b = [bit[y] for y in add_b]
+        row = span
+        for m in reversed(members):
+            row = row << n | sum(set(map(bits_b.__getitem__, m)))
+        packed.append(row)
+    block = (1 << n) - 1
+    top = n * len(principal)
+    zero = bit[R.zero]
+    found = set(principal)
+    frontier = principal
     while frontier:
         new: list[int] = []
         for I in frontier:
-            rows = [plus[b] for b in _bits(I)]
-            for k in columns:
-                s = 0
-                for row in rows:
-                    s |= row[k]
-                if s not in found:
-                    found.add(s)
-                    new.append(s)
+            sums = 0
+            for b in _bits(I):
+                sums |= packed[b]
+            if not I & zero or sums >> top & ~I:
+                raise NotAnIdealError(f"{list(_bits(I))} is not an ideal")
+            for P in principal:
+                s = sums & block
+                sums >>= n
+                if s != I:
+                    if not P & ~I:
+                        raise NotAnIdealError(f"{list(_bits(I))} is not an ideal")
+                    if s not in found:
+                        found.add(s)
+                        new.append(s)
         frontier = new
-    out = [_mask_to_set(m) for m in found]
-    for I in out:
-        if not is_ideal(R, I):
-            raise NotAnIdealError(f"{sorted(I)} is not an ideal")
-    return tuple(_by_size(out))
+    return _by_size(found)
 
 
 def is_subtractive(R: FiniteSemiring, I: frozenset[int]) -> bool:
     """r + a ∈ I with a ∈ I forces r ∈ I."""
     if not is_ideal(R, I):
         raise NotAnIdealError(f"{sorted(I)} is not an ideal")
+    return _subtractive(R, I)
+
+
+def _subtractive(R: FiniteSemiring, I: frozenset[int]) -> bool:
+    """:func:`is_subtractive` for a set already known to be an ideal."""
     return all(
         r in I
         for r in R.elements()
@@ -422,7 +477,8 @@ def is_subtractive(R: FiniteSemiring, I: frozenset[int]) -> bool:
 
 
 def is_subtractive_semiring(R: FiniteSemiring) -> bool:
-    return all(is_subtractive(R, I) for I in ideals(R))
+    # every member of ideals(R) passed the ideal check in the closure
+    return all(_subtractive(R, I) for I in ideals(R))
 
 
 def is_prime_ideal(R: FiniteSemiring, I: frozenset[int]) -> bool:
@@ -492,26 +548,52 @@ def _chain_dim(sets: Sequence[frozenset[int]]) -> int:
     return max(best.values(), default=0)
 
 
+def _primes(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
+    """Spec(R) as the sum-closed R \\ sat(a), a not nilpotent (module docstring).
+
+    ``div[c]`` is the mask of the b with c ∈ (b), and sat(a) the OR of
+    ``div`` over the powers of a, which cycle within n steps.  The primes
+    are listed in the order of :func:`ideals`.
+    """
+    div = [0] * R.n
+    for b, row in enumerate(R.mul):
+        bit = 1 << b
+        for c in set(row):
+            div[c] |= bit
+    zero = 1 << R.zero
+    complements = set()
+    for a, mul_a in enumerate(R.mul):
+        sat = 0
+        power = a
+        seen = set()
+        while power not in seen:
+            seen.add(power)
+            sat |= div[power]
+            power = mul_a[power]
+        if not sat & zero:
+            complements.add(sat)
+    full = (1 << R.n) - 1
+    primes = []
+    for sat in complements:
+        P = full & ~sat
+        members = list(_bits(P))
+        if not any(sat >> R.add[x][y] & 1 for x in members for y in members):
+            primes.append(P)
+    return _by_size(primes)
+
+
 @lru_cache(maxsize=64)
 def spectrum(R: FiniteSemiring) -> SpectrumReport:
-    """Definition scans over the enumerated ideals.  Only the flags that
-    hold on every finite semiring (``is_pi_regular``, ``is_fmax``,
+    """Spec(R) from saturated sets, Max(R) and Min(R) as its maximal and
+    minimal members (module docstring); ``ideals`` and
+    ``is_subtractive_semiring`` alone read every ideal.  Only the flags
+    that hold on every finite semiring (``is_pi_regular``, ``is_fmax``,
     ``is_fmin``) are set true, with the reason beside them."""
     all_ideals = ideals(R)
     full = frozenset(R.elements())
-    proper = [I for I in all_ideals if I != full]
-    spec = tuple(I for I in all_ideals if is_prime_ideal(R, I))
-    # by decreasing size: a strictly larger proper ideal lies under some
-    # maximal one already kept, so comparing with those suffices
-    kept: list[frozenset[int]] = []
-    for I in sorted(proper, key=len, reverse=True):
-        if not any(I < M for M in kept):
-            kept.append(I)
-    kept_set = set(kept)
-    maximal = tuple(I for I in proper if I in kept_set)
-    min_primes = tuple(
-        P for P in spec if not any(Q < P for Q in spec)
-    )
+    spec = _primes(R)
+    maximal = tuple(P for P in spec if not any(P < Q for Q in spec))
+    min_primes = tuple(P for P in spec if not any(Q < P for Q in spec))
     jacobson = full
     for I in maximal:
         jacobson &= I
@@ -627,7 +709,7 @@ def radical_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[i
     for P in spectrum(R).spec:
         mask = sum(1 << e for e in P)
         closure |= {m & mask for m in closure}
-    radicals = tuple(_by_size(_mask_to_set(m) for m in closure))
+    radicals = _by_size(closure)
     return _inclusion_lattice(R, radicals), radicals
 
 

@@ -332,8 +332,9 @@ def run_suites(
       ``all_posets(7)`` takes about 1 s but ``all_posets(8)`` about 30 s;
     * ``max_size > 11`` for ``forest``: every forest gets the full
       cross-check, and the sweep took 7.6 s at 10 points and 28 s at 11;
-    * ``max_n > 30`` for ``bni``: every ideal of every B(n, i) is
-      enumerated, and ``--max-n 30`` takes about 60 s.
+    * ``max_n > 30`` for ``bni``: every ideal of every B(n, i) is still
+      enumerated for the spectrum report, and ``--max-n 30`` takes about
+      17 s (B(30, 25) alone has 14,939 ideals).
     """
     if max_size is not None and max_size < 1:
         raise RangeError(f"--max-size must be at least 1, got {max_size}")

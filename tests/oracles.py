@@ -21,7 +21,7 @@ from xtoplat import (
     XTopSpace,
     semiring_from_tables,
 )
-from xtoplat.semiring import ideals
+from xtoplat.semiring import ideals, is_prime_ideal
 
 
 def subsets(items):
@@ -160,6 +160,51 @@ def pairwise_maximal_ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
     full = frozenset(R.elements())
     proper = [I for I in ideals(R) if I != full]
     return tuple(I for I in proper if not any(I < J for J in proper))
+
+
+def primes_by_ideal_scan(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
+    """Spec(R) by its definition: the enumerated ideals that are prime."""
+    return tuple(I for I in ideals(R) if is_prime_ideal(R, I))
+
+
+def pairwise_minimal_primes(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
+    """The primes of :func:`primes_by_ideal_scan` over no other prime."""
+    spec = primes_by_ideal_scan(R)
+    return tuple(P for P in spec if not any(Q < P for Q in spec))
+
+
+def product_semiring(A: FiniteSemiring, B: FiniteSemiring) -> FiniteSemiring:
+    """The product semiring A × B, with componentwise operations."""
+    pairs = [(a, b) for a in range(A.n) for b in range(B.n)]
+    index = {p: k for k, p in enumerate(pairs)}
+
+    def table(op_a, op_b):
+        return [[index[op_a[a][c], op_b[b][d]] for c, d in pairs] for a, b in pairs]
+
+    return semiring_from_tables(
+        [f"{a}.{b}" for a, b in pairs],
+        table(A.add, B.add),
+        table(A.mul, B.mul),
+        index[A.zero, B.zero],
+        index[A.one, B.one],
+    )
+
+
+def downset_semiring(P: FinitePoset) -> FiniteSemiring:
+    """D(P): the down-sets of P under (union, intersection), 0 = ∅, 1 = P."""
+    downsets = {0}  # the unions of principal down-sets
+    for x in range(P.n):
+        below = sum(1 << y for y in range(P.n) if P.leq(y, x))
+        downsets |= {m | below for m in downsets}
+    masks = sorted(downsets)
+    index = {m: k for k, m in enumerate(masks)}
+    return semiring_from_tables(
+        [f"d{m}" for m in masks],
+        [[index[a | b] for b in masks] for a in masks],
+        [[index[a & b] for b in masks] for a in masks],
+        index[0],
+        index[(1 << P.n) - 1],
+    )
 
 
 def pi_regular_by_powers(R: FiniteSemiring) -> bool:

@@ -24,8 +24,12 @@ from .oracles import (
     lattice_by_search,
     lattice_outcome,
     mutated_tables,
+    pairwise_maximal_ideals,
+    pairwise_minimal_primes,
     permuted,
     pi_regular_by_powers,
+    primes_by_ideal_scan,
+    product_semiring,
 )
 
 
@@ -49,23 +53,6 @@ def posets(draw, max_size=6):
     return FinitePoset([f"e{i}" for i in range(n)], up)
 
 
-def product(A, B):
-    """The product semiring A × B, with componentwise operations."""
-    pairs = [(a, b) for a in range(A.n) for b in range(B.n)]
-    index = {p: k for k, p in enumerate(pairs)}
-
-    def table(op_a, op_b):
-        return [[index[op_a[a][c], op_b[b][d]] for c, d in pairs] for a, b in pairs]
-
-    return semiring_from_tables(
-        [f"{a}.{b}" for a, b in pairs],
-        table(A.add, B.add),
-        table(A.mul, B.mul),
-        index[A.zero, B.zero],
-        index[A.one, B.one],
-    )
-
-
 @st.composite
 def semirings(draw):
     """A product B(n, i) × B(m, j) of two small grid semirings, or the
@@ -75,7 +62,7 @@ def semirings(draw):
         for _ in range(2):
             n = draw(st.integers(min_value=2, max_value=5))
             factors.append(bni(n, draw(st.integers(min_value=0, max_value=n - 1))))
-        return product(*factors)
+        return product_semiring(*factors)
     P = draw(posets(max_size=4))
     masks = P.upset_masks()
     index = {m: k for k, m in enumerate(masks)}
@@ -91,9 +78,15 @@ def semirings(draw):
 @given(semirings())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_maximal_ideals_match_the_pairwise_scan(R):
-    from .oracles import pairwise_maximal_ideals
-
     assert spectrum(R).max == pairwise_maximal_ideals(R)
+
+
+@given(semirings())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_primes_from_saturated_sets_match_the_ideal_scan(R):
+    report = spectrum(R)
+    assert report.spec == primes_by_ideal_scan(R)
+    assert report.min_primes == pairwise_minimal_primes(R)
 
 
 @given(semirings())
@@ -103,7 +96,7 @@ def test_pi_regular_matches_the_power_scan(R):
 
 
 def test_products_have_more_than_one_additive_generator():
-    R = product(bni(2, 1), bni(3, 0))
+    R = product_semiring(bni(2, 1), bni(3, 0))
     assert _additive_generators(R.add, R.zero) == [R.index("0.1"), R.index("1.0")]
     assert axiom_violation_by_scan(R.labels, R.add, R.mul, R.zero, R.one) is None
 

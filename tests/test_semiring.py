@@ -5,6 +5,8 @@ overflow rule, the exhaustive subset scan for ideals, and hand-checked
 table entries.
 """
 
+import re
+
 import pytest
 
 from xtoplat import (
@@ -22,9 +24,10 @@ from xtoplat import (
     spectrum,
     verify_bni,
 )
-from xtoplat.enumeration import canonical_form
+from xtoplat.enumeration import all_posets, canonical_form
 from xtoplat.poset import chain, dual_tree
 from xtoplat.semiring import (
+    FiniteSemiring,
     _additive_generators,
     ideal_label,
     is_ideal,
@@ -42,9 +45,14 @@ from xtoplat.topology import build_space, is_xtop_by_irreducibility, is_xtop_by_
 from .oracles import (
     axiom_outcome,
     axiom_violation_by_scan,
+    downset_semiring,
     ideals_by_subset_scan,
     mutated_tables,
+    pairwise_maximal_ideals,
+    pairwise_minimal_primes,
     pi_regular_by_powers,
+    primes_by_ideal_scan,
+    product_semiring,
     wrap_by_search,
 )
 
@@ -260,12 +268,45 @@ class TestIdeals:
                 assert set(ideals(R)) == ideals_by_subset_scan(R)
         assert set(ideals(s3())) == ideals_by_subset_scan(s3())
 
-    def test_failed_ideal_check_raises_not_assert(self, monkeypatch):
-        import xtoplat.semiring as semiring
+    def test_failed_ideal_check_raises_not_assert(self):
+        # tables built past the axiom checks, each failing one of the three
+        # checks the closure makes on every set it reaches
+        def broken(R, key, a, b, value):
+            tables = {"add": [list(row) for row in R.add], "mul": [list(row) for row in R.mul]}
+            tables[key][a][b] = tables[key][b][a] = value
+            add, mul = (tuple(map(tuple, tables[k])) for k in ("add", "mul"))
+            return FiniteSemiring(R.labels, add, mul, R.zero, R.one)
 
-        monkeypatch.setattr(semiring, "is_ideal", lambda R, I: False)
-        with pytest.raises(NotAnIdealError):
-            semiring.ideals.__wrapped__(bni(6, 0))
+        cases = [
+            # B(2, 1) listed as 1, 0 with 1·0 = 1, so (1) = {1} lacks 0
+            (FiniteSemiring(("1", "0"), ((0, 0), (0, 1)), ((0, 0), (0, 1)), 1, 0), [0], "zero"),
+            # 0·0 = 1 in S3, so (0) = {0, 1} holds 1, and (1) = S3 is not in it
+            (broken(s3(), "mul", 0, 0, 2), [0, 2], "principal"),
+            # 0 + 0 = 1 in B(2, 1), so {0} + (0) = {1}
+            (broken(bni(2, 1), "add", 0, 0, 1), [0], "sum"),
+        ]
+        for R, members, check in cases:
+            with pytest.raises(NotAnIdealError, match=re.escape(f"{members} is not an ideal")):
+                ideals.__wrapped__(R)
+            I = frozenset(members)
+            assert not is_ideal(R, I)
+            failed = {
+                "zero": R.zero not in I,
+                "principal": any(not I.issuperset(R.mul[a]) for a in I),
+                "sum": any(R.add[a][b] not in I for a in I for b in I),
+            }
+            assert [name for name, fails in failed.items() if fails] == [check]
+
+    def test_listed_by_size_then_elements(self):
+        # products and down-set semirings have ideals of equal size
+        sources = [product_semiring(bni(3, 1), s3()), product_semiring(bni(4, 0), bni(2, 1))]
+        sources += [downset_semiring(P) for P in all_posets(3)]
+        ties = 0
+        for R in sources:
+            listed = ideals(R)
+            assert list(listed) == sorted(listed, key=lambda I: (len(I), sorted(I)))
+            ties += len(listed) - len({len(I) for I in listed})
+        assert ties > 0
 
     def test_predicate_matches_the_subset_scan(self):
         # is_ideal rejects every non-ideal subset, not only accepts ideals
@@ -380,6 +421,39 @@ class TestMaximalIdeals:
         from .oracles import pairwise_maximal_ideals
 
         assert spectrum(s3()).max == pairwise_maximal_ideals(s3())
+
+
+def assert_primes_match_the_ideal_scan(R):
+    report = spectrum(R)
+    assert report.spec == primes_by_ideal_scan(R)
+    assert report.max == pairwise_maximal_ideals(R)
+    assert report.min_primes == pairwise_minimal_primes(R)
+
+
+class TestPrimesFromSaturatedSets:
+    """Spec, Max and Min from saturated sets against the scans over all ideals."""
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_bni_grid(self, n):
+        for i in range(n):
+            assert_primes_match_the_ideal_scan(bni(n, i))
+
+    def test_s3(self):
+        assert_primes_match_the_ideal_scan(s3())
+
+    def test_products(self):
+        factors = [s3()] + [bni(n, i) for n in range(2, 6) for i in range(n)]
+        for k, A in enumerate(factors):
+            for B in factors[k:]:
+                assert_primes_match_the_ideal_scan(product_semiring(A, B))
+
+    @pytest.mark.parametrize("points", range(1, 6))
+    def test_downset_semirings(self, points):
+        # Birkhoff duality: Spec(D(P)) has one prime per point of P
+        for P in all_posets(points):
+            R = downset_semiring(P)
+            assert_primes_match_the_ideal_scan(R)
+            assert len(spectrum(R).spec) == points
 
 
 class TestIdealLattice:
