@@ -446,12 +446,12 @@ def is_dual_tree_component(P: FinitePoset, component: frozenset[int]) -> int | N
     return len(cover)
 
 
-def is_forest_of_trees(P: FinitePoset, min_base: int = 2) -> bool:
-    """True iff every order-component is a T_n with n >= min_base."""
+def is_forest_of_trees(P: FinitePoset) -> bool:
+    """True iff every order-component is a T_n with n >= 2."""
     if P.n == 0:
         return False
     return all(
-        (n := is_tree_component(P, comp)) is not None and n >= min_base
+        (n := is_tree_component(P, comp)) is not None and n >= 2
         for comp in P.order_components()
     )
 

@@ -70,6 +70,23 @@ b | c for c ∈ (b), and sat(a) = {b : b | a^k for some k ≥ 1}:
   under a maximal one, so Max(R) is the set of the maximal primes, and
   Min(R) is the set of the minimal primes by definition.
 
+So Spec(R) is read as its inclusion order, one :class:`FinitePoset`:
+Max(R), Min(R) and K.dim(R) are its maximals, minimals and Krull
+dimension.  The other reads of the spectrum are lemmas:
+
+* Prime avoidance: a prime P that contains Q_1 ∩ ... ∩ Q_k contains some
+  Q_i.  Otherwise pick q_i ∈ Q_i \\ P; then q_1···q_k lies in every Q_i
+  but, P being prime, not in P (for k = 0, R ⊄ P).  So no maximal P
+  contains the intersection of the other maximal ideals, and no minimal
+  P that of the other minimal primes: ``is_bmax`` and ``is_amin`` hold on
+  every semiring, ``is_pamin`` is Spec = Min and ``is_pbmax`` is
+  Spec = Max.
+* The nilradical is the prime radical.  If a^k = 0 then a lies in every
+  prime.  If a is not nilpotent, an ideal P maximal among those that miss
+  S = {a^k : k ≥ 1} ({0} misses S) is prime, and a ∉ P: were bc ∈ P with
+  b, c ∉ P, P + (b) and P + (c) would meet S in a^i = p + rb and
+  a^j = q + sc, and a^(i+j) = pq + psc + rbq + rs·bc ∈ P.
+
 Spec(R) is embedded in the lattice of radical ideals, the meet-closure
 of Spec(R) ∪ {R}, not in the lattice of all ideals: every closed set is
 V(I) = V(√I) with √I an intersection of primes, so both lattices give the
@@ -348,15 +365,7 @@ def omega(k: int) -> int:
     """Number of distinct prime divisors of k >= 2."""
     if k < 2:
         raise RangeError("omega(k) needs k >= 2")
-    count = 0
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            count += 1
-            while k % d == 0:
-                k //= d
-        d += 1
-    return count + (1 if k > 1 else 0)
+    return len(prime_divisors(k))
 
 
 def prime_divisors(k: int) -> tuple[int, ...]:
@@ -493,21 +502,6 @@ def is_prime_ideal(R: FiniteSemiring, I: frozenset[int]) -> bool:
     )
 
 
-def nilradical(R: FiniteSemiring) -> frozenset[int]:
-    """Elements with a^k = 0 for some k >= 1 (powers cycle within |R| steps)."""
-    out = set()
-    for a in R.elements():
-        power = a
-        seen = set()
-        while power not in seen:
-            seen.add(power)
-            if power == R.zero:
-                out.add(a)
-                break
-            power = R.mul[power][a]
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """All ideals, the prime/maximal/minimal spectra and algebraic flags."""
@@ -535,17 +529,6 @@ class SpectrumReport:
     is_amin: bool
     is_pamin: bool
     is_pbmax: bool
-
-
-def _chain_dim(sets: Sequence[frozenset[int]]) -> int:
-    """Length of the longest strict ⊆-chain, counted in steps."""
-    order = sorted(sets, key=len)
-    best = {i: 0 for i in range(len(order))}
-    for i, small in enumerate(order):
-        for j in range(i + 1, len(order)):
-            if small < order[j]:
-                best[j] = max(best[j], best[i] + 1)
-    return max(best.values(), default=0)
 
 
 def _primes(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
@@ -584,38 +567,18 @@ def _primes(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
 
 @lru_cache(maxsize=64)
 def spectrum(R: FiniteSemiring) -> SpectrumReport:
-    """Spec(R) from saturated sets, Max(R) and Min(R) as its maximal and
-    minimal members (module docstring); ``ideals`` and
-    ``is_subtractive_semiring`` alone read every ideal.  Only the flags
-    that hold on every finite semiring (``is_pi_regular``, ``is_fmax``,
-    ``is_fmin``) are set true, with the reason beside them."""
-    all_ideals = ideals(R)
-    full = frozenset(R.elements())
+    """Spec(R) from saturated sets, read as its inclusion order: Max(R),
+    Min(R) and K.dim(R) are that poset's maximals, minimals and Krull
+    dimension, kept in the order of :func:`ideals` (module docstring).
+    ``ideals`` and ``is_subtractive_semiring`` alone read every ideal.
+    The flags that hold on every finite semiring are set true and the
+    lemma reads written out, each with its reason beside it."""
     spec = _primes(R)
-    maximal = tuple(P for P in spec if not any(P < Q for Q in spec))
-    min_primes = tuple(P for P in spec if not any(Q < P for Q in spec))
-    jacobson = full
-    for I in maximal:
-        jacobson &= I
-    prime_radical = full
-    for P in spec:
-        prime_radical &= P
-    nil = nilradical(R)
-
-    def absolutely_minimal(P: frozenset[int]) -> bool:
-        rest = [Q for Q in min_primes if Q != P]
-        inter = full
-        for Q in rest:
-            inter &= Q
-        return P in min_primes and not inter <= P
-
-    def barely_maximal(P: frozenset[int]) -> bool:
-        rest = [Q for Q in maximal if Q != P]
-        inter = full
-        for Q in rest:
-            inter &= Q
-        return P in maximal and not inter <= P
-
+    order = _inclusion_order(R, spec)
+    maximal = tuple(spec[k] for k in sorted(order.maximals()))
+    min_primes = tuple(spec[k] for k in sorted(order.minimals()))
+    full = frozenset(R.elements())
+    prime_radical = full.intersection(*spec)
     els = R.elements()
     is_vnr = all(
         any(R.mul[R.mul[a][b]][a] == a for b in els) for a in els
@@ -624,16 +587,17 @@ def spectrum(R: FiniteSemiring) -> SpectrumReport:
     add_idem = all(R.add[a][a] == a for a in els)
     mul_idem = all(R.mul[a][a] == a for a in els)
     return SpectrumReport(
-        ideals=all_ideals,
+        ideals=ideals(R),
         spec=spec,
         max=maximal,
         min_primes=min_primes,
-        jacobson=jacobson,
-        nilradical=nil,
+        jacobson=full.intersection(*maximal),
+        # a non-nilpotent a misses some prime (module docstring)
+        nilradical=prime_radical,
         prime_radical=prime_radical,
-        kdim=_chain_dim(spec),
+        kdim=order.krull_dim(),
         is_local=len(maximal) == 1,
-        is_reduced=nil == frozenset({R.zero}),
+        is_reduced=prime_radical == frozenset({R.zero}),
         is_vnr=is_vnr,
         # finite: some power e = a^k, k <= n, is idempotent, and e·1·e = e
         is_pi_regular=True,
@@ -649,10 +613,12 @@ def spectrum(R: FiniteSemiring) -> SpectrumReport:
         ),
         is_fmax=True,  # finite carrier: finitely many maximal ideals
         is_fmin=True,
-        is_bmax=all(barely_maximal(P) for P in maximal),
-        is_amin=all(absolutely_minimal(P) for P in min_primes),
-        is_pamin=all(absolutely_minimal(P) for P in spec),
-        is_pbmax=all(barely_maximal(P) for P in spec),
+        # prime avoidance: the other maximal ideals, or the other minimal
+        # primes, meet outside P (module docstring)
+        is_bmax=True,
+        is_amin=True,
+        is_pamin=len(min_primes) == len(spec),
+        is_pbmax=len(maximal) == len(spec),
     )
 
 
@@ -660,15 +626,13 @@ def ideal_label(R: FiniteSemiring, I: frozenset[int]) -> str:
     return "{" + ",".join(R.labels[a] for a in sorted(I)) + "}"
 
 
-def _inclusion_lattice(
-    R: FiniteSemiring, family: Sequence[frozenset[int]]
-) -> FiniteLattice:
-    """The lattice of a ∩-closed family of ideals containing R, under ⊆.
+def _inclusion_order(R: FiniteSemiring, family: Sequence[frozenset[int]]) -> FinitePoset:
+    """A family of ideals under ⊆, labelled by :func:`ideal_label`.
 
-    ``family`` must be sorted by (size, elements).  Only the inclusion
-    order is built, from element bitmasks; :class:`FiniteLattice` reads
-    the meets (the intersections) and the joins (the least members above
-    both) off it.
+    ``family`` must be sorted by (size, elements).  The order is built
+    from element bitmasks; for a ∩-closed family containing R,
+    :class:`FiniteLattice` reads the meets (the intersections) and the
+    joins (the least members above both) off it.
     """
     elem_mask = [sum(1 << e for e in I) for I in family]
     rows = []
@@ -680,7 +644,7 @@ def _inclusion_lattice(
                 row |= bit
             bit <<= 1
         rows.append(row)
-    return FiniteLattice(FinitePoset([ideal_label(R, I) for I in family], rows))
+    return FinitePoset([ideal_label(R, I) for I in family], rows)
 
 
 def ideal_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[int], ...]]:
@@ -692,7 +656,7 @@ def ideal_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[int
     which gives the same topology from far fewer elements.
     """
     all_ideals = ideals(R)
-    return _inclusion_lattice(R, all_ideals), all_ideals
+    return FiniteLattice(_inclusion_order(R, all_ideals)), all_ideals
 
 
 def radical_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[int], ...]]:
@@ -710,7 +674,7 @@ def radical_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[i
         mask = sum(1 << e for e in P)
         closure |= {m & mask for m in closure}
     radicals = _by_size(closure)
-    return _inclusion_lattice(R, radicals), radicals
+    return FiniteLattice(_inclusion_order(R, radicals)), radicals
 
 
 def embedded_spectrum(

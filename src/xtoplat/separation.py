@@ -70,6 +70,11 @@ the closed sets ↑a is closed.  So ⋀A <= q iff A ∩ ↓q ≠ ∅, and:
   ``bmax`` and ``complete_max_property`` hold on every X-top space; ``pamin`` is Min(X) = X and ``pbmax`` is Max(X) = X.  Likewise
   Max(X) and Min(X) are discrete subspaces: for m in either set Y,
   V(m) ∩ Y = {m} is closed, and a finite T1 space is discrete.
+* The prime meets J(X) = ⋀Max(X) and Q(X) = ⋀Min(X) are irredundant: no
+  point can be dropped from either without changing the meet.  A meet of
+  points is radical, so two such meets are equal iff their unions
+  ∪{↑y} are (next line), and m ∈ ↑y with y ∈ Min or y ∈ Max forces
+  y = m; so dropping m from Min(X) or Max(X) drops m from the union.
 * x is excluded, ⋀(X \\ {x}) = ⋀D(x), iff ∪{↑y : y ≠ x} = ∪{↑y : y ∉ ↑x}:
   D(x) = X \\ ↑x; a meet m of points is radical (V(m) contains the
   points, so ⋀V(m) <= m), and two radicals are equal iff their varieties
@@ -325,13 +330,10 @@ class _Analysis:
 
     def prime_meets(self) -> PrimeMeets:
         L = self.space.lattice
-        maxima = self.unmask(self.max_mask)
-        minima = self.unmask(self.min_mask)
-        j = L.meet_all(maxima)
-        q = L.meet_all(minima)
-        j_irr = all(L.meet_all(maxima - {m}) != j for m in maxima)
-        q_irr = all(L.meet_all(minima - {m}) != q for m in minima)
-        return PrimeMeets(j, q, j_irr, q_irr)
+        j = L.meet_all(self.unmask(self.max_mask))
+        q = L.meet_all(self.unmask(self.min_mask))
+        # both meets are irredundant (module docstring)
+        return PrimeMeets(j, q, True, True)
 
 
 def _in_upset_order(P: FinitePoset) -> tuple[list[int], dict[int, int]]:
@@ -391,7 +393,8 @@ def components(space: XTopSpace) -> tuple[tuple[frozenset[int], ...], tuple[froz
 
 
 def jacobson_and_prime_meets(space: XTopSpace) -> PrimeMeets:
-    """⋀Max(X) and ⋀Min(X) with single-drop irredundance flags."""
+    """⋀Max(X) and ⋀Min(X); both are irredundant on every space (module
+    docstring)."""
     return _Analysis(space).prime_meets()
 
 
@@ -503,12 +506,19 @@ def _report_and_checks(
     space: XTopSpace,
 ) -> tuple[SeparationReport, PrimeMeets, tuple[CheckResult, ...]]:
     """The report and prime meets :func:`cross_check` compares, with its
-    results, all from one analysis of the space."""
+    results, all from one analysis of the space.  The prime meets carry
+    their irredundance by its definition, each point dropped in turn."""
     a = _Analysis(space)
     s = a.special()
     r = _report(a)
-    pm = a.prime_meets()
     L = space.lattice
+    j, q = L.meet_all(s.max), L.meet_all(s.min)
+    pm = PrimeMeets(
+        j,
+        q,
+        all(L.meet_all(s.max - {m}) != j for m in s.max),
+        all(L.meet_all(s.min - {m}) != q for m in s.min),
+    )
     X = space.points
     # the definitional side of the point classes the report reads off the
     # order, from the families as masks over lattice indices
@@ -816,7 +826,7 @@ def _report_and_checks(
     )
 
     P = a.spec_poset
-    if a.n and is_forest_of_trees(P, min_base=2):
+    if a.n and is_forest_of_trees(P):
         ok = r.t_threequarter and not r.t1
         add(
             "tree-forests-are-t-threequarter",

@@ -173,6 +173,71 @@ def pairwise_minimal_primes(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
     return tuple(P for P in spec if not any(Q < P for Q in spec))
 
 
+def longest_inclusion_chain(sets) -> int:
+    """Length of the longest strict ⊆-chain among ``sets``, counted in steps."""
+    order = sorted(sets, key=len)
+    best = {i: 0 for i in range(len(order))}
+    for i, small in enumerate(order):
+        for j in range(i + 1, len(order)):
+            if small < order[j]:
+                best[j] = max(best[j], best[i] + 1)
+    return max(best.values(), default=0)
+
+
+def _misses_the_others(P: frozenset[int], family) -> bool:
+    """P does not contain the intersection of the other members of
+    ``family`` (the empty intersection being all of R, which P misses)."""
+    others = [Q for Q in family if Q != P]
+    return not others or not frozenset.intersection(*others) <= P
+
+
+def absolutely_minimal(P: frozenset[int], min_primes) -> bool:
+    """P is a minimal prime over no intersection of the other minimal primes."""
+    return P in min_primes and _misses_the_others(P, min_primes)
+
+
+def barely_maximal(P: frozenset[int], maximal) -> bool:
+    """P is a maximal ideal over no intersection of the other maximal ideals."""
+    return P in maximal and _misses_the_others(P, maximal)
+
+
+def nilradical(R: FiniteSemiring) -> frozenset[int]:
+    """Elements with a^k = 0 for some k >= 1 (powers cycle within |R| steps)."""
+    out = set()
+    for a in R.elements():
+        power = a
+        seen = set()
+        while power not in seen:
+            seen.add(power)
+            if power == R.zero:
+                out.add(a)
+                break
+            power = R.mul[power][a]
+    return frozenset(out)
+
+
+def spectrum_reads_by_scan(R: FiniteSemiring) -> dict:
+    """The fields of ``spectrum(R)`` read off the prime order or by a
+    lemma, from the ideal scans and the definitions: Max and Min by pairs
+    of ideals, K.dim as the longest chain of primes, the nilradical by
+    powers, and BMax, AMin, PAMin and PBMax by intersections."""
+    spec = primes_by_ideal_scan(R)
+    maximal = pairwise_maximal_ideals(R)
+    min_primes = pairwise_minimal_primes(R)
+    nil = nilradical(R)
+    return {
+        "max": maximal,
+        "min_primes": min_primes,
+        "kdim": longest_inclusion_chain(spec),
+        "nilradical": nil,
+        "is_reduced": nil == frozenset({R.zero}),
+        "is_bmax": all(barely_maximal(P, maximal) for P in maximal),
+        "is_amin": all(absolutely_minimal(P, min_primes) for P in min_primes),
+        "is_pamin": all(absolutely_minimal(P, min_primes) for P in spec),
+        "is_pbmax": all(barely_maximal(P, maximal) for P in spec),
+    }
+
+
 def product_semiring(A: FiniteSemiring, B: FiniteSemiring) -> FiniteSemiring:
     """The product semiring A × B, with componentwise operations."""
     pairs = [(a, b) for a in range(A.n) for b in range(B.n)]
@@ -557,6 +622,14 @@ def leq_barely(space: XTopSpace, extremes: frozenset[int]) -> frozenset[int]:
     BMax from Max(X)."""
     L = space.lattice
     return frozenset(q for q in extremes if not L.leq(L.meet_all(extremes - {q}), q))
+
+
+def meet_irredundant(space: XTopSpace, extremes: frozenset[int]) -> bool:
+    """No point of ``extremes`` can be dropped without changing its meet:
+    J(X) from Max(X), Q(X) from Min(X)."""
+    L = space.lattice
+    meet = L.meet_all(extremes)
+    return all(L.meet_all(extremes - {m}) != meet for m in extremes)
 
 
 def lattice_point_classes(space: XTopSpace) -> dict:

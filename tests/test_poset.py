@@ -266,9 +266,9 @@ class TestComponentShapes:
         assert component_shape(V, V.order_components()[0]) == ("V", 2)
 
     def test_forest_of_trees_predicate(self):
-        assert is_forest_of_trees(forest([("T", 2), ("T", 3)]), min_base=2)
-        assert not is_forest_of_trees(forest([("T", 2), ("T", 1)]), min_base=2)
-        assert not is_forest_of_trees(forest([("V", 2)]), min_base=2)
+        assert is_forest_of_trees(forest([("T", 2), ("T", 3)]))
+        assert not is_forest_of_trees(forest([("T", 2), ("T", 1)]))
+        assert not is_forest_of_trees(forest([("V", 2)]))
 
     def test_dual_tree_detection_includes_two_chains(self):
         assert has_dual_tree_component(forest([("T", 2), ("C", 2)]))

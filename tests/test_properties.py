@@ -8,6 +8,7 @@ from xtoplat import (
     from_poset,
     is_xtop_by_irreducibility,
     is_xtop_by_unions,
+    jacobson_and_prime_meets,
     lattice_from_poset,
     separation_report,
     verify_bni,
@@ -15,7 +16,13 @@ from xtoplat import (
 from xtoplat.errors import CycleError, NotALatticeError
 from xtoplat.formats import poset_from_json, poset_to_json
 from xtoplat.poset import FinitePoset, _from_pairs
-from xtoplat.semiring import _additive_generators, bni, semiring_from_tables, spectrum
+from xtoplat.semiring import (
+    _additive_generators,
+    bni,
+    semiring_from_tables,
+    spec_space,
+    spectrum,
+)
 
 from .oracles import (
     axiom_outcome,
@@ -23,13 +30,15 @@ from .oracles import (
     fixpoint_from_pairs,
     lattice_by_search,
     lattice_outcome,
+    leq_extremes,
+    meet_irredundant,
     mutated_tables,
     pairwise_maximal_ideals,
-    pairwise_minimal_primes,
     permuted,
     pi_regular_by_powers,
     primes_by_ideal_scan,
     product_semiring,
+    spectrum_reads_by_scan,
 )
 
 
@@ -84,9 +93,18 @@ def test_maximal_ideals_match_the_pairwise_scan(R):
 @given(semirings())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_primes_from_saturated_sets_match_the_ideal_scan(R):
+    # with the reads off the prime order and the lemma reads
     report = spectrum(R)
     assert report.spec == primes_by_ideal_scan(R)
-    assert report.min_primes == pairwise_minimal_primes(R)
+    oracle = spectrum_reads_by_scan(R)
+    assert {name: getattr(report, name) for name in oracle} == oracle
+    space = spec_space(R)
+    minima, maxima = leq_extremes(space)
+    pm = jacobson_and_prime_meets(space)
+    assert (pm.jacobson_irredundant, pm.min_meet_irredundant) == (
+        meet_irredundant(space, maxima),
+        meet_irredundant(space, minima),
+    )
 
 
 @given(semirings())

@@ -36,6 +36,7 @@ from xtoplat.semiring import (
 )
 from xtoplat.cli import _semiring_subspace
 from xtoplat.separation import (
+    _report_and_checks,
     classify_points,
     jacobson_and_prime_meets,
     separation_report,
@@ -43,16 +44,22 @@ from xtoplat.separation import (
 from xtoplat.topology import build_space, is_xtop_by_irreducibility, is_xtop_by_unions
 
 from .oracles import (
+    absolutely_minimal,
     axiom_outcome,
     axiom_violation_by_scan,
+    barely_maximal,
     downset_semiring,
     ideals_by_subset_scan,
+    leq_extremes,
+    longest_inclusion_chain,
+    meet_irredundant,
     mutated_tables,
     pairwise_maximal_ideals,
     pairwise_minimal_primes,
     pi_regular_by_powers,
     primes_by_ideal_scan,
     product_semiring,
+    spectrum_reads_by_scan,
     wrap_by_search,
 )
 
@@ -423,36 +430,50 @@ class TestMaximalIdeals:
         assert spectrum(s3()).max == pairwise_maximal_ideals(s3())
 
 
-def assert_primes_match_the_ideal_scan(R):
+def assert_spectrum_matches_the_ideal_scans(R):
+    # Spec from saturated sets, the reads off its prime order and the lemma
+    # reads against the ideal scans, and the irredundance of J(X) and Q(X)
+    # on Spec(R) against the single-drop scan
     report = spectrum(R)
     assert report.spec == primes_by_ideal_scan(R)
-    assert report.max == pairwise_maximal_ideals(R)
-    assert report.min_primes == pairwise_minimal_primes(R)
+    oracle = spectrum_reads_by_scan(R)
+    assert {name: getattr(report, name) for name in oracle} == oracle, R
+    space = spec_space(R)
+    minima, maxima = leq_extremes(space)
+    pm = jacobson_and_prime_meets(space)
+    assert (pm.jacobson_irredundant, pm.min_meet_irredundant) == (
+        meet_irredundant(space, maxima),
+        meet_irredundant(space, minima),
+    ), R
 
 
 class TestPrimesFromSaturatedSets:
-    """Spec, Max and Min from saturated sets against the scans over all ideals."""
+    """Spec from saturated sets; Max, Min and K.dim off its inclusion order;
+    the nilradical as the prime radical, BMax and AMin by prime avoidance,
+    PAMin as Spec = Min, PBMax as Spec = Max and the irredundant prime
+    meets: all against the scans over all ideals and the definitions."""
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_bni_grid(self, n):
         for i in range(n):
-            assert_primes_match_the_ideal_scan(bni(n, i))
+            assert_spectrum_matches_the_ideal_scans(bni(n, i))
 
     def test_s3(self):
-        assert_primes_match_the_ideal_scan(s3())
+        assert_spectrum_matches_the_ideal_scans(s3())
 
     def test_products(self):
         factors = [s3()] + [bni(n, i) for n in range(2, 6) for i in range(n)]
-        for k, A in enumerate(factors):
-            for B in factors[k:]:
-                assert_primes_match_the_ideal_scan(product_semiring(A, B))
+        pairs = [(A, B) for k, A in enumerate(factors) for B in factors[k:]]
+        assert len(pairs) == 120
+        for A, B in pairs:
+            assert_spectrum_matches_the_ideal_scans(product_semiring(A, B))
 
     @pytest.mark.parametrize("points", range(1, 6))
     def test_downset_semirings(self, points):
         # Birkhoff duality: Spec(D(P)) has one prime per point of P
         for P in all_posets(points):
             R = downset_semiring(P)
-            assert_primes_match_the_ideal_scan(R)
+            assert_spectrum_matches_the_ideal_scans(R)
             assert len(spectrum(R).spec) == points
 
 
@@ -588,8 +609,9 @@ class TestVerifyBni:
 
 class TestDiscretenessEquivalences:
     """BMax/AMin/PAMin flags agree across three independent routes:
-    ideal-set intersections (spectrum), lattice meets (prime meets), and
-    subspace topologies (separation reports)."""
+    ideal-set intersections (the ideal scans), lattice meets (the
+    single-drop scan of cross_check) and subspace topologies (separation
+    reports)."""
 
     SOURCES = [
         (2, 1), (4, 0), (6, 0), (12, 0), (5, 2), (9, 8), (10, 1),
@@ -602,35 +624,34 @@ class TestDiscretenessEquivalences:
             yield bni(n, i)
 
     def test_bmax_routes_agree(self):
-        from xtoplat import jacobson_and_prime_meets, separation_report
-
         for R in self.semirings():
-            rep = spectrum(R)
-            pm = jacobson_and_prime_meets(spec_space(R))
+            maximal = pairwise_maximal_ideals(R)
+            by_ideals = all(barely_maximal(P, maximal) for P in maximal)
+            by_meets = _report_and_checks(spec_space(R))[1].jacobson_irredundant
             max_discrete = separation_report(spec_space(R, "max")).discrete
-            assert rep.is_bmax == pm.jacobson_irredundant == max_discrete, R
+            assert by_ideals == by_meets == max_discrete, R
 
     def test_amin_routes_agree(self):
-        from xtoplat import jacobson_and_prime_meets, separation_report
-
         for R in self.semirings():
-            rep = spectrum(R)
-            pm = jacobson_and_prime_meets(spec_space(R))
+            min_primes = pairwise_minimal_primes(R)
+            by_ideals = all(absolutely_minimal(P, min_primes) for P in min_primes)
+            by_meets = _report_and_checks(spec_space(R))[1].min_meet_irredundant
             min_discrete = separation_report(spec_space(R, "min")).discrete
-            assert rep.is_amin == pm.min_meet_irredundant == min_discrete, R
+            assert by_ideals == by_meets == min_discrete, R
 
     def test_pamin_pbmax_and_discreteness_collapse(self):
-        from xtoplat import separation_report
-
         for R in self.semirings():
-            rep = spectrum(R)
+            spec = primes_by_ideal_scan(R)
+            maximal = pairwise_maximal_ideals(R)
+            min_primes = pairwise_minimal_primes(R)
+            kdim = longest_inclusion_chain(spec)
             spec_discrete = separation_report(spec_space(R)).discrete
             assert (
-                rep.is_pamin
-                == rep.is_pbmax
+                all(absolutely_minimal(P, min_primes) for P in spec)
+                == all(barely_maximal(P, maximal) for P in spec)
                 == spec_discrete
-                == (rep.kdim == 0 and rep.is_bmax)
-                == (rep.kdim == 0 and rep.is_amin)
+                == (kdim == 0 and all(barely_maximal(P, maximal) for P in maximal))
+                == (kdim == 0 and all(absolutely_minimal(P, min_primes) for P in min_primes))
             ), R
 
 

@@ -34,6 +34,7 @@ from xtoplat.topology import build_space, is_xtop_by_unions, radical_info
 
 from .oracles import (
     lattice_point_classes,
+    meet_irredundant,
     naive_closure,
     naive_components,
     naive_connected,
@@ -263,6 +264,11 @@ class TestOrderLemmas:
             )
             assert (r.pamin, r.pbmax) == (o["amin"] == X, o["bmax"] == X)
             assert (r.t1half_kc, r.discrete) == (o["kc"], o["discrete"])
+            pm = jacobson_and_prime_meets(space)
+            assert (pm.jacobson_irredundant, pm.min_meet_irredundant) == (
+                meet_irredundant(space, o["max"]),
+                meet_irredundant(space, o["min"]),
+            )
 
     def test_graphical_reads_match_the_definitions(self, lattice_spaces, posets_upto_6):
         # RO and Excl off Min and the rows ↓y, T_F and T¾ off Max ∪ Min and
