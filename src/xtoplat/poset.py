@@ -3,14 +3,24 @@
 Elements are dense indices ``0..n-1`` with a label table; subsets are
 ``frozenset[int]``.  The order is stored as a full n×n boolean relation,
 kept internally as one bitmask row per element (bit ``j`` of ``up[i]`` is
-set iff ``i <= j``).  The reflexive-transitive closure is computed eagerly
-at construction, so all queries are O(1) table lookups.
+set iff ``i <= j``), so all queries are O(1) table lookups.
 
-Constructors cover the shapes used throughout: chains C_k, antichains,
-trees T_n (one maximal element over n pairwise-incomparable minimals),
-dual trees V_m (one minimal element under m maximals), and forests
-(disjoint unions of those, labels suffixed with ``#<component>`` to stay
-distinct).
+Rows that can be malformed are checked once, where they enter:
+``FinitePoset(labels, rows)`` validates reflexivity, antisymmetry and
+transitivity for the rows that specialization posets, inclusion orders,
+lattice orders, enumeration and :meth:`FinitePoset.restrict` pass it,
+and ``poset_from_relation`` (JSON input) first closes its pairs by one
+Warshall pass.
+
+The shapes used throughout are written down instead: chains C_k,
+antichains, trees T_n (one maximal element over n pairwise-incomparable
+minimals), dual trees V_m (one minimal element under m maximals), and
+forests (disjoint unions of those, labels suffixed with ``#<component>``
+to stay distinct).  Each shape knows its covers, so its up rows, down
+rows and heights follow from them directly, and a forest shifts its
+components' rows by their offsets; these skip both passes.  Rows take
+memory quadratic in the points, so a shape past :data:`MAX_POINTS` is
+refused with :class:`RangeError` before any row is built.
 """
 
 from __future__ import annotations
@@ -22,10 +32,15 @@ from .errors import (
     DuplicateLabelError,
     EmptyPosetError,
     EmptySpecError,
+    RangeError,
     ZeroSizeError,
 )
 
 ForestComponent = tuple[str, int]  # ("T" | "V" | "C", parameter)
+
+# `classify --chain` at the cap peaks near 205 MB and takes 1.6–1.9 s on a
+# 2-core machine; past it, the quadratic rows outgrow a small host.
+MAX_POINTS = 30_000
 
 
 def _letters(k: int) -> list[str]:
@@ -53,7 +68,7 @@ def _bits(mask: int):
 class FinitePoset:
     """An immutable finite poset over labelled elements."""
 
-    __slots__ = ("labels", "_up", "_index", "_down")
+    __slots__ = ("labels", "_up", "_index", "_down", "_heights")
 
     def __init__(self, labels: Sequence[str], up_masks: Sequence[int]):
         labels = tuple(labels)
@@ -86,6 +101,18 @@ class FinitePoset:
         self._up = up
         self._index = {name: i for i, name in enumerate(labels)}
         self._down: tuple[int, ...] | None = None
+        self._heights: tuple[int, ...] | None = None
+
+    @classmethod
+    def _written(cls, labels, up, down, heights) -> "FinitePoset":
+        """A shape's poset from the up rows, down rows and heights its
+        covers give: transitive and mutually transposed by construction,
+        so neither closure nor validation runs."""
+        P = cls.__new__(cls)
+        P.labels, P._up, P._down = tuple(labels), tuple(up), tuple(down)
+        P._heights = tuple(heights)
+        P._index = {name: i for i, name in enumerate(P.labels)}
+        return P
 
     # -- basic queries ------------------------------------------------------
 
@@ -164,6 +191,8 @@ class FinitePoset:
 
     def heights(self) -> tuple[int, ...]:
         """Height of every element: longest strict chain ending there."""
+        if self._heights is not None:
+            return self._heights
         down = self.down_rows()
         order = sorted(range(self.n), key=lambda i: bin(down[i]).count("1"))
         ht = [0] * self.n
@@ -331,19 +360,34 @@ def poset_from_relation(
     return _from_pairs(labels, index_pairs)
 
 
+def _fits(points: int) -> None:
+    if points > MAX_POINTS:
+        raise RangeError(
+            f"a chain, tree or forest has at most {MAX_POINTS} points, got {points}"
+        )
+
+
 def chain(k: int) -> FinitePoset:
     """Totally ordered poset x0 < x1 < ... with k elements (length k-1)."""
     if k < 1:
         raise ZeroSizeError("a chain needs at least one element")
-    labels = [f"x{i}" for i in range(k)]
-    return _from_pairs(labels, [(i, i + 1) for i in range(k - 1)])
+    _fits(k)
+    full = (1 << k) - 1
+    return FinitePoset._written(
+        [f"x{i}" for i in range(k)],
+        [full >> i << i for i in range(k)],
+        [full >> (k - 1 - i) for i in range(k)],
+        range(k),
+    )
 
 
 def antichain(k: int) -> FinitePoset:
     """k pairwise-incomparable elements."""
     if k < 1:
         raise ZeroSizeError("an antichain needs at least one element")
-    return _from_pairs([f"a{i}" for i in range(k)], [])
+    _fits(k)
+    rows = [1 << i for i in range(k)]
+    return FinitePoset._written([f"a{i}" for i in range(k)], rows, rows, [0] * k)
 
 
 def tree(n: int) -> FinitePoset:
@@ -353,8 +397,15 @@ def tree(n: int) -> FinitePoset:
     """
     if n < 1:
         raise ZeroSizeError("a tree needs at least one minimal element")
+    _fits(n + 1)
     labels = [name for name in _letters(n + 1) if name != "m"][:n] + ["m"]
-    return _from_pairs(labels, [(i, n) for i in range(n)])
+    top = 1 << n
+    return FinitePoset._written(
+        labels,
+        [1 << i | top for i in range(n)] + [top],
+        [1 << i for i in range(n)] + [(top << 1) - 1],
+        [0] * n + [1],
+    )
 
 
 def dual_tree(m: int) -> FinitePoset:
@@ -364,17 +415,26 @@ def dual_tree(m: int) -> FinitePoset:
     """
     if m < 1:
         raise ZeroSizeError("a dual tree needs at least one maximal element")
+    _fits(m + 1)
     labels = ["r"] + [name for name in _letters(m + 1) if name != "r"][:m]
-    return _from_pairs(labels, [(0, i) for i in range(1, m + 1)])
+    return FinitePoset._written(
+        labels,
+        [(2 << m) - 1] + [1 << i for i in range(1, m + 1)],
+        [1] + [1 << i | 1 for i in range(1, m + 1)],
+        [0] + [1] * m,
+    )
 
 
 def forest(spec: Sequence[ForestComponent]) -> FinitePoset:
     """Disjoint union of T/V/C components; labels get a ``#<k>`` suffix."""
     if not spec:
         raise EmptySpecError("a forest needs at least one component")
+    _fits(sum(size + (kind.upper() != "C") for kind, size in spec))
     builders = {"T": tree, "V": dual_tree, "C": chain}
     labels: list[str] = []
-    pairs: list[tuple[int, int]] = []
+    up: list[int] = []
+    down: list[int] = []
+    heights: list[int] = []
     for k, (kind, size) in enumerate(spec, start=1):
         kind = kind.upper()
         if kind not in builders:
@@ -382,8 +442,10 @@ def forest(spec: Sequence[ForestComponent]) -> FinitePoset:
         part = builders[kind](size)
         offset = len(labels)
         labels.extend(f"{name}#{k}" for name in part.labels)
-        pairs.extend((offset + i, offset + j) for i, j in part.covers())
-    return _from_pairs(labels, pairs)
+        up.extend(row << offset for row in part._up)
+        down.extend(row << offset for row in part._down)
+        heights.extend(part._heights)
+    return FinitePoset._written(labels, up, down, heights)
 
 
 # -- component shape classification ----------------------------------------
@@ -397,10 +459,10 @@ def component_shape(P: FinitePoset, component: frozenset[int]) -> ForestComponen
     and :func:`is_dual_tree_component` instead.  Returns None for any other
     shape.
     """
-    comp = sorted(component)
-    k = len(comp)
-    if all(P.leq(a, b) or P.leq(b, a) for a in comp for b in comp):
-        return ("C", k)
+    up, down = P._up, P.down_rows()
+    C = sum(1 << i for i in component)
+    if all((up[i] | down[i]) & C == C for i in component):
+        return ("C", len(component))
     n = is_tree_component(P, component)
     if n is not None:
         return ("T", n)
@@ -412,38 +474,28 @@ def component_shape(P: FinitePoset, component: frozenset[int]) -> ForestComponen
 
 def is_tree_component(P: FinitePoset, component: frozenset[int]) -> int | None:
     """n if the component is a T_n (n >= 1), else None."""
-    comp = sorted(component)
-    tops = [i for i in comp if not any(P.lt(i, j) for j in comp)]
-    if len(tops) != 1:
-        return None
-    top = tops[0]
-    base = [i for i in comp if i != top]
-    if not base:
-        return None
-    for i in base:
-        if not P.lt(i, top):
-            return None
-        if any(P.lt(j, i) or (j != i and P.lt(i, j) and j != top) for j in comp):
-            return None
-    return len(base)
+    return _star(P._up, component)
 
 
 def is_dual_tree_component(P: FinitePoset, component: frozenset[int]) -> int | None:
     """m if the component is a V_m (m >= 1), else None."""
-    comp = sorted(component)
-    bottoms = [i for i in comp if not any(P.lt(j, i) for j in comp)]
-    if len(bottoms) != 1:
+    return _star(P.down_rows(), component)
+
+
+def _star(rows: Sequence[int], component: frozenset[int]) -> int | None:
+    """The number of leaves if ``component`` C is one hub t with rows[t] ∩ C
+    = {t} and at least one leaf, every leaf i having rows[i] ∩ C = {i, t};
+    else None.  On the up rows that is T_n, on the down rows V_m.  Nothing
+    in C lies on the other side of a leaf i: such a j would be a leaf, and
+    rows[j] ∩ C would hold i."""
+    C = sum(1 << i for i in component)
+    hubs = [t for t in component if rows[t] & C == 1 << t]
+    if len(hubs) != 1 or len(component) == 1:
         return None
-    bottom = bottoms[0]
-    cover = [i for i in comp if i != bottom]
-    if not cover:
+    hub = 1 << hubs[0]
+    if any(rows[i] & C != 1 << i | hub for i in _bits(C & ~hub)):
         return None
-    for i in cover:
-        if not P.lt(bottom, i):
-            return None
-        if any(P.lt(i, j) or (j != i and P.lt(j, i) and j != bottom) for j in comp):
-            return None
-    return len(cover)
+    return len(component) - 1
 
 
 def is_forest_of_trees(P: FinitePoset) -> bool:

@@ -21,6 +21,7 @@ from xtoplat import (
     XTopSpace,
     semiring_from_tables,
 )
+from xtoplat.poset import _letters
 from xtoplat.semiring import ideals, is_prime_ideal
 
 
@@ -579,6 +580,89 @@ def fixpoint_from_pairs(labels, index_pairs) -> FinitePoset:
                 up[i] = row
                 changed = True
     return FinitePoset(labels, up)
+
+
+# -- shapes closed from their covers, and their pairwise component reads ------
+
+
+def _shape_covers(kind: str, size: int) -> tuple[list[str], list[tuple[int, int]]]:
+    """Labels and cover pairs of C_k, T_n, V_m or the k-antichain "A"."""
+    if kind == "C":
+        return [f"x{i}" for i in range(size)], [(i, i + 1) for i in range(size - 1)]
+    if kind == "A":
+        return [f"a{i}" for i in range(size)], []
+    if kind == "T":
+        minimals = [name for name in _letters(size + 1) if name != "m"][:size]
+        return minimals + ["m"], [(i, size) for i in range(size)]
+    maximals = [name for name in _letters(size + 1) if name != "r"][:size]
+    return ["r"] + maximals, [(0, i) for i in range(1, size + 1)]
+
+
+def shape_by_closure(kind: str, size: int) -> FinitePoset:
+    """C_k, T_n, V_m or the k-antichain, closed from its covers."""
+    return fixpoint_from_pairs(*_shape_covers(kind, size))
+
+
+def forest_by_closure(spec) -> FinitePoset:
+    """The forest of ``spec``, its components' covers shifted by their
+    offsets and closed as one relation."""
+    labels, pairs = [], []
+    for k, (kind, size) in enumerate(spec, start=1):
+        names, covers = _shape_covers(kind.upper(), size)
+        offset = len(labels)
+        labels.extend(f"{name}#{k}" for name in names)
+        pairs.extend((offset + i, offset + j) for i, j in covers)
+    return fixpoint_from_pairs(labels, pairs)
+
+
+def pairwise_tree_component(P: FinitePoset, component: frozenset[int]) -> int | None:
+    """n if the component is a T_n (n >= 1), by lt calls over its pairs."""
+    comp = sorted(component)
+    tops = [i for i in comp if not any(P.lt(i, j) for j in comp)]
+    if len(tops) != 1:
+        return None
+    top = tops[0]
+    base = [i for i in comp if i != top]
+    if not base:
+        return None
+    for i in base:
+        if not P.lt(i, top):
+            return None
+        if any(P.lt(j, i) or (j != i and P.lt(i, j) and j != top) for j in comp):
+            return None
+    return len(base)
+
+
+def pairwise_dual_tree_component(P: FinitePoset, component: frozenset[int]) -> int | None:
+    """m if the component is a V_m (m >= 1), by lt calls over its pairs."""
+    comp = sorted(component)
+    bottoms = [i for i in comp if not any(P.lt(j, i) for j in comp)]
+    if len(bottoms) != 1:
+        return None
+    bottom = bottoms[0]
+    cover = [i for i in comp if i != bottom]
+    if not cover:
+        return None
+    for i in cover:
+        if not P.lt(bottom, i):
+            return None
+        if any(P.lt(i, j) or (j != i and P.lt(j, i) and j != bottom) for j in comp):
+            return None
+    return len(cover)
+
+
+def pairwise_component_shape(P: FinitePoset, component: frozenset[int]):
+    """("C", k), ("T", n), ("V", m) or None, by leq calls over its pairs."""
+    comp = sorted(component)
+    if all(P.leq(a, b) or P.leq(b, a) for a in comp for b in comp):
+        return ("C", len(comp))
+    n = pairwise_tree_component(P, component)
+    if n is not None:
+        return ("T", n)
+    m = pairwise_dual_tree_component(P, component)
+    if m is not None:
+        return ("V", m)
+    return None
 
 
 # -- point classes through leq/meet calls and family sizes ---------------------

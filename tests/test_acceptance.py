@@ -35,6 +35,7 @@ from xtoplat import (
 from xtoplat.enumeration import forest_specs
 from xtoplat.poset import forest
 from xtoplat.semiring import principal_ideal
+from xtoplat.separation import _report_and_checks
 
 
 def _report(criterion: str, started: float, budget: float | None):
@@ -124,6 +125,8 @@ def test_criterion_4_zn_discrete():
         space = spec_space(R)
         assert separation_report(space).discrete, n
         assert jacobson_and_prime_meets(space).jacobson_irredundant, n
+        # the lemma read above, and its definition: no prime dropped from ⋀Max
+        assert _report_and_checks(space)[1].jacobson_irredundant, n
     _report("4 (Z_n spectra discrete)", started, 60.0)
 
 

@@ -244,6 +244,59 @@ class TestClassify:
             code, text = run(argv)
             assert code == 0 and text
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--chain", "50"],
+            ["classify", "--forest", "T3+V2+C4", "--json"],
+            ["classify", "--forest", "T3+V2+C4"],
+        ],
+    )
+    def test_shape_sources_skip_closure_and_validation(self, monkeypatch, argv):
+        from xtoplat import poset
+
+        expected = run(argv)
+
+        def refuse(*args):
+            raise AssertionError("a closure or validation pass ran")
+
+        monkeypatch.setattr(poset, "_from_pairs", refuse)
+        monkeypatch.setattr(poset.FinitePoset, "__init__", refuse)
+        assert run(argv) == expected and expected[0] == 0
+
+    @pytest.mark.parametrize(
+        "source, points",
+        [
+            (["--chain", "1000000"], 1000000),
+            (["--forest", "C600000"], 600000),
+            (["--forest", "T20000+V20000"], 40002),
+        ],
+    )
+    def test_oversized_source_exit_2_before_anything_is_built(
+        self, monkeypatch, capsys, source, points
+    ):
+        import tracemalloc
+
+        from xtoplat.poset import MAX_POINTS, FinitePoset
+
+        def refuse(*args):
+            raise AssertionError("rows were built")
+
+        monkeypatch.setattr(FinitePoset, "_written", refuse)
+        for argv in (["classify", *source], ["export", *source]):
+            tracemalloc.start()
+            try:
+                result = run(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result == (2, "")
+            assert peak < 1 << 20
+            assert capsys.readouterr().err == (
+                f"error: a chain, tree or forest has at most {MAX_POINTS} points, "
+                f"got {points}\n"
+            )
+
     @pytest.mark.parametrize("spec", ["T13", "V18", "T30+V30"])
     def test_wide_forest_labels_stay_distinct(self, spec):
         code, text = run(["classify", "--forest", spec, "--json"])

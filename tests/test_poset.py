@@ -12,6 +12,7 @@ from xtoplat import (
     EmptyPosetError,
     EmptySpecError,
     FinitePoset,
+    RangeError,
     ZeroSizeError,
     antichain,
     chain,
@@ -20,20 +21,41 @@ from xtoplat import (
     poset_from_relation,
     tree,
 )
+from xtoplat.enumeration import forest_specs
 from xtoplat.poset import (
+    MAX_POINTS,
     _from_pairs,
     component_shape,
     has_dual_tree_component,
+    is_dual_tree_component,
     is_forest_of_trees,
+    is_tree_component,
 )
 
 from .oracles import (
     chains_ending_at,
     fixpoint_from_pairs,
+    forest_by_closure,
     longest_chain_length,
+    pairwise_component_shape,
+    pairwise_dual_tree_component,
+    pairwise_tree_component,
     recursive_upset_masks,
+    shape_by_closure,
     upsets_by_filter,
 )
+
+
+def _rows_and_reads(P):
+    return (
+        P.labels,
+        P._up,
+        P.down_rows(),
+        P.heights(),
+        P.covers(),
+        P.minimals(),
+        P.maximals(),
+    )
 
 
 class TestFromRelation:
@@ -120,6 +142,73 @@ class TestShapes:
         for builder in (tree, dual_tree):
             with pytest.raises(ZeroSizeError):
                 builder(0)
+
+
+class TestWrittenShapes:
+    """The shapes write their rows and heights down from their covers; the
+    oracle closes the same covers and derives the rest from the rows."""
+
+    @pytest.mark.parametrize(
+        "builder, kind, sizes",
+        [
+            (chain, "C", range(1, 61)),
+            (tree, "T", range(1, 41)),
+            (dual_tree, "V", range(1, 41)),
+            (antichain, "A", range(1, 21)),
+        ],
+    )
+    def test_shapes_match_their_closure(self, builder, kind, sizes):
+        for k in sizes:
+            P = builder(k)
+            assert _rows_and_reads(P) == _rows_and_reads(shape_by_closure(kind, k)), k
+
+    def test_forests_match_their_closure(self):
+        specs = forest_specs(9)
+        assert len(specs) == 309
+        for spec in specs:
+            F = forest(spec)
+            assert _rows_and_reads(F) == _rows_and_reads(forest_by_closure(spec)), spec
+
+    def test_lowercase_kinds_and_unknown_kind(self):
+        assert forest([("t", 2), ("c", 3)]) == forest([("T", 2), ("C", 3)])
+        with pytest.raises(ValueError):
+            forest([("C", 2), ("X", 1)])
+
+
+class TestPointCap:
+    """Rows take memory quadratic in the points, so a shape past the cap is
+    refused before any row is built; one at the cap reaches the rows."""
+
+    @pytest.fixture
+    def no_rows(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def refuse(*args):
+            raise Built
+
+        monkeypatch.setattr(FinitePoset, "_written", refuse)
+        return Built
+
+    @pytest.mark.parametrize(
+        "build, extra", [(chain, 0), (antichain, 0), (tree, 1), (dual_tree, 1)]
+    )
+    def test_shapes_at_and_past_the_cap(self, no_rows, build, extra):
+        # ``extra`` is the point beyond the size parameter: a tree's top
+        with pytest.raises(no_rows):
+            build(MAX_POINTS - extra)
+        with pytest.raises(RangeError, match=f"at most {MAX_POINTS} points, got {MAX_POINTS + 1}"):
+            build(MAX_POINTS - extra + 1)
+
+    def test_forests_count_every_component_first(self, no_rows):
+        half = MAX_POINTS // 2
+        with pytest.raises(no_rows):
+            forest([("T", half - 1), ("V", MAX_POINTS - half - 1)])
+        # each component fits alone; the forest does not
+        with pytest.raises(RangeError, match=f"got {MAX_POINTS + 1}"):
+            forest([("T", half - 1), ("C", MAX_POINTS - half + 1)])
+        with pytest.raises(RangeError, match=f"got {MAX_POINTS + 2}"):
+            forest([("T", half), ("V", MAX_POINTS - half)])
 
 
 class TestForest:
@@ -275,6 +364,31 @@ class TestComponentShapes:
         assert has_dual_tree_component(forest([("V", 3)]))
         assert not has_dual_tree_component(forest([("T", 2), ("T", 5)]))
         assert not has_dual_tree_component(forest([("C", 3)]))
+
+
+class TestComponentShapesOffTheRows:
+    """The mask reads agree with the pairwise scans on every component."""
+
+    @staticmethod
+    def _agree(P):
+        for comp in P.order_components():
+            assert component_shape(P, comp) == pairwise_component_shape(P, comp)
+            assert is_tree_component(P, comp) == pairwise_tree_component(P, comp)
+            assert is_dual_tree_component(P, comp) == pairwise_dual_tree_component(P, comp)
+
+    def test_every_poset_upto_6(self, posets_upto_6):
+        for P in posets_upto_6:
+            self._agree(P)
+
+    def test_every_forest_upto_9(self):
+        for spec in forest_specs(9):
+            self._agree(forest(spec))
+
+    def test_sets_that_are_not_components(self):
+        F = forest([("T", 2), ("V", 2), ("C", 3)])
+        for mask in range(1 << F.n):
+            part = frozenset(i for i in range(F.n) if mask >> i & 1)
+            assert component_shape(F, part) == pairwise_component_shape(F, part)
 
 
 def test_matrix_view():
