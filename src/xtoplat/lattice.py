@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EmptyPosetError, NotALatticeError, SubsetViolationError
-from .poset import FinitePoset, _mask_to_set
+from .poset import FinitePoset, _bits
 
 
 class FiniteLattice:
@@ -333,7 +333,7 @@ class UpsetLattice(FiniteLattice):
 
 
 def _set_label(P: FinitePoset, mask: int) -> str:
-    return "{" + ",".join(P.labels[i] for i in sorted(_mask_to_set(mask))) + "}"
+    return "{" + ",".join(P.labels[i] for i in _bits(mask)) + "}"
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,18 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _mask(S: Iterable[int]) -> int:
+    """The mask of a set of indices, the inverse of :func:`_bits`."""
+    return sum(1 << x for x in S)
+
+
+def _by_size(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
+    """Masks as sets sorted by (size, sorted elements): the order of every
+    listed family of point sets and of ideals."""
+    listed = sorted(map(list, map(_bits, masks)), key=lambda s: (len(s), s))
+    return tuple(map(frozenset, listed))
+
+
 class FinitePoset:
     """An immutable finite poset over labelled elements."""
 
@@ -177,11 +189,11 @@ class FinitePoset:
 
     def up_set(self, i: int) -> frozenset[int]:
         """↑i = {j : i <= j}."""
-        return _mask_to_set(self.up_mask(i))
+        return frozenset(_bits(self.up_mask(i)))
 
     def down_set(self, i: int) -> frozenset[int]:
         """↓i = {j : j <= i}."""
-        return _mask_to_set(self.down_mask(i))
+        return frozenset(_bits(self.down_mask(i)))
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -239,7 +251,7 @@ class FinitePoset:
     def upsets(self) -> tuple[frozenset[int], ...]:
         """All up-closed subsets, including ∅ and the full set."""
         masks = sorted(self.upset_masks())
-        return tuple(_mask_to_set(m) for m in masks)
+        return tuple(frozenset(_bits(m)) for m in masks)
 
     def upset_masks(self) -> list[int]:
         """Every up-set as a mask, split on a maximal element m of the
@@ -289,7 +301,7 @@ class FinitePoset:
                 frontier = reach & ~comp
                 comp |= reach
             left &= ~comp
-            comps.append(_mask_to_set(comp))
+            comps.append(frozenset(_bits(comp)))
         return tuple(comps)
 
     def restrict(self, members: Iterable[int]) -> "FinitePoset":
@@ -307,17 +319,6 @@ class FinitePoset:
                     row |= 1 << pos[j]
             up.append(row)
         return FinitePoset(labels, up)
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
 
 
 def _from_pairs(labels: Sequence[str], index_pairs: Iterable[tuple[int, int]]) -> FinitePoset:

@@ -112,7 +112,7 @@ from typing import Sequence
 
 from .errors import AxiomError, NotAnIdealError, RangeError
 from .lattice import EmbeddedSubset, FiniteLattice
-from .poset import FinitePoset, _bits
+from .poset import FinitePoset, _bits, _by_size
 from .topology import XTopSpace, build_space
 
 
@@ -401,13 +401,6 @@ def is_ideal(R: FiniteSemiring, members: frozenset[int]) -> bool:
         and members.issuperset(R.mul[a])
         for a in members
     )
-
-
-def _by_size(masks) -> tuple[frozenset[int], ...]:
-    """Element masks as sets sorted by (size, sorted elements): the order
-    of every ideal listing."""
-    listed = sorted(map(list, map(_bits, masks)), key=lambda s: (len(s), s))
-    return tuple(map(frozenset, listed))
 
 
 @lru_cache(maxsize=64)

@@ -112,10 +112,12 @@ Min, Max and the rows ↓y:
 
 So every source takes one route: Min, Max, the rows ↓y, the heights and
 the comparability components of its specialization order, in O(n) big-int
-operations beyond those rows.  A space's families are read once, to check
-that each Ker(x) is open, and its lattice only for the prime meets J(X)
-and Q(X).  :func:`cross_check` takes the other side of each lemma and
-theorem from the families, from pair scans and from meets in L.
+operations beyond those rows.  A space's variety masks are read once, to
+check that each Ker(x) is open (X \\ ↓x is a variety), and its lattice
+only for the prime meets J(X) and Q(X).  :func:`cross_check` takes the
+other side of each lemma and theorem from the families, as the varieties
+and their complements in X, from pair scans and from meets in L.  No
+frozenset family of the space is built here.
 
 A :class:`~xtoplat.poset.FinitePoset` P is accepted wherever a space is
 classified, and read as the space ``from_poset(P)``: X is {↑x : x ∈ P}
@@ -138,7 +140,7 @@ from .lattice import EmbeddedSubset, has_complete_max_property
 from .poset import (
     FinitePoset,
     _bits,
-    _mask_to_set,
+    _mask,
     has_dual_tree_component,
     is_forest_of_trees,
 )
@@ -265,9 +267,11 @@ class _Analysis:
             self.pts = source.sorted_points()
             # the poset lists the points in sorted order too, so its rows are masks
             P = source.specialization_poset()
-            opens = set(source.open_family)
+            # Ker(x) = ↓x is open iff X \\ ↓x is a variety
+            pts, closed = self.pts, set(source.variety_masks)
+            full = _mask(pts)
             for k, kernel in enumerate(P.down_rows()):
-                if self.unmask(kernel) not in opens:
+                if full & ~_mask(pts[j] for j in _bits(kernel)) not in closed:
                     raise XtoplatError(
                         f"Ker({P.labels[k]!r}) is not open: the open family does not "
                         "match the specialization order"
@@ -290,7 +294,7 @@ class _Analysis:
         self.excl_mask = self.full & ~self.min_mask | self.ro_mask
 
     def unmask(self, mask: int) -> frozenset[int]:
-        return frozenset(self.pts[k] for k in _mask_to_set(mask))
+        return frozenset(self.pts[k] for k in _bits(mask))
 
     def labels(self, mask: int) -> tuple[str, ...]:
         """The labels of the points in ``mask``, in output order."""
@@ -463,10 +467,6 @@ def _eq_witness(a: _Analysis, left: frozenset[int], right: frozenset[int]) -> st
     return f"point {a.space.label(diff[0])!r}" if diff else "sets equal"
 
 
-def _mask(S) -> int:
-    return sum(1 << x for x in S)
-
-
 def _least_around(family: set[int], S: int, full: int) -> int:
     """The intersection of the members of ``family`` that contain mask S
     (the smallest one, when the family is closed under intersections)."""
@@ -521,10 +521,12 @@ def _report_and_checks(
     )
     X = space.points
     # the definitional side of the point classes the report reads off the
-    # order, from the families as masks over lattice indices
+    # order, from the families as masks over lattice indices: the closed
+    # sets are the varieties and the open sets their complements
     full = _mask(X)
-    closed = {_mask(C) for C in space.closed_family}
-    opens = {_mask(U) for U in space.open_family}
+    varieties = space.variety_masks
+    closed = set(varieties)
+    opens = {full & ~v for v in closed}
     clopens = closed & opens
     closed_pts = frozenset(x for x in X if 1 << x in closed)
     isolated = frozenset(x for x in X if 1 << x in opens)
@@ -533,8 +535,7 @@ def _report_and_checks(
     quasi = {x: frozenset(_bits(_least_around(clopens, 1 << x, full))) for x in X}
     kc = len(closed) == 1 << len(X)
     discrete = len(opens) == 1 << len(X)
-    # the varieties and radicals of (L, X), shared by the carrier checks
-    varieties = L.variety_masks(X)
+    # the radicals of (L, X), for the carrier checks
     rad = _radical_info(L, varieties)
     totally_separated = all(len(Q) == 1 for Q in quasi.values())
 

@@ -360,6 +360,21 @@ def wrap_by_search(v: int, n: int, i: int) -> int:
 # -- naive topology (open-family scans only) ---------------------------------
 
 
+def eager_views(L: FiniteLattice, X) -> tuple[tuple[frozenset[int], ...], ...]:
+    """(varieties, closed family, open family) of (L, X) as frozensets,
+    built eagerly from L.leq: V(a) for every a, then the distinct V(a) and
+    their complements in X, each family sorted by (size, sorted elements)."""
+    X = frozenset(X)
+    varieties = tuple(frozenset(x for x in X if L.leq(a, x)) for a in range(L.n))
+
+    def key(S):
+        return len(S), sorted(S)
+
+    closed = tuple(sorted(set(varieties), key=key))
+    opens = tuple(sorted((X - C for C in closed), key=key))
+    return varieties, closed, opens
+
+
 def naive_kernel(space: XTopSpace, x: int) -> frozenset[int]:
     acc = space.points
     for U in space.open_family:

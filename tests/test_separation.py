@@ -27,7 +27,7 @@ from xtoplat import (
     tree,
 )
 from xtoplat.enumeration import forest_specs
-from xtoplat.errors import XtoplatError
+from xtoplat.errors import CycleError, XtoplatError
 from xtoplat.lattice import EmbeddedSubset, has_complete_max_property
 from xtoplat.semiring import bni, s3, spec_space
 from xtoplat.topology import build_space, is_xtop_by_unions, radical_info
@@ -392,12 +392,23 @@ class TestCrossCheck:
         space = from_poset(forest([("T", 2), ("T", 3)]))
         report = separation._report
 
-        def failing_ids(source=space):
-            return {c.check_id for c in cross_check(source) if not c.holds}
+        def failing_ids():
+            return {c.check_id for c in cross_check(space) if not c.holds}
 
-        # a closed family whose point closures all equal X is not sober
-        coarse = replace(space, closed_family=(frozenset(), space.points))
-        assert "t0-and-sober" in failing_ids(coarse)
+        # varieties that are all ∅ or X give every point the closure X, so
+        # the specialization "order" has cycles and no space is read from it
+        full = space.variety_masks[space.lattice.bottom]
+        coarse = replace(
+            space, variety_masks=tuple(full if v else 0 for v in space.variety_masks)
+        )
+        with pytest.raises(CycleError):
+            cross_check(coarse)
+        # the report's sober is a lemma; the closures from the closed family
+        # must catch it
+        monkeypatch.setattr(
+            separation, "_report", lambda a: replace(report(a), sober=not report(a).sober)
+        )
+        assert failing_ids() == {"t0-and-sober"}
 
         monkeypatch.setattr(
             separation, "_report", lambda a: replace(report(a), tf=not report(a).tf)
@@ -454,11 +465,15 @@ class TestDegenerateCarriers:
         assert all(c.holds for c in cross_check(space))
 
     def test_open_family_off_the_order_is_refused(self):
-        base = from_poset(chain(2))
-        # drop Ker(bottom) = {bottom}, so ↓x is no longer an open set
-        opens = tuple(U for U in base.open_family if len(U) != 1)
-        broken = replace(base, open_family=opens)
-        with pytest.raises(XtoplatError, match="is not open"):
+        base = from_poset(antichain(3))
+        # replace the variety {a0, a1} by X: the points keep their closures,
+        # so the order is still an antichain, but X \ Ker(a2) = {a0, a1} is
+        # no longer closed, so Ker(a2) = {a2} is no longer open
+        bit = {base.label(x): 1 << x for x in base.points}
+        pair, full = bit["a0"] | bit["a1"], sum(bit.values())
+        masks = tuple(full if v == pair else v for v in base.variety_masks)
+        broken = replace(base, variety_masks=masks)
+        with pytest.raises(XtoplatError, match=r"Ker\('a2'\) is not open"):
             separation_report(broken)
 
 

@@ -56,10 +56,11 @@ def _owners(tree: ast.AST) -> dict[ast.AST, str]:
 
 def test_separation_reads_families_only_to_check_them():
     # the report reads every flag off the specialization order; the
-    # families are read once to check that each Ker(x) is open, and
+    # variety masks are read once to check that each Ker(x) is open, and
     # cross_check's body (_report_and_checks) reads them for the
-    # definitional side.  The lattice is read only for the prime meets
-    # and by cross_check.
+    # definitional side.  No frozenset family or variety of a space is
+    # read at all.  The lattice is read only for the prime meets and by
+    # cross_check.
     path = Path(xtoplat.__file__).parent / "separation.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     owner = _owners(tree)
@@ -72,8 +73,7 @@ def test_separation_reads_families_only_to_check_them():
         f"{owner[node]}:{node.lineno}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
-        and node.attr in ("open_family", "closed_family")
-        and outside(node, "_Analysis.__init__", "_report_and_checks")
+        and node.attr in ("open_family", "closed_family", "varieties")
     ]
     radical_calls = [
         f"{owner[node]}:{node.lineno}"
@@ -91,3 +91,20 @@ def test_separation_reads_families_only_to_check_them():
         and outside(node, "_Analysis.prime_meets")
     ]
     assert family_reads == [] and radical_calls == [] and lattice_reads == []
+
+
+def test_only_the_printers_read_the_frozenset_views():
+    # a space stores its variety masks; the frozenset views are built for
+    # the commands that print them, and the other modules read the masks
+    views = {"varieties", "closed_family", "open_family"}
+    found = []
+    for path in sorted(Path(xtoplat.__file__).parent.glob("*.py")):
+        if path.name in ("cli.py", "formats.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in views
+        ]
+    assert found == []

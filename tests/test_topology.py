@@ -32,8 +32,9 @@ from xtoplat import (
     variety,
 )
 from xtoplat.semiring import bni, s3, spec_space
+from xtoplat.separation import cross_check, report_and_points
 
-from .oracles import naive_closure, naive_interior, naive_kernel, subsets
+from .oracles import eager_views, naive_closure, naive_interior, naive_kernel, subsets
 
 
 def m3_lattice():
@@ -433,3 +434,78 @@ class TestMaskCriteria:
         with pytest.raises(NotXTopError) as err:
             build_space(L, X)
         assert "V('{a1,a3}') ∪ V('{a0,a2}')" in str(err.value)
+
+
+VIEWS = ("varieties", "closed_family", "open_family")
+
+
+def assert_matches_eager_views(space):
+    """The lazy views, kernels, specialization order and subspaces of a
+    space against the eager frozenset construction and build_space."""
+    L, X = space.lattice, space.points
+    varieties, closed, opens = eager_views(L, X)
+    assert space.variety_masks == tuple(sum(1 << x for x in V) for V in varieties)
+    assert (space.varieties, space.closed_family, space.open_family) == (
+        varieties,
+        closed,
+        opens,
+    )
+    for x in X:
+        kernel = X
+        for U in opens:
+            if x in U:
+                kernel &= U
+        assert space.kernel(x) == kernel
+    P = space.specialization_poset()
+    pts = space.sorted_points()
+    assert [P.up_mask(k) for k in range(P.n)] == [
+        sum(1 << j for j, y in enumerate(pts) if L.leq(x, y)) for x in pts
+    ]
+    for Y in subsets(pts):
+        sub = space.subspace(Y)
+        assert sub.points == Y
+        assert sub.variety_masks == build_space(L, Y).variety_masks
+        assert (sub.varieties, sub.closed_family, sub.open_family) == eager_views(L, Y)
+
+
+class TestMaskViews:
+    """A space stores only its variety masks; every view and read of it
+    meets the eager frozenset construction."""
+
+    def test_every_carrier_up_to_six_elements(self, lattices_upto_6):
+        count = 0
+        for L in lattices_upto_6:
+            for X in subsets(i for i in range(L.n) if i != L.top):
+                if is_xtop_by_unions(L, X):
+                    assert_matches_eager_views(build_space(L, X))
+                    count += 1
+        assert count == 429
+
+    def test_from_poset_up_to_five_points(self, posets_upto_5):
+        for P in posets_upto_5:
+            assert_matches_eager_views(from_poset(P))
+
+    def test_spectra_of_bni_up_to_twelve(self):
+        for n in range(2, 13):
+            for i in range(n):
+                for which in ("all", "max", "min"):
+                    assert_matches_eager_views(spec_space(bni(n, i), which))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: from_poset(forest([("V", 3)] * 3)), lambda: spec_space(bni(12, 3))],
+        ids=["V3+V3+V3", "B(12,3)"],
+    )
+    def test_reads_leave_the_views_unbuilt(self, make):
+        space = make()
+        cross_check(space)
+        report_and_points(space)
+        for x in space.points:
+            space.kernel(x)
+        sub = space.subspace(space.sorted_points()[1:])
+        cross_check(sub)
+        for s in (space, sub):
+            assert not set(VIEWS) & set(vars(s))
+        # each view is built on its own first read, and kept
+        assert space.open_family is space.open_family
+        assert [name in vars(space) for name in VIEWS] == [False, False, True]
