@@ -139,11 +139,6 @@ def _source_from_args(args) -> FinitePoset | XTopSpace:
     return space_from_json(_load_json_file(args.space))
 
 
-def _space_from_args(args) -> XTopSpace:
-    source = _source_from_args(args)
-    return from_poset(source) if isinstance(source, FinitePoset) else source
-
-
 def _semiring_from_args(args) -> FiniteSemiring:
     if args.bni is not None:
         n, i = args.bni
@@ -260,12 +255,13 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_export(args, out) -> int:
     if args.bni is not None or args.s3 or args.table is not None:
-        space = _semiring_subspace(_semiring_from_args(args), args.subspace)
+        source = _semiring_subspace(_semiring_from_args(args), args.subspace)
     else:
-        space = _space_from_args(args)
+        source = _source_from_args(args)
     if args.format == "dot":
-        print(space_to_dot(space, annotate_closed=args.closed_sets), end="", file=out)
+        print(space_to_dot(source, annotate_closed=args.closed_sets), end="", file=out)
     else:
+        space = from_poset(source) if isinstance(source, FinitePoset) else source
         print(dumps(space_to_json(space)), file=out)
     return 0
 

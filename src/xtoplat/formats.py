@@ -22,10 +22,10 @@ import json
 from typing import Any
 
 from .lattice import FiniteLattice
-from .poset import FinitePoset, ForestComponent, poset_from_relation
+from .poset import FinitePoset, ForestComponent, _bits, _mask, poset_from_relation
 from .semiring import FiniteSemiring, semiring_from_tables
-from .separation import PointClassification, SeparationReport
-from .topology import XTopSpace, build_space
+from .separation import PointClassification, SeparationReport, _in_upset_order
+from .topology import XTopSpace, build_space, from_poset
 
 
 # -- forest spec mini-grammar -------------------------------------------------
@@ -237,11 +237,17 @@ def poset_to_dot(
     return "\n".join(lines) + "\n"
 
 
-def space_to_dot(space: XTopSpace, annotate_closed: bool = False) -> str:
-    """DOT of the specialization order of X, closed sets optionally listed."""
-    closed = (
-        tuple(space.labels_of(C) for C in space.closed_family)
-        if annotate_closed
-        else None
-    )
+def space_to_dot(source: XTopSpace | FinitePoset, annotate_closed: bool = False) -> str:
+    """DOT of the specialization order of X, closed sets optionally listed.
+
+    A poset P stands for ``from_poset(P)``, whose specialization order is P
+    with its points in (|↑x|, ↑x) order, so the up-set lattice is built
+    only to list the closed sets.
+    """
+    if isinstance(source, FinitePoset) and not annotate_closed:
+        order, position = _in_upset_order(source)
+        rows = [_mask(position[y] for y in _bits(source.up_mask(x))) for x in order]
+        return poset_to_dot(FinitePoset([source.labels[x] for x in order], rows))
+    space = from_poset(source) if isinstance(source, FinitePoset) else source
+    closed = tuple(map(space.labels_of, space.closed_family)) if annotate_closed else None
     return poset_to_dot(space.specialization_poset(), closed)

@@ -110,6 +110,10 @@ class FiniteLattice:
     def labels(self) -> tuple[str, ...]:
         return self.poset.labels
 
+    def label(self, a: int) -> str:
+        """Element a's label; an up-set lattice builds it alone."""
+        return self.labels[a]
+
     def check(self, i: int) -> None:
         """Raise IndexError unless i is an element index."""
         if not 0 <= i < self.n:
@@ -189,9 +193,10 @@ class UpsetLattice(FiniteLattice):
     Element k is the up-set ``masks[k]``; the masks are sorted by (size,
     mask), so the top ∅ is element 0 and the bottom, all of the ground
     poset, is the last.  Meet is OR, join is AND and a <= b iff
-    masks[a] ⊇ masks[b].  The order (``poset``) and the meet/join tables
-    are built on first read; the queries never read them.  Principal
-    up-sets carry the label of their generator, the others set notation.
+    masks[a] ⊇ masks[b].  The order (``poset``), the meet/join tables and
+    the labels are built on first read; the queries never read them.
+    Principal up-sets carry the label of their generator, the others set
+    notation.
     """
 
     # the inherited poset slot stays unused: the property below shadows
@@ -205,15 +210,10 @@ class UpsetLattice(FiniteLattice):
         full = (1 << ground.n) - 1
         if any(m & ~full for m in masks):
             raise ValueError("up-set mask mentions elements out of range")
-        principal = {ground.up_mask(x): x for x in range(ground.n)}
         self.ground = ground
         self.masks = masks
-        self._labels = tuple(
-            ground.labels[principal[m]] if m in principal else _set_label(ground, m)
-            for m in masks
-        )
         self._position = {m: k for k, m in enumerate(masks)}
-        self._order = self._meet = self._join = None
+        self._labels = self._order = self._meet = self._join = None
         self.top = 0
         self.bottom = len(masks) - 1
         self.validate()
@@ -228,15 +228,15 @@ class UpsetLattice(FiniteLattice):
         if len(position) != len(self.masks):
             raise ValueError("up-set masks must be distinct")
         if 0 not in position:
-            raise NotALatticeError("join", self._labels[0], self._labels[-1])
+            raise NotALatticeError("join", self.labels[0], self.labels[-1])
         for k, U in enumerate(self.masks):
             for x in range(P.n):
                 grown = U | up[x]
                 if (U >> x & 1 and grown != U) or grown not in position:
-                    raise NotALatticeError("meet", self._labels[k], P.labels[x])
+                    raise NotALatticeError("meet", self.labels[k], P.labels[x])
                 if U & ~down[x] not in position:
                     outside = _set_label(P, full & ~down[x])
-                    raise NotALatticeError("join", self._labels[k], outside)
+                    raise NotALatticeError("join", self.labels[k], outside)
 
     @property
     def n(self) -> int:
@@ -244,7 +244,15 @@ class UpsetLattice(FiniteLattice):
 
     @property
     def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            self._labels = tuple(map(self.label, range(len(self.masks))))
         return self._labels
+
+    def label(self, a: int) -> str:
+        """The generator's label for a principal up-set ↑x, else set notation."""
+        m, P = self.masks[a], self.ground
+        x = next((x for x in _bits(m) if P._up[x] == m), None)
+        return _set_label(P, m) if x is None else P.labels[x]
 
     @property
     def poset(self) -> FinitePoset:
@@ -256,7 +264,7 @@ class UpsetLattice(FiniteLattice):
                     if a | b == a:
                         row |= 1 << k
                 rows.append(row)
-            self._order = FinitePoset(self._labels, rows)
+            self._order = FinitePoset(self.labels, rows)
         return self._order
 
     def leq(self, a: int, b: int) -> bool:

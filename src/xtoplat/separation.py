@@ -116,8 +116,12 @@ operations beyond those rows.  A space's variety masks are read once, to
 check that each Ker(x) is open (X \\ ↓x is a variety), and its lattice
 only for the prime meets J(X) and Q(X).  :func:`cross_check` takes the
 other side of each lemma and theorem from the families, as the varieties
-and their complements in X, from pair scans and from meets in L.  No
-frozenset family of the space is built here.
+and their complements in X, from pair scans and from meets in L.  It
+computes each of those sides on demand, the first time a check reads
+it, so a run of some of the checks (``verify quarter`` and ``verify
+discrete`` ask for theirs) computes only the sides they read, and a
+check builds its witness only when it fails.  No frozenset family of the
+space is built here.
 
 A :class:`~xtoplat.poset.FinitePoset` P is accepted wherever a space is
 classified, and read as the space ``from_poset(P)``: X is {↑x : x ∈ P}
@@ -133,7 +137,10 @@ index order of the up-set lattice, so the report and the point rows match
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from types import SimpleNamespace
+from typing import Callable, Collection
 
 from .errors import EmptyPosetError, XtoplatError
 from .lattice import EmbeddedSubset, has_complete_max_property
@@ -257,8 +264,6 @@ class _Analysis:
 
     def __init__(self, source: XTopSpace | FinitePoset):
         if isinstance(source, FinitePoset):
-            if source.n == 0:
-                raise EmptyPosetError("from_poset needs at least one element")
             self.space = None
             P = source
             self.order, self.position = _in_upset_order(P)
@@ -323,6 +328,7 @@ class _Analysis:
 
     # -- connectedness ---------------------------------------------------------
 
+    @cached_property
     def components(self) -> list[int]:
         """The components, which are the quasicomponents: the comparability
         components of the order, as masks in order of their first point."""
@@ -346,6 +352,8 @@ def _in_upset_order(P: FinitePoset) -> tuple[list[int], dict[int, int]]:
     That is the index order of the principal up-sets in
     ``upset_lattice(P)``, so position k here is point k of ``from_poset(P)``.
     """
+    if P.n == 0:
+        raise EmptyPosetError("from_poset needs at least one element")
     order = sorted(range(P.n), key=lambda x: (P.up_mask(x).bit_count(), P.up_mask(x)))
     return order, {x: k for k, x in enumerate(order)}
 
@@ -392,7 +400,7 @@ def components(space: XTopSpace) -> tuple[tuple[frozenset[int], ...], tuple[froz
     On a finite space the two partitions coincide (see the module docstring).
     """
     a = _Analysis(space)
-    comps = tuple(a.unmask(m) for m in a.components())
+    comps = tuple(a.unmask(m) for m in a.components)
     return comps, comps
 
 
@@ -423,7 +431,7 @@ def _report(a: _Analysis) -> SeparationReport:
     # height <= 1 (module docstring)
     antichain = maxima == a.full
     height_le_1 = maxima | minima == a.full
-    comp = a.components()
+    comp = a.components
     singletons = len(comp) == a.n
     parts = tuple(a.labels(m) for m in comp)
     return SeparationReport(
@@ -461,10 +469,8 @@ def _report(a: _Analysis) -> SeparationReport:
 
 # -- executable theorems -------------------------------------------------------
 
-
-def _eq_witness(a: _Analysis, left: frozenset[int], right: frozenset[int]) -> str:
-    diff = sorted(left ^ right)
-    return f"point {a.space.label(diff[0])!r}" if diff else "sets equal"
+# a check's verdict, and the witness to build when it fails
+Verdict = tuple[bool, Callable[[], str]]
 
 
 def _least_around(family: set[int], S: int, full: int) -> int:
@@ -484,366 +490,419 @@ def _trace_is_discrete(varieties: tuple[int, ...], Y: frozenset[int]) -> bool:
     return len({v & ymask for v in varieties}) == 1 << len(Y)
 
 
-def _bool_chain(name_values: list[tuple[str, bool]]) -> tuple[bool, str | None]:
-    values = {v for _, v in name_values}
-    if len(values) <= 1:
-        return True, None
-    return False, "; ".join(f"{name}={value}" for name, value in name_values)
+def _chain(*name_values: tuple[str, bool]) -> Verdict:
+    """Holds when all the named values agree; the witness lists them."""
+    holds = len({v for _, v in name_values}) <= 1
+    return holds, lambda: "; ".join(f"{name}={value}" for name, value in name_values)
 
 
-def cross_check(space: XTopSpace) -> tuple[CheckResult, ...]:
+def cross_check(
+    space: XTopSpace, only: Collection[str] | None = None
+) -> tuple[CheckResult, ...]:
     """Evaluate both sides of every finite-scale structure theorem.
 
     Each check must hold on every valid space; a failure indicates a bug
     and its witness names the violating point or flag assignment.  The
     report reads every flag off the specialization order; the other sides
-    come from the families, from pair scans and from meets in L.
+    come from the families, from pair scans and from meets in L.  The
+    results follow :data:`CHECK_IDS`; ``only`` keeps the checks it names,
+    and the sides the others need are not computed.
     """
-    return _report_and_checks(space)[2]
+    return _Sides(space).results(only)
 
 
 def _report_and_checks(
     space: XTopSpace,
 ) -> tuple[SeparationReport, PrimeMeets, tuple[CheckResult, ...]]:
     """The report and prime meets :func:`cross_check` compares, with its
-    results, all from one analysis of the space.  The prime meets carry
-    their irredundance by its definition, each point dropped in turn."""
-    a = _Analysis(space)
-    s = a.special()
-    r = _report(a)
-    L = space.lattice
-    j, q = L.meet_all(s.max), L.meet_all(s.min)
-    pm = PrimeMeets(
-        j,
-        q,
-        all(L.meet_all(s.max - {m}) != j for m in s.max),
-        all(L.meet_all(s.min - {m}) != q for m in s.min),
-    )
-    X = space.points
-    # the definitional side of the point classes the report reads off the
-    # order, from the families as masks over lattice indices: the closed
-    # sets are the varieties and the open sets their complements
-    full = _mask(X)
-    varieties = space.variety_masks
-    closed = set(varieties)
-    opens = {full & ~v for v in closed}
-    clopens = closed & opens
-    closed_pts = frozenset(x for x in X if 1 << x in closed)
-    isolated = frozenset(x for x in X if 1 << x in opens)
-    kernel = {x: _least_around(opens, 1 << x, full) for x in X}
-    kerneled = frozenset(x for x in X if kernel[x] == 1 << x)
-    quasi = {x: frozenset(_bits(_least_around(clopens, 1 << x, full))) for x in X}
-    kc = len(closed) == 1 << len(X)
-    discrete = len(opens) == 1 << len(X)
-    # the radicals of (L, X), for the carrier checks
-    rad = _radical_info(L, varieties)
-    totally_separated = all(len(Q) == 1 for Q in quasi.values())
+    results, all from one analysis of the space."""
+    sides = _Sides(space)
+    return sides.r, sides.pm, sides.results()
 
-    # the lattice classes, from meets in L: ⋀A <= q iff q ∈ V(⋀A)
-    def meet_avoids(A, q: int) -> bool:
-        return not varieties[L.meet_all(A)] >> q & 1
 
-    csi = frozenset(
-        q for q in X if meet_avoids([x for x in X if not varieties[x] >> q & 1], q)
-    )
-    amin = frozenset(m for m in s.min if meet_avoids(s.min - {m}, m))
-    bmax = frozenset(m for m in s.max if meet_avoids(s.max - {m}, m))
-    excl = frozenset(x for x in X if space.excluded_meet(x)[2])
-    es = s.min - s.max <= csi
-    complete_max = has_complete_max_property(L, EmbeddedSubset(L, X))
+class _Sides:
+    """Both sides of every check of :func:`cross_check` on one space.
 
-    # the report records T0, T1 = R0 = T2 = R1 and quasi-Hausdorff as
-    # lemmas; these are the pair scans over the kernels from the open family
-    def separated(x: int, y: int) -> bool:
-        return not kernel[x] >> y & 1 and not kernel[y] >> x & 1
+    The order side, the report ``r`` and the point sets ``s``, is read
+    first, since nearly every check compares with it.  Each
+    definitional side (the families, kernels, quasicomponents, lattice
+    classes, radicals, pair scans, the T_F scan) is computed on first
+    read, so a run of some checks computes only the sides they read.
+    Families are masks over lattice indices: the closed sets are the
+    varieties and the open sets their complements in X.
+    """
 
-    def disjoint(x: int, y: int) -> bool:
-        return kernel[x] & kernel[y] == 0
+    def __init__(self, space: XTopSpace):
+        self.space, self.a = space, _Analysis(space)
+        self.s, self.r = self.a.special(), _report(self.a)
+        self.L, self.X = space.lattice, space.points
+        self.full, self.masks = _mask(self.X), space.variety_masks
 
-    pairs = list(combinations(sorted(X), 2))
-    distinguishable = [
-        (x, y) for x, y in pairs if not (kernel[x] >> y & 1 and kernel[y] >> x & 1)
-    ]
-    t0 = len(distinguishable) == len(pairs)
-    t1 = all(separated(x, y) for x, y in pairs)
-    r0 = all(separated(x, y) for x, y in distinguishable)
-    t2 = all(disjoint(x, y) for x, y in pairs)
-    r1 = all(disjoint(x, y) for x, y in distinguishable)
-    anti_t2 = len(X) >= 2 and not any(disjoint(x, y) for x, y in pairs)
-    quasi_hausdorff = all(
-        disjoint(x, y) or any(varieties[z] >> x & 1 and varieties[z] >> y & 1 for z in X)
-        for x, y in pairs
-    )
-    # T_F by its definition (|F| <= 2 suffices): for every x and every
-    # F = {y, f} ⊆ X \\ {x}, y = f allowed, {x} ⊢ F or F ⊢ {x}
-    tf = all(
-        not kernel[x] & (1 << y | 1 << f) or not (kernel[y] | kernel[f]) >> x & 1
-        for x in X
-        for y, f in combinations_with_replacement(sorted(X - {x}), 2)
-    )
-    # sober iff distinct points have distinct closures (module docstring)
-    sober = len({_least_around(closed, 1 << x, full) for x in X}) == len(X)
-    checks: list[CheckResult] = []
+    def results(self, only: Collection[str] | None = None) -> tuple[CheckResult, ...]:
+        out = []
+        for check_id, check in _CHECKS:
+            if only is None or check_id in only:
+                holds, witness = check(self)
+                out.append(CheckResult(check_id, holds, None if holds else witness()))
+        return tuple(out)
 
-    def add(check_id: str, holds: bool, witness: str | None = None):
-        checks.append(CheckResult(check_id, holds, None if holds else witness))
+    def _same(self, left: frozenset[int], right: frozenset[int]) -> Verdict:
+        return left == right, lambda: self._diff(left, right)
 
-    add(
-        "t0-and-sober",
-        r.t0 and t0 and r.sober and sober,
-        f"t0={r.t0}; t0 by pairs={t0}; sober={r.sober}; sober by closures={sober}",
-    )
-    add(
-        "closed-points-are-maximal",
-        closed_pts == s.max,
-        _eq_witness(a, closed_pts, s.max),
-    )
-    add(
-        "kerneled-points-are-minimal",
-        kerneled == s.min,
-        _eq_witness(a, kerneled, s.min),
-    )
-    add(
-        "ro-iso-min-nested",
-        s.ro <= isolated <= s.min,
-        _eq_witness(a, s.ro | isolated, s.min),
-    )
+    def _diff(self, left: frozenset[int], right: frozenset[int]) -> str:
+        """The first point in only one of the two sets."""
+        diff = sorted(left ^ right)
+        return f"point {self.space.label(diff[0])!r}" if diff else "sets equal"
 
-    ok, w = _bool_chain(
-        [
+    # -- sides -----------------------------------------------------------------
+
+    @cached_property
+    def pm(self) -> PrimeMeets:
+        """The prime meets, with their irredundance by its definition: each
+        point dropped in turn."""
+        L = self.L
+
+        def irredundant(Y: frozenset[int]) -> tuple[int, bool]:
+            meet = L.meet_all(Y)
+            return meet, all(L.meet_all(Y - {m}) != meet for m in Y)
+
+        (j, j_ok), (q, q_ok) = irredundant(self.s.max), irredundant(self.s.min)
+        return PrimeMeets(j, q, j_ok, q_ok)
+
+    @cached_property
+    def families(self) -> SimpleNamespace:
+        X, closed = self.X, set(self.masks)
+        opens = {self.full & ~v for v in closed}
+        return SimpleNamespace(
+            closed=closed,
+            opens=opens,
+            closed_pts=frozenset(x for x in X if 1 << x in closed),
+            isolated=frozenset(x for x in X if 1 << x in opens),
+            kc=len(closed) == 1 << len(X),
+            discrete=len(opens) == 1 << len(X),
+        )
+
+    @cached_property
+    def kernel(self) -> dict[int, int]:
+        return {x: _least_around(self.families.opens, 1 << x, self.full) for x in self.X}
+
+    @cached_property
+    def kerneled(self) -> frozenset[int]:
+        return frozenset(x for x in self.X if self.kernel[x] == 1 << x)
+
+    @cached_property
+    def quasi(self) -> dict[int, frozenset[int]]:
+        clopens = self.families.closed & self.families.opens
+        return {
+            x: frozenset(_bits(_least_around(clopens, 1 << x, self.full))) for x in self.X
+        }
+
+    @cached_property
+    def totally_separated(self) -> bool:
+        return all(len(Q) == 1 for Q in self.quasi.values())
+
+    @cached_property
+    def classes(self) -> SimpleNamespace:
+        """The lattice classes, from meets in L: ⋀A <= q iff q ∈ V(⋀A)."""
+        L, X, s, varieties = self.L, self.X, self.s, self.masks
+
+        def meet_avoids(A, q: int) -> bool:
+            return not varieties[L.meet_all(A)] >> q & 1
+
+        csi = frozenset(
+            q for q in X if meet_avoids([x for x in X if not varieties[x] >> q & 1], q)
+        )
+        return SimpleNamespace(
+            csi=csi,
+            amin=frozenset(m for m in s.min if meet_avoids(s.min - {m}, m)),
+            bmax=frozenset(m for m in s.max if meet_avoids(s.max - {m}, m)),
+            excl=frozenset(x for x in X if self.space.excluded_meet(x)[2]),
+            es=s.min - s.max <= csi,
+            complete_max=has_complete_max_property(L, EmbeddedSubset(L, X)),
+        )
+
+    @cached_property
+    def pairs(self) -> SimpleNamespace:
+        """T0, T1 = R0, T2 = R1 and quasi-Hausdorff by pair scans over the
+        kernels from the open family; the report records them as lemmas."""
+        kernel, varieties, X = self.kernel, self.masks, self.X
+
+        def separated(x: int, y: int) -> bool:
+            return not kernel[x] >> y & 1 and not kernel[y] >> x & 1
+
+        def disjoint(x: int, y: int) -> bool:
+            return kernel[x] & kernel[y] == 0
+
+        pairs = list(combinations(sorted(X), 2))
+        distinguishable = [
+            (x, y) for x, y in pairs if not (kernel[x] >> y & 1 and kernel[y] >> x & 1)
+        ]
+        return SimpleNamespace(
+            t0=len(distinguishable) == len(pairs),
+            t1=all(separated(x, y) for x, y in pairs),
+            r0=all(separated(x, y) for x, y in distinguishable),
+            t2=all(disjoint(x, y) for x, y in pairs),
+            r1=all(disjoint(x, y) for x, y in distinguishable),
+            anti_t2=len(X) >= 2 and not any(disjoint(x, y) for x, y in pairs),
+            quasi_hausdorff=all(
+                disjoint(x, y)
+                or any(varieties[z] >> x & 1 and varieties[z] >> y & 1 for z in X)
+                for x, y in pairs
+            ),
+        )
+
+    @cached_property
+    def radicals(self) -> frozenset[int]:
+        return _radical_info(self.L, self.masks).radical_elements
+
+    @cached_property
+    def tf(self) -> bool:
+        """T_F by its definition (|F| <= 2 suffices): for every x and every
+        F = {y, f} ⊆ X \\ {x}, y = f allowed, {x} ⊢ F or F ⊢ {x}."""
+        kernel = self.kernel
+        return all(
+            not kernel[x] & (1 << y | 1 << f) or not (kernel[y] | kernel[f]) >> x & 1
+            for x in self.X
+            for y, f in combinations_with_replacement(sorted(self.X - {x}), 2)
+        )
+
+    # -- checks: check_<id> tests the check <id>, with '_' for '-' ------------
+
+    def check_t0_and_sober(self) -> Verdict:
+        r, t0 = self.r, self.pairs.t0
+        # sober iff distinct points have distinct closures (module docstring)
+        closed, full = self.families.closed, self.full
+        sober = len({_least_around(closed, 1 << x, full) for x in self.X}) == len(self.X)
+        return r.t0 and t0 and r.sober and sober, lambda: (
+            f"t0={r.t0}; t0 by pairs={t0}; sober={r.sober}; sober by closures={sober}"
+        )
+
+    def check_closed_points_are_maximal(self) -> Verdict:
+        return self._same(self.families.closed_pts, self.s.max)
+
+    def check_kerneled_points_are_minimal(self) -> Verdict:
+        return self._same(self.kerneled, self.s.min)
+
+    def check_ro_iso_min_nested(self) -> Verdict:
+        s, isolated = self.s, self.families.isolated
+        return s.ro <= isolated <= s.min, lambda: self._diff(s.ro | isolated, s.min)
+
+    def check_t1_iff_r0_iff_dim0(self) -> Verdict:
+        r, p = self.r, self.pairs
+        return _chain(
             ("t1", r.t1),
             ("r0", r.r0),
-            ("t1 by pairs", t1),
-            ("r0 by pairs", r0),
+            ("t1 by pairs", p.t1),
+            ("r0 by pairs", p.r0),
             ("kdim==0", r.kdim == 0),
-        ]
-    )
-    add("t1-iff-r0-iff-dim0", ok, w)
-    ok, w = _bool_chain(
-        [
+        )
+
+    def check_t2_iff_r1_iff_dim0_quasihausdorff(self) -> Verdict:
+        r, p = self.r, self.pairs
+        return _chain(
             ("t2", r.t2),
             ("r1", r.r1),
-            ("t2 by pairs", t2),
-            ("r1 by pairs", r1),
-            ("kdim==0 and quasi_hausdorff", r.kdim == 0 and quasi_hausdorff),
-        ]
-    )
-    add("t2-iff-r1-iff-dim0-quasihausdorff", ok, w)
-    ok, w = _bool_chain(
-        [
+            ("t2 by pairs", p.t2),
+            ("r1 by pairs", p.r1),
+            ("kdim==0 and quasi_hausdorff", r.kdim == 0 and p.quasi_hausdorff),
+        )
+
+    def check_t_quarter_iff_dim_le_1_iff_tf(self) -> Verdict:
+        r = self.r
+        return _chain(
             ("t_quarter", r.t_quarter),
             ("kdim<=1", r.kdim <= 1),
             ("tf", r.tf),
-            ("tf by pairs", tf),
-        ]
-    )
-    add("t-quarter-iff-dim-le-1-iff-tf", ok, w)
+            ("tf by pairs", self.tf),
+        )
 
-    decomposition_half = X == s.max | (s.min & csi)
-    ok, w = _bool_chain(
-        [
+    def check_t_half_decomposition(self) -> Verdict:
+        r, s, c = self.r, self.s, self.classes
+        return _chain(
             ("t_half", r.t_half),
-            ("X == Max ∪ (Min ∩ CSI)", decomposition_half),
-            ("t_quarter and es", r.t_quarter and es),
-        ]
-    )
-    add("t-half-decomposition", ok, w)
+            ("X == Max ∪ (Min ∩ CSI)", self.X == s.max | (s.min & c.csi)),
+            ("t_quarter and es", r.t_quarter and c.es),
+        )
 
-    decomposition_tq = X == s.max | (s.min & csi & excl)
-    ok, w = _bool_chain(
-        [
+    def check_t_threequarter_decomposition(self) -> Verdict:
+        r, s, c = self.r, self.s, self.classes
+        return _chain(
             ("t_threequarter", r.t_threequarter),
-            ("X == Max ∪ RO", X == s.max | s.ro),
-            ("X == Max ∪ (Min ∩ CSI ∩ Excl)", decomposition_tq),
-        ]
-    )
-    add("t-threequarter-decomposition", ok, w)
+            ("X == Max ∪ RO", self.X == s.max | s.ro),
+            ("X == Max ∪ (Min ∩ CSI ∩ Excl)", self.X == s.max | (s.min & c.csi & c.excl)),
+        )
 
-    add(
-        "isolated-iff-min-csi",
-        isolated == s.min & csi,
-        _eq_witness(a, isolated, s.min & csi),
-    )
+    def check_isolated_iff_min_csi(self) -> Verdict:
+        return self._same(self.families.isolated, self.s.min & self.classes.csi)
 
-    boundary = frozenset(
-        x
-        for x in X
-        if _least_around(closed, full & ~varieties[x], full) == full & ~(1 << x)
-    )
-    add(
-        "regular-open-iff-isolated-excluded",
-        s.ro == isolated & excl == boundary and s.excl == excl,
-        _eq_witness(a, s.ro, isolated & excl)
-        + "; "
-        + _eq_witness(a, s.ro, boundary)
-        + "; "
-        + _eq_witness(a, s.excl, excl),
-    )
+    def check_regular_open_iff_isolated_excluded(self) -> Verdict:
+        s, excl, full = self.s, self.classes.excl, self.full
+        isolated, closed = self.families.isolated, self.families.closed
+        boundary = frozenset(
+            x
+            for x in self.X
+            if _least_around(closed, full & ~self.masks[x], full) == full & ~(1 << x)
+        )
+        w = self._diff
+        return s.ro == isolated & excl == boundary and s.excl == excl, lambda: (
+            f"{w(s.ro, isolated & excl)}; {w(s.ro, boundary)}; {w(s.excl, excl)}"
+        )
 
-    names = [
-        ("discrete", r.discrete),
-        ("discrete by family size", discrete),
-        ("X == AMin", X == amin),
-        ("X == BMax", X == bmax),
-        ("t1 and bmax", t1 and bmax == s.max),
-        ("t1 and complete_max_property", t1 and complete_max),
-    ]
-    ok, w = _bool_chain(names)
-    if ok and r.discrete:
-        ok = amin == s.min == X == s.max == bmax
-        w = "AMin=Min=X=Max=BMax fails"
-    add("discrete-characterizations", ok, w)
+    def check_discrete_characterizations(self) -> Verdict:
+        X, r, s, c, t1 = self.X, self.r, self.s, self.classes, self.pairs.t1
+        holds, witness = _chain(
+            ("discrete", r.discrete),
+            ("discrete by family size", self.families.discrete),
+            ("X == AMin", X == c.amin),
+            ("X == BMax", X == c.bmax),
+            ("t1 and bmax", t1 and c.bmax == s.max),
+            ("t1 and complete_max_property", t1 and c.complete_max),
+        )
+        if holds and r.discrete:
+            return c.amin == s.min == X == s.max == c.bmax, lambda: "AMin=Min=X=Max=BMax fails"
+        return holds, witness
 
-    ok, w = _bool_chain(
-        [
+    def check_finite_carrier_irreducibility(self) -> Verdict:
+        X, r, s, c, L, varieties = self.X, self.r, self.s, self.classes, self.L, self.masks
+        # SI over pairs of points; X need not be closed under meets
+        si = all(
+            not varieties[L.meet(a, b)] & ~(varieties[a] | varieties[b])
+            for a, b in combinations(sorted(X), 2)
+        )
+        return _chain(
             ("es", r.es),
-            ("es by meets", es),
-            ("csi covers X", s.csi == csi == X),
-            ("si covers X", s.si == X and _irreducible(L, varieties, X)),
+            ("es by meets", c.es),
+            ("csi covers X", s.csi == c.csi == X),
+            ("si covers X", s.si == X and si),
             ("bmax", r.bmax),
-            ("BMax == Max", bmax == s.bmax == s.max),
+            ("BMax == Max", c.bmax == s.bmax == s.max),
             ("amin", r.amin),
-            ("AMin == Min", amin == s.amin == s.min),
+            ("AMin == Min", c.amin == s.amin == s.min),
             ("complete_max_property", r.complete_max_property),
-            ("complete max property by meets", complete_max),
-        ]
-    )
-    add("finite-carrier-irreducibility", ok, w)
-    # the report's T¼, T½ and T_F all read Max ∪ Min; here T¼ comes from the
-    # families and T_F from the pair scan
-    ok, w = _bool_chain(
-        [
-            ("t_half", r.t_half),
-            ("t_quarter", X == closed_pts | kerneled),
-            ("tf by pairs", tf),
-        ]
-    )
-    add("es-collapse", ok, w)
+            ("complete max property by meets", c.complete_max),
+        )
 
-    add(
-        "anti-hausdorff-iff-irreducible",
-        anti_t2 == (r.irreducible and a.n >= 2),
-        f"anti_t2={anti_t2}; irreducible={r.irreducible}; |X|={a.n}",
-    )
-    ok, w = _bool_chain([("discrete", discrete), ("t1", t1), ("kdim==0", r.kdim == 0)])
-    add("discrete-iff-t1-at-finite-scale", ok, w)
-    ok, w = _bool_chain(
-        [
+    def check_es_collapse(self) -> Verdict:
+        # the report's T¼, T½ and T_F all read Max ∪ Min; here T¼ comes from
+        # the families and T_F from the pair scan
+        return _chain(
+            ("t_half", self.r.t_half),
+            ("t_quarter", self.X == self.families.closed_pts | self.kerneled),
+            ("tf by pairs", self.tf),
+        )
+
+    def check_anti_hausdorff_iff_irreducible(self) -> Verdict:
+        anti_t2, r, n = self.pairs.anti_t2, self.r, self.a.n
+        return anti_t2 == (r.irreducible and n >= 2), lambda: (
+            f"anti_t2={anti_t2}; irreducible={r.irreducible}; |X|={n}"
+        )
+
+    def check_discrete_iff_t1_at_finite_scale(self) -> Verdict:
+        return _chain(
+            ("discrete", self.families.discrete),
+            ("t1", self.pairs.t1),
+            ("kdim==0", self.r.kdim == 0),
+        )
+
+    def check_kc_iff_discrete_at_finite_scale(self) -> Verdict:
+        r, f = self.r, self.families
+        return _chain(
             ("kc", r.t1half_kc),
             ("discrete", r.discrete),
-            ("kc by family size", kc),
-            ("discrete by family size", discrete),
-        ]
-    )
-    add("kc-iff-discrete-at-finite-scale", ok, w)
-
-    ok = t2 == (t1 and quasi_hausdorff) and (not t1 or t2)
-    add(
-        "t2-iff-t1-quasihausdorff",
-        ok,
-        f"t1={t1}; t2={t2}; quasi_hausdorff={quasi_hausdorff}",
-    )
-
-    if r.ind_zero_dim:
-        ok, w = _bool_chain(
-            [
-                ("totally_separated", totally_separated),
-                ("totally_disconnected", r.totally_disconnected),
-                ("t1", t1),
-                ("t0", t0),
-                ("t2", t2),
-            ]
+            ("kc by family size", f.kc),
+            ("discrete by family size", f.discrete),
         )
-    else:
-        ok, w = True, None
-    add("zero-dimensional-collapse", ok, w)
 
-    ok, w = _bool_chain(
-        [
+    def check_t2_iff_t1_quasihausdorff(self) -> Verdict:
+        p = self.pairs
+        return p.t2 == (p.t1 and p.quasi_hausdorff) and (not p.t1 or p.t2), lambda: (
+            f"t1={p.t1}; t2={p.t2}; quasi_hausdorff={p.quasi_hausdorff}"
+        )
+
+    def check_zero_dimensional_collapse(self) -> Verdict:
+        if not self.r.ind_zero_dim:
+            return _chain()  # nothing to compare
+        p = self.pairs
+        return _chain(
+            ("totally_separated", self.totally_separated),
+            ("totally_disconnected", self.r.totally_disconnected),
+            ("t1", p.t1),
+            ("t0", p.t0),
+            ("t2", p.t2),
+        )
+
+    def check_stone_characterizations(self) -> Verdict:
+        r, p = self.r, self.pairs
+        return _chain(
             ("stone", r.stone),
             ("spectral and ind_zero_dim", r.spectral and r.ind_zero_dim),
-            ("spectral and totally_separated", r.spectral and totally_separated),
-            ("spectral and t2", r.spectral and t2),
-            ("spectral and kc", r.spectral and kc),
-            ("spectral and t1", r.spectral and t1),
+            ("spectral and totally_separated", r.spectral and self.totally_separated),
+            ("spectral and t2", r.spectral and p.t2),
+            ("spectral and kc", r.spectral and self.families.kc),
+            ("spectral and t1", r.spectral and p.t1),
             ("spectral and kdim==0", r.spectral and r.kdim == 0),
-        ]
-    )
-    add("stone-characterizations", ok, w)
-
-    add(
-        "union-criterion-iff-irreducibility",
-        (_union_witness(varieties) is None)
-        == _irreducible(L, varieties, rad.radical_elements),
-        "the two carrier criteria disagree",
-    )
-
-    radical_maxima = L.maximals_of(rad.radical_elements - {L.top})
-    add(
-        "maxima-of-radicals",
-        radical_maxima == s.max,
-        _eq_witness(a, radical_maxima & X, s.max),
-    )
-
-    ok, w = _bool_chain(
-        [
-            ("bmax", bmax == s.max),
-            ("jacobson irredundant", pm.jacobson_irredundant),
-            (
-                "Max(X) discrete",
-                _trace_is_discrete(varieties, s.max),
-            ),
-        ]
-    )
-    add("jacobson-irredundant-iff-bmax-iff-max-discrete", ok, w)
-
-    ok, w = _bool_chain(
-        [
-            ("amin", amin == s.min),
-            ("min meet irredundant", pm.min_meet_irredundant),
-            (
-                "Min(X) discrete",
-                _trace_is_discrete(varieties, s.min),
-            ),
-        ]
-    )
-    add("min-meet-irredundant-iff-amin-iff-min-discrete", ok, w)
-
-    ok = (not totally_separated or t2) and (not r.totally_disconnected or t1)
-    add(
-        "total-separation-implications",
-        ok,
-        f"totally_separated={totally_separated}; "
-        f"totally_disconnected={r.totally_disconnected}; t1={t1}; t2={t2}",
-    )
-
-    unrefined = [
-        x for C in map(a.unmask, a.components()) for x in C if not C <= quasi[x]
-    ]
-    add(
-        "components-refine-quasicomponents",
-        not unrefined,
-        f"point {space.label(unrefined[0])!r}" if unrefined else None,
-    )
-
-    P = a.spec_poset
-    if a.n and is_forest_of_trees(P):
-        ok = r.t_threequarter and not r.t1
-        add(
-            "tree-forests-are-t-threequarter",
-            ok,
-            f"t_threequarter={r.t_threequarter}; t1={r.t1}",
         )
-    else:
-        add("tree-forests-are-t-threequarter", True)
-    if r.t_threequarter:
-        ok = r.kdim <= 1 and not (a.n and has_dual_tree_component(P))
-        add(
-            "dual-tree-blocks-t-threequarter",
-            ok,
-            f"kdim={r.kdim}; dual tree component present",
-        )
-    else:
-        add("dual-tree-blocks-t-threequarter", True)
 
-    return r, pm, tuple(checks)
+    def check_union_criterion_iff_irreducibility(self) -> Verdict:
+        by_unions = _union_witness(self.masks) is None
+        by_irreducibility = _irreducible(self.L, self.masks, self.radicals)
+        return by_unions == by_irreducibility, lambda: "the two carrier criteria disagree"
+
+    def check_maxima_of_radicals(self) -> Verdict:
+        radical_maxima = self.L.maximals_of(self.radicals - {self.L.top})
+        maxima = self.s.max
+        return radical_maxima == maxima, lambda: self._diff(radical_maxima & self.X, maxima)
+
+    def check_jacobson_irredundant_iff_bmax_iff_max_discrete(self) -> Verdict:
+        maxima = self.s.max
+        return _chain(
+            ("bmax", self.classes.bmax == maxima),
+            ("jacobson irredundant", self.pm.jacobson_irredundant),
+            ("Max(X) discrete", _trace_is_discrete(self.masks, maxima)),
+        )
+
+    def check_min_meet_irredundant_iff_amin_iff_min_discrete(self) -> Verdict:
+        minima = self.s.min
+        return _chain(
+            ("amin", self.classes.amin == minima),
+            ("min meet irredundant", self.pm.min_meet_irredundant),
+            ("Min(X) discrete", _trace_is_discrete(self.masks, minima)),
+        )
+
+    def check_total_separation_implications(self) -> Verdict:
+        separated, disconnected = self.totally_separated, self.r.totally_disconnected
+        t1, t2 = self.pairs.t1, self.pairs.t2
+        return (not separated or t2) and (not disconnected or t1), lambda: (
+            f"totally_separated={separated}; "
+            f"totally_disconnected={disconnected}; t1={t1}; t2={t2}"
+        )
+
+    def check_components_refine_quasicomponents(self) -> Verdict:
+        a, quasi = self.a, self.quasi
+        unrefined = [x for C in map(a.unmask, a.components) for x in C if not C <= quasi[x]]
+        return not unrefined, lambda: f"point {self.space.label(unrefined[0])!r}"
+
+    def check_tree_forests_are_t_threequarter(self) -> Verdict:
+        r = self.r
+        if not (self.a.n and is_forest_of_trees(self.a.spec_poset)):
+            return _chain()  # nothing to compare
+        return r.t_threequarter and not r.t1, lambda: (
+            f"t_threequarter={r.t_threequarter}; t1={r.t1}"
+        )
+
+    def check_dual_tree_blocks_t_threequarter(self) -> Verdict:
+        r, a = self.r, self.a
+        if not r.t_threequarter:
+            return _chain()  # nothing to compare
+        return r.kdim <= 1 and not (a.n and has_dual_tree_component(a.spec_poset)), lambda: (
+            f"kdim={r.kdim}; dual tree component present"
+        )
+
+
+# each check's id and method, in the order cross_check reports them
+_CHECKS = tuple(
+    (name[len("check_") :].replace("_", "-"), method)
+    for name, method in vars(_Sides).items()
+    if name.startswith("check_")
+)
+CHECK_IDS = tuple(check_id for check_id, _ in _CHECKS)

@@ -10,19 +10,34 @@ procedures are provided:
 * :func:`is_xtop_by_unions` checks the union-closure condition directly;
 * :func:`is_xtop_by_irreducibility` checks that every x ∈ X is strongly
   irreducible over the radical elements: for radical a, b with
-  a ∧ b <= x, one of a <= x or b <= x holds.  Pairs suffice: the radical
-  elements are closed under meets, so the finite case follows by induction
-  on |A| (peel one element off A and apply the pair case to it and ⋀rest).
+  a ∧ b <= x, one of a <= x or b <= x holds.
 
 The two agree on every instance (this equivalence is re-verified
 exhaustively by the test-suite and the ``verify xct`` CLI suite).
 
 Both run on the varieties as bitmasks over lattice indices, computed once
-per (L, X) by the lattice's ``variety_masks``.  The irreducibility test
-reorders its quantifiers to loop over radical pairs only: a point x fails
-at (a, b) iff a ∧ b <= x, a ≰ x and b ≰ x, iff x ∈ V(a ∧ b) \\ (V(a) ∪ V(b)),
-so some x fails at (a, b) iff that mask is non-empty (never for a = b),
-one mask test per pair.
+per (L, X) by the lattice's ``variety_masks``, and each reduces to a
+one-pass test by a lemma:
+
+* x is strongly irreducible over the radicals R iff
+  m = ⋀{a ∈ R : a ≰ x} ≰ x.  R holds top = ⋀V(top) = ⋀∅ and is closed
+  under meets: for a, b ∈ R, V(a ∧ b) ⊇ V(a) ∪ V(b), so
+  √(a ∧ b) <= ⋀V(a) ∧ ⋀V(b) = a ∧ b, and √ is inflationary.  So the pair
+  condition gives, by induction on |A|, that ⋀A <= x puts some a ∈ A
+  below x for every finite A ⊆ R: peel one element off A and apply the
+  pair case to it and ⋀rest ∈ R; for A = ∅, ⋀∅ = top is below no point.
+  Taking A = {a ∈ R : a ≰ x} gives m ≰ x.  Conversely, if a, b ∈ R have
+  a ∧ b <= x but neither is below x, both lie in that set, so
+  m <= a ∧ b <= x.  That is one ``meet_all`` per point, O(|X|·|R|) meets
+  in all, where the pairs took O(|R|²).
+* The family F of varieties is closed under unions iff S ∪ V(x) ∈ F for
+  every S ∈ F and x ∈ X.  V(x) is the least variety that holds x: x ∈ V(a)
+  means a <= x, so V(x) ⊆ V(a).  Hence every variety T is the union of
+  the V(x) for x ∈ T, and S ∪ T is reached from S by adding those V(x)
+  one at a time, each step staying in F; the converse is the case
+  T = V(x).  That is O(|F|·|X|) mask lookups; only when it fails does the
+  sorted pair scan run, to name the first pair whose union is not a
+  variety.
 
 An :class:`XTopSpace` keeps those masks and nothing else: the closed sets
 are the distinct V(a) and the open sets their complements in X, so the
@@ -108,6 +123,10 @@ def _union_witness(varieties: Sequence[int]) -> tuple[int, int] | None:
     first: dict[int, int] = {}
     for a, v in enumerate(varieties):
         first.setdefault(v, a)
+    # the union lemma of the module docstring; X is the largest variety
+    points = [varieties[x] for x in _bits(max(first, key=int.bit_count))]
+    if all(v | p in first for v in first for p in points):
+        return None
     values = sorted(first, key=lambda v: (v.bit_count(), list(_bits(v))))
     for i, va in enumerate(values):
         for vb in values[i + 1 :]:
@@ -125,14 +144,13 @@ def is_xtop_by_irreducibility(L: FiniteLattice, X: XLike) -> bool:
 def _irreducible(
     L: FiniteLattice, varieties: Sequence[int], radicals: Iterable[int]
 ) -> bool:
-    """No radical pair (a, b) has a point in V(a ∧ b) \\ (V(a) ∪ V(b))."""
-    radicals = sorted(radicals)
-    meet = L.meet
-    for i, a in enumerate(radicals):
-        va = varieties[a]
-        for b in radicals[i + 1 :]:
-            if varieties[meet(a, b)] & ~(va | varieties[b]):
-                return False
+    """Every point x has ⋀{a ∈ R : a ≰ x} ≰ x, for the meet-closed set R of
+    radical elements (module docstring)."""
+    radicals = list(radicals)
+    for x in _bits(varieties[L.bottom]):
+        m = L.meet_all(a for a in radicals if not varieties[a] >> x & 1)
+        if varieties[m] >> x & 1:
+            return False
     return True
 
 
@@ -177,7 +195,7 @@ class XTopSpace:
         return tuple(sorted(self.points))
 
     def label(self, x: int) -> str:
-        return self.lattice.labels[x]
+        return self.lattice.label(x)
 
     def labels_of(self, S: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.label(x) for x in sorted(S))

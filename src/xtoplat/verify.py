@@ -20,7 +20,9 @@ failures with minimal witnesses.  Suites:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Iterable
 
 from .enumeration import (
     all_lattices_upto,
@@ -31,7 +33,7 @@ from .enumeration import (
 from .errors import RangeError
 from .poset import chain, dual_tree, forest, tree
 from .semiring import _verify_bni, bni, omega, spec_space
-from .separation import _report_and_checks, cross_check, separation_report
+from .separation import CheckResult, _report_and_checks, cross_check, separation_report
 from .topology import from_poset, is_xtop_by_irreducibility, is_xtop_by_unions
 
 QUARTER_CHECKS = frozenset(
@@ -86,10 +88,21 @@ class SuiteFailure:
 @dataclass
 class SuiteResult:
     suite: str
-    instances: int
-    checks: int
-    failures: list[SuiteFailure]
+    instances: int = 0
+    checks: int = 0
+    failures: list[SuiteFailure] = field(default_factory=list)
     seconds: float = 0.0  # wall time of the sweep, set by run_suites
+
+    def expect(self, instance: str, condition: bool, check: str, witness: str | None) -> None:
+        """Count one check on ``instance``; keep it as a failure if it failed."""
+        self.checks += 1
+        if not condition:
+            self.failures.append(SuiteFailure(instance, check, witness))
+
+    def record(self, instance: str, results: Iterable[CheckResult]) -> None:
+        """Count the cross-check results on ``instance``, keeping the failures."""
+        for r in results:
+            self.expect(instance, r.holds, r.check_id, r.witness)
 
     @property
     def ok(self) -> bool:
@@ -106,18 +119,17 @@ class SuiteResult:
 
 def verify_xct(max_size: int = 5) -> SuiteResult:
     """Union-closure vs irreducibility on every (lattice, X) pair."""
-    failures: list[SuiteFailure] = []
-    instances = checks = 0
+    result = SuiteResult("xct")
     for L in all_lattices_upto(max_size):
         candidates = [i for i in range(L.n) if i != L.top]
         for mask in range(1 << len(candidates)):
             X = frozenset(c for k, c in enumerate(candidates) if mask >> k & 1)
-            instances += 1
-            checks += 1
+            result.instances += 1
+            result.checks += 1
             by_unions = is_xtop_by_unions(L, X)
             by_irred = is_xtop_by_irreducibility(L, X)
             if by_unions != by_irred:
-                failures.append(
+                result.failures.append(
                     SuiteFailure(
                         f"lattice({L.n} elements, covers={L.poset.covers()}) "
                         f"X={sorted(L.labels[x] for x in X)}",
@@ -125,23 +137,16 @@ def verify_xct(max_size: int = 5) -> SuiteResult:
                         f"unions={by_unions}; irreducibility={by_irred}",
                     )
                 )
-    return SuiteResult("xct", instances, checks, failures)
+    return result
 
 
 def _cross_check_sweep(suite: str, max_size: int, selected: frozenset[str]) -> SuiteResult:
-    failures: list[SuiteFailure] = []
-    instances = checks = 0
+    result = SuiteResult(suite)
     for P in all_posets_upto(max_size):
-        space = from_poset(P)
-        instances += 1
+        result.instances += 1
         name = f"poset(n={P.n}, covers={P.covers()})"
-        for result in cross_check(space):
-            if result.check_id not in selected:
-                continue
-            checks += 1
-            if not result.holds:
-                failures.append(SuiteFailure(name, result.check_id, result.witness))
-    return SuiteResult(suite, instances, checks, failures)
+        result.record(name, cross_check(from_poset(P), selected))
+    return result
 
 
 def verify_quarter(max_size: int = 5) -> SuiteResult:
@@ -154,19 +159,12 @@ def verify_discrete(max_size: int = 5) -> SuiteResult:
 
 def verify_forest(max_size: int = 8) -> SuiteResult:
     """Shape-level predictions plus the full cross-check on every forest."""
-    failures: list[SuiteFailure] = []
-    instances = checks = 0
+    result = SuiteResult("forest")
     for spec in forest_specs(max_size, kinds="TVC"):
-        instances += 1
+        result.instances += 1
         name = "+".join(f"{kind}{k}" for kind, k in spec)
         report, _, results = _report_and_checks(from_poset(forest(spec)))
-
-        def expect(condition: bool, check: str, witness: str):
-            nonlocal checks
-            checks += 1
-            if not condition:
-                failures.append(SuiteFailure(name, check, witness))
-
+        expect = partial(result.expect, name)
         expected_kdim = max(k - 1 if kind == "C" else 1 for kind, k in spec)
         expect(
             report.kdim == expected_kdim,
@@ -201,30 +199,20 @@ def verify_forest(max_size: int = 8) -> SuiteResult:
             )
         if has_long_chain:
             expect(not report.t_quarter, "long-chain-blocks-t-quarter", "t_quarter=True")
-        for result in results:
-            checks += 1
-            if not result.holds:
-                failures.append(SuiteFailure(name, result.check_id, result.witness))
-    return SuiteResult("forest", instances, checks, failures)
+        result.record(name, results)
+    return result
 
 
 def verify_bni_grid(max_n: int = 20) -> SuiteResult:
     """Spectrum closed form plus downstream separation axioms on B(n, i)."""
-    failures: list[SuiteFailure] = []
-    instances = checks = 0
+    result = SuiteResult("bni")
     for n in range(2, max_n + 1):
         for i in range(n):
-            instances += 1
+            result.instances += 1
             name = f"B({n},{i})"
             R = bni(n, i)
             verdict = _verify_bni(R, i)
-
-            def expect(condition: bool, check: str, witness: str):
-                nonlocal checks
-                checks += 1
-                if not condition:
-                    failures.append(SuiteFailure(name, check, witness))
-
+            expect = partial(result.expect, name)
             expect(
                 verdict.match,
                 "spectrum-closed-form",
@@ -296,16 +284,13 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
                         f"t_threequarter={punctured_report.t_threequarter}, "
                         f"t1={punctured_report.t1}",
                     )
-            for result in results:
-                checks += 1
-                if not result.holds:
-                    failures.append(SuiteFailure(name, result.check_id, result.witness))
-    return SuiteResult("bni", instances, checks, failures)
+            result.record(name, results)
+    return result
 
 
 # the largest bounds run_suites accepts
 MAX_ENUMERATED_SIZE = 7
-MAX_FOREST_SIZE = 11
+MAX_FOREST_SIZE = 13
 MAX_N = 30
 
 # each suite with the bound it takes
@@ -330,8 +315,9 @@ def run_suites(
     * ``max_size > 7`` on a suite that enumerates posets: the enumeration
       searches the linear extensions of each class once, and
       ``all_posets(7)`` takes about 1 s but ``all_posets(8)`` about 30 s;
-    * ``max_size > 11`` for ``forest``: every forest gets the full
-      cross-check, and the sweep took 7.6 s at 10 points and 28 s at 11;
+    * ``max_size > 13`` for ``forest``: every forest gets the full
+      cross-check, in O(|L|·|X|) steps per forest with |L| its number of
+      up-sets, and the sweep took 12 s at 12 points and 28-34 s at 13;
     * ``max_n > 30`` for ``bni``: every ideal of every B(n, i) is still
       enumerated for the spectrum report, and ``--max-n 30`` takes about
       17 s (B(30, 25) alone has 14,939 ideals).

@@ -573,6 +573,39 @@ def leq_is_xtop_by_irreducibility(L: FiniteLattice, X: frozenset[int]) -> bool:
     return True
 
 
+# -- the pair forms of the carrier criteria, on variety masks -----------------
+
+
+def pair_union_witness(varieties) -> tuple[int, int] | None:
+    """The first pair of distinct varieties, in (size, sorted elements)
+    order, whose union is not a variety, named by their least elements:
+    every pair is scanned."""
+    first: dict[int, int] = {}
+    for a, v in enumerate(varieties):
+        first.setdefault(v, a)
+
+    def elements(v: int) -> list[int]:
+        return [x for x in range(v.bit_length()) if v >> x & 1]
+
+    values = sorted(first, key=lambda v: (v.bit_count(), elements(v)))
+    for i, va in enumerate(values):
+        for vb in values[i + 1 :]:
+            if va | vb not in first:
+                return first[va], first[vb]
+    return None
+
+
+def pair_irreducible(L: FiniteLattice, varieties, radicals) -> bool:
+    """No pair (a, b) of the given elements has a point in
+    V(a ∧ b) \\ (V(a) ∪ V(b)): every pair is scanned."""
+    radicals = sorted(radicals)
+    for i, a in enumerate(radicals):
+        for b in radicals[i + 1 :]:
+            if varieties[L.meet(a, b)] & ~(varieties[a] | varieties[b]):
+                return False
+    return True
+
+
 # -- poset closure by iterating to a fixpoint ---------------------------------
 
 

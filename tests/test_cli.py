@@ -198,9 +198,10 @@ class TestClassify:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_never_builds_the_order_or_tables_of_the_upset_lattice(self, monkeypatch):
-        # export still materializes the space; the DOT output needs neither
-        # the lattice's order nor its tables
-        from xtoplat import cli
+        # the DOT export of a poset source reads P alone; with the closed
+        # sets it materializes the space, but needs neither the lattice's
+        # order nor its tables
+        from xtoplat import formats
         from xtoplat.topology import from_poset
 
         spaces = []
@@ -209,9 +210,11 @@ class TestClassify:
             spaces.append(from_poset(P))
             return spaces[-1]
 
-        monkeypatch.setattr(cli, "from_poset", recording)
+        monkeypatch.setattr(formats, "from_poset", recording)
         argv = ["export", "--format", "dot", "--forest", "V3+V3+V3"]
-        assert run(argv)[0] == run(argv + ["--closed-sets"])[0] == 0
+        assert run(argv)[0] == 0 and spaces == []
+        argv.append("--closed-sets")
+        assert run(argv)[0] == run(argv)[0] == 0
         assert [space.lattice.n for space in spaces] == [729, 729]
         first, second = (space.lattice for space in spaces)
         assert first == second and hash(first) == hash(second)
@@ -240,7 +243,11 @@ class TestClassify:
                 dumps({"labels": ["a", "b", "c"], "leq": [["a", "b"], ["a", "c"]]})
             )
             source = [source[0], str(path)]
-        for argv in (["classify", *source], ["classify", *source, "--json"]):
+        for argv in (
+            ["classify", *source],
+            ["classify", *source, "--json"],
+            ["export", *source, "--format", "dot"],
+        ):
             code, text = run(argv)
             assert code == 0 and text
 
@@ -489,8 +496,8 @@ class TestVerify:
         "argv, message",
         [
             (
-                ["forest", "--max-size", "12"],
-                "--max-size must be at most 11 for verify forest, got 12",
+                ["forest", "--max-size", "14"],
+                "--max-size must be at most 13 for verify forest, got 14",
             ),
             (["bni", "--max-n", "31"], "--max-n must be at most 30, got 31"),
             (["bni", "--max-n", "100000"], "--max-n must be at most 30, got 100000"),

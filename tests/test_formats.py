@@ -20,6 +20,7 @@ from xtoplat.formats import (
     space_to_dot,
     space_to_json,
 )
+from xtoplat.enumeration import forest_specs
 from xtoplat.lattice import lattice_from_poset
 from xtoplat.semiring import s3, spec_space
 
@@ -122,3 +123,9 @@ class TestDot:
         dot = space_to_dot(spec_space(s3()), annotate_closed=True)
         assert "// closed sets" in dot
         assert dot.count("->") == 1
+
+    def test_a_poset_source_draws_the_dot_of_its_space(self):
+        # P in (|↑x|, ↑x) order is the specialization order of from_poset(P)
+        for spec in forest_specs(8):
+            P = forest(spec)
+            assert space_to_dot(P) == space_to_dot(from_poset(P)), spec

@@ -383,6 +383,63 @@ class TestCrossCheck:
         assert "union-criterion-iff-irreducibility" in ids
         assert "discrete-characterizations" in ids
 
+    def test_check_table_is_pinned(self):
+        from xtoplat.separation import CHECK_IDS
+        from xtoplat.verify import DISCRETE_CHECKS, QUARTER_CHECKS
+
+        ids = [c.check_id for c in cross_check(from_poset(chain(2)))]
+        assert ids == list(CHECK_IDS) == [
+            "t0-and-sober",
+            "closed-points-are-maximal",
+            "kerneled-points-are-minimal",
+            "ro-iso-min-nested",
+            "t1-iff-r0-iff-dim0",
+            "t2-iff-r1-iff-dim0-quasihausdorff",
+            "t-quarter-iff-dim-le-1-iff-tf",
+            "t-half-decomposition",
+            "t-threequarter-decomposition",
+            "isolated-iff-min-csi",
+            "regular-open-iff-isolated-excluded",
+            "discrete-characterizations",
+            "finite-carrier-irreducibility",
+            "es-collapse",
+            "anti-hausdorff-iff-irreducible",
+            "discrete-iff-t1-at-finite-scale",
+            "kc-iff-discrete-at-finite-scale",
+            "t2-iff-t1-quasihausdorff",
+            "zero-dimensional-collapse",
+            "stone-characterizations",
+            "union-criterion-iff-irreducibility",
+            "maxima-of-radicals",
+            "jacobson-irredundant-iff-bmax-iff-max-discrete",
+            "min-meet-irredundant-iff-amin-iff-min-discrete",
+            "total-separation-implications",
+            "components-refine-quasicomponents",
+            "tree-forests-are-t-threequarter",
+            "dual-tree-blocks-t-threequarter",
+        ]
+        rest = {"total-separation-implications"}
+        assert QUARTER_CHECKS | DISCRETE_CHECKS | rest == set(CHECK_IDS)
+        assert len(QUARTER_CHECKS) + len(DISCRETE_CHECKS) + len(rest) == len(CHECK_IDS)
+
+    def test_a_selection_computes_only_the_sides_it_reads(self, monkeypatch):
+        from xtoplat import separation
+        from xtoplat.verify import DISCRETE_CHECKS, QUARTER_CHECKS
+
+        space = from_poset(forest([("T", 2), ("V", 2), ("C", 3)]))
+        full = {c.check_id: c for c in cross_check(space)}
+
+        def refuse(*args):
+            raise AssertionError("a radical or carrier scan ran")
+
+        for name in ("_radical_info", "_union_witness", "_irreducible"):
+            monkeypatch.setattr(separation, name, refuse)
+        quarter = cross_check(space, QUARTER_CHECKS)
+        assert [c.check_id for c in quarter] == [i for i in full if i in QUARTER_CHECKS]
+        assert all(c == full[c.check_id] for c in quarter)
+        with pytest.raises(AssertionError, match="carrier scan"):
+            cross_check(space, DISCRETE_CHECKS)
+
     def test_names_a_wrong_order_read(self, monkeypatch):
         # the report's T_F, RO and sober are order reads; cross_check's own
         # sides (the T_F pair scan, the boundary and excluded_meet, the

@@ -57,10 +57,9 @@ def _owners(tree: ast.AST) -> dict[ast.AST, str]:
 def test_separation_reads_families_only_to_check_them():
     # the report reads every flag off the specialization order; the
     # variety masks are read once to check that each Ker(x) is open, and
-    # cross_check's body (_report_and_checks) reads them for the
-    # definitional side.  No frozenset family or variety of a space is
-    # read at all.  The lattice is read only for the prime meets and by
-    # cross_check.
+    # cross_check's sides (_Sides) read them for the definitional side.
+    # No frozenset family or variety of a space is read at all.  The
+    # lattice is read only for the prime meets and by cross_check.
     path = Path(xtoplat.__file__).parent / "separation.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     owner = _owners(tree)
@@ -79,8 +78,8 @@ def test_separation_reads_families_only_to_check_them():
         f"{owner[node]}:{node.lineno}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Name)
-        and node.id == "radical_info"
-        and outside(node, "_report_and_checks")
+        and node.id in ("radical_info", "_radical_info")
+        and outside(node, "_Sides")
     ]
     lattice_reads = [
         f"{owner[node]}:{node.lineno}"

@@ -31,6 +31,7 @@ from xtoplat import (
     upset_lattice,
     variety,
 )
+from xtoplat.enumeration import all_lattices_upto
 from xtoplat.semiring import bni, s3, spec_space
 from xtoplat.separation import cross_check, report_and_points
 
@@ -351,6 +352,34 @@ def test_every_sub_carrier_gives_the_trace_topology(lattices_upto_5):
             for Y in subsets(X):
                 sub = space.subspace(Y)
                 assert set(sub.open_family) == {U & frozenset(Y) for U in space.open_family}
+
+
+class TestCarrierLemmas:
+    """The one-pass lemmas of the carrier criteria against the pair forms
+    they replace: the same verdicts, and the same first failing pair."""
+
+    @staticmethod
+    def agree(L, X) -> bool:
+        from xtoplat.topology import _irreducible, _union_witness
+
+        from .oracles import pair_irreducible, pair_union_witness
+
+        masks = L.variety_masks(X)
+        radicals = radical_info(L, X).radical_elements
+        witness = pair_union_witness(masks)
+        assert _union_witness(masks) == witness
+        assert _irreducible(L, masks, radicals) == pair_irreducible(L, masks, radicals)
+        return witness is None
+
+    def test_every_pair_of_the_seven_element_xct_sweep(self):
+        # the 3975 (L, X) of `verify xct --max-size 7`, which include every
+        # carrier candidate of the lattices with at most 6 elements
+        verdicts = [
+            self.agree(L, X)
+            for L in all_lattices_upto(7)
+            for X in subsets(i for i in range(L.n) if i != L.top)
+        ]
+        assert len(verdicts) == 3975 and True in verdicts and False in verdicts
 
 
 def test_carrier_criteria_agree_on_all_six_element_lattices(lattices_upto_6):
