@@ -154,20 +154,6 @@ def _one_source(args, names: list[str]) -> bool:
     return sum(value is not None and value is not False for value in values) == 1
 
 
-def _semiring_subspace(R: FiniteSemiring, selector: str) -> XTopSpace:
-    if selector in ("all", "max", "min"):
-        return spec_space(R, selector)
-    # drop-zero: remove the zero ideal from X when it is prime
-    space = spec_space(R, "all")
-    zero_ideal = next(
-        (x for x in space.points if space.lattice.labels[x] == "{" + R.labels[R.zero] + "}"),
-        None,
-    )
-    if zero_ideal is None:
-        return space
-    return space.subspace(space.points - {zero_ideal})
-
-
 def _cmd_classify(args, out) -> int:
     # a poset source is classified off its order, without its up-set lattice
     report, points = report_and_points(_source_from_args(args))
@@ -185,7 +171,7 @@ def _cmd_spec(args, out) -> int:
     def label_set(members) -> list[str]:
         return [R.labels[a] for a in sorted(members)]
 
-    space = _semiring_subspace(R, args.subspace)
+    space = spec_space(R, args.subspace)
     if args.json:
         payload = {
             "labels": list(R.labels),
@@ -255,7 +241,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_export(args, out) -> int:
     if args.bni is not None or args.s3 or args.table is not None:
-        source = _semiring_subspace(_semiring_from_args(args), args.subspace)
+        source = spec_space(_semiring_from_args(args), args.subspace)
     else:
         source = _source_from_args(args)
     if args.format == "dot":

@@ -183,23 +183,8 @@ def report_to_json(
 ) -> dict[str, Any]:
     return {
         **report.to_dict(),
-        "points": [
-            {
-                "label": p.label,
-                "is_closed": p.is_closed,
-                "is_kerneled": p.is_kerneled,
-                "is_isolated": p.is_isolated,
-                "is_regular_open": p.is_regular_open,
-                "is_excluded": p.is_excluded,
-                "is_min": p.is_min,
-                "is_max": p.is_max,
-                "in_SI": p.in_SI,
-                "in_CSI": p.in_CSI,
-                "is_abs_min": p.is_abs_min,
-                "is_barely_max": p.is_barely_max,
-            }
-            for p in points
-        ],
+        # each row's keys are its dataclass fields, so field order is key order
+        "points": [dict(vars(p)) for p in points],
     }
 
 

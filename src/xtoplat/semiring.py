@@ -673,11 +673,18 @@ def radical_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[i
 def embedded_spectrum(
     R: FiniteSemiring, which: str = "all"
 ) -> tuple[FiniteLattice, EmbeddedSubset]:
-    """The radical-ideal lattice with X = Spec(R), Max(R) or Min(R) embedded."""
+    """The radical-ideal lattice with X embedded: Spec(R), Max(R), Min(R),
+    or for ``"drop-zero"`` Spec(R) without the zero ideal (all of Spec(R)
+    when the zero ideal is not prime)."""
     report = spectrum(R)
-    chosen = {"all": report.spec, "max": report.max, "min": report.min_primes}
+    chosen = {
+        "all": report.spec,
+        "max": report.max,
+        "min": report.min_primes,
+        "drop-zero": [P for P in report.spec if P != {R.zero}],
+    }
     if which not in chosen:
-        raise ValueError("subspace selector must be one of 'all', 'max', 'min'")
+        raise ValueError("subspace selector must be one of 'all', 'max', 'min', 'drop-zero'")
     lattice, radicals = radical_lattice(R)
     position = {I: k for k, I in enumerate(radicals)}
     members = frozenset(position[I] for I in chosen[which])

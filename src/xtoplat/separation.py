@@ -67,8 +67,9 @@ the closed sets ↑a is closed.  So ⋀A <= q iff A ∩ ↓q ≠ ∅, and:
   complete-max property is the BMax condition over the maximal proper
   radicals, which are Max(X): a proper radical r = ⋀V(r) has V(r) ≠ ∅,
   so r lies below a point, and every point is radical.  So ``amin``,
-  ``bmax`` and ``complete_max_property`` hold on every X-top space; ``pamin`` is Min(X) = X and ``pbmax`` is Max(X) = X.  Likewise
-  Max(X) and Min(X) are discrete subspaces: for m in either set Y,
+  ``bmax`` and ``complete_max_property`` hold on every X-top space;
+  ``pamin`` is Min(X) = X and ``pbmax`` is Max(X) = X.  Likewise Max(X)
+  and Min(X) are discrete subspaces: for m in either set Y,
   V(m) ∩ Y = {m} is closed, and a finite T1 space is discrete.
 * The prime meets J(X) = ⋀Max(X) and Q(X) = ⋀Min(X) are irredundant: no
   point can be dropped from either without changing the meet.  A meet of
@@ -110,18 +111,25 @@ Min, Max and the rows ↓y:
   maximal.
 * T¾ (every point closed or regular open) holds iff X = Max ∪ RO.
 
+Of the paper's point classes, then, only Min, Max, RO and Excl are sets
+of their own; :class:`SpecialSets` holds those four.  SI and CSI are X,
+AMin and the isolated and kerneled points are Min, and BMax and the
+closed points are Max, so the point rows read them off X, Min and Max.
+
 So every source takes one route: Min, Max, the rows ↓y, the heights and
 the comparability components of its specialization order, in O(n) big-int
 operations beyond those rows.  A space's variety masks are read once, to
 check that each Ker(x) is open (X \\ ↓x is a variety), and its lattice
 only for the prime meets J(X) and Q(X).  :func:`cross_check` takes the
 other side of each lemma and theorem from the families, as the varieties
-and their complements in X, from pair scans and from meets in L.  It
-computes each of those sides on demand, the first time a check reads
-it, so a run of some of the checks (``verify quarter`` and ``verify
-discrete`` ask for theirs) computes only the sides they read, and a
-check builds its witness only when it fails.  No frozenset family of the
-space is built here.
+and their complements in X, from pair scans and from meets in L, and
+compares it with X, Min, Max, RO or Excl.  Every point set on either
+side is a mask over lattice indices, like the space's variety masks, so
+no frozenset is built there.  It computes each side on demand, the first
+time a check reads it, so a run of some of the checks (``verify quarter``
+and ``verify discrete`` ask for theirs) computes only the sides they
+read, and a check builds its witness, the lowest point in one set but
+not the other, only when it fails.
 
 A :class:`~xtoplat.poset.FinitePoset` P is accepted wherever a space is
 classified, and read as the space ``from_poset(P)``: X is {↑x : x ∈ P}
@@ -175,18 +183,17 @@ class PointClassification:
 
 @dataclass(frozen=True)
 class SpecialSets:
-    """The distinguished point sets of a space, as sets of lattice indices."""
+    """Min(X), Max(X), the regular open points and the excluded points, as
+    sets of lattice indices.
+
+    The paper's other point classes are copies of these (module docstring):
+    SI = CSI = X; AMin, the isolated and the kerneled points are Min; BMax
+    and the closed points are Max.
+    """
 
     min: frozenset[int]
     max: frozenset[int]
-    si: frozenset[int]
-    csi: frozenset[int]
-    amin: frozenset[int]
-    bmax: frozenset[int]
-    iso: frozenset[int]
     ro: frozenset[int]
-    cl: frozenset[int]
-    k: frozenset[int]
     excl: frozenset[int]
 
 
@@ -273,10 +280,10 @@ class _Analysis:
             # the poset lists the points in sorted order too, so its rows are masks
             P = source.specialization_poset()
             # Ker(x) = ↓x is open iff X \\ ↓x is a variety
-            pts, closed = self.pts, set(source.variety_masks)
-            full = _mask(pts)
+            closed = set(source.variety_masks)
+            full = _mask(self.pts)
             for k, kernel in enumerate(P.down_rows()):
-                if full & ~_mask(pts[j] for j in _bits(kernel)) not in closed:
+                if full & ~self.lift(kernel) not in closed:
                     raise XtoplatError(
                         f"Ker({P.labels[k]!r}) is not open: the open family does not "
                         "match the specialization order"
@@ -298,33 +305,14 @@ class _Analysis:
         self.ro_mask = self.min_mask & ~shared
         self.excl_mask = self.full & ~self.min_mask | self.ro_mask
 
-    def unmask(self, mask: int) -> frozenset[int]:
-        return frozenset(self.pts[k] for k in _bits(mask))
+    def lift(self, mask: int) -> int:
+        """A mask over the bits k as a mask over the lattice indices pts[k]."""
+        return _mask(self.pts[k] for k in _bits(mask))
 
     def labels(self, mask: int) -> tuple[str, ...]:
         """The labels of the points in ``mask``, in output order."""
         bits = sorted(_bits(mask), key=self.position.__getitem__)
         return tuple(self.spec_poset.labels[k] for k in bits)
-
-    # -- distinguished point sets -------------------------------------------
-
-    def special(self) -> SpecialSets:
-        u = self.unmask
-        minima, maxima = u(self.min_mask), u(self.max_mask)
-        # SI = CSI = X, AMin = Min and BMax = Max (module docstring)
-        return SpecialSets(
-            min=minima,
-            max=maxima,
-            si=u(self.full),
-            csi=u(self.full),
-            amin=minima,
-            bmax=maxima,
-            iso=minima,
-            ro=u(self.ro_mask),
-            cl=maxima,
-            k=minima,
-            excl=u(self.excl_mask),
-        )
 
     # -- connectedness ---------------------------------------------------------
 
@@ -340,8 +328,8 @@ class _Analysis:
 
     def prime_meets(self) -> PrimeMeets:
         L = self.space.lattice
-        j = L.meet_all(self.unmask(self.max_mask))
-        q = L.meet_all(self.unmask(self.min_mask))
+        j = L.meet_all(_bits(self.lift(self.max_mask)))
+        q = L.meet_all(_bits(self.lift(self.min_mask)))
         # both meets are irredundant (module docstring)
         return PrimeMeets(j, q, True, True)
 
@@ -359,8 +347,10 @@ def _in_upset_order(P: FinitePoset) -> tuple[list[int], dict[int, int]]:
 
 
 def special_sets(space: XTopSpace) -> SpecialSets:
-    """Min/Max/SI/CSI/AMin/BMax plus the topological point classes."""
-    return _Analysis(space).special()
+    """Min(X), Max(X), RO and Excl, read off the specialization order."""
+    a = _Analysis(space)
+    masks = (a.min_mask, a.max_mask, a.ro_mask, a.excl_mask)
+    return SpecialSets(*(frozenset(_bits(a.lift(m))) for m in masks))
 
 
 def classify_points(source: XTopSpace | FinitePoset) -> tuple[PointClassification, ...]:
@@ -400,7 +390,7 @@ def components(space: XTopSpace) -> tuple[tuple[frozenset[int], ...], tuple[froz
     On a finite space the two partitions coincide (see the module docstring).
     """
     a = _Analysis(space)
-    comps = tuple(a.unmask(m) for m in a.components)
+    comps = tuple(frozenset(_bits(a.lift(m))) for m in a.components)
     return comps, comps
 
 
@@ -483,11 +473,10 @@ def _least_around(family: set[int], S: int, full: int) -> int:
     return acc
 
 
-def _trace_is_discrete(varieties: tuple[int, ...], Y: frozenset[int]) -> bool:
-    """The subspace topology on Y, whose closed sets are the V(a) ∩ Y, is
-    discrete: it has all 2^|Y| of them."""
-    ymask = _mask(Y)
-    return len({v & ymask for v in varieties}) == 1 << len(Y)
+def _trace_is_discrete(varieties: tuple[int, ...], Y: int) -> bool:
+    """The subspace topology on the mask Y, whose closed sets are the
+    V(a) ∩ Y, is discrete: it has all 2^|Y| of them."""
+    return len({v & Y for v in varieties}) == 1 << Y.bit_count()
 
 
 def _chain(*name_values: tuple[str, bool]) -> Verdict:
@@ -523,20 +512,23 @@ def _report_and_checks(
 class _Sides:
     """Both sides of every check of :func:`cross_check` on one space.
 
-    The order side, the report ``r`` and the point sets ``s``, is read
-    first, since nearly every check compares with it.  Each
-    definitional side (the families, kernels, quasicomponents, lattice
-    classes, radicals, pair scans, the T_F scan) is computed on first
-    read, so a run of some checks computes only the sides they read.
-    Families are masks over lattice indices: the closed sets are the
-    varieties and the open sets their complements in X.
+    Every point set here is a mask over lattice indices, like the space's
+    ``variety_masks``.  The order side, the report ``r`` and the masks
+    ``min``, ``max``, ``ro`` and ``excl``, is read first, since nearly
+    every check compares with it.  Each definitional side (the families,
+    kernels, quasicomponents, lattice classes, radicals, pair scans, the
+    T_F scan) is computed on first read, so a run of some checks computes
+    only the sides they read.  The closed sets are the varieties and the
+    open sets their complements in X.
     """
 
     def __init__(self, space: XTopSpace):
-        self.space, self.a = space, _Analysis(space)
-        self.s, self.r = self.a.special(), _report(self.a)
-        self.L, self.X = space.lattice, space.points
-        self.full, self.masks = _mask(self.X), space.variety_masks
+        self.space, self.L, self.masks = space, space.lattice, space.variety_masks
+        self.a = a = _Analysis(space)
+        self.r, self.pts, self.full = _report(a), a.pts, a.lift(a.full)
+        self.min, self.max, self.ro, self.excl = (
+            a.lift(m) for m in (a.min_mask, a.max_mask, a.ro_mask, a.excl_mask)
+        )
 
     def results(self, only: Collection[str] | None = None) -> tuple[CheckResult, ...]:
         out = []
@@ -546,13 +538,13 @@ class _Sides:
                 out.append(CheckResult(check_id, holds, None if holds else witness()))
         return tuple(out)
 
-    def _same(self, left: frozenset[int], right: frozenset[int]) -> Verdict:
+    def _same(self, left: int, right: int) -> Verdict:
         return left == right, lambda: self._diff(left, right)
 
-    def _diff(self, left: frozenset[int], right: frozenset[int]) -> str:
-        """The first point in only one of the two sets."""
-        diff = sorted(left ^ right)
-        return f"point {self.space.label(diff[0])!r}" if diff else "sets equal"
+    def _diff(self, left: int, right: int) -> str:
+        """The lowest point in only one of the two masks."""
+        diff = left ^ right
+        return f"point {self.space.label(next(_bits(diff)))!r}" if diff else "sets equal"
 
     # -- sides -----------------------------------------------------------------
 
@@ -562,70 +554,79 @@ class _Sides:
         point dropped in turn."""
         L = self.L
 
-        def irredundant(Y: frozenset[int]) -> tuple[int, bool]:
-            meet = L.meet_all(Y)
-            return meet, all(L.meet_all(Y - {m}) != meet for m in Y)
+        def irredundant(Y: int) -> tuple[int, bool]:
+            meet = L.meet_all(_bits(Y))
+            return meet, all(L.meet_all(_bits(Y & ~(1 << m))) != meet for m in _bits(Y))
 
-        (j, j_ok), (q, q_ok) = irredundant(self.s.max), irredundant(self.s.min)
+        (j, j_ok), (q, q_ok) = irredundant(self.max), irredundant(self.min)
         return PrimeMeets(j, q, j_ok, q_ok)
 
     @cached_property
     def families(self) -> SimpleNamespace:
-        X, closed = self.X, set(self.masks)
+        pts, closed = self.pts, set(self.masks)
         opens = {self.full & ~v for v in closed}
         return SimpleNamespace(
             closed=closed,
             opens=opens,
-            closed_pts=frozenset(x for x in X if 1 << x in closed),
-            isolated=frozenset(x for x in X if 1 << x in opens),
-            kc=len(closed) == 1 << len(X),
-            discrete=len(opens) == 1 << len(X),
+            closed_pts=_mask(x for x in pts if 1 << x in closed),
+            isolated=_mask(x for x in pts if 1 << x in opens),
+            kc=len(closed) == 1 << len(pts),
+            discrete=len(opens) == 1 << len(pts),
         )
 
     @cached_property
     def kernel(self) -> dict[int, int]:
-        return {x: _least_around(self.families.opens, 1 << x, self.full) for x in self.X}
+        return {x: _least_around(self.families.opens, 1 << x, self.full) for x in self.pts}
 
     @cached_property
-    def kerneled(self) -> frozenset[int]:
-        return frozenset(x for x in self.X if self.kernel[x] == 1 << x)
+    def kerneled(self) -> int:
+        return _mask(x for x in self.pts if self.kernel[x] == 1 << x)
 
     @cached_property
-    def quasi(self) -> dict[int, frozenset[int]]:
+    def quasi(self) -> dict[int, int]:
         clopens = self.families.closed & self.families.opens
-        return {
-            x: frozenset(_bits(_least_around(clopens, 1 << x, self.full))) for x in self.X
-        }
+        return {x: _least_around(clopens, 1 << x, self.full) for x in self.pts}
 
     @cached_property
     def totally_separated(self) -> bool:
-        return all(len(Q) == 1 for Q in self.quasi.values())
+        return all(Q.bit_count() == 1 for Q in self.quasi.values())
 
     @cached_property
     def classes(self) -> SimpleNamespace:
         """The lattice classes, from meets in L: ⋀A <= q iff q ∈ V(⋀A)."""
-        L, X, s, varieties = self.L, self.X, self.s, self.masks
+        L, pts, full, varieties = self.L, self.pts, self.full, self.masks
 
-        def meet_avoids(A, q: int) -> bool:
-            return not varieties[L.meet_all(A)] >> q & 1
+        def meet_avoids(A: int, q: int) -> bool:
+            return not varieties[L.meet_all(_bits(A))] >> q & 1
 
-        csi = frozenset(
-            q for q in X if meet_avoids([x for x in X if not varieties[x] >> q & 1], q)
+        def barely(S: int) -> int:
+            return _mask(m for m in _bits(S) if meet_avoids(S & ~(1 << m), m))
+
+        # CSI: ⋀{a ∈ X : a ≰ q} ≰ q; Excl: ⋀(X \ {x}) = ⋀D(x), D(x) = X \ V(x)
+        csi = _mask(
+            q
+            for q in pts
+            if meet_avoids(_mask(a for a in pts if not varieties[a] >> q & 1), q)
+        )
+        excl = _mask(
+            x
+            for x in pts
+            if L.meet_all(_bits(full & ~(1 << x))) == L.meet_all(_bits(full & ~varieties[x]))
         )
         return SimpleNamespace(
             csi=csi,
-            amin=frozenset(m for m in s.min if meet_avoids(s.min - {m}, m)),
-            bmax=frozenset(m for m in s.max if meet_avoids(s.max - {m}, m)),
-            excl=frozenset(x for x in X if self.space.excluded_meet(x)[2]),
-            es=s.min - s.max <= csi,
-            complete_max=has_complete_max_property(L, EmbeddedSubset(L, X)),
+            amin=barely(self.min),
+            bmax=barely(self.max),
+            excl=excl,
+            es=self.min & ~self.max & ~csi == 0,
+            complete_max=has_complete_max_property(L, EmbeddedSubset(L, self.space.points)),
         )
 
     @cached_property
     def pairs(self) -> SimpleNamespace:
         """T0, T1 = R0, T2 = R1 and quasi-Hausdorff by pair scans over the
         kernels from the open family; the report records them as lemmas."""
-        kernel, varieties, X = self.kernel, self.masks, self.X
+        kernel, varieties, pts = self.kernel, self.masks, self.pts
 
         def separated(x: int, y: int) -> bool:
             return not kernel[x] >> y & 1 and not kernel[y] >> x & 1
@@ -633,7 +634,7 @@ class _Sides:
         def disjoint(x: int, y: int) -> bool:
             return kernel[x] & kernel[y] == 0
 
-        pairs = list(combinations(sorted(X), 2))
+        pairs = list(combinations(pts, 2))
         distinguishable = [
             (x, y) for x, y in pairs if not (kernel[x] >> y & 1 and kernel[y] >> x & 1)
         ]
@@ -643,27 +644,27 @@ class _Sides:
             r0=all(separated(x, y) for x, y in distinguishable),
             t2=all(disjoint(x, y) for x, y in pairs),
             r1=all(disjoint(x, y) for x, y in distinguishable),
-            anti_t2=len(X) >= 2 and not any(disjoint(x, y) for x, y in pairs),
+            anti_t2=len(pts) >= 2 and not any(disjoint(x, y) for x, y in pairs),
             quasi_hausdorff=all(
                 disjoint(x, y)
-                or any(varieties[z] >> x & 1 and varieties[z] >> y & 1 for z in X)
+                or any(varieties[z] >> x & 1 and varieties[z] >> y & 1 for z in pts)
                 for x, y in pairs
             ),
         )
 
     @cached_property
-    def radicals(self) -> frozenset[int]:
-        return _radical_info(self.L, self.masks).radical_elements
+    def radicals(self) -> int:
+        return _mask(_radical_info(self.L, self.masks).radical_elements)
 
     @cached_property
     def tf(self) -> bool:
         """T_F by its definition (|F| <= 2 suffices): for every x and every
         F = {y, f} ⊆ X \\ {x}, y = f allowed, {x} ⊢ F or F ⊢ {x}."""
-        kernel = self.kernel
+        kernel, pts = self.kernel, self.pts
         return all(
             not kernel[x] & (1 << y | 1 << f) or not (kernel[y] | kernel[f]) >> x & 1
-            for x in self.X
-            for y, f in combinations_with_replacement(sorted(self.X - {x}), 2)
+            for x in pts
+            for y, f in combinations_with_replacement([y for y in pts if y != x], 2)
         )
 
     # -- checks: check_<id> tests the check <id>, with '_' for '-' ------------
@@ -672,20 +673,20 @@ class _Sides:
         r, t0 = self.r, self.pairs.t0
         # sober iff distinct points have distinct closures (module docstring)
         closed, full = self.families.closed, self.full
-        sober = len({_least_around(closed, 1 << x, full) for x in self.X}) == len(self.X)
+        sober = len({_least_around(closed, 1 << x, full) for x in self.pts}) == len(self.pts)
         return r.t0 and t0 and r.sober and sober, lambda: (
             f"t0={r.t0}; t0 by pairs={t0}; sober={r.sober}; sober by closures={sober}"
         )
 
     def check_closed_points_are_maximal(self) -> Verdict:
-        return self._same(self.families.closed_pts, self.s.max)
+        return self._same(self.families.closed_pts, self.max)
 
     def check_kerneled_points_are_minimal(self) -> Verdict:
-        return self._same(self.kerneled, self.s.min)
+        return self._same(self.kerneled, self.min)
 
     def check_ro_iso_min_nested(self) -> Verdict:
-        s, isolated = self.s, self.families.isolated
-        return s.ro <= isolated <= s.min, lambda: self._diff(s.ro | isolated, s.min)
+        ro, isolated, minima = self.ro, self.families.isolated, self.min
+        return ro & ~isolated == isolated & ~minima == 0, lambda: self._diff(ro | isolated, minima)
 
     def check_t1_iff_r0_iff_dim0(self) -> Verdict:
         r, p = self.r, self.pairs
@@ -717,67 +718,69 @@ class _Sides:
         )
 
     def check_t_half_decomposition(self) -> Verdict:
-        r, s, c = self.r, self.s, self.classes
+        r, c = self.r, self.classes
         return _chain(
             ("t_half", r.t_half),
-            ("X == Max ∪ (Min ∩ CSI)", self.X == s.max | (s.min & c.csi)),
+            ("X == Max ∪ (Min ∩ CSI)", self.full == self.max | (self.min & c.csi)),
             ("t_quarter and es", r.t_quarter and c.es),
         )
 
     def check_t_threequarter_decomposition(self) -> Verdict:
-        r, s, c = self.r, self.s, self.classes
+        r, c, full, maxima = self.r, self.classes, self.full, self.max
         return _chain(
             ("t_threequarter", r.t_threequarter),
-            ("X == Max ∪ RO", self.X == s.max | s.ro),
-            ("X == Max ∪ (Min ∩ CSI ∩ Excl)", self.X == s.max | (s.min & c.csi & c.excl)),
+            ("X == Max ∪ RO", full == maxima | self.ro),
+            ("X == Max ∪ (Min ∩ CSI ∩ Excl)", full == maxima | (self.min & c.csi & c.excl)),
         )
 
     def check_isolated_iff_min_csi(self) -> Verdict:
-        return self._same(self.families.isolated, self.s.min & self.classes.csi)
+        return self._same(self.families.isolated, self.min & self.classes.csi)
 
     def check_regular_open_iff_isolated_excluded(self) -> Verdict:
-        s, excl, full = self.s, self.classes.excl, self.full
+        ro, excl, full = self.ro, self.classes.excl, self.full
         isolated, closed = self.families.isolated, self.families.closed
-        boundary = frozenset(
+        boundary = _mask(
             x
-            for x in self.X
+            for x in self.pts
             if _least_around(closed, full & ~self.masks[x], full) == full & ~(1 << x)
         )
         w = self._diff
-        return s.ro == isolated & excl == boundary and s.excl == excl, lambda: (
-            f"{w(s.ro, isolated & excl)}; {w(s.ro, boundary)}; {w(s.excl, excl)}"
+        return ro == isolated & excl == boundary and self.excl == excl, lambda: (
+            f"{w(ro, isolated & excl)}; {w(ro, boundary)}; {w(self.excl, excl)}"
         )
 
     def check_discrete_characterizations(self) -> Verdict:
-        X, r, s, c, t1 = self.X, self.r, self.s, self.classes, self.pairs.t1
+        full, r, c, t1 = self.full, self.r, self.classes, self.pairs.t1
         holds, witness = _chain(
             ("discrete", r.discrete),
             ("discrete by family size", self.families.discrete),
-            ("X == AMin", X == c.amin),
-            ("X == BMax", X == c.bmax),
-            ("t1 and bmax", t1 and c.bmax == s.max),
+            ("X == AMin", full == c.amin),
+            ("X == BMax", full == c.bmax),
+            ("t1 and bmax", t1 and c.bmax == self.max),
             ("t1 and complete_max_property", t1 and c.complete_max),
         )
         if holds and r.discrete:
-            return c.amin == s.min == X == s.max == c.bmax, lambda: "AMin=Min=X=Max=BMax fails"
+            return c.amin == self.min == full == self.max == c.bmax, lambda: (
+                "AMin=Min=X=Max=BMax fails"
+            )
         return holds, witness
 
     def check_finite_carrier_irreducibility(self) -> Verdict:
-        X, r, s, c, L, varieties = self.X, self.r, self.s, self.classes, self.L, self.masks
+        r, c, L, varieties = self.r, self.classes, self.L, self.masks
         # SI over pairs of points; X need not be closed under meets
         si = all(
             not varieties[L.meet(a, b)] & ~(varieties[a] | varieties[b])
-            for a, b in combinations(sorted(X), 2)
+            for a, b in combinations(self.pts, 2)
         )
         return _chain(
             ("es", r.es),
             ("es by meets", c.es),
-            ("csi covers X", s.csi == c.csi == X),
-            ("si covers X", s.si == X and si),
+            ("csi covers X", c.csi == self.full),
+            ("si covers X", si),
             ("bmax", r.bmax),
-            ("BMax == Max", c.bmax == s.bmax == s.max),
+            ("BMax == Max", c.bmax == self.max),
             ("amin", r.amin),
-            ("AMin == Min", c.amin == s.amin == s.min),
+            ("AMin == Min", c.amin == self.min),
             ("complete_max_property", r.complete_max_property),
             ("complete max property by meets", c.complete_max),
         )
@@ -787,7 +790,7 @@ class _Sides:
         # the families and T_F from the pair scan
         return _chain(
             ("t_half", self.r.t_half),
-            ("t_quarter", self.X == self.families.closed_pts | self.kerneled),
+            ("t_quarter", self.full == self.families.closed_pts | self.kerneled),
             ("tf by pairs", self.tf),
         )
 
@@ -845,28 +848,26 @@ class _Sides:
 
     def check_union_criterion_iff_irreducibility(self) -> Verdict:
         by_unions = _union_witness(self.masks) is None
-        by_irreducibility = _irreducible(self.L, self.masks, self.radicals)
+        by_irreducibility = _irreducible(self.L, self.masks, _bits(self.radicals))
         return by_unions == by_irreducibility, lambda: "the two carrier criteria disagree"
 
     def check_maxima_of_radicals(self) -> Verdict:
-        radical_maxima = self.L.maximals_of(self.radicals - {self.L.top})
-        maxima = self.s.max
-        return radical_maxima == maxima, lambda: self._diff(radical_maxima & self.X, maxima)
+        proper = self.radicals & ~(1 << self.L.top)
+        radical_maxima, maxima = _mask(self.L.maximals_of(_bits(proper))), self.max
+        return radical_maxima == maxima, lambda: self._diff(radical_maxima & self.full, maxima)
 
     def check_jacobson_irredundant_iff_bmax_iff_max_discrete(self) -> Verdict:
-        maxima = self.s.max
         return _chain(
-            ("bmax", self.classes.bmax == maxima),
+            ("bmax", self.classes.bmax == self.max),
             ("jacobson irredundant", self.pm.jacobson_irredundant),
-            ("Max(X) discrete", _trace_is_discrete(self.masks, maxima)),
+            ("Max(X) discrete", _trace_is_discrete(self.masks, self.max)),
         )
 
     def check_min_meet_irredundant_iff_amin_iff_min_discrete(self) -> Verdict:
-        minima = self.s.min
         return _chain(
-            ("amin", self.classes.amin == minima),
+            ("amin", self.classes.amin == self.min),
             ("min meet irredundant", self.pm.min_meet_irredundant),
-            ("Min(X) discrete", _trace_is_discrete(self.masks, minima)),
+            ("Min(X) discrete", _trace_is_discrete(self.masks, self.min)),
         )
 
     def check_total_separation_implications(self) -> Verdict:
@@ -878,8 +879,10 @@ class _Sides:
         )
 
     def check_components_refine_quasicomponents(self) -> Verdict:
-        a, quasi = self.a, self.quasi
-        unrefined = [x for C in map(a.unmask, a.components) for x in C if not C <= quasi[x]]
+        quasi = self.quasi
+        unrefined = [
+            x for C in map(self.a.lift, self.a.components) for x in _bits(C) if C & ~quasi[x]
+        ]
         return not unrefined, lambda: f"point {self.space.label(unrefined[0])!r}"
 
     def check_tree_forests_are_t_threequarter(self) -> Verdict:

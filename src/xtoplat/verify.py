@@ -258,10 +258,7 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
                     "middle-i-spectrum-t0-not-t-quarter",
                     f"t0={report.t0}, t_quarter={report.t_quarter}",
                 )
-                zero_ideal_index = next(
-                    x for x in space.points if space.lattice.labels[x] == "{0}"
-                )
-                punctured = space.subspace(space.points - {zero_ideal_index})
+                punctured = spec_space(R, "drop-zero")
                 punctured_report = separation_report(punctured)
                 w = omega(n - i)
                 expect(
@@ -293,13 +290,15 @@ MAX_ENUMERATED_SIZE = 7
 MAX_FOREST_SIZE = 13
 MAX_N = 30
 
-# each suite with the bound it takes
+# each suite's function, by its name in this module, with the bound it
+# takes; run_suites looks the function up when it runs, so a wrapper bound
+# to that name after import (a profiler's, a test's) is the one called
 _SUITES = {
-    "xct": (verify_xct, "max_size"),
-    "quarter": (verify_quarter, "max_size"),
-    "discrete": (verify_discrete, "max_size"),
-    "forest": (verify_forest, "max_size"),
-    "bni": (verify_bni_grid, "max_n"),
+    "xct": ("verify_xct", "max_size"),
+    "quarter": ("verify_quarter", "max_size"),
+    "discrete": ("verify_discrete", "max_size"),
+    "forest": ("verify_forest", "max_size"),
+    "bni": ("verify_bni_grid", "max_n"),
 }
 
 
@@ -346,7 +345,8 @@ def run_suites(
     bounds = {"max_size": max_size, "max_n": max_n}
     results = []
     for name in names:
-        run, bound = _SUITES[name]
+        function, bound = _SUITES[name]
+        run = globals()[function]
         start = time.perf_counter()
         result = run() if bounds[bound] is None else run(bounds[bound])
         result.seconds = time.perf_counter() - start

@@ -727,6 +727,16 @@ def leq_extremes(space: XTopSpace) -> tuple[frozenset[int], frozenset[int]]:
     )
 
 
+def closed_points(space: XTopSpace) -> frozenset[int]:
+    """The points x whose singleton {x} is a closed set."""
+    return frozenset(x for x in space.points if frozenset({x}) in space.closed_family)
+
+
+def isolated_points(space: XTopSpace) -> frozenset[int]:
+    """The points x whose singleton {x} is an open set."""
+    return frozenset(x for x in space.points if frozenset({x}) in space.open_family)
+
+
 def leq_strongly_irreducible(space: XTopSpace) -> frozenset[int]:
     """SI: the q with a ∧ b <= q only if a <= q or b <= q, over a, b ∈ X."""
     L, xs = space.lattice, sorted(space.points)

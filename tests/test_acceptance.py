@@ -28,7 +28,6 @@ from xtoplat import (
     s3,
     separation_report,
     spec_space,
-    special_sets,
     spectrum,
     verify_bni,
 )
@@ -36,6 +35,8 @@ from xtoplat.enumeration import forest_specs
 from xtoplat.poset import forest
 from xtoplat.semiring import principal_ideal
 from xtoplat.separation import _report_and_checks
+
+from .oracles import leq_completely_strongly_irreducible
 
 
 def _report(criterion: str, started: float, budget: float | None):
@@ -201,5 +202,5 @@ def test_criterion_8_operator_suite(posets_upto_6):
         for x in pts:
             assert comp_of[x] <= quasi_of[x]
 
-        assert special_sets(space).csi == space.points
+        assert leq_completely_strongly_irreducible(space) == space.points
     _report("8 (operator suite)", started, None)

@@ -510,11 +510,34 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep started")
 
-        suites = {name: (refuse, bound) for name, (_, bound) in verify._SUITES.items()}
-        monkeypatch.setattr(verify, "_SUITES", suites)
+        for function, _ in verify._SUITES.values():
+            monkeypatch.setattr(verify, function, refuse)
         code, text = run(["verify", *argv])
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_suites_are_looked_up_when_they_run(self, monkeypatch):
+        # a wrapper bound to a suite's name after import is the one called
+        from xtoplat import verify
+
+        calls = []
+        for function, _ in verify._SUITES.values():
+            original = getattr(verify, function)
+
+            def wrapped(*args, _original=original, _name=function, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(verify, function, wrapped)
+        results = verify.run_suites("all", max_size=2, max_n=3)
+        assert [r.suite for r in results] == ["xct", "quarter", "discrete", "forest", "bni"]
+        assert calls == [
+            "verify_xct",
+            "verify_quarter",
+            "verify_discrete",
+            "verify_forest",
+            "verify_bni_grid",
+        ]
 
 
 class TestExport:

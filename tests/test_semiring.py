@@ -34,7 +34,6 @@ from xtoplat.semiring import (
     is_prime_ideal,
     principal_ideal,
 )
-from xtoplat.cli import _semiring_subspace
 from xtoplat.separation import (
     _report_and_checks,
     classify_points,
@@ -560,7 +559,7 @@ def _space_over_all_ideals(R, which):
 @pytest.mark.parametrize("which", ["all", "max", "min", "drop-zero"])
 @pytest.mark.parametrize("R", DIFFERENTIAL_SOURCES)
 def test_radical_lattice_matches_the_ideal_lattice(R, which):
-    fast = _semiring_subspace(R, which)
+    fast = spec_space(R, which)
     slow = _space_over_all_ideals(R, which)
     assert fast.labels_of(fast.points) == slow.labels_of(slow.points)
     for family in ("closed_family", "open_family"):

@@ -33,7 +33,11 @@ from xtoplat.semiring import bni, s3, spec_space
 from xtoplat.topology import build_space, is_xtop_by_unions, radical_info
 
 from .oracles import (
+    closed_points,
+    isolated_points,
     lattice_point_classes,
+    leq_completely_strongly_irreducible,
+    leq_strongly_irreducible,
     meet_irredundant,
     naive_closure,
     naive_components,
@@ -71,23 +75,22 @@ class TestSpecialSets:
     def test_t2_t3_forest(self):
         space = from_poset(forest([("T", 2), ("T", 3)]))
         s = special_sets(space)
-        assert s.min == s.ro == s.iso and len(s.min) == 5
-        assert s.cl == s.max and len(s.max) == 2
+        assert s.min == s.ro == isolated_points(space) and len(s.min) == 5
+        assert closed_points(space) == s.max and len(s.max) == 2
 
     def test_spec_s3(self):
         space = spec_space(s3())
         s = special_sets(space)
         zero = next(x for x in space.points if space.label(x) == "{0}")
         maximal = next(x for x in space.points if space.label(x) == "{0,a}")
-        assert s.iso == frozenset({zero})
-        assert s.cl == frozenset({maximal})
+        assert isolated_points(space) == s.min == frozenset({zero})
+        assert closed_points(space) == s.max == frozenset({maximal})
 
     def test_finite_carrier_is_all_csi(self, posets_upto_5):
         for P in posets_upto_5:
             space = from_poset(P)
-            s = special_sets(space)
-            assert s.csi == space.points
-            assert s.si == space.points
+            assert leq_completely_strongly_irreducible(space) == space.points
+            assert leq_strongly_irreducible(space) == space.points
 
 
 class TestClassifyPoints:
@@ -165,8 +168,8 @@ class TestSeparationReport:
             # the point classes and partitions read off the order
             s = special_sets(space)
             X = space.points
-            assert s.cl == {x for x in X if frozenset({x}) in space.closed_family}
-            assert s.iso == {x for x in X if frozenset({x}) in space.open_family}
+            assert closed_points(space) == s.max
+            assert isolated_points(space) == s.min
             assert s.ro == {
                 x
                 for x in X
@@ -237,14 +240,9 @@ class TestOrderLemmas:
             o = lattice_point_classes(space)
             X = space.points
             s = special_sets(space)
-            assert (s.min, s.max) == (o["min"], o["max"])
-            assert (s.si, s.csi, s.amin, s.bmax, s.excl) == (
-                o["si"],
-                o["csi"],
-                o["amin"],
-                o["bmax"],
-                o["excl"],
-            )
+            assert (s.min, s.max, s.excl) == (o["min"], o["max"], o["excl"])
+            # SI = CSI = X, AMin = Min and BMax = Max
+            assert (o["si"], o["csi"], o["amin"], o["bmax"]) == (X, X, s.min, s.max)
             rows = {p.label: p for p in classify_points(space)}
             for x in X:
                 p = rows[space.label(x)]
@@ -442,8 +440,8 @@ class TestCrossCheck:
 
     def test_names_a_wrong_order_read(self, monkeypatch):
         # the report's T_F, RO and sober are order reads; cross_check's own
-        # sides (the T_F pair scan, the boundary and excluded_meet, the
-        # closures from the closed family) must catch them
+        # sides (the T_F pair scan, the boundary and the excluded-point
+        # meets, the closures from the closed family) must catch them
         from xtoplat import separation
 
         space = from_poset(forest([("T", 2), ("T", 3)]))
@@ -496,6 +494,24 @@ class TestCrossCheck:
             "t-threequarter-decomposition",
             "tree-forests-are-t-threequarter",
         }
+
+    def test_witness_names_the_lowest_differing_point(self, monkeypatch):
+        # with Max read as empty, the closed points differ from it at both
+        # maxima, and the witness names the one with the lower index
+        from xtoplat import separation
+
+        space = from_poset(forest([("T", 2), ("T", 3)]))
+        init = separation._Analysis.__init__
+
+        def no_maxima(self, source):
+            init(self, source)
+            self.max_mask = 0
+
+        monkeypatch.setattr(separation._Analysis, "__init__", no_maxima)
+        (result,) = cross_check(space, ["closed-points-are-maximal"])
+        closed = closed_points(space)
+        assert len(closed) == 2 and not result.holds
+        assert result.witness == f"point {space.label(min(closed))!r}"
 
     def test_leaves_the_upset_order_and_tables_unbuilt(self):
         # the carrier checks read the up-set masks, never the lattice's order
@@ -556,7 +572,7 @@ class TestLongChainCarriers:
         r = separation_report(space)
         assert r.kdim == 15
         assert r.t0 and not r.t_quarter and not r.tf
-        assert special_sets(space).csi == space.points
+        assert leq_completely_strongly_irreducible(space) == space.points
         comps, quasis = components(space)
         assert len(comps) == 1 and len(quasis) == 1
         for result in cross_check(space):

@@ -107,3 +107,26 @@ def test_only_the_printers_read_the_frozenset_views():
             if isinstance(node, ast.Attribute) and node.attr in views
         ]
     assert found == []
+
+
+def test_cross_check_sides_are_masks():
+    # _Sides holds every point set as a mask over lattice indices, like
+    # the space's variety_masks: it builds no frozenset and reads neither
+    # SpecialSets nor a frozenset view of a mask
+    path = Path(xtoplat.__file__).parent / "separation.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = _owners(tree)
+    sides = [
+        node
+        for node in ast.walk(tree)
+        if owner.get(node) == "_Sides" or owner.get(node, "").startswith("_Sides.")
+    ]
+    found = [
+        f"{owner[node]}:{node.lineno}"
+        for node in sides
+        if isinstance(node, ast.Name)
+        and node.id in ("frozenset", "special_sets", "SpecialSets")
+        or isinstance(node, ast.Attribute)
+        and node.attr in ("special", "unmask")
+    ]
+    assert sides and found == []
