@@ -42,7 +42,7 @@ from .formats import (
     space_to_json,
 )
 from .poset import FinitePoset, chain, forest
-from .semiring import FiniteSemiring, bni, s3, spectrum, spec_space
+from .semiring import FiniteSemiring, bni, ideals, s3, spectrum, spec_space
 from .separation import PointClassification, SeparationReport, report_and_points
 from .topology import XTopSpace, from_poset
 from .verify import run_suites
@@ -167,6 +167,7 @@ def _cmd_classify(args, out) -> int:
 def _cmd_spec(args, out) -> int:
     R = _semiring_from_args(args)
     report = spectrum(R)
+    all_ideals = ideals(R)
 
     def label_set(members) -> list[str]:
         return [R.labels[a] for a in sorted(members)]
@@ -175,7 +176,7 @@ def _cmd_spec(args, out) -> int:
     if args.json:
         payload = {
             "labels": list(R.labels),
-            "ideals": [label_set(I) for I in report.ideals],
+            "ideals": [label_set(I) for I in all_ideals],
             "spec": [label_set(I) for I in report.spec],
             "max": [label_set(I) for I in report.max],
             "min_primes": [label_set(I) for I in report.min_primes],
@@ -195,7 +196,7 @@ def _cmd_spec(args, out) -> int:
         print(dumps(payload), file=out)
         return 0
     print(f"semiring on {R.n} elements: " + " ".join(R.labels), file=out)
-    print(f"ideals ({len(report.ideals)}): " + " ".join("{" + ",".join(label_set(I)) + "}" for I in report.ideals), file=out)
+    print(f"ideals ({len(all_ideals)}): " + " ".join("{" + ",".join(label_set(I)) + "}" for I in all_ideals), file=out)
     print("Spec: " + " ".join("{" + ",".join(label_set(I)) + "}" for I in report.spec), file=out)
     print("Max: " + " ".join("{" + ",".join(label_set(I)) + "}" for I in report.max), file=out)
     print("Min: " + " ".join("{" + ",".join(label_set(I)) + "}" for I in report.min_primes), file=out)

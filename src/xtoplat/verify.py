@@ -288,7 +288,7 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
 # the largest bounds run_suites accepts
 MAX_ENUMERATED_SIZE = 7
 MAX_FOREST_SIZE = 13
-MAX_N = 30
+MAX_N = 60
 
 # each suite's function, by its name in this module, with the bound it
 # takes; run_suites looks the function up when it runs, so a wrapper bound
@@ -317,9 +317,10 @@ def run_suites(
     * ``max_size > 13`` for ``forest``: every forest gets the full
       cross-check, in O(|L|·|X|) steps per forest with |L| its number of
       up-sets, and the sweep took 12 s at 12 points and 28-34 s at 13;
-    * ``max_n > 30`` for ``bni``: every ideal of every B(n, i) is still
-      enumerated for the spectrum report, and ``--max-n 30`` takes about
-      17 s (B(30, 25) alone has 14,939 ideals).
+    * ``max_n > 60`` for ``bni``: each B(n, i) costs its tables, its
+      spectrum (no ideal is enumerated; the n² pair tests of the
+      subtractive flag are the largest part) and the separation reports
+      of its spectra, and the sweep takes about 8 s at 60 and 23 s at 80.
     """
     if max_size is not None and max_size < 1:
         raise RangeError(f"--max-size must be at least 1, got {max_size}")

@@ -17,12 +17,13 @@ from xtoplat import (
     FinitePoset,
     FiniteSemiring,
     NotALatticeError,
+    NotAnIdealError,
     RadicalInfo,
     XTopSpace,
     semiring_from_tables,
 )
 from xtoplat.poset import _letters
-from xtoplat.semiring import ideals, is_prime_ideal
+from xtoplat.semiring import ideals, is_ideal
 
 
 def subsets(items):
@@ -156,6 +157,35 @@ def ideals_by_subset_scan(R: FiniteSemiring) -> set[frozenset[int]]:
     return out
 
 
+def is_prime_ideal(R: FiniteSemiring, I: frozenset[int]) -> bool:
+    """Proper, and ab ∈ I implies a ∈ I or b ∈ I."""
+    if len(I) == R.n:
+        return False
+    return all(
+        a in I or b in I
+        for a in R.elements()
+        for b in R.elements()
+        if R.mul[a][b] in I
+    )
+
+
+def is_subtractive(R: FiniteSemiring, I: frozenset[int]) -> bool:
+    """r + a ∈ I with a ∈ I forces r ∈ I; a set that is no ideal raises."""
+    if not is_ideal(R, I):
+        raise NotAnIdealError(f"{sorted(I)} is not an ideal")
+    return all(
+        r in I
+        for r in R.elements()
+        for a in I
+        if R.add[r][a] in I
+    )
+
+
+def subtractive_by_ideal_scan(R: FiniteSemiring) -> bool:
+    """R is subtractive by its definition: every enumerated ideal is."""
+    return all(is_subtractive(R, I) for I in ideals(R))
+
+
 def pairwise_maximal_ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
     """The proper ideals under no other proper ideal, by comparing every pair."""
     full = frozenset(R.elements())
@@ -221,7 +251,8 @@ def spectrum_reads_by_scan(R: FiniteSemiring) -> dict:
     """The fields of ``spectrum(R)`` read off the prime order or by a
     lemma, from the ideal scans and the definitions: Max and Min by pairs
     of ideals, K.dim as the longest chain of primes, the nilradical by
-    powers, and BMax, AMin, PAMin and PBMax by intersections."""
+    powers, BMax, AMin, PAMin and PBMax by intersections, and
+    subtractivity over every ideal."""
     spec = primes_by_ideal_scan(R)
     maximal = pairwise_maximal_ideals(R)
     min_primes = pairwise_minimal_primes(R)
@@ -236,6 +267,7 @@ def spectrum_reads_by_scan(R: FiniteSemiring) -> dict:
         "is_amin": all(absolutely_minimal(P, min_primes) for P in min_primes),
         "is_pamin": all(absolutely_minimal(P, min_primes) for P in spec),
         "is_pbmax": all(barely_maximal(P, maximal) for P in spec),
+        "is_subtractive_semiring": subtractive_by_ideal_scan(R),
     }
 
 

@@ -33,7 +33,7 @@ from xtoplat import (
 )
 from xtoplat.enumeration import forest_specs
 from xtoplat.poset import forest
-from xtoplat.semiring import principal_ideal
+from xtoplat.semiring import ideals, principal_ideal
 from xtoplat.separation import _report_and_checks
 
 from .oracles import leq_completely_strongly_irreducible
@@ -54,7 +54,7 @@ def test_criterion_1_s3_golden():
     def labelled(family):
         return {tuple(sorted(R.labels[a] for a in I)) for I in family}
 
-    assert labelled(rep.ideals) == {("0",), ("0", "a"), ("0", "1", "a")}
+    assert labelled(ideals(R)) == {("0",), ("0", "a"), ("0", "1", "a")}
     assert labelled(rep.spec) == {("0",), ("0", "a")}
     assert labelled(rep.max) == {("0", "a")}
     assert rep.kdim == 1

@@ -352,6 +352,33 @@ class TestSpec:
         sep = payload["separation"]
         assert sep["t_half"] is True and sep["t_threequarter"] is False
 
+    def test_only_the_printed_list_enumerates_ideals(self, monkeypatch):
+        # the spectrum, its spaces, the export and the bni sweep read the
+        # primes alone; spec enumerates the ideals for the list it prints
+        from xtoplat import cli, semiring
+
+        R = semiring.bni(12, 4)
+        listed = [[R.labels[a] for a in sorted(I)] for I in semiring.ideals(R)]
+
+        def refuse(*args):
+            raise AssertionError("the ideals were enumerated")
+
+        semiring.spectrum.cache_clear()
+        monkeypatch.setattr(semiring, "ideals", refuse)
+        monkeypatch.setattr(cli, "ideals", refuse)
+        for source in (R, semiring.s3(), semiring.bni(16, 9)):
+            semiring.spectrum(source)
+            for which in ("all", "max", "min", "drop-zero"):
+                semiring.spec_space(source, which)
+        assert run(["export", "--format", "json", "--bni", "12", "0"])[0] == 0
+        assert run(["verify", "bni", "--max-n", "12"])[0] == 0
+        monkeypatch.undo()
+        code, text = run(["spec", "--bni", "12", "4", "--json"])
+        assert code == 0 and json.loads(text)["ideals"] == listed
+        code, text = run(["spec", "--bni", "12", "4"])
+        printed = " ".join("{" + ",".join(I) + "}" for I in listed)
+        assert code == 0 and f"ideals ({len(listed)}): {printed}\n" in text
+
     def test_axiom_error_exit_4(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(
@@ -499,9 +526,9 @@ class TestVerify:
                 ["forest", "--max-size", "14"],
                 "--max-size must be at most 13 for verify forest, got 14",
             ),
-            (["bni", "--max-n", "31"], "--max-n must be at most 30, got 31"),
-            (["bni", "--max-n", "100000"], "--max-n must be at most 30, got 100000"),
-            (["all", "--max-n", "31"], "--max-n must be at most 30, got 31"),
+            (["bni", "--max-n", "61"], "--max-n must be at most 60, got 61"),
+            (["bni", "--max-n", "100000"], "--max-n must be at most 60, got 100000"),
+            (["all", "--max-n", "61"], "--max-n must be at most 60, got 61"),
         ],
     )
     def test_bound_past_the_cap_exit_2(self, monkeypatch, capsys, argv, message):

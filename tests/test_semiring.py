@@ -16,7 +16,6 @@ from xtoplat import (
     bni,
     ideal_lattice,
     ideals,
-    is_subtractive,
     omega,
     s3,
     semiring_from_tables,
@@ -31,7 +30,6 @@ from xtoplat.semiring import (
     _additive_generators,
     ideal_label,
     is_ideal,
-    is_prime_ideal,
     principal_ideal,
 )
 from xtoplat.separation import (
@@ -49,6 +47,8 @@ from .oracles import (
     barely_maximal,
     downset_semiring,
     ideals_by_subset_scan,
+    is_prime_ideal,
+    is_subtractive,
     leq_extremes,
     longest_inclusion_chain,
     meet_irredundant,
@@ -449,8 +449,9 @@ def assert_spectrum_matches_the_ideal_scans(R):
 class TestPrimesFromSaturatedSets:
     """Spec from saturated sets; Max, Min and K.dim off its inclusion order;
     the nilradical as the prime radical, BMax and AMin by prime avoidance,
-    PAMin as Spec = Min, PBMax as Spec = Max and the irredundant prime
-    meets: all against the scans over all ideals and the definitions."""
+    PAMin as Spec = Min, PBMax as Spec = Max, subtractivity by the pair
+    lemma and the irredundant prime meets: all against the scans over all
+    ideals and the definitions."""
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_bni_grid(self, n):
