@@ -8,15 +8,18 @@ Subcommands:
 * ``spec`` builds a finite commutative semiring (B(n, i), the
   three-element local semidomain, or a JSON table file), prints its
   spectrum report and the separation report of the chosen part of
-  Spec(R) (``--subspace all|max|min|drop-zero``).
+  Spec(R) (``--subspace all|max|min|drop-zero``).  The report, the point
+  rows and the open sets are read off the inclusion order of the chosen
+  primes, whose up-sets are the closed sets; no lattice or space is
+  built.
 * ``verify`` runs the exhaustive theorem suites (xct, quarter, discrete,
   forest, bni, all) within explicit bounds.
 * ``export`` emits DOT (Hasse diagram / specialization order) or the
   space JSON for any of the above sources.  For a semiring source the
-  JSON lattice is the radical-ideal lattice that ``spec`` evaluates (the
-  intersections of primes, plus R), not the lattice of all ideals: four
-  elements (6), (3), (2), R for the integers mod 12, where the full ideal
-  lattice has six.
+  JSON lattice is the radical-ideal lattice, which carries the topology
+  ``spec`` reports (the intersections of primes, plus R), not the
+  lattice of all ideals: four elements (6), (3), (2), R for the integers
+  mod 12, where the full ideal lattice has six.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
 3 not-X-top (with witness), 4 semiring axiom failure.
@@ -41,9 +44,14 @@ from .formats import (
     space_to_dot,
     space_to_json,
 )
-from .poset import FinitePoset, chain, forest
-from .semiring import FiniteSemiring, bni, ideals, s3, spectrum, spec_space
-from .separation import PointClassification, SeparationReport, report_and_points
+from .poset import FinitePoset, _by_size, chain, forest
+from .semiring import FiniteSemiring, bni, ideals, s3, spec_poset, spec_space, spectrum
+from .separation import (
+    PointClassification,
+    SeparationReport,
+    _report_and_points_in_index_order,
+    report_and_points,
+)
 from .topology import XTopSpace, from_poset
 from .verify import run_suites
 
@@ -172,7 +180,15 @@ def _cmd_spec(args, out) -> int:
     def label_set(members) -> list[str]:
         return [R.labels[a] for a in sorted(members)]
 
-    space = spec_space(R, args.subspace)
+    # the chosen primes under inclusion: the closed sets are its up-sets
+    # (semiring module docstring), so no lattice or space is built
+    P = spec_poset(R, args.subspace)
+    full = (1 << P.n) - 1
+    opens = [
+        [P.labels[k] for k in sorted(U)]
+        for U in _by_size(full & ~U for U in P.upset_masks())
+    ]
+    separation = _report_and_points_in_index_order(P)
     if args.json:
         payload = {
             "labels": list(R.labels),
@@ -183,7 +199,7 @@ def _cmd_spec(args, out) -> int:
             "jacobson": label_set(report.jacobson),
             "nilradical": label_set(report.nilradical),
             "prime_radical": label_set(report.prime_radical),
-            "opens": [list(space.labels_of(U)) for U in space.open_family],
+            "opens": opens,
             "kdim": report.kdim,
             "flags": {
                 f.name: getattr(report, f.name)
@@ -191,7 +207,7 @@ def _cmd_spec(args, out) -> int:
                 if f.type == "bool"
             },
             "subspace": args.subspace,
-            "separation": report_to_json(*report_and_points(space)),
+            "separation": report_to_json(*separation),
         }
         print(dumps(payload), file=out)
         return 0
@@ -206,12 +222,9 @@ def _cmd_spec(args, out) -> int:
     for f in fields(report):
         if f.type == "bool":
             print(f"{f.name}: {_yes(getattr(report, f.name))}", file=out)
-    opens = " ".join(
-        "{" + ",".join(space.labels_of(U)) + "}" for U in space.open_family
-    )
-    print(f"topology opens ({args.subspace}): {opens}", file=out)
+    print(f"topology opens ({args.subspace}): " + " ".join("{" + ",".join(U) + "}" for U in opens), file=out)
     print(f"-- separation report for Spec(R) subspace '{args.subspace}' --", file=out)
-    _render_separation(*report_and_points(space), out)
+    _render_separation(*separation, out)
     return 0
 
 

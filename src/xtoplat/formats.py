@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .errors import RangeError
 from .lattice import FiniteLattice
 from .poset import FinitePoset, ForestComponent, _bits, _mask, poset_from_relation
 from .semiring import FiniteSemiring, semiring_from_tables
@@ -81,7 +82,23 @@ def _is_label_list(value: Any) -> bool:
 # -- lattices -----------------------------------------------------------------
 
 
+# the meet and join tables have |L|² cells each: 6.25 million at the cap,
+# where 7 × C2's 2187 up-sets already write about 460 MB
+MAX_JSON_ELEMENTS = 2500
+
+
 def lattice_to_json(L: FiniteLattice) -> dict[str, Any]:
+    """The lattice's order and its meet and join tables, by label.
+
+    Raises :class:`RangeError` for a lattice of more than
+    :data:`MAX_JSON_ELEMENTS` elements, before its order or either table
+    is built.
+    """
+    if L.n > MAX_JSON_ELEMENTS:
+        raise RangeError(
+            f"the JSON lattice export writes |L|² table cells and stops at "
+            f"{MAX_JSON_ELEMENTS} elements; this lattice has {L.n}"
+        )
     labels = L.labels
     return {
         **poset_to_json(L.poset),

@@ -58,6 +58,9 @@ a pair lemma: R is subtractive iff r ∈ (a) + (r + a) for all r, a ∈ R.
 
 That is n² membership tests over sums of two principal ideals, (b) being
 row b of the product, and each sum is formed once per pair of ideals.
+A pair with (a) ⊆ (r + a) needs no sum: for ideals P ⊆ Q, P + Q = Q, as
+P + Q ⊆ Q + Q ⊆ Q and q = 0 + q with 0 ∈ P; so the test is r ∈ (r + a),
+and likewise r ∈ (a) when (r + a) ⊆ (a).
 
 A prime ideal is a proper ideal P with ab ∈ P ⇒ a ∈ P or b ∈ P:
 elementwise and idealwise primality coincide for commutative semirings
@@ -106,6 +109,17 @@ V(I) = V(√I) with √I an intersection of primes, so both lattices give the
 same topology on Spec(R) and on each of its subspaces, and the radical
 one has a handful of elements where the full one can have hundreds.
 :func:`ideal_lattice` stays as the definitional reference.
+
+No lattice is needed to classify a subspace Y of Spec(R): on a finite
+Spec(R), V(P) ∩ Y = ↑P ∩ Y, so the closed sets of Y are exactly the
+up-sets of the inclusion order on Y.  Every V(I) = {P : I ⊆ P} is an
+up-set of Spec(R).  Conversely an up-set U is the union of the V(P),
+P ∈ U, and V(P_1) ∪ ... ∪ V(P_k) = V(P_1 ∩ ... ∩ P_k) by prime avoidance
+(below), with V(R) = ∅ for k = 0.  So the closed sets of Y, the traces
+V(I) ∩ Y, are the U ∩ Y for up-sets U of Spec(R); each is an up-set of Y,
+and each up-set W of Y is the trace of ↑W.  :func:`spec_poset` is that
+order, read off the primes; :func:`spec_space` builds the same topology
+on the radical-ideal lattice, for the lattice-level outputs.
 
 The B(n, i) family lives on {0, ..., n-1} with sums/products wrapped into
 [i, n-1] modulo n-i on overflow; B(n, 0) is the ring of integers mod n
@@ -302,8 +316,19 @@ def semiring_from_tables(
     lookup.update((k, k) for k in range(n))
     add_t = tuple(_resolve_row(labels, lookup, row) for row in add)
     mul_t = tuple(_resolve_row(labels, lookup, row) for row in mul)
-    z = _resolve(labels, zero)
-    o = _resolve(labels, one)
+    return _checked(labels, add_t, mul_t, _resolve(labels, zero), _resolve(labels, one))
+
+
+def _checked(labels: tuple[str, ...], add, mul, z: int, o: int) -> FiniteSemiring:
+    """The semiring on n×n index tables, tuples of int tuples, once the
+    five axioms hold.
+
+    Raises :class:`AxiomError` naming the first violated axiom and a
+    witness, in the order of the definitional scan: each commutativity is
+    one comparison of a table with its transpose, and only when one fails
+    does the entrywise loop run, to name the first violated pair.
+    """
+    n = len(labels)
 
     def witness(*idx: int) -> tuple[str, ...]:
         return tuple(labels[i] for i in idx)
@@ -312,24 +337,25 @@ def semiring_from_tables(
     if z == o:
         raise AxiomError("distinct-identities", witness(z))
     for a in range(n):
-        if add_t[a][z] != a or add_t[z][a] != a:
+        if add[a][z] != a or add[z][a] != a:
             raise AxiomError("additive-identity", witness(a))
     for a in range(n):
-        if mul_t[a][o] != a or mul_t[o][a] != a:
+        if mul[a][o] != a or mul[o][a] != a:
             raise AxiomError("multiplicative-identity", witness(a))
     for a in range(n):
-        if mul_t[a][z] != z or mul_t[z][a] != z:
+        if mul[a][z] != z or mul[z][a] != z:
             raise AxiomError("absorption", witness(a))
-    for a in range(n):
-        for b in range(n):
-            if add_t[a][b] != add_t[b][a]:
-                raise AxiomError("additive-commutativity", witness(a, b))
-            if mul_t[a][b] != mul_t[b][a]:
-                raise AxiomError("multiplicative-commutativity", witness(a, b))
-    if not _generated_axioms_hold(add_t, mul_t, _additive_generators(add_t, z)):
+    if tuple(zip(*add)) != add or tuple(zip(*mul)) != mul:
+        for a in range(n):
+            for b in range(n):
+                if add[a][b] != add[b][a]:
+                    raise AxiomError("additive-commutativity", witness(a, b))
+                if mul[a][b] != mul[b][a]:
+                    raise AxiomError("multiplicative-commutativity", witness(a, b))
+    if not _generated_axioms_hold(add, mul, _additive_generators(add, z)):
         # a failed test is a violated instance, so the scan raises
-        _raise_first_violation(add_t, mul_t, witness)
-    return FiniteSemiring(labels, add_t, mul_t, z, o)
+        _raise_first_violation(add, mul, witness)
+    return FiniteSemiring(labels, add, mul, z, o)
 
 
 def bni(n: int, i: int) -> FiniteSemiring:
@@ -337,8 +363,11 @@ def bni(n: int, i: int) -> FiniteSemiring:
 
     A value v > n-1 maps to the unique u with i <= u <= n-1 and
     v ≡ u (mod n-i).  B(n, 0) gives integers mod n, B(2, 1) the Boolean
-    semiring.  The generated tables are re-validated against all five
-    axioms, guarding the overflow rule against off-by-one errors.  Every
+    semiring.  Both tables are slices of one wrapped range W, W[v] being
+    v wrapped, over every sum a + b <= 2n - 2 and product ab <= (n-1)²:
+    row a of the sum is W[a], ..., W[a + n - 1] and of the product W[0],
+    W[a], ..., W[a(n - 1)].  The index tables go straight to the axiom
+    checks, guarding the overflow rule against off-by-one errors.  Every
     element is a sum of 1s, so (R, +) is generated by G = {1} and the
     associativity and distributivity tests take O(n²) steps, not O(n³).
     """
@@ -346,16 +375,11 @@ def bni(n: int, i: int) -> FiniteSemiring:
         raise RangeError("B(n, i) needs n >= 2")
     if not 0 <= i <= n - 1:
         raise RangeError("B(n, i) needs 0 <= i <= n-1")
-
-    def wrap(v: int) -> int:
-        if v <= n - 1:
-            return v
-        return i + (v - i) % (n - i)
-
-    labels = [str(v) for v in range(n)]
-    add = [[wrap(a + b) for b in range(n)] for a in range(n)]
-    mul = [[wrap(a * b) for b in range(n)] for a in range(n)]
-    return semiring_from_tables(labels, add, mul, 0, 1)
+    top = max(2 * n - 1, (n - 1) ** 2 + 1)
+    W = tuple(v if v < n else i + (v - i) % (n - i) for v in range(top))
+    add = tuple(W[a : a + n] for a in range(n))
+    mul = ((0,) * n,) + tuple(W[0 : a * (n - 1) + 1 : a] for a in range(1, n))
+    return _checked(tuple(map(str, range(n))), add, mul, 0, 1)
 
 
 def s3() -> FiniteSemiring:
@@ -481,8 +505,13 @@ def is_subtractive_semiring(R: FiniteSemiring) -> bool:
     principal = [frozenset(row) for row in R.mul]
 
     @cache
-    def ideal_sum(P: frozenset[int], Q: frozenset[int]) -> set[int]:
-        return {add[p][q] for p in P for q in Q}
+    def ideal_sum(P: frozenset[int], Q: frozenset[int]) -> frozenset[int]:
+        # P ⊆ Q gives P + Q = Q (module docstring)
+        if P <= Q:
+            return Q
+        if Q <= P:
+            return P
+        return frozenset(add[p][q] for p in P for q in Q)
 
     return all(
         r in ideal_sum(principal[a], principal[add[r][a]])
@@ -664,12 +693,10 @@ def radical_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[i
     return FiniteLattice(_inclusion_order(R, radicals)), radicals
 
 
-def embedded_spectrum(
-    R: FiniteSemiring, which: str = "all"
-) -> tuple[FiniteLattice, EmbeddedSubset]:
-    """The radical-ideal lattice with X embedded: Spec(R), Max(R), Min(R),
-    or for ``"drop-zero"`` Spec(R) without the zero ideal (all of Spec(R)
-    when the zero ideal is not prime)."""
+def _chosen_primes(R: FiniteSemiring, which: str) -> Sequence[frozenset[int]]:
+    """Spec(R), Max(R), Min(R), or for ``"drop-zero"`` Spec(R) without the
+    zero ideal (all of Spec(R) when the zero ideal is not prime), in the
+    order of :attr:`SpectrumReport.spec`."""
     report = spectrum(R)
     chosen = {
         "all": report.spec,
@@ -679,9 +706,29 @@ def embedded_spectrum(
     }
     if which not in chosen:
         raise ValueError("subspace selector must be one of 'all', 'max', 'min', 'drop-zero'")
+    return chosen[which]
+
+
+def spec_poset(R: FiniteSemiring, which: str = "all") -> FinitePoset:
+    """The primes ``which`` selects under inclusion, in spec order.
+
+    This is the specialization order of ``spec_space(R, which)``, with its
+    points in the same order, and its up-sets are that space's closed sets
+    (module docstring), so the space's report, point rows and open sets
+    are read off it without the radical-ideal lattice.
+    """
+    return _inclusion_order(R, _chosen_primes(R, which))
+
+
+def embedded_spectrum(
+    R: FiniteSemiring, which: str = "all"
+) -> tuple[FiniteLattice, EmbeddedSubset]:
+    """The radical-ideal lattice with X embedded: the primes that
+    :func:`spec_poset` selects."""
+    chosen = _chosen_primes(R, which)
     lattice, radicals = radical_lattice(R)
     position = {I: k for k, I in enumerate(radicals)}
-    members = frozenset(position[I] for I in chosen[which])
+    members = frozenset(position[I] for I in chosen)
     return lattice, EmbeddedSubset(lattice, members)
 
 

@@ -264,16 +264,20 @@ class _Analysis:
     Bit k is element k of ``spec_poset``: for a space, the point ``pts[k]``
     of its sorted points; for a poset source, whose ``space`` is None,
     element k of P itself.  ``order`` lists the bits in output order and
-    ``position`` inverts it; for a space both are the identity.  Every read
-    is an order lemma of the module docstring, whatever the source; only
+    ``position`` inverts it; for a space both are the identity, and so
+    they are for a poset read ``in_index_order``.  Every read is an order
+    lemma of the module docstring, whatever the source; only
     ``prime_meets`` reads the lattice.
     """
 
-    def __init__(self, source: XTopSpace | FinitePoset):
+    def __init__(self, source: XTopSpace | FinitePoset, in_index_order: bool = False):
         if isinstance(source, FinitePoset):
             self.space = None
             P = source
-            self.order, self.position = _in_upset_order(P)
+            if in_index_order:
+                self.order = self.position = range(P.n)
+            else:
+                self.order, self.position = _in_upset_order(P)
         else:
             self.space = source
             self.pts = source.sorted_points()
@@ -411,6 +415,16 @@ def report_and_points(
 ) -> tuple[SeparationReport, tuple[PointClassification, ...]]:
     """:func:`separation_report` and :func:`classify_points` from one analysis."""
     a = _Analysis(source)
+    return _report(a), _points(a)
+
+
+def _report_and_points_in_index_order(P: FinitePoset):
+    """:func:`report_and_points` of the space whose closed sets are the
+    up-sets of P, its points listed in P's own index order, not in the
+    (|↑x|, ↑x) order of ``from_poset(P)``.  That is how
+    :func:`~xtoplat.semiring.spec_poset` lists the primes of a subspace of
+    Spec(R).  An empty P is the empty space."""
+    a = _Analysis(P, in_index_order=True)
     return _report(a), _points(a)
 
 

@@ -317,10 +317,10 @@ def run_suites(
     * ``max_size > 13`` for ``forest``: every forest gets the full
       cross-check, in O(|L|·|X|) steps per forest with |L| its number of
       up-sets, and the sweep took 12 s at 12 points and 28-34 s at 13;
-    * ``max_n > 60`` for ``bni``: each B(n, i) costs its tables, its
-      spectrum (no ideal is enumerated; the n² pair tests of the
-      subtractive flag are the largest part) and the separation reports
-      of its spectra, and the sweep takes about 8 s at 60 and 23 s at 80.
+    * ``max_n > 60`` for ``bni``: each B(n, i) costs its tables and
+      their axiom checks, its spectrum (no ideal is enumerated) and the
+      separation reports of its spectra, and the sweep takes about 5 s
+      at 60 on a 2-core machine.
     """
     if max_size is not None and max_size < 1:
         raise RangeError(f"--max-size must be at least 1, got {max_size}")

@@ -380,6 +380,22 @@ def mutated_tables(R: FiniteSemiring, key: str, a: int, b: int, value: int):
     return R.labels, tables["add"], tables["mul"], R.zero, R.one
 
 
+def bni_by_wrap(n: int, i: int) -> FiniteSemiring:
+    """B(n, i) with every table entry wrapped on its own, through
+    :func:`semiring_from_tables`: the reference that ``bni``'s slices of
+    one wrapped range must reproduce."""
+
+    def wrap(v: int) -> int:
+        if v <= n - 1:
+            return v
+        return i + (v - i) % (n - i)
+
+    labels = [str(v) for v in range(n)]
+    add = [[wrap(a + b) for b in range(n)] for a in range(n)]
+    mul = [[wrap(a * b) for b in range(n)] for a in range(n)]
+    return semiring_from_tables(labels, add, mul, 0, 1)
+
+
 def wrap_by_search(v: int, n: int, i: int) -> int:
     """The unique u with i <= u <= n-1 and v ≡ u (mod n-i), by scanning."""
     if v <= n - 1:

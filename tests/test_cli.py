@@ -379,6 +379,46 @@ class TestSpec:
         printed = " ".join("{" + ",".join(I) + "}" for I in listed)
         assert code == 0 and f"ideals ({len(listed)}): {printed}\n" in text
 
+    def test_spec_reads_the_prime_order_alone(self, monkeypatch):
+        # the report, point rows and opens come off the chosen primes'
+        # inclusion order: no radical-ideal lattice, embedding or space
+        from xtoplat import semiring, topology
+        from xtoplat.formats import report_to_json
+        from xtoplat.separation import report_and_points
+
+        sources = {
+            ("--bni", "12", "4"): semiring.bni(12, 4),
+            ("--bni", "16", "9"): semiring.bni(16, 9),
+            ("--bni", "2", "1"): semiring.bni(2, 1),  # drop-zero keeps nothing
+            ("--s3",): semiring.s3(),
+        }
+        selectors = ("all", "max", "min", "drop-zero")
+        expected = {}
+        for argv, R in sources.items():
+            for which in selectors:
+                space = semiring.spec_space(R, which)
+                opens = [list(space.labels_of(U)) for U in space.open_family]
+                expected[argv, which] = opens, report_to_json(*report_and_points(space))
+
+        def refuse(*args):
+            raise AssertionError("a lattice or space was built")
+
+        for module, name in (
+            (semiring, "radical_lattice"),
+            (semiring, "embedded_spectrum"),
+            (semiring, "build_space"),
+            (topology, "build_space"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        for (argv, which), (opens, separation) in expected.items():
+            code, text = run(["spec", *argv, "--subspace", which, "--json"])
+            payload = json.loads(text)
+            assert code == 0 and payload["opens"] == opens
+            assert payload["separation"] == separation
+            code, text = run(["spec", *argv, "--subspace", which])
+            printed = " ".join("{" + ",".join(U) + "}" for U in opens)
+            assert code == 0 and f"topology opens ({which}): {printed}\n" in text
+
     def test_axiom_error_exit_4(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(
@@ -601,6 +641,38 @@ class TestExport:
         a = run(["export", "--bni", "12", "0", "--format", "json"])[1]
         b = run(["export", "--bni", "12", "0", "--format", "json"])[1]
         assert a == b
+
+    def test_oversized_json_lattice_exit_2_before_its_tables(self, monkeypatch, capsys):
+        # 9 × C2 has 19,683 up-sets, so each table would hold 3.9 × 10^8 cells
+        import time
+
+        from xtoplat.formats import MAX_JSON_ELEMENTS
+        from xtoplat.lattice import UpsetLattice
+
+        def refuse(*args):
+            raise AssertionError("the order or a table was built")
+
+        monkeypatch.setattr(UpsetLattice, "poset", property(refuse))
+        monkeypatch.setattr(UpsetLattice, "meet", refuse)
+        monkeypatch.setattr(UpsetLattice, "join", refuse)
+        start = time.perf_counter()
+        assert run(["export", "--forest", "+".join(["C2"] * 9), "--format", "json"]) == (2, "")
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err == (
+            "error: the JSON lattice export writes |L|² table cells and stops at "
+            f"{MAX_JSON_ELEMENTS} elements; this lattice has 19683\n"
+        )
+
+    def test_json_lattice_cap_is_inclusive(self, monkeypatch):
+        # the up-set lattice of a 7-chain has 8 elements
+        from xtoplat import formats
+
+        expected = run(["export", "--chain", "7", "--format", "json"])
+        monkeypatch.setattr(formats, "MAX_JSON_ELEMENTS", 8)
+        assert run(["export", "--chain", "7", "--format", "json"]) == expected
+        assert expected[0] == 0
+        monkeypatch.setattr(formats, "MAX_JSON_ELEMENTS", 7)
+        assert run(["export", "--chain", "7", "--format", "json"]) == (2, "")
 
     def test_semiring_json_carries_the_radical_ideal_lattice(self):
         from xtoplat.formats import space_from_json

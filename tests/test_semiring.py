@@ -19,12 +19,13 @@ from xtoplat import (
     omega,
     s3,
     semiring_from_tables,
+    spec_poset,
     spec_space,
     spectrum,
     verify_bni,
 )
 from xtoplat.enumeration import all_posets, canonical_form
-from xtoplat.poset import chain, dual_tree
+from xtoplat.poset import _by_size, chain, dual_tree
 from xtoplat.semiring import (
     FiniteSemiring,
     _additive_generators,
@@ -34,8 +35,10 @@ from xtoplat.semiring import (
 )
 from xtoplat.separation import (
     _report_and_checks,
+    _report_and_points_in_index_order,
     classify_points,
     jacobson_and_prime_meets,
+    report_and_points,
     separation_report,
 )
 from xtoplat.topology import build_space, is_xtop_by_irreducibility, is_xtop_by_unions
@@ -45,6 +48,7 @@ from .oracles import (
     axiom_outcome,
     axiom_violation_by_scan,
     barely_maximal,
+    bni_by_wrap,
     downset_semiring,
     ideals_by_subset_scan,
     is_prime_ideal,
@@ -176,6 +180,42 @@ class TestFromTables:
         assert expected[0] == "multiplicative-associativity"
         assert axiom_outcome(*args) == expected
 
+    @pytest.mark.parametrize(
+        "changes, expected",
+        [
+            ({("add", 2, 3): 4}, ("additive-commutativity", ("2", "3"))),
+            ({("mul", 3, 2): 4}, ("multiplicative-commutativity", ("2", "3"))),
+            # the first pair in row order is named, whichever table breaks
+            ({("add", 4, 3): 2, ("mul", 3, 2): 4}, ("multiplicative-commutativity", ("2", "3"))),
+            ({("add", 2, 4): 2, ("mul", 4, 2): 3}, ("additive-commutativity", ("2", "4"))),
+        ],
+    )
+    def test_commutativity_witness(self, changes, expected):
+        # each table is compared with its transpose; a failure names the
+        # first pair of the entrywise scan
+        R = bni(5, 2)
+        tables = {"add": [list(row) for row in R.add], "mul": [list(row) for row in R.mul]}
+        for (key, a, b), value in changes.items():
+            tables[key][a][b] = value
+        args = (R.labels, tables["add"], tables["mul"], 0, 1)
+        assert axiom_outcome(*args) == expected == axiom_violation_by_scan(*args)
+
+    def test_every_single_entry_mutation_meets_the_scan(self):
+        # one entry of add or mul set to every other value, most of them
+        # breaking commutativity
+        for R in [s3()] + [bni(n, i) for n in range(2, 6) for i in range(n)]:
+            for key in ("add", "mul"):
+                for a in range(R.n):
+                    for b in range(R.n):
+                        for value in range(R.n):
+                            if getattr(R, key)[a][b] == value:
+                                continue
+                            table = [list(row) for row in getattr(R, key)]
+                            table[a][b] = value
+                            tables = {"add": R.add, "mul": R.mul, key: table}
+                            args = (R.labels, tables["add"], tables["mul"], R.zero, R.one)
+                            assert axiom_outcome(*args) == axiom_violation_by_scan(*args)
+
     def test_every_symmetric_mutation_meets_the_scan(self):
         # each symmetric pair of add or mul entries set to every other
         # value: commutativity still holds, so the generator tests decide
@@ -223,6 +263,11 @@ class TestBni:
                 for b in range(n):
                     assert R.add_(a, b) == wrap_by_search(a + b, n, i)
                     assert R.mul_(a, b) == wrap_by_search(a * b, n, i)
+
+    def test_slices_match_the_entrywise_wrap(self):
+        for n in range(2, 31):
+            for i in range(n):
+                assert bni(n, i) == bni_by_wrap(n, i), (n, i)
 
     def test_range_errors(self):
         with pytest.raises(RangeError):
@@ -581,6 +626,53 @@ def test_radical_lattice_matches_the_ideal_lattice(R, which):
         pm_slow.jacobson_irredundant,
         pm_slow.min_meet_irredundant,
     )
+
+
+def _product_and_downset_sources():
+    factors = [s3()] + [bni(n, i) for n in range(2, 6) for i in range(n)]
+    products = [product_semiring(A, B) for k, A in enumerate(factors) for B in factors[k:]]
+    return products + [downset_semiring(P) for k in range(1, 5) for P in all_posets(k)]
+
+
+class TestSpecPoset:
+    """The chosen primes under inclusion against ``spec_space``: the same
+    order and points, its up-sets the closed sets (semiring module
+    docstring), and the same report, point rows and open sets."""
+
+    @staticmethod
+    def assert_matches_spec_space(R, which):
+        P, space = spec_poset(R, which), spec_space(R, which)
+        assert P == space.specialization_poset(), (R.labels, which)
+        full = (1 << P.n) - 1
+
+        def labelled(masks):
+            return [tuple(P.labels[k] for k in sorted(S)) for S in _by_size(masks)]
+
+        assert labelled(P.upset_masks()) == list(map(space.labels_of, space.closed_family))
+        opens = labelled(full & ~U for U in P.upset_masks())
+        assert opens == list(map(space.labels_of, space.open_family))
+        assert _report_and_points_in_index_order(P) == report_and_points(space)
+
+    @pytest.mark.parametrize("which", ["all", "max", "min", "drop-zero"])
+    def test_bni_grid_and_s3(self, which):
+        for R in [s3()] + [bni(n, i) for n in range(2, 21) for i in range(n)]:
+            self.assert_matches_spec_space(R, which)
+
+    @pytest.mark.parametrize("which", ["all", "max", "min", "drop-zero"])
+    def test_products_and_downset_semirings(self, which):
+        for R in _product_and_downset_sources():
+            self.assert_matches_spec_space(R, which)
+
+    def test_empty_subspace(self):
+        # Spec(B(2, 1)) is the zero ideal alone, so drop-zero keeps nothing
+        P = spec_poset(bni(2, 1), "drop-zero")
+        assert P.n == 0 and P.upset_masks() == [0]
+        report, points = _report_and_points_in_index_order(P)
+        assert points == () and report.kdim == 0 and report.components == ()
+
+    def test_bad_selector(self):
+        with pytest.raises(ValueError):
+            spec_poset(s3(), "everything")
 
 
 class TestVerifyBni:
