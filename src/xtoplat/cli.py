@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from functools import cache
 
 from .errors import AxiomError, NotXTopError, XtoplatError
@@ -82,6 +81,25 @@ _BOOL_FIELDS = [
     "pamin",
     "pbmax",
     "complete_max_property",
+]
+
+# the boolean fields of SpectrumReport, in field order
+_SPECTRUM_FLAGS = [
+    "is_local",
+    "is_reduced",
+    "is_vnr",
+    "is_pi_regular",
+    "is_add_idempotent",
+    "is_mul_idempotent",
+    "is_idempotent",
+    "is_subtractive_semiring",
+    "is_semidomain",
+    "is_fmax",
+    "is_fmin",
+    "is_bmax",
+    "is_amin",
+    "is_pamin",
+    "is_pbmax",
 ]
 
 _POINT_COLUMNS = [
@@ -201,11 +219,7 @@ def _cmd_spec(args, out) -> int:
             "prime_radical": label_set(report.prime_radical),
             "opens": opens,
             "kdim": report.kdim,
-            "flags": {
-                f.name: getattr(report, f.name)
-                for f in fields(report)
-                if f.type == "bool"
-            },
+            "flags": {name: getattr(report, name) for name in _SPECTRUM_FLAGS},
             "subspace": args.subspace,
             "separation": report_to_json(*separation),
         }
@@ -219,9 +233,8 @@ def _cmd_spec(args, out) -> int:
     print("jacobson: {" + ",".join(label_set(report.jacobson)) + "}", file=out)
     print("nilradical: {" + ",".join(label_set(report.nilradical)) + "}", file=out)
     print(f"K.dim(R): {report.kdim}", file=out)
-    for f in fields(report):
-        if f.type == "bool":
-            print(f"{f.name}: {_yes(getattr(report, f.name))}", file=out)
+    for name in _SPECTRUM_FLAGS:
+        print(f"{name}: {_yes(getattr(report, name))}", file=out)
     print(f"topology opens ({args.subspace}): " + " ".join("{" + ",".join(U) + "}" for U in opens), file=out)
     print(f"-- separation report for Spec(R) subspace '{args.subspace}' --", file=out)
     _render_separation(*separation, out)

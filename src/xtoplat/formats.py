@@ -200,8 +200,8 @@ def report_to_json(
 ) -> dict[str, Any]:
     return {
         **report.to_dict(),
-        # each row's keys are its dataclass fields, so field order is key order
-        "points": [dict(vars(p)) for p in points],
+        # each row's keys are its NamedTuple fields, so field order is key order
+        "points": [p._asdict() for p in points],
     }
 
 

@@ -38,7 +38,6 @@ is exactly the up-sets of P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EmptyPosetError, NotALatticeError, SubsetViolationError
@@ -344,18 +343,39 @@ def _set_label(P: FinitePoset, mask: int) -> str:
     return "{" + ",".join(P.labels[i] for i in _bits(mask)) + "}"
 
 
-@dataclass(frozen=True)
 class EmbeddedSubset:
-    """A subset X ⊆ L \\ {top}: the candidate carrier of a Zariski-like topology."""
+    """A subset X ⊆ L \\ {top}: the candidate carrier of a Zariski-like topology.
+
+    Frozen, with ``==`` and ``hash`` over its two fields.  The constructor
+    is the only way to make one, so every instance has passed its checks.
+    """
 
     lattice: FiniteLattice
     members: frozenset[int]
 
-    def __post_init__(self):
-        for x in self.members:
-            self.lattice.check(x)
-        if self.lattice.top in self.members:
+    def __init__(self, lattice: FiniteLattice, members: frozenset[int]):
+        for x in members:
+            lattice.check(x)
+        if lattice.top in members:
             raise SubsetViolationError("the top element cannot belong to X")
+        vars(self).update(lattice=lattice, members=members)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen EmbeddedSubset")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen EmbeddedSubset")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.lattice, self.members) == (other.lattice, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.members))
+
+    def __repr__(self) -> str:
+        return f"EmbeddedSubset(lattice={self.lattice!r}, members={self.members!r})"
 
 
 def lattice_from_poset(P: FinitePoset) -> FiniteLattice:

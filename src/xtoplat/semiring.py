@@ -132,10 +132,9 @@ integers-mod-n behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import ne
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import AxiomError, NotAnIdealError, RangeError
 from .lattice import EmbeddedSubset, FiniteLattice
@@ -143,8 +142,7 @@ from .poset import FinitePoset, _bits, _by_size
 from .topology import XTopSpace, build_space
 
 
-@dataclass(frozen=True)
-class FiniteSemiring:
+class FiniteSemiring(NamedTuple):
     """Element labels plus total addition/multiplication tables."""
 
     labels: tuple[str, ...]
@@ -520,8 +518,7 @@ def is_subtractive_semiring(R: FiniteSemiring) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """The prime/maximal/minimal spectra and algebraic flags."""
 
     spec: tuple[frozenset[int], ...]
@@ -742,8 +739,7 @@ def spec_space(R: FiniteSemiring, which: str = "all") -> XTopSpace:
     return build_space(lattice, embedded)
 
 
-@dataclass(frozen=True)
-class BniVerification:
+class BniVerification(NamedTuple):
     """Predicted vs computed spectrum of one B(n, i)."""
 
     n: int

@@ -144,11 +144,10 @@ index order of the up-set lattice, so the report and the point rows match
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
-from typing import Callable, Collection
+from typing import Callable, Collection, NamedTuple
 
 from .errors import EmptyPosetError, XtoplatError
 from .lattice import EmbeddedSubset, has_complete_max_property
@@ -162,8 +161,7 @@ from .poset import (
 from .topology import XTopSpace, _irreducible, _radical_info, _union_witness
 
 
-@dataclass(frozen=True)
-class PointClassification:
+class PointClassification(NamedTuple):
     """Per-point flags, each read off the specialization order by a lemma of
     the module docstring."""
 
@@ -181,8 +179,7 @@ class PointClassification:
     is_barely_max: bool
 
 
-@dataclass(frozen=True)
-class SpecialSets:
+class SpecialSets(NamedTuple):
     """Min(X), Max(X), the regular open points and the excluded points, as
     sets of lattice indices.
 
@@ -197,8 +194,7 @@ class SpecialSets:
     excl: frozenset[int]
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     """Every axiom verdict for one space, plus the component partitions."""
 
     kdim: int
@@ -232,17 +228,13 @@ class SeparationReport:
     quasicomponents: tuple[tuple[str, ...], ...]
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in ("components", "quasicomponents"):
-                value = [list(part) for part in value]
-            out[f.name] = value
+        out = self._asdict()
+        for name in ("components", "quasicomponents"):
+            out[name] = [list(part) for part in out[name]]
         return out
 
 
-@dataclass(frozen=True)
-class PrimeMeets:
+class PrimeMeets(NamedTuple):
     """J(X) = ⋀Max(X) and Q(X) = ⋀Min(X) with their irredundance flags."""
 
     jacobson: int
@@ -251,8 +243,7 @@ class PrimeMeets:
     min_meet_irredundant: bool
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     holds: bool
     witness: str | None = None

@@ -52,9 +52,8 @@ convention (⋀∅ = top, V(top) = ∅) keeps every operation consistent there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyPosetError, NotXTopError, SubsetViolationError
 from .lattice import EmbeddedSubset, FiniteLattice, upset_lattice
@@ -87,8 +86,7 @@ def covariety(L: FiniteLattice, X: XLike, a: int) -> frozenset[int]:
     return _members(L, X) - variety(L, X, a)
 
 
-@dataclass(frozen=True)
-class RadicalInfo:
+class RadicalInfo(NamedTuple):
     """The radical map a ↦ √a = ⋀V(a) and its fixed points."""
 
     radical_of: tuple[int, ...]  # indexed by lattice element
@@ -154,7 +152,6 @@ def _irreducible(
     return True
 
 
-@dataclass(frozen=True)
 class XTopSpace:
     """A Zariski-like topology on X ⊆ L \\ {top}, stored as its varieties.
 
@@ -165,11 +162,40 @@ class XTopSpace:
     ``open_family`` are the same sets as frozensets, built on first read;
     the families are deduplicated and sorted by (size, elements) so
     serialized output is byte-stable.
+
+    A space is frozen: its three fields are set once, and ``==`` and
+    ``hash`` compare them.  The views are cached in the instance
+    ``__dict__``, which ``cached_property`` writes without assignment.
     """
 
     lattice: FiniteLattice
     points: frozenset[int]
     variety_masks: tuple[int, ...]  # indexed by lattice element
+
+    def __init__(
+        self, lattice: FiniteLattice, points: frozenset[int], variety_masks: tuple[int, ...]
+    ):
+        vars(self).update(lattice=lattice, points=points, variety_masks=variety_masks)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen XTopSpace")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen XTopSpace")
+
+    def _key(self) -> tuple:
+        return self.lattice, self.points, self.variety_masks
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "XTopSpace(lattice={!r}, points={!r}, variety_masks={!r})".format(*self._key())
 
     @cached_property
     def varieties(self) -> tuple[frozenset[int], ...]:

@@ -20,9 +20,8 @@ failures with minimal witnesses.  Suites:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .enumeration import (
     all_lattices_upto,
@@ -74,8 +73,7 @@ DISCRETE_CHECKS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SuiteFailure:
+class SuiteFailure(NamedTuple):
     instance: str
     check: str
     witness: str | None = None
@@ -85,13 +83,32 @@ class SuiteFailure:
         return text + (f" [{self.witness}]" if self.witness else "")
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    instances: int = 0
-    checks: int = 0
-    failures: list[SuiteFailure] = field(default_factory=list)
-    seconds: float = 0.0  # wall time of the sweep, set by run_suites
+    """One sweep's counts and failures, updated as the sweep runs; ``==``
+    compares the fields."""
+
+    def __init__(
+        self,
+        suite: str,
+        instances: int = 0,
+        checks: int = 0,
+        failures: list[SuiteFailure] | None = None,
+        seconds: float = 0.0,  # wall time of the sweep, set by run_suites
+    ):
+        self.suite = suite
+        self.instances = instances
+        self.checks = checks
+        self.failures = [] if failures is None else failures
+        self.seconds = seconds
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"SuiteResult({fields})"
 
     def expect(self, instance: str, condition: bool, check: str, witness: str | None) -> None:
         """Count one check on ``instance``; keep it as a failure if it failed."""

@@ -7,8 +7,6 @@ is exercised exhaustively in test_acceptance.py; this module pins the
 concrete examples.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from xtoplat import (
@@ -30,7 +28,7 @@ from xtoplat.enumeration import forest_specs
 from xtoplat.errors import CycleError, XtoplatError
 from xtoplat.lattice import EmbeddedSubset, has_complete_max_property
 from xtoplat.semiring import bni, s3, spec_space
-from xtoplat.topology import build_space, is_xtop_by_unions, radical_info
+from xtoplat.topology import XTopSpace, build_space, is_xtop_by_unions, radical_info
 
 from .oracles import (
     closed_points,
@@ -453,20 +451,20 @@ class TestCrossCheck:
         # varieties that are all ∅ or X give every point the closure X, so
         # the specialization "order" has cycles and no space is read from it
         full = space.variety_masks[space.lattice.bottom]
-        coarse = replace(
-            space, variety_masks=tuple(full if v else 0 for v in space.variety_masks)
+        coarse = XTopSpace(
+            space.lattice, space.points, tuple(full if v else 0 for v in space.variety_masks)
         )
         with pytest.raises(CycleError):
             cross_check(coarse)
         # the report's sober is a lemma; the closures from the closed family
         # must catch it
         monkeypatch.setattr(
-            separation, "_report", lambda a: replace(report(a), sober=not report(a).sober)
+            separation, "_report", lambda a: report(a)._replace(sober=not report(a).sober)
         )
         assert failing_ids() == {"t0-and-sober"}
 
         monkeypatch.setattr(
-            separation, "_report", lambda a: replace(report(a), tf=not report(a).tf)
+            separation, "_report", lambda a: report(a)._replace(tf=not report(a).tf)
         )
         assert failing_ids() == {"t-quarter-iff-dim-le-1-iff-tf"}
         # T¼, T½ and T_F share one read; wrong together, they still differ
@@ -474,7 +472,7 @@ class TestCrossCheck:
         monkeypatch.setattr(
             separation,
             "_report",
-            lambda a: replace(report(a), t_quarter=False, t_half=False, tf=False),
+            lambda a: report(a)._replace(t_quarter=False, t_half=False, tf=False),
         )
         assert failing_ids() == {
             "t-quarter-iff-dim-le-1-iff-tf",
@@ -545,7 +543,7 @@ class TestDegenerateCarriers:
         bit = {base.label(x): 1 << x for x in base.points}
         pair, full = bit["a0"] | bit["a1"], sum(bit.values())
         masks = tuple(full if v == pair else v for v in base.variety_masks)
-        broken = replace(base, variety_masks=masks)
+        broken = XTopSpace(base.lattice, base.points, masks)
         with pytest.raises(XtoplatError, match=r"Ker\('a2'\) is not open"):
             separation_report(broken)
 
