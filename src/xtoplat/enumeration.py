@@ -205,19 +205,15 @@ def _normalize(component: ForestComponent) -> ForestComponent:
     return (kind, k)
 
 
-def forest_specs(
-    max_size: int, kinds: str = "TVC", min_tree_base: int = 1
-) -> tuple[tuple[ForestComponent, ...], ...]:
+def forest_specs(max_size: int, kinds: str = "TVC") -> tuple[tuple[ForestComponent, ...], ...]:
     """All component multisets with total size <= max_size, deduplicated.
 
-    ``kinds`` restricts the component alphabet; ``min_tree_base`` raises
-    the smallest allowed n for T_n components.  The coincidence
+    ``kinds`` restricts the component alphabet.  The coincidence
     T_1 = C_2 = V_1 is normalized away so no shape appears twice.
     """
     atoms: list[ForestComponent] = []
     for kind in kinds:
-        start = min_tree_base if kind == "T" else 1
-        k = start
+        k = 1
         while _component_size((kind, k)) <= max_size:
             atom = _normalize((kind, k))
             if atom not in atoms:

@@ -131,17 +131,6 @@ def lattice_from_json(data: dict[str, Any]) -> FiniteLattice:
 # -- semirings ----------------------------------------------------------------
 
 
-def semiring_to_json(R: FiniteSemiring) -> dict[str, Any]:
-    labels = R.labels
-    return {
-        "labels": list(labels),
-        "add": [[labels[R.add[a][b]] for b in range(R.n)] for a in range(R.n)],
-        "mul": [[labels[R.mul[a][b]] for b in range(R.n)] for a in range(R.n)],
-        "zero": labels[R.zero],
-        "one": labels[R.one],
-    }
-
-
 def semiring_from_json(data: dict[str, Any]) -> FiniteSemiring:
     for key in ("labels", "add", "mul", "zero", "one"):
         if not isinstance(data, dict) or key not in data:

@@ -169,10 +169,6 @@ class FiniteLattice:
         ms = set(members)
         return frozenset(a for a in ms if not any(self.poset.lt(a, b) for b in ms))
 
-    def minimals_of(self, members: Iterable[int]) -> frozenset[int]:
-        ms = set(members)
-        return frozenset(a for a in ms if not any(self.poset.lt(b, a) for b in ms))
-
     def __eq__(self, other: object) -> bool:
         # a lattice is determined by its order
         if not isinstance(other, FiniteLattice):
@@ -312,21 +308,12 @@ class UpsetLattice(FiniteLattice):
         smaller mask first; comparing against the maximals kept so far
         suffices, because each smaller member contains one of them.
         """
-        return self._extremes(sorted(set(members)), lambda kept, m: kept & ~m == 0)
-
-    def minimals_of(self, members: Iterable[int]) -> frozenset[int]:
-        """Members with no other member's mask around their own (dually)."""
-        return self._extremes(
-            sorted(set(members), reverse=True), lambda kept, m: m & ~kept == 0
-        )
-
-    def _extremes(self, ordered: list[int], beaten) -> frozenset[int]:
         kept: list[int] = []
         out = []
-        for a in ordered:
+        for a in sorted(set(members)):
             self.check(a)
             m = self.masks[a]
-            if not any(beaten(k, m) for k in kept):
+            if not any(k & ~m == 0 for k in kept):
                 kept.append(m)
                 out.append(a)
         return frozenset(out)
@@ -343,47 +330,6 @@ def _set_label(P: FinitePoset, mask: int) -> str:
     return "{" + ",".join(P.labels[i] for i in _bits(mask)) + "}"
 
 
-class EmbeddedSubset:
-    """A subset X ⊆ L \\ {top}: the candidate carrier of a Zariski-like topology.
-
-    Frozen, with ``==`` and ``hash`` over its two fields.  The constructor
-    is the only way to make one, so every instance has passed its checks.
-    """
-
-    lattice: FiniteLattice
-    members: frozenset[int]
-
-    def __init__(self, lattice: FiniteLattice, members: frozenset[int]):
-        for x in members:
-            lattice.check(x)
-        if lattice.top in members:
-            raise SubsetViolationError("the top element cannot belong to X")
-        vars(self).update(lattice=lattice, members=members)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen EmbeddedSubset")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a frozen EmbeddedSubset")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.lattice, self.members) == (other.lattice, other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, self.members))
-
-    def __repr__(self) -> str:
-        return f"EmbeddedSubset(lattice={self.lattice!r}, members={self.members!r})"
-
-
-def lattice_from_poset(P: FinitePoset) -> FiniteLattice:
-    """The lattice whose order is P; raises :class:`NotALatticeError`
-    naming the first pair with no meet or no join."""
-    return FiniteLattice(P)
-
-
 def upset_lattice(P: FinitePoset) -> tuple[UpsetLattice, dict[int, int]]:
     """The lattice of up-sets of P under reverse inclusion, plus the embedding.
 
@@ -398,43 +344,18 @@ def upset_lattice(P: FinitePoset) -> tuple[UpsetLattice, dict[int, int]]:
     return lattice, embedding
 
 
-def is_distributive(L: FiniteLattice) -> bool:
-    """a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c) for all triples."""
-    n = L.n
-    return all(
-        L.meet(a, L.join(b, c)) == L.join(L.meet(a, b), L.meet(a, c))
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    )
+def _members(L: FiniteLattice, X: Iterable[int]) -> frozenset[int]:
+    """X as a set of element indices, checked to be a carrier: every index
+    names an element (else IndexError) and the top is not among them."""
+    members = frozenset(X)
+    for x in members:
+        L.check(x)
+    if L.top in members:
+        raise SubsetViolationError("the top element cannot belong to X")
+    return members
 
 
-def has_complete_max_property(L: FiniteLattice, X: EmbeddedSubset) -> bool:
+def has_complete_max_property(L: FiniteLattice, X: Iterable[int]) -> bool:
     """Every q maximal in X satisfies ⋀(Max(X) \\ {q}) ≰ q."""
-    maxima = L.maximals_of(X.members)
-    return all(
-        not L.leq(L.meet_all(maxima - {q}), q) for q in maxima
-    )
-
-
-def _require_between(L: FiniteLattice, X: EmbeddedSubset, A: Iterable[int]) -> frozenset[int]:
-    A = frozenset(A)
-    for a in A:
-        L.check(a)
-    if not X.members <= A:
-        raise SubsetViolationError("X must be contained in A")
-    return A
-
-
-def is_coatomic(L: FiniteLattice, X: EmbeddedSubset, A: Iterable[int]) -> bool:
-    """Every a ∈ A lies below some maximal element of X."""
-    A = _require_between(L, X, A)
-    maxima = L.maximals_of(X.members)
-    return all(any(L.leq(a, m) for m in maxima) for a in A)
-
-
-def is_atomic(L: FiniteLattice, X: EmbeddedSubset, A: Iterable[int]) -> bool:
-    """Every a ∈ A lies above some minimal element of X."""
-    A = _require_between(L, X, A)
-    minima = L.minimals_of(X.members)
-    return all(any(L.leq(m, a) for m in minima) for a in A)
+    maxima = L.maximals_of(_members(L, X))
+    return all(not L.leq(L.meet_all(maxima - {q}), q) for q in maxima)

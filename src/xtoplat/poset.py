@@ -452,27 +452,6 @@ def forest(spec: Sequence[ForestComponent]) -> FinitePoset:
 # -- component shape classification ----------------------------------------
 
 
-def component_shape(P: FinitePoset, component: frozenset[int]) -> ForestComponent | None:
-    """Classify one order-component as ("C", k), ("T", n) or ("V", m).
-
-    A 2-chain reports as ("C", 2) even though T_1 = C_2 = V_1; callers that
-    care about the coincidence should test with :func:`is_tree_component`
-    and :func:`is_dual_tree_component` instead.  Returns None for any other
-    shape.
-    """
-    up, down = P._up, P.down_rows()
-    C = sum(1 << i for i in component)
-    if all((up[i] | down[i]) & C == C for i in component):
-        return ("C", len(component))
-    n = is_tree_component(P, component)
-    if n is not None:
-        return ("T", n)
-    m = is_dual_tree_component(P, component)
-    if m is not None:
-        return ("V", m)
-    return None
-
-
 def is_tree_component(P: FinitePoset, component: frozenset[int]) -> int | None:
     """n if the component is a T_n (n >= 1), else None."""
     return _star(P._up, component)

@@ -137,7 +137,7 @@ from operator import ne
 from typing import NamedTuple, Sequence
 
 from .errors import AxiomError, NotAnIdealError, RangeError
-from .lattice import EmbeddedSubset, FiniteLattice
+from .lattice import FiniteLattice
 from .poset import FinitePoset, _bits, _by_size
 from .topology import XTopSpace, build_space
 
@@ -717,26 +717,17 @@ def spec_poset(R: FiniteSemiring, which: str = "all") -> FinitePoset:
     return _inclusion_order(R, _chosen_primes(R, which))
 
 
-def embedded_spectrum(
-    R: FiniteSemiring, which: str = "all"
-) -> tuple[FiniteLattice, EmbeddedSubset]:
-    """The radical-ideal lattice with X embedded: the primes that
-    :func:`spec_poset` selects."""
-    chosen = _chosen_primes(R, which)
-    lattice, radicals = radical_lattice(R)
-    position = {I: k for k, I in enumerate(radicals)}
-    members = frozenset(position[I] for I in chosen)
-    return lattice, EmbeddedSubset(lattice, members)
-
-
 def spec_space(R: FiniteSemiring, which: str = "all") -> XTopSpace:
-    """The Zariski topology on the selected part of Spec(R).
+    """The Zariski topology on the selected part of Spec(R): the
+    radical-ideal lattice with X the primes that :func:`spec_poset` selects.
 
     Always satisfies the union-closure criterion; a NotXTopError here
     would indicate a bug, so it is allowed to propagate.
     """
-    lattice, embedded = embedded_spectrum(R, which)
-    return build_space(lattice, embedded)
+    chosen = _chosen_primes(R, which)
+    lattice, radicals = radical_lattice(R)
+    position = {I: k for k, I in enumerate(radicals)}
+    return build_space(lattice, [position[I] for I in chosen])
 
 
 class BniVerification(NamedTuple):

@@ -112,24 +112,24 @@ Min, Max and the rows ↓y:
 * T¾ (every point closed or regular open) holds iff X = Max ∪ RO.
 
 Of the paper's point classes, then, only Min, Max, RO and Excl are sets
-of their own; :class:`SpecialSets` holds those four.  SI and CSI are X,
-AMin and the isolated and kerneled points are Min, and BMax and the
-closed points are Max, so the point rows read them off X, Min and Max.
+of their own.  SI and CSI are X, AMin and the isolated and kerneled
+points are Min, and BMax and the closed points are Max, so the point rows
+read them off X, Min and Max.
 
 So every source takes one route: Min, Max, the rows ↓y, the heights and
-the comparability components of its specialization order, in O(n) big-int
-operations beyond those rows.  A space's variety masks are read once, to
-check that each Ker(x) is open (X \\ ↓x is a variety), and its lattice
-only for the prime meets J(X) and Q(X).  :func:`cross_check` takes the
-other side of each lemma and theorem from the families, as the varieties
-and their complements in X, from pair scans and from meets in L, and
-compares it with X, Min, Max, RO or Excl.  Every point set on either
-side is a mask over lattice indices, like the space's variety masks, so
-no frozenset is built there.  It computes each side on demand, the first
-time a check reads it, so a run of some of the checks (``verify quarter``
-and ``verify discrete`` ask for theirs) computes only the sides they
-read, and a check builds its witness, the lowest point in one set but
-not the other, only when it fails.
+the comparability components of its specialization order, in O(n)
+big-int operations beyond those rows.  A space's variety masks are read
+once, to check that each Ker(x) is open (X \\ ↓x is a variety), and its
+lattice not at all.  :func:`cross_check` takes the other side of each
+lemma and theorem from the families, as the varieties and their
+complements in X, from pair scans and from meets in L, and compares it
+with X, Min, Max, RO or Excl.  Every point set on either side is a mask
+over lattice indices, like the space's variety masks, so no frozenset is
+built there.  It computes each side on demand, the first time a check
+reads it, so a run of some of the checks (``verify quarter`` and
+``verify discrete`` ask for theirs) computes only the sides they read,
+and a check builds its witness, the lowest point in one set but not the
+other, only when it fails.
 
 A :class:`~xtoplat.poset.FinitePoset` P is accepted wherever a space is
 classified, and read as the space ``from_poset(P)``: X is {↑x : x ∈ P}
@@ -150,7 +150,7 @@ from types import SimpleNamespace
 from typing import Callable, Collection, NamedTuple
 
 from .errors import EmptyPosetError, XtoplatError
-from .lattice import EmbeddedSubset, has_complete_max_property
+from .lattice import has_complete_max_property
 from .poset import (
     FinitePoset,
     _bits,
@@ -177,21 +177,6 @@ class PointClassification(NamedTuple):
     in_CSI: bool
     is_abs_min: bool
     is_barely_max: bool
-
-
-class SpecialSets(NamedTuple):
-    """Min(X), Max(X), the regular open points and the excluded points, as
-    sets of lattice indices.
-
-    The paper's other point classes are copies of these (module docstring):
-    SI = CSI = X; AMin, the isolated and the kerneled points are Min; BMax
-    and the closed points are Max.
-    """
-
-    min: frozenset[int]
-    max: frozenset[int]
-    ro: frozenset[int]
-    excl: frozenset[int]
 
 
 class SeparationReport(NamedTuple):
@@ -253,24 +238,21 @@ class _Analysis:
     """Per-space scratch state: points as bit positions, the order as mask rows.
 
     Bit k is element k of ``spec_poset``: for a space, the point ``pts[k]``
-    of its sorted points; for a poset source, whose ``space`` is None,
-    element k of P itself.  ``order`` lists the bits in output order and
-    ``position`` inverts it; for a space both are the identity, and so
-    they are for a poset read ``in_index_order``.  Every read is an order
-    lemma of the module docstring, whatever the source; only
-    ``prime_meets`` reads the lattice.
+    of its sorted points; for a poset source, element k of P itself.
+    ``order`` lists the bits in output order and ``position`` inverts it;
+    for a space both are the identity, and so they are for a poset read
+    ``in_index_order``.  Every read is an order lemma of the module
+    docstring, whatever the source.
     """
 
     def __init__(self, source: XTopSpace | FinitePoset, in_index_order: bool = False):
         if isinstance(source, FinitePoset):
-            self.space = None
             P = source
             if in_index_order:
                 self.order = self.position = range(P.n)
             else:
                 self.order, self.position = _in_upset_order(P)
         else:
-            self.space = source
             self.pts = source.sorted_points()
             # the poset lists the points in sorted order too, so its rows are masks
             P = source.specialization_poset()
@@ -319,15 +301,6 @@ class _Analysis:
         masks = [sum(1 << k for k in part) for part in parts]
         return sorted(masks, key=lambda m: min(self.position[k] for k in _bits(m)))
 
-    # -- prime meets -------------------------------------------------------------
-
-    def prime_meets(self) -> PrimeMeets:
-        L = self.space.lattice
-        j = L.meet_all(_bits(self.lift(self.max_mask)))
-        q = L.meet_all(_bits(self.lift(self.min_mask)))
-        # both meets are irredundant (module docstring)
-        return PrimeMeets(j, q, True, True)
-
 
 def _in_upset_order(P: FinitePoset) -> tuple[list[int], dict[int, int]]:
     """P's elements in (|↑x|, ↑x) order, and each element's position in it.
@@ -339,13 +312,6 @@ def _in_upset_order(P: FinitePoset) -> tuple[list[int], dict[int, int]]:
         raise EmptyPosetError("from_poset needs at least one element")
     order = sorted(range(P.n), key=lambda x: (P.up_mask(x).bit_count(), P.up_mask(x)))
     return order, {x: k for k, x in enumerate(order)}
-
-
-def special_sets(space: XTopSpace) -> SpecialSets:
-    """Min(X), Max(X), RO and Excl, read off the specialization order."""
-    a = _Analysis(space)
-    masks = (a.min_mask, a.max_mask, a.ro_mask, a.excl_mask)
-    return SpecialSets(*(frozenset(_bits(a.lift(m))) for m in masks))
 
 
 def classify_points(source: XTopSpace | FinitePoset) -> tuple[PointClassification, ...]:
@@ -379,20 +345,12 @@ def _points(a: _Analysis) -> tuple[PointClassification, ...]:
     )
 
 
-def components(space: XTopSpace) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-    """(connected components, quasicomponents) as partitions of the point set.
-
-    On a finite space the two partitions coincide (see the module docstring).
-    """
-    a = _Analysis(space)
-    comps = tuple(frozenset(_bits(a.lift(m))) for m in a.components)
-    return comps, comps
-
-
 def jacobson_and_prime_meets(space: XTopSpace) -> PrimeMeets:
-    """⋀Max(X) and ⋀Min(X); both are irredundant on every space (module
-    docstring)."""
-    return _Analysis(space).prime_meets()
+    """J(X) = ⋀Max(X) and Q(X) = ⋀Min(X), each with its irredundance by
+    the definition: no point can be dropped without changing the meet.
+    The module docstring proves both irredundant on every space, and
+    :func:`cross_check` compares the two flags with that lemma."""
+    return _Sides(space).pm
 
 
 def separation_report(source: XTopSpace | FinitePoset) -> SeparationReport:
@@ -624,7 +582,7 @@ class _Sides:
             bmax=barely(self.max),
             excl=excl,
             es=self.min & ~self.max & ~csi == 0,
-            complete_max=has_complete_max_property(L, EmbeddedSubset(L, self.space.points)),
+            complete_max=has_complete_max_property(L, self.space.points),
         )
 
     @cached_property

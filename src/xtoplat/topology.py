@@ -56,32 +56,17 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyPosetError, NotXTopError, SubsetViolationError
-from .lattice import EmbeddedSubset, FiniteLattice, upset_lattice
+from .lattice import FiniteLattice, _members, upset_lattice
 from .poset import FinitePoset, _bits, _by_size, _mask
 
-XLike = EmbeddedSubset | Iterable[int]
 
-
-def _members(L: FiniteLattice, X: XLike) -> frozenset[int]:
-    if isinstance(X, EmbeddedSubset):
-        if X.lattice is not L and X.lattice != L:
-            raise ValueError("embedded subset belongs to a different lattice")
-        return X.members
-    members = frozenset(X)
-    for x in members:
-        L.check(x)
-    if L.top in members:
-        raise SubsetViolationError("the top element cannot belong to X")
-    return members
-
-
-def variety(L: FiniteLattice, X: XLike, a: int) -> frozenset[int]:
+def variety(L: FiniteLattice, X: Iterable[int], a: int) -> frozenset[int]:
     """V(a) = {x ∈ X : a <= x}."""
     L.check(a)
     return frozenset(x for x in _members(L, X) if L.leq(a, x))
 
 
-def covariety(L: FiniteLattice, X: XLike, a: int) -> frozenset[int]:
+def covariety(L: FiniteLattice, X: Iterable[int], a: int) -> frozenset[int]:
     """D(a) = X \\ V(a)."""
     return _members(L, X) - variety(L, X, a)
 
@@ -93,7 +78,7 @@ class RadicalInfo(NamedTuple):
     radical_elements: frozenset[int]  # {a : √a = a}
 
 
-def radical_info(L: FiniteLattice, X: XLike) -> RadicalInfo:
+def radical_info(L: FiniteLattice, X: Iterable[int]) -> RadicalInfo:
     """√a = ⋀V(a) for every a; the radical elements are the fixed points.
 
     X itself always consists of radical elements, √ is inflationary and
@@ -110,7 +95,7 @@ def _radical_info(L: FiniteLattice, varieties: Sequence[int]) -> RadicalInfo:
     return RadicalInfo(radical, fixed)
 
 
-def is_xtop_by_unions(L: FiniteLattice, X: XLike) -> bool:
+def is_xtop_by_unions(L: FiniteLattice, X: Iterable[int]) -> bool:
     """True iff for all a, b there is c with V(a) ∪ V(b) = V(c)."""
     return _union_witness(L.variety_masks(_members(L, X))) is None
 
@@ -133,7 +118,7 @@ def _union_witness(varieties: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
-def is_xtop_by_irreducibility(L: FiniteLattice, X: XLike) -> bool:
+def is_xtop_by_irreducibility(L: FiniteLattice, X: Iterable[int]) -> bool:
     """True iff every x ∈ X is strongly irreducible over the radical elements."""
     varieties = L.variety_masks(_members(L, X))
     return _irreducible(L, varieties, _radical_info(L, varieties).radical_elements)
@@ -287,7 +272,7 @@ class XTopSpace:
         return FinitePoset([self.label(x) for x in pts], rows)
 
 
-def build_space(L: FiniteLattice, X: XLike) -> XTopSpace:
+def build_space(L: FiniteLattice, X: Iterable[int]) -> XTopSpace:
     """The space on (L, X), once its varieties are shown closed under unions.
 
     Raises :class:`NotXTopError` carrying a witness pair (a, b) whose

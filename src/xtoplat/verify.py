@@ -31,7 +31,7 @@ from .enumeration import (
 )
 from .errors import RangeError
 from .poset import chain, dual_tree, forest, tree
-from .semiring import _verify_bni, bni, omega, spec_space
+from .semiring import _verify_bni, bni, omega, spec_poset, spec_space
 from .separation import CheckResult, _report_and_checks, cross_check, separation_report
 from .topology import from_poset, is_xtop_by_irreducibility, is_xtop_by_unions
 
@@ -177,7 +177,7 @@ def verify_discrete(max_size: int = 5) -> SuiteResult:
 def verify_forest(max_size: int = 8) -> SuiteResult:
     """Shape-level predictions plus the full cross-check on every forest."""
     result = SuiteResult("forest")
-    for spec in forest_specs(max_size, kinds="TVC"):
+    for spec in forest_specs(max_size):
         result.instances += 1
         name = "+".join(f"{kind}{k}" for kind, k in spec)
         report, _, results = _report_and_checks(from_poset(forest(spec)))
@@ -237,9 +237,8 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
                 f"spec sizes {sorted(len(P) for P in verdict.computed_spec)} vs "
                 f"{sorted(len(P) for P in verdict.predicted_spec)}",
             )
-            space = spec_space(R)
-            report, prime_meets, results = _report_and_checks(space)
-            spec_shape = canonical_form(space.specialization_poset())
+            report, prime_meets, results = _report_and_checks(spec_space(R))
+            spec_shape = canonical_form(spec_poset(R))
             if i == 0 or n == 2:
                 expect(report.discrete, "zero-dimensional-spectrum-discrete", "not discrete")
                 expect(
@@ -275,12 +274,11 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
                     "middle-i-spectrum-t0-not-t-quarter",
                     f"t0={report.t0}, t_quarter={report.t_quarter}",
                 )
-                punctured = spec_space(R, "drop-zero")
+                punctured = spec_poset(R, "drop-zero")
                 punctured_report = separation_report(punctured)
                 w = omega(n - i)
                 expect(
-                    canonical_form(punctured.specialization_poset())
-                    == canonical_form(tree(w)),
+                    canonical_form(punctured) == canonical_form(tree(w)),
                     "punctured-middle-spectrum-is-tree",
                     f"shape is not T_omega(n-i)=T_{w}",
                 )

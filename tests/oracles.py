@@ -19,10 +19,12 @@ from xtoplat import (
     NotALatticeError,
     NotAnIdealError,
     RadicalInfo,
+    SubsetViolationError,
     XTopSpace,
     semiring_from_tables,
 )
-from xtoplat.poset import _letters
+from xtoplat.lattice import _members
+from xtoplat.poset import _letters, is_dual_tree_component, is_tree_component
 from xtoplat.semiring import ideals, is_ideal
 
 
@@ -142,6 +144,62 @@ def permuted(P: FinitePoset, order) -> FinitePoset:
         sum(1 << position[y] for y in range(P.n) if P.leq(x, y)) for x in order
     ]
     return FinitePoset([P.labels[x] for x in order], rows)
+
+
+# -- lattice predicates by their definitions ---------------------------------
+
+
+def is_distributive(L: FiniteLattice) -> bool:
+    """a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c) for all triples."""
+    n = L.n
+    return all(
+        L.meet(a, L.join(b, c)) == L.join(L.meet(a, b), L.meet(a, c))
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def minimals_of(L: FiniteLattice, members) -> frozenset[int]:
+    """Minimal elements of a subset under the lattice order."""
+    ms = set(members)
+    return frozenset(a for a in ms if not any(b != a and L.leq(b, a) for b in ms))
+
+
+def _require_between(L: FiniteLattice, X, A) -> frozenset[int]:
+    """A, checked to be a set of elements that holds the carrier X."""
+    A = frozenset(A)
+    for a in A:
+        L.check(a)
+    if not _members(L, X) <= A:
+        raise SubsetViolationError("X must be contained in A")
+    return A
+
+
+def is_coatomic(L: FiniteLattice, X, A) -> bool:
+    """Every a ∈ A lies below some maximal element of X."""
+    A = _require_between(L, X, A)
+    maxima = L.maximals_of(X)
+    return all(any(L.leq(a, m) for m in maxima) for a in A)
+
+
+def is_atomic(L: FiniteLattice, X, A) -> bool:
+    """Every a ∈ A lies above some minimal element of X."""
+    A = _require_between(L, X, A)
+    minima = minimals_of(L, X)
+    return all(any(L.leq(m, a) for m in minima) for a in A)
+
+
+def semiring_to_json(R: FiniteSemiring) -> dict:
+    """The semiring JSON format, with label-valued tables."""
+    labels = R.labels
+    return {
+        "labels": list(labels),
+        "add": [[labels[R.add[a][b]] for b in range(R.n)] for a in range(R.n)],
+        "mul": [[labels[R.mul[a][b]] for b in range(R.n)] for a in range(R.n)],
+        "zero": labels[R.zero],
+        "one": labels[R.one],
+    }
 
 
 def ideals_by_subset_scan(R: FiniteSemiring) -> set[frozenset[int]]:
@@ -756,6 +814,26 @@ def pairwise_component_shape(P: FinitePoset, component: frozenset[int]):
     if n is not None:
         return ("T", n)
     m = pairwise_dual_tree_component(P, component)
+    if m is not None:
+        return ("V", m)
+    return None
+
+
+def component_shape(P: FinitePoset, component: frozenset[int]):
+    """Classify one order-component as ("C", k), ("T", n) or ("V", m).
+
+    A 2-chain reports as ("C", 2) even though T_1 = C_2 = V_1; callers that
+    care about the coincidence should test with ``is_tree_component`` and
+    ``is_dual_tree_component`` instead.  Returns None for any other shape.
+    """
+    down = P.down_rows()
+    C = sum(1 << i for i in component)
+    if all((P.up_mask(i) | down[i]) & C == C for i in component):
+        return ("C", len(component))
+    n = is_tree_component(P, component)
+    if n is not None:
+        return ("T", n)
+    m = is_dual_tree_component(P, component)
     if m is not None:
         return ("V", m)
     return None

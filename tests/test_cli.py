@@ -9,9 +9,9 @@ import json
 
 import pytest
 
+from xtoplat import FiniteLattice
 from xtoplat.cli import main
 from xtoplat.formats import dumps, lattice_to_json
-from xtoplat.lattice import lattice_from_poset
 from xtoplat.poset import poset_from_relation
 
 
@@ -36,7 +36,7 @@ def m3_space_json():
         ["bot", "p", "q", "r", "top"],
         [("bot", "p"), ("bot", "q"), ("bot", "r"), ("p", "top"), ("q", "top"), ("r", "top")],
     )
-    return {"lattice": lattice_to_json(lattice_from_poset(P)), "X": ["p", "q", "r"]}
+    return {"lattice": lattice_to_json(FiniteLattice(P)), "X": ["p", "q", "r"]}
 
 
 class TestClassify:
@@ -405,7 +405,6 @@ class TestSpec:
 
         for module, name in (
             (semiring, "radical_lattice"),
-            (semiring, "embedded_spectrum"),
             (semiring, "build_space"),
             (topology, "build_space"),
         ):
@@ -435,8 +434,9 @@ class TestSpec:
         assert run(["spec", "--table", str(path)])[0] == 4
 
     def test_table_file(self, tmp_path):
-        from xtoplat.formats import semiring_to_json
         from xtoplat.semiring import s3
+
+        from .oracles import semiring_to_json
 
         path = tmp_path / "s3.json"
         path.write_text(dumps(semiring_to_json(s3())))

@@ -124,7 +124,7 @@ def test_forest_specs_respect_size_bound():
 
 
 def test_forest_specs_tree_only():
-    specs = forest_specs(9, kinds="T", min_tree_base=2)
+    specs = [spec for spec in forest_specs(9, kinds="T") if ("C", 2) not in spec]
     assert all(kind == "T" and k >= 2 for spec in specs for kind, k in spec)
     assert (("T", 2), ("T", 2)) in specs
     assert (("T", 8),) in specs

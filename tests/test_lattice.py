@@ -5,26 +5,26 @@ import random
 import pytest
 
 from xtoplat import (
-    EmbeddedSubset,
     EmptyPosetError,
+    FiniteLattice,
     NotALatticeError,
     SubsetViolationError,
     UpsetLattice,
     chain,
     dual_tree,
     has_complete_max_property,
-    is_atomic,
-    is_coatomic,
-    is_distributive,
-    lattice_from_poset,
     poset_from_relation,
+    spec_space,
     tree,
     upset_lattice,
 )
-from xtoplat.semiring import bni, embedded_spectrum, spectrum
+from xtoplat.semiring import bni, spectrum
 
 from .oracles import (
     glb_search,
+    is_atomic,
+    is_coatomic,
+    is_distributive,
     lattice_by_search,
     lattice_outcome,
     lub_search,
@@ -43,7 +43,7 @@ def diamond_m3():
 
 class TestLatticeFromPoset:
     def test_chain_is_min_max(self):
-        L = lattice_from_poset(chain(3))
+        L = FiniteLattice(chain(3))
         for a in range(3):
             for b in range(3):
                 assert L.meet(a, b) == min(a, b)
@@ -54,7 +54,7 @@ class TestLatticeFromPoset:
             ["r", "a", "b", "t"],
             [("r", "a"), ("r", "b"), ("a", "t"), ("b", "t")],
         )
-        L = lattice_from_poset(P)
+        L = FiniteLattice(P)
         for x in range(P.n):
             for y in range(P.n):
                 assert L.meet(x, y) == glb_search(P, x, y)
@@ -62,17 +62,17 @@ class TestLatticeFromPoset:
 
     def test_bare_dual_tree_rejected(self):
         with pytest.raises(NotALatticeError) as err:
-            lattice_from_poset(dual_tree(2))
+            FiniteLattice(dual_tree(2))
         assert err.value.kind == "join"
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyPosetError):
-            lattice_from_poset(poset_from_relation([], []))
+            FiniteLattice(poset_from_relation([], []))
 
     def test_tables_match_search_oracle(self, posets_upto_5):
         for P in posets_upto_5:
             try:
-                L = lattice_from_poset(P)
+                L = FiniteLattice(P)
             except NotALatticeError:
                 assert any(
                     glb_search(P, a, b) is None or lub_search(P, a, b) is None
@@ -98,7 +98,7 @@ class TestRowLookupMatchesSearch:
                 copies.append(permuted(P, order))
             for Q in copies:
                 cases += 1
-                assert lattice_outcome(lattice_from_poset, Q) == lattice_outcome(
+                assert lattice_outcome(FiniteLattice, Q) == lattice_outcome(
                     lattice_by_search, Q
                 ), Q
         assert cases == 1620
@@ -130,7 +130,7 @@ class TestUpsetLattice:
     def test_passes_table_search_oracle(self, posets_upto_5):
         for P in posets_upto_5:
             L, _ = upset_lattice(P)
-            rebuilt = lattice_from_poset(L.poset)
+            rebuilt = FiniteLattice(L.poset)
             assert rebuilt.meet_table == L.meet_table
             assert rebuilt.join_table == L.join_table
             # the order: reverse inclusion of the up-sets, found by filtering
@@ -172,12 +172,12 @@ class TestUpsetLattice:
 
 class TestMeetJoinAll:
     def test_empty_meet_is_top(self):
-        L = lattice_from_poset(chain(3))
+        L = FiniteLattice(chain(3))
         assert L.meet_all([]) == L.top
         assert L.join_all([]) == L.bottom
 
     def test_singleton(self):
-        L = lattice_from_poset(chain(3))
+        L = FiniteLattice(chain(3))
         assert L.meet_all([1]) == 1
 
     def test_meet_in_upset_lattice_is_union(self):
@@ -201,61 +201,64 @@ class TestMeetJoinAll:
 
 class TestPredicates:
     def test_chains_are_distributive(self):
-        assert is_distributive(lattice_from_poset(chain(4)))
+        assert is_distributive(FiniteLattice(chain(4)))
 
     def test_m3_is_not_distributive(self):
-        assert not is_distributive(lattice_from_poset(diamond_m3()))
+        assert not is_distributive(FiniteLattice(diamond_m3()))
 
     def test_upset_lattices_are_distributive(self):
         assert is_distributive(upset_lattice(tree(3))[0])
 
     def test_complete_max_property_single_maximal(self):
         L, emb = upset_lattice(chain(2))
-        X = EmbeddedSubset(L, frozenset(emb.values()))
-        assert has_complete_max_property(L, X)
+        assert has_complete_max_property(L, frozenset(emb.values()))
 
     def test_complete_max_property_spec_z12(self):
-        L, X = embedded_spectrum(bni(12, 0))
-        assert has_complete_max_property(L, X)
+        space = spec_space(bni(12, 0))
+        assert has_complete_max_property(space.lattice, space.points)
 
     def test_complete_max_property_on_dual_tree_maxima(self):
         P = dual_tree(2)
         L, emb = upset_lattice(P)
         maxima = frozenset(emb[x] for x in P.maximals())
-        assert has_complete_max_property(L, EmbeddedSubset(L, maxima))
+        assert has_complete_max_property(L, maxima)
 
 
 class TestAtomicCoatomic:
     def test_a_equal_x_is_both(self):
         L, emb = upset_lattice(tree(2))
-        X = EmbeddedSubset(L, frozenset(emb.values()))
-        assert is_atomic(L, X, X.members)
-        assert is_coatomic(L, X, X.members)
+        X = frozenset(emb.values())
+        assert is_atomic(L, X, X)
+        assert is_coatomic(L, X, X)
 
     def test_ideal_lattice_of_s3_is_spec_coatomic(self):
         from xtoplat.semiring import s3
 
-        L, X = embedded_spectrum(s3())
+        space = spec_space(s3())
+        L = space.lattice
         proper = frozenset(range(L.n)) - {L.top}
-        assert is_coatomic(L, X, proper)
+        assert is_coatomic(L, space.points, proper)
 
     def test_element_above_all_of_x_is_not_coatomic(self):
         L, emb = upset_lattice(tree(2))
-        X = EmbeddedSubset(L, frozenset(emb.values()))
-        assert not is_coatomic(L, X, X.members | {L.top})
+        X = frozenset(emb.values())
+        assert not is_coatomic(L, X, X | {L.top})
 
     def test_subset_violation(self):
         L, emb = upset_lattice(tree(2))
-        X = EmbeddedSubset(L, frozenset(emb.values()))
+        X = frozenset(emb.values())
         with pytest.raises(SubsetViolationError):
             is_coatomic(L, X, frozenset({L.bottom}))
 
 
 class TestEmbeddedSubset:
+    """X is a set of element indices, embedded in L \\ {top}: the carrier
+    check rejects the top element."""
+
     def test_top_excluded(self):
         L, _ = upset_lattice(chain(2))
         with pytest.raises(SubsetViolationError):
-            EmbeddedSubset(L, frozenset({L.top}))
+            has_complete_max_property(L, frozenset({L.top}))
 
 
 def test_spectrum_z12_max_are_incomparable():

@@ -25,7 +25,6 @@ from xtoplat.enumeration import forest_specs
 from xtoplat.poset import (
     MAX_POINTS,
     _from_pairs,
-    component_shape,
     has_dual_tree_component,
     is_dual_tree_component,
     is_forest_of_trees,
@@ -34,6 +33,7 @@ from xtoplat.poset import (
 
 from .oracles import (
     chains_ending_at,
+    component_shape,
     fixpoint_from_pairs,
     forest_by_closure,
     longest_chain_length,

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xtoplat import (
+    FiniteLattice,
     cross_check,
     from_poset,
     is_xtop_by_irreducibility,
     is_xtop_by_unions,
     jacobson_and_prime_meets,
-    lattice_from_poset,
     separation_report,
     verify_bni,
 )
@@ -182,14 +182,14 @@ def shuffled_bounded_posets(draw):
 @given(shuffled_bounded_posets())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_row_lookup_matches_the_search(P):
-    assert lattice_outcome(lattice_from_poset, P) == lattice_outcome(lattice_by_search, P)
+    assert lattice_outcome(FiniteLattice, P) == lattice_outcome(lattice_by_search, P)
 
 
 @given(shuffled_bounded_posets(), st.integers(min_value=0, max_value=1 << 16))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_carrier_criteria_agree(P, seed):
     try:
-        L = lattice_from_poset(P)
+        L = FiniteLattice(P)
     except NotALatticeError:
         return
     candidates = [i for i in range(L.n) if i != L.top]

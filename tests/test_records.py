@@ -1,9 +1,9 @@
 """The result records: immutable, compared field by field, and cheap to import.
 
-The value records are ``typing.NamedTuple``s; ``EmbeddedSubset``,
-``XTopSpace`` and ``SuiteResult`` are plain classes.  No module of the
-package imports ``dataclasses``, whose import and per-class code
-generation cost more at start-up than a typical CLI job.
+The value records are ``typing.NamedTuple``s; ``XTopSpace`` and
+``SuiteResult`` are plain classes.  No module of the package imports
+``dataclasses``, whose import and per-class code generation cost more at
+start-up than a typical CLI job.
 """
 
 import io
@@ -16,22 +16,26 @@ import pytest
 
 import xtoplat
 from xtoplat import (
-    EmbeddedSubset,
     SeparationReport,
     SpectrumReport,
     SubsetViolationError,
     XTopSpace,
     bni,
+    build_space,
+    covariety,
     cross_check,
     forest,
     from_poset,
+    has_complete_max_property,
     ideals,
+    is_xtop_by_irreducibility,
+    is_xtop_by_unions,
     jacobson_and_prime_meets,
     radical_info,
     report_and_points,
-    special_sets,
     spectrum,
     upset_lattice,
+    variety,
     verify_bni,
 )
 from xtoplat import cli
@@ -108,13 +112,11 @@ def _frozen_records():
     R = bni(6, 2)
     return [
         points[0],
-        special_sets(space),
         report,
         jacobson_and_prime_meets(space),
         cross_check(space)[0],
         radical_info(space.lattice, space.points),
         space,
-        EmbeddedSubset(space.lattice, space.points),
         R,
         spectrum(R),
         verify_bni(6, 2),
@@ -135,13 +137,6 @@ def test_records_reject_attribute_assignment(record):
 
 
 def test_plain_records_compare_and_hash_by_fields():
-    L, emb = upset_lattice(forest([("V", 2)]))
-    members = frozenset(emb.values())
-    X, Y = EmbeddedSubset(L, members), EmbeddedSubset(L, frozenset(sorted(members)))
-    assert X.members is not Y.members
-    assert X == Y and hash(X) == hash(Y)
-    assert X != EmbeddedSubset(L, frozenset())
-    assert X != (L, members)
     P = forest([("T", 2), ("C", 2)])
     first, second = from_poset(P), from_poset(P)
     assert first is not second and first == second and hash(first) == hash(second)
@@ -161,14 +156,17 @@ def test_suite_result_is_mutable_and_compared_by_fields():
 
 
 class TestEmbeddedSubsetValidates:
+    """X, the subset embedded in L \\ {top}, is a set of element indices,
+    and every public entry that takes it runs the one carrier check."""
+
     L, _ = upset_lattice(forest([("T", 2)]))
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda L, m: EmbeddedSubset(L, m),
-            lambda L, m: EmbeddedSubset(lattice=L, members=m),
-            lambda L, m: EmbeddedSubset(members=m, lattice=L),
+            lambda L, m: build_space(L, m),
+            lambda L, m: build_space(L=L, X=m),
+            lambda L, m: build_space(X=m, L=L),
         ],
         ids=["positional", "keywords", "keywords-reversed"],
     )
@@ -180,10 +178,37 @@ class TestEmbeddedSubsetValidates:
             with pytest.raises(IndexError):
                 make(L, frozenset({bad}))
 
-    def test_no_copying_constructor_skips_the_check(self):
-        # the constructor is the only path: no _replace or _make to bypass it
-        for name in ("_replace", "_make", "__replace__"):
-            assert not hasattr(EmbeddedSubset, name)
+    @pytest.mark.parametrize(
+        "entry, out_of_range",
+        [
+            (build_space, IndexError),
+            (radical_info, IndexError),
+            (is_xtop_by_unions, IndexError),
+            (is_xtop_by_irreducibility, IndexError),
+            (has_complete_max_property, IndexError),
+            (lambda L, X: variety(L, X, L.bottom), IndexError),
+            (lambda L, X: covariety(L, X, L.bottom), IndexError),
+            # a subspace's Y must lie inside X, which holds neither
+            (lambda L, X: build_space(L, {L.bottom}).subspace(X), SubsetViolationError),
+        ],
+        ids=[
+            "build_space",
+            "radical_info",
+            "is_xtop_by_unions",
+            "is_xtop_by_irreducibility",
+            "has_complete_max_property",
+            "variety",
+            "covariety",
+            "XTopSpace.subspace",
+        ],
+    )
+    def test_every_entry_rejects_top_and_out_of_range(self, entry, out_of_range):
+        L = self.L
+        with pytest.raises(SubsetViolationError):
+            entry(L, frozenset({L.bottom, L.top}))
+        for bad in (L.n, -1):
+            with pytest.raises(out_of_range):
+                entry(L, frozenset({bad}))
 
 
 def test_report_to_json_key_order():

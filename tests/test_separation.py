@@ -7,13 +7,14 @@ is exercised exhaustively in test_acceptance.py; this module pins the
 concrete examples.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from xtoplat import (
     antichain,
     chain,
     classify_points,
-    components,
     cross_check,
     dual_tree,
     forest,
@@ -21,12 +22,11 @@ from xtoplat import (
     jacobson_and_prime_meets,
     report_and_points,
     separation_report,
-    special_sets,
     tree,
 )
 from xtoplat.enumeration import forest_specs
 from xtoplat.errors import CycleError, XtoplatError
-from xtoplat.lattice import EmbeddedSubset, has_complete_max_property
+from xtoplat.lattice import has_complete_max_property
 from xtoplat.semiring import bni, s3, spec_space
 from xtoplat.topology import XTopSpace, build_space, is_xtop_by_unions, radical_info
 
@@ -56,6 +56,28 @@ from .oracles import (
 )
 
 
+def point_classes(space):
+    """Min(X), Max(X), RO and Excl as sets of points: the is_min, is_max,
+    is_regular_open and is_excluded columns of ``classify_points``."""
+    rows = list(zip(space.sorted_points(), classify_points(space)))
+
+    def column(name):
+        return frozenset(x for x, p in rows if getattr(p, name))
+
+    return SimpleNamespace(
+        min=column("is_min"),
+        max=column("is_max"),
+        ro=column("is_regular_open"),
+        excl=column("is_excluded"),
+    )
+
+
+def component_points(space, parts):
+    """The report's component label tuples as sets of points."""
+    point = {space.label(x): x for x in space.points}
+    return [frozenset(point[label] for label in part) for part in parts]
+
+
 @pytest.fixture(scope="module")
 def carriers_and_forests(lattices_upto_5):
     """Every X-top (L, X) with |L| <= 5 (89 spaces, 11 not T_F) and every
@@ -72,13 +94,13 @@ def carriers_and_forests(lattices_upto_5):
 class TestSpecialSets:
     def test_t2_t3_forest(self):
         space = from_poset(forest([("T", 2), ("T", 3)]))
-        s = special_sets(space)
+        s = point_classes(space)
         assert s.min == s.ro == isolated_points(space) and len(s.min) == 5
         assert closed_points(space) == s.max and len(s.max) == 2
 
     def test_spec_s3(self):
         space = spec_space(s3())
-        s = special_sets(space)
+        s = point_classes(space)
         zero = next(x for x in space.points if space.label(x) == "{0}")
         maximal = next(x for x in space.points if space.label(x) == "{0,a}")
         assert isolated_points(space) == s.min == frozenset({zero})
@@ -164,7 +186,7 @@ class TestSeparationReport:
             assert r.sober == naive_sober(space)
             assert r.quasi_hausdorff == naive_quasi_hausdorff(space)
             # the point classes and partitions read off the order
-            s = special_sets(space)
+            s = point_classes(space)
             X = space.points
             assert closed_points(space) == s.max
             assert isolated_points(space) == s.min
@@ -174,7 +196,7 @@ class TestSeparationReport:
                 if naive_interior(space, naive_closure(space, frozenset({x}))) == {x}
             }
             quasi = set(naive_quasicomponents(space).values())
-            assert set(components(space)[1]) == quasi
+            assert set(component_points(space, r.components)) == quasi
             assert {frozenset(part) for part in r.quasicomponents} == {
                 frozenset(space.labels_of(Q)) for Q in quasi
             }
@@ -185,9 +207,7 @@ class TestSeparationReport:
             # set of maximal proper radicals
             L = space.lattice
             carrier = radical_info(L, X).radical_elements - {L.top}
-            assert r.complete_max_property == has_complete_max_property(
-                L, EmbeddedSubset(L, carrier)
-            )
+            assert r.complete_max_property == has_complete_max_property(L, carrier)
 
     def test_report_serializes(self):
         d = separation_report(from_poset(tree(2))).to_dict()
@@ -237,7 +257,7 @@ class TestOrderLemmas:
         for space in lattice_spaces:
             o = lattice_point_classes(space)
             X = space.points
-            s = special_sets(space)
+            s = point_classes(space)
             assert (s.min, s.max, s.excl) == (o["min"], o["max"], o["excl"])
             # SI = CSI = X, AMin = Min and BMax = Max
             assert (o["si"], o["csi"], o["amin"], o["bmax"]) == (X, X, s.min, s.max)
@@ -308,25 +328,23 @@ class TestOrderLemmas:
 class TestComponents:
     def test_irreducible_space_has_one_component(self):
         space = from_poset(dual_tree(3))
-        comps, quasis = components(space)
+        comps = component_points(space, separation_report(space).components)
         assert len(comps) == 1 and comps[0] == space.points
 
     def test_forest_components_match_order_components(self):
-        space = from_poset(forest([("T", 2), ("T", 3)]))
-        comps, quasis = components(space)
-        assert len(comps) == 2 and len(quasis) == 2
+        r = separation_report(from_poset(forest([("T", 2), ("T", 3)])))
+        assert len(r.components) == 2 and len(r.quasicomponents) == 2
 
     def test_discrete_three_points(self):
-        space = from_poset(antichain(3))
-        comps, quasis = components(space)
-        assert len(comps) == 3 and len(quasis) == 3
+        r = separation_report(from_poset(antichain(3)))
+        assert len(r.components) == 3 and len(r.quasicomponents) == 3
 
     def test_matches_naive_union_of_connected_sets(
         self, posets_upto_5, carriers_and_forests
     ):
         small = [from_poset(P) for P in posets_upto_5 if P.n <= 4]
         for space in small + carriers_and_forests:
-            comps, _ = components(space)
+            comps = component_points(space, separation_report(space).components)
             by_point = naive_components(space)
             for part in comps:
                 for x in part:
@@ -571,8 +589,7 @@ class TestLongChainCarriers:
         assert r.kdim == 15
         assert r.t0 and not r.t_quarter and not r.tf
         assert leq_completely_strongly_irreducible(space) == space.points
-        comps, quasis = components(space)
-        assert len(comps) == 1 and len(quasis) == 1
+        assert len(r.components) == 1 and len(r.quasicomponents) == 1
         for result in cross_check(space):
             assert result.holds, (result.check_id, result.witness)
 
@@ -580,7 +597,6 @@ class TestLongChainCarriers:
         space = from_poset(forest([("C", 8), ("C", 8)]))
         r = separation_report(space)
         assert r.kdim == 7 and not r.connected
-        comps, _ = components(space)
-        assert len(comps) == 2
+        assert len(r.components) == 2
         for result in cross_check(space):
             assert result.holds, (result.check_id, result.witness)

@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import xtoplat
@@ -59,7 +60,7 @@ def test_separation_reads_families_only_to_check_them():
     # variety masks are read once to check that each Ker(x) is open, and
     # cross_check's sides (_Sides) read them for the definitional side.
     # No frozenset family or variety of a space is read at all.  The
-    # lattice is read only for the prime meets and by cross_check.
+    # lattice is read only by cross_check.
     path = Path(xtoplat.__file__).parent / "separation.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     owner = _owners(tree)
@@ -87,7 +88,6 @@ def test_separation_reads_families_only_to_check_them():
         if isinstance(node, ast.Attribute)
         and node.attr == "lattice"
         and not outside(node, "_report", "_points", "_Analysis")
-        and outside(node, "_Analysis.prime_meets")
     ]
     assert family_reads == [] and radical_calls == [] and lattice_reads == []
 
@@ -111,8 +111,8 @@ def test_only_the_printers_read_the_frozenset_views():
 
 def test_cross_check_sides_are_masks():
     # _Sides holds every point set as a mask over lattice indices, like
-    # the space's variety_masks: it builds no frozenset and reads neither
-    # SpecialSets nor a frozenset view of a mask
+    # the space's variety_masks: it builds no frozenset and reads no
+    # frozenset view of a mask
     path = Path(xtoplat.__file__).parent / "separation.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     owner = _owners(tree)
@@ -125,8 +125,32 @@ def test_cross_check_sides_are_masks():
         f"{owner[node]}:{node.lineno}"
         for node in sides
         if isinstance(node, ast.Name)
-        and node.id in ("frozenset", "special_sets", "SpecialSets")
+        and node.id == "frozenset"
         or isinstance(node, ast.Attribute)
         and node.attr in ("special", "unmask")
     ]
     assert sides and found == []
+
+
+def test_every_public_name_is_read_or_documented():
+    # the public surface is what the library itself reads (the CLI, the
+    # report and the suites) plus what README.md documents in a code span;
+    # a name read only inside its own definition does not count
+    package = Path(xtoplat.__file__).parent
+    read: set[str] = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name not in owner.get(node, "").split("."):
+                read.add(name)
+    readme = (package.parent.parent / "README.md").read_text(encoding="utf-8")
+    spans = " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))
+    documented = set(re.findall(r"\w+", spans))
+    assert sorted(set(xtoplat.__all__) - read - documented) == []

@@ -13,6 +13,7 @@ import pytest
 
 from xtoplat import (
     EmptyPosetError,
+    FiniteLattice,
     NotXTopError,
     SubsetViolationError,
     antichain,
@@ -24,7 +25,6 @@ from xtoplat import (
     from_poset,
     is_xtop_by_irreducibility,
     is_xtop_by_unions,
-    lattice_from_poset,
     poset_from_relation,
     radical_info,
     tree,
@@ -35,7 +35,14 @@ from xtoplat.enumeration import all_lattices_upto
 from xtoplat.semiring import bni, s3, spec_space
 from xtoplat.separation import cross_check, report_and_points
 
-from .oracles import eager_views, naive_closure, naive_interior, naive_kernel, subsets
+from .oracles import (
+    eager_views,
+    minimals_of,
+    naive_closure,
+    naive_interior,
+    naive_kernel,
+    subsets,
+)
 
 
 def m3_lattice():
@@ -43,7 +50,7 @@ def m3_lattice():
         ["bot", "p", "q", "r", "top"],
         [("bot", "p"), ("bot", "q"), ("bot", "r"), ("p", "top"), ("q", "top"), ("r", "top")],
     )
-    return lattice_from_poset(P)
+    return FiniteLattice(P)
 
 
 class TestVariety:
@@ -140,10 +147,8 @@ class TestCarrierCriteria:
             assert is_xtop_by_unions(L, frozenset(emb.values()))
 
     def test_spec_s3_passes(self):
-        from xtoplat.semiring import embedded_spectrum
-
-        L, X = embedded_spectrum(s3())
-        assert is_xtop_by_irreducibility(L, X)
+        space = spec_space(s3())
+        assert is_xtop_by_irreducibility(space.lattice, space.points)
 
     def test_build_space_rejects_m3_middles_with_witness(self):
         L = m3_lattice()
@@ -176,7 +181,7 @@ class TestBuildSpace:
             }
             assert set(space.closed_family) == expected
             # the mask route against build_space over the tabled lattice
-            reference = build_space(lattice_from_poset(L.poset), frozenset(emb.values()))
+            reference = build_space(FiniteLattice(L.poset), frozenset(emb.values()))
             assert space.points == reference.points
             assert space.varieties == reference.varieties
             assert space.closed_family == reference.closed_family
@@ -438,10 +443,10 @@ class TestMaskCriteria:
         for P in posets_upto_5:
             space = from_poset(P)
             L, X = space.lattice, space.points
-            for Y in (X, L.maximals_of(X), L.minimals_of(X)):
+            for Y in (X, L.maximals_of(X), minimals_of(L, X)):
                 assert self.agree(L, Y)
             # the mask storage reads the same varieties as the order rows
-            assert L.variety_masks(X) == lattice_from_poset(L.poset).variety_masks(X)
+            assert L.variety_masks(X) == FiniteLattice(L.poset).variety_masks(X)
 
     def test_every_candidate_over_small_upset_lattices(self, posets_upto_5):
         verdicts = []
