@@ -102,51 +102,42 @@ _SPECTRUM_FLAGS = [
     "is_pbmax",
 ]
 
-_POINT_COLUMNS = [
-    ("closed", "is_closed"),
-    ("kerneled", "is_kerneled"),
-    ("isolated", "is_isolated"),
-    ("reg.open", "is_regular_open"),
-    ("excluded", "is_excluded"),
-    ("min", "is_min"),
-    ("max", "is_max"),
-    ("SI", "in_SI"),
-    ("CSI", "in_CSI"),
-    ("abs.min", "is_abs_min"),
-    ("barely.max", "is_barely_max"),
-]
+# the headers of PointClassification's columns after the label, in field order
+_POINT_COLUMNS = (
+    "closed kerneled isolated reg.open excluded min max SI CSI abs.min barely.max"
+).split()
+
+# each column's cell for a false and a true flag, padded to its header
+_POINT_CELLS = [("no".ljust(len(name)), "yes".ljust(len(name))) for name in _POINT_COLUMNS]
 
 
 def _yes(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _render_separation(
-    report: SeparationReport, points: tuple[PointClassification, ...], out
-) -> None:
-    print(f"points ({len(points)}): " + " ".join(p.label for p in points), file=out)
-    print(f"K.dim: {report.kdim}", file=out)
-    for name in _BOOL_FIELDS:
-        print(f"{name}: {_yes(getattr(report, name))}", file=out)
-    print(
-        "components: " + " | ".join(",".join(part) for part in report.components),
-        file=out,
-    )
-    print(
-        "quasicomponents: "
-        + " | ".join(",".join(part) for part in report.quasicomponents),
-        file=out,
-    )
+def _write_lines(out, lines: list[str]) -> None:
+    """The lines, each ended by a newline, in one write."""
+    out.write("\n".join(lines) + "\n")
+
+
+def _separation_lines(
+    report: SeparationReport, points: tuple[PointClassification, ...]
+) -> list[str]:
+    lines = [
+        f"points ({len(points)}): " + " ".join(p.label for p in points),
+        f"K.dim: {report.kdim}",
+    ]
+    lines += [f"{name}: {_yes(getattr(report, name))}" for name in _BOOL_FIELDS]
+    lines.append("components: " + " | ".join(map(",".join, report.components)))
+    lines.append("quasicomponents: " + " | ".join(map(",".join, report.quasicomponents)))
     if points:
         width = max(len(p.label) for p in points)
-        header = " ".join(name for name, _ in _POINT_COLUMNS)
-        print(f"{'point'.ljust(width)} {header}", file=out)
-        for p in points:
-            row = " ".join(
-                _yes(getattr(p, attr)).ljust(len(name))
-                for name, attr in _POINT_COLUMNS
-            )
-            print(f"{p.label.ljust(width)} {row}", file=out)
+        lines.append(f"{'point'.ljust(width)} {' '.join(_POINT_COLUMNS)}")
+        lines += [
+            f"{p.label.ljust(width)} {' '.join(map(tuple.__getitem__, _POINT_CELLS, p[1:]))}"
+            for p in points
+        ]
+    return lines
 
 
 def _load_json_file(path: str) -> dict:
@@ -186,7 +177,7 @@ def _cmd_classify(args, out) -> int:
     if args.json:
         print(dumps(report_to_json(report, points)), file=out)
     else:
-        _render_separation(report, points, out)
+        _write_lines(out, _separation_lines(report, points))
     return 0
 
 
@@ -225,19 +216,27 @@ def _cmd_spec(args, out) -> int:
         }
         print(dumps(payload), file=out)
         return 0
-    print(f"semiring on {R.n} elements: " + " ".join(R.labels), file=out)
-    print(f"ideals ({len(all_ideals)}): " + " ".join("{" + ",".join(label_set(I)) + "}" for I in all_ideals), file=out)
-    print("Spec: " + " ".join("{" + ",".join(label_set(I)) + "}" for I in report.spec), file=out)
-    print("Max: " + " ".join("{" + ",".join(label_set(I)) + "}" for I in report.max), file=out)
-    print("Min: " + " ".join("{" + ",".join(label_set(I)) + "}" for I in report.min_primes), file=out)
-    print("jacobson: {" + ",".join(label_set(report.jacobson)) + "}", file=out)
-    print("nilradical: {" + ",".join(label_set(report.nilradical)) + "}", file=out)
-    print(f"K.dim(R): {report.kdim}", file=out)
-    for name in _SPECTRUM_FLAGS:
-        print(f"{name}: {_yes(getattr(report, name))}", file=out)
-    print(f"topology opens ({args.subspace}): " + " ".join("{" + ",".join(U) + "}" for U in opens), file=out)
-    print(f"-- separation report for Spec(R) subspace '{args.subspace}' --", file=out)
-    _render_separation(*separation, out)
+
+    def braced(members) -> str:
+        return "{" + ",".join(label_set(members)) + "}"
+
+    lines = [
+        f"semiring on {R.n} elements: " + " ".join(R.labels),
+        f"ideals ({len(all_ideals)}): " + " ".join(map(braced, all_ideals)),
+        "Spec: " + " ".join(map(braced, report.spec)),
+        "Max: " + " ".join(map(braced, report.max)),
+        "Min: " + " ".join(map(braced, report.min_primes)),
+        "jacobson: " + braced(report.jacobson),
+        "nilradical: " + braced(report.nilradical),
+        f"K.dim(R): {report.kdim}",
+    ]
+    lines += [f"{name}: {_yes(getattr(report, name))}" for name in _SPECTRUM_FLAGS]
+    lines.append(
+        f"topology opens ({args.subspace}): "
+        + " ".join("{" + ",".join(U) + "}" for U in opens)
+    )
+    lines.append(f"-- separation report for Spec(R) subspace '{args.subspace}' --")
+    _write_lines(out, lines + _separation_lines(*separation))
     return 0
 
 
@@ -259,10 +258,11 @@ def _cmd_verify(args, out) -> int:
         ]
         print(dumps(payload), file=out)
     else:
+        lines = []
         for r in results:
-            print(r.summary(), file=out)
-            for failure in r.failures:
-                print(f"  {failure}", file=out)
+            lines.append(r.summary())
+            lines += (f"  {failure}" for failure in r.failures)
+        _write_lines(out, lines)
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -272,7 +272,7 @@ def _cmd_export(args, out) -> int:
     else:
         source = _source_from_args(args)
     if args.format == "dot":
-        print(space_to_dot(source, annotate_closed=args.closed_sets), end="", file=out)
+        out.write(space_to_dot(source, annotate_closed=args.closed_sets))
     else:
         space = from_poset(source) if isinstance(source, FinitePoset) else source
         print(dumps(space_to_json(space)), file=out)

@@ -173,7 +173,7 @@ def all_lattices(n: int) -> tuple[FiniteLattice, ...]:
     top = 1 << (n - 1)
     above_bottom = (top << 1) - 2
     inner = [
-        [P.up_mask(i) & ~(1 << i) for i in range(P.n)] for P in all_posets(n - 2)
+        [row & ~(1 << i) for i, row in enumerate(P.up_rows())] for P in all_posets(n - 2)
     ] or [[]]  # n = 2: the empty P
     out = []
     for P_rows in inner:

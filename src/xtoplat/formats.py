@@ -12,6 +12,9 @@ Formats (all label-based, order-independent on load, byte-stable on dump):
 * space:    {"lattice": ..., "X": [labels], "closed_sets": [[labels], ...]};
   closed_sets are recomputed on load and verified when present.
 
+Each loader refuses a top-level key its format does not name.  ``dumps``
+writes the bytes of ``json.dumps(data, indent=2, ensure_ascii=False)``.
+
 DOT output draws the Hasse diagram: cover edges only, oriented from the
 smaller to the larger element, minimal elements on the bottom rank.
 """
@@ -19,6 +22,7 @@ smaller to the larger element, minimal elements on the bottom rank.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _string
 from typing import Any
 
 from .errors import RangeError
@@ -62,6 +66,11 @@ def poset_to_json(P: FinitePoset) -> dict[str, Any]:
 
 
 def poset_from_json(data: dict[str, Any]) -> FinitePoset:
+    _refuse_unknown_keys(data, "poset", ("labels", "leq"))
+    return _poset(data)
+
+
+def _poset(data: dict[str, Any]) -> FinitePoset:
     if not isinstance(data, dict) or "labels" not in data:
         raise ValueError("poset JSON needs a 'labels' field")
     labels = data["labels"]
@@ -77,6 +86,18 @@ def poset_from_json(data: dict[str, Any]) -> FinitePoset:
 
 def _is_label_list(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(name, str) for name in value)
+
+
+def _refuse_unknown_keys(data: Any, kind: str, accepted: tuple[str, ...]) -> None:
+    """A misspelt optional field would otherwise be ignored: a poset whose
+    ``leq`` is spelt ``relations`` would load as an antichain."""
+    if isinstance(data, dict):
+        unknown = [key for key in data if key not in accepted]
+        if unknown:
+            raise ValueError(
+                f"{kind} JSON has unknown key {unknown[0]!r}; the keys are "
+                + ", ".join(map(repr, accepted))
+            )
 
 
 # -- lattices -----------------------------------------------------------------
@@ -108,7 +129,8 @@ def lattice_to_json(L: FiniteLattice) -> dict[str, Any]:
 
 
 def lattice_from_json(data: dict[str, Any]) -> FiniteLattice:
-    P = poset_from_json(data)
+    _refuse_unknown_keys(data, "lattice", ("labels", "leq", "meet", "join"))
+    P = _poset(data)
     derived = FiniteLattice(P)
     for key in ("meet", "join"):
         if key in data:
@@ -132,9 +154,11 @@ def lattice_from_json(data: dict[str, Any]) -> FiniteLattice:
 
 
 def semiring_from_json(data: dict[str, Any]) -> FiniteSemiring:
-    for key in ("labels", "add", "mul", "zero", "one"):
+    fields = ("labels", "add", "mul", "zero", "one")
+    for key in fields:
         if not isinstance(data, dict) or key not in data:
             raise ValueError(f"semiring JSON needs a {key!r} field")
+    _refuse_unknown_keys(data, "semiring", fields)
     if not _is_label_list(data["labels"]):
         raise ValueError("'labels' must be a list of strings")
     for key in ("add", "mul"):
@@ -160,6 +184,7 @@ def space_to_json(space: XTopSpace) -> dict[str, Any]:
 def space_from_json(data: dict[str, Any]) -> XTopSpace:
     if not isinstance(data, dict) or "lattice" not in data or "X" not in data:
         raise ValueError("space JSON needs 'lattice' and 'X' fields")
+    _refuse_unknown_keys(data, "space", ("lattice", "X", "closed_sets"))
     L = lattice_from_json(data["lattice"])
     X = data["X"]
     if not _is_label_list(X):
@@ -195,8 +220,74 @@ def report_to_json(
 
 
 def dumps(data: Any) -> str:
-    """Stable JSON text: fixed key order as constructed, no trailing spaces."""
-    return json.dumps(data, indent=2, ensure_ascii=False)
+    """The bytes of ``json.dumps(data, indent=2, ensure_ascii=False)``.
+
+    With ``indent`` set, ``json`` encodes in pure Python, one generator
+    step per token.  Here each container is one ``"".join`` of its items
+    (a list of strings one C-level join), and strings go through the C
+    ``encode_basestring`` that ``json`` uses itself.  A value ``json``
+    refuses raises :class:`TypeError`, and so does a dict key that is not
+    a ``str``, which ``json`` would convert.
+    """
+    return _value(data, "\n")
+
+
+# the text of each scalar type by exact type; subclasses take _value's
+# isinstance chain, in the order json's own encoder tests them
+_SCALARS = {
+    str: _string,
+    bool: ("false", "true").__getitem__,
+    int: int.__repr__,
+    float: json.dumps,  # NaN and ±Infinity as json spells them
+    type(None): lambda _: "null",
+}
+
+
+def _value(value: Any, newline: str) -> str:
+    """``value`` as JSON text, its nested lines indented past ``newline``."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return _array(value, newline)
+    if isinstance(value, dict):
+        return _object(value, newline)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _array(items: list | tuple, newline: str) -> str:
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    separator = "," + inner
+    if type(items[0]) is str:
+        try:
+            return "".join(("[", inner, separator.join(map(_string, items)), newline, "]"))
+        except TypeError:  # not all strings after all
+            pass
+    body = separator.join([_value(item, inner) for item in items])
+    return "".join(("[", inner, body, newline, "]"))
+
+
+def _object(mapping: dict, newline: str) -> str:
+    if not mapping:
+        return "{}"
+    inner = newline + "  "
+    separator = "," + inner
+    parts = ["{", inner]
+    for key, item in mapping.items():
+        scalar = _SCALARS.get(type(item))
+        text = scalar(item) if scalar is not None else _value(item, inner)
+        # _string refuses a key that is not a str with TypeError
+        parts += (_string(key), ": ", text, separator)
+    parts[-1] = newline + "}"
+    return "".join(parts)
 
 
 # -- DOT --------------------------------------------------------------------------
@@ -237,7 +328,8 @@ def space_to_dot(source: XTopSpace | FinitePoset, annotate_closed: bool = False)
     """
     if isinstance(source, FinitePoset) and not annotate_closed:
         order, position = _in_upset_order(source)
-        rows = [_mask(position[y] for y in _bits(source.up_mask(x))) for x in order]
+        up = source.up_rows()
+        rows = [_mask(position[y] for y in _bits(up[x])) for x in order]
         return poset_to_dot(FinitePoset([source.labels[x] for x in order], rows))
     space = from_poset(source) if isinstance(source, FinitePoset) else source
     closed = tuple(map(space.labels_of, space.closed_family)) if annotate_closed else None

@@ -216,7 +216,7 @@ class UpsetLattice(FiniteLattice):
     def _verify(self) -> None:
         """The masks are exactly the up-sets (see the module docstring)."""
         P = self.ground
-        up = [P.up_mask(x) for x in range(P.n)]
+        up = P.up_rows()
         down = P.down_rows()
         full = (1 << P.n) - 1
         position = self._position

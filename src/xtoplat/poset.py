@@ -172,6 +172,10 @@ class FinitePoset:
         self._check(i)
         return self._up[i]
 
+    def up_rows(self) -> tuple[int, ...]:
+        """The relation by rows: bit j of row i is set iff i <= j."""
+        return self._up
+
     def down_rows(self) -> tuple[int, ...]:
         """Transpose of the relation: bit i of row j is set iff i <= j."""
         if self._down is None:

@@ -310,8 +310,10 @@ def _in_upset_order(P: FinitePoset) -> tuple[list[int], dict[int, int]]:
     """
     if P.n == 0:
         raise EmptyPosetError("from_poset needs at least one element")
-    order = sorted(range(P.n), key=lambda x: (P.up_mask(x).bit_count(), P.up_mask(x)))
-    return order, {x: k for k, x in enumerate(order)}
+    up = P.up_rows()
+    # the up rows are distinct, so the sort never compares the indices
+    order = [x for _, _, x in sorted(zip(map(int.bit_count, up), up, range(P.n)))]
+    return order, dict(zip(order, range(P.n)))
 
 
 def classify_points(source: XTopSpace | FinitePoset) -> tuple[PointClassification, ...]:
@@ -321,28 +323,18 @@ def classify_points(source: XTopSpace | FinitePoset) -> tuple[PointClassificatio
 
 
 def _points(a: _Analysis) -> tuple[PointClassification, ...]:
-    # closed points are Max; kerneled and isolated points are both Min
-    masks = {
-        "is_closed": a.max_mask,
-        "is_kerneled": a.min_mask,
-        "is_isolated": a.min_mask,
-        "is_regular_open": a.ro_mask,
-        "is_excluded": a.excl_mask,
-        "is_min": a.min_mask,
-        "is_max": a.max_mask,
-        # SI = CSI = X, AMin = Min and BMax = Max (module docstring)
-        "in_SI": a.full,
-        "in_CSI": a.full,
-        "is_abs_min": a.min_mask,
-        "is_barely_max": a.max_mask,
-    }
+    def column(mask: int) -> list[bool]:
+        return [mask >> k & 1 == 1 for k in a.order]
+
+    closed, minimal = column(a.max_mask), column(a.min_mask)
+    everywhere = [True] * a.n
     labels = a.spec_poset.labels
-    return tuple(
-        PointClassification(
-            labels[k], **{name: mask >> k & 1 == 1 for name, mask in masks.items()}
-        )
-        for k in a.order
-    )
+    # the columns in field order: closed points are Max; kerneled and
+    # isolated points are both Min; SI = CSI = X, AMin = Min and BMax = Max
+    # (module docstring)
+    columns = (closed, minimal, minimal, column(a.ro_mask), column(a.excl_mask),
+               minimal, closed, everywhere, everywhere, minimal, closed)
+    return tuple(map(PointClassification, [labels[k] for k in a.order], *columns))
 
 
 def jacobson_and_prime_meets(space: XTopSpace) -> PrimeMeets:

@@ -188,6 +188,29 @@ class TestClassify:
                 },
                 "'closed_sets' must be a list of label lists",
             ),
+            (
+                # a misspelt optional field once loaded as a 2-point antichain
+                "--poset",
+                {"labels": ["a", "b"], "relations": [["a", "b"]]},
+                "poset JSON has unknown key 'relations'; the keys are 'labels', 'leq'",
+            ),
+            (
+                # a poset file takes no tables, which only the lattice format names
+                "--poset",
+                {"labels": ["a"], "meet": [["a"]]},
+                "poset JSON has unknown key 'meet'; the keys are 'labels', 'leq'",
+            ),
+            (
+                "--space",
+                {"lattice": {"labels": ["a"], "leq": [], "order": []}, "X": []},
+                "lattice JSON has unknown key 'order'; "
+                "the keys are 'labels', 'leq', 'meet', 'join'",
+            ),
+            (
+                "--space",
+                {"lattice": {"labels": ["a", "b"], "leq": [["a", "b"]]}, "X": ["a"], "closed": []},
+                "space JSON has unknown key 'closed'; the keys are 'lattice', 'X', 'closed_sets'",
+            ),
         ],
     )
     def test_malformed_labels_exit_2(self, tmp_path, capsys, source, data, message):
@@ -468,6 +491,12 @@ class TestSpec:
             ("add", 5, "'add' must be a list of rows, each a list of elements"),
             ("labels", "01", "'labels' must be a list of strings"),
             ("mul", [[0, 0], "01"], "'mul' must be a list of rows, each a list of elements"),
+            (
+                "units",
+                [],
+                "semiring JSON has unknown key 'units'; "
+                "the keys are 'labels', 'add', 'mul', 'zero', 'one'",
+            ),
         ],
     )
     def test_malformed_table_exit_2(self, tmp_path, capsys, field, value, message):
@@ -477,6 +506,58 @@ class TestSpec:
         code, text = run(["spec", "--table", str(path)])
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_one_point_column_per_flag():
+    from xtoplat.cli import _POINT_COLUMNS
+    from xtoplat.separation import PointClassification
+
+    assert len(_POINT_COLUMNS) == len(PointClassification._fields) - 1
+
+
+class TestJsonOutput:
+    """Each ``--json`` command prints ``json.dumps(payload, indent=2,
+    ensure_ascii=False)`` of the payload it builds, and a newline."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--forest", "T3+V2+C4", "--json"],
+            ["classify", "--chain", "1", "--json"],
+            *(
+                ["spec", *source, "--subspace", which, "--json"]
+                for source in (["--bni", "12", "0"], ["--bni", "6", "3"], ["--s3"])
+                for which in ("all", "max", "min", "drop-zero")
+            ),
+            ["verify", "all", "--max-size", "3", "--max-n", "4", "--json"],
+            ["export", "--forest", "T2+V2", "--format", "json"],
+            ["export", "--bni", "12", "0", "--format", "json"],
+        ],
+    )
+    def test_stdout_is_json_dumps_of_the_payload(self, monkeypatch, argv):
+        from xtoplat import cli
+
+        payloads = []
+
+        def recording(data):
+            payloads.append(data)
+            return dumps(data)
+
+        monkeypatch.setattr(cli, "dumps", recording)
+        code, text = run(argv)
+        assert code == 0 and len(payloads) == 1
+        assert text == json.dumps(payloads[0], indent=2, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--forest", "T2+V3"], ["--chain", "4"], ["--bni", "12", "0"], ["--s3"]],
+    )
+    def test_every_export_reads_back_as_a_space(self, tmp_path, source):
+        code, text = run(["export", *source, "--format", "json"])
+        assert code == 0
+        path = tmp_path / "space.json"
+        path.write_text(text, encoding="utf-8")
+        assert run(["classify", "--space", str(path)])[0] == 0
 
 
 class TestVerify:
@@ -512,9 +593,9 @@ class TestVerify:
         analysed = []
         init = separation._Analysis.__init__
 
-        def counting(self, source):
+        def counting(self, source, *args, **kwargs):
             analysed.append(source)
-            init(self, source)
+            init(self, source, *args, **kwargs)
 
         monkeypatch.setattr(separation._Analysis, "__init__", counting)
         code, text = run(["verify", "forest", "--max-size", "4", "--json"])
@@ -711,6 +792,39 @@ class TestVerifyFailurePath:
         code, text = run(["verify", "xct"])
         assert code == 1
         assert "FAIL" in text and "instance: check [w]" in text
+
+    def test_a_sweep_names_only_the_instances_that_fail(self, monkeypatch):
+        from xtoplat import verify
+        from xtoplat.poset import FinitePoset
+        from xtoplat.separation import CheckResult
+
+        expected = run(["verify", "quarter", "--max-size", "4"])
+        named = []
+        covers = FinitePoset.covers
+
+        def counting(P):
+            named.append(P)
+            return covers(P)
+
+        monkeypatch.setattr(FinitePoset, "covers", counting)
+        assert run(["verify", "quarter", "--max-size", "4"]) == expected
+        assert named == []
+        # one failing check on the 3-chain, the only 3-point poset of height 2
+        cross_check = verify.cross_check
+
+        def failing(space, selected):
+            results = cross_check(space, selected)
+            if space.n_points == 3 and space.lattice.n == 4:
+                results = (CheckResult("planted", False, "w"), *results[1:])
+            return results
+
+        monkeypatch.setattr(verify, "cross_check", failing)
+        code, text = run(["verify", "quarter", "--max-size", "4"])
+        assert code == 1 and len(named) == 1
+        assert text.splitlines() == [
+            expected[1].replace("PASS", "FAIL").replace(" 0 failures", " 1 failures").rstrip(),
+            f"  poset(n=3, covers={covers(named[0])}): planted [w]",
+        ]
 
     def test_suite_with_zero_instances_fails(self, monkeypatch):
         from xtoplat import verify

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xtoplat import FiniteLattice, chain, forest, from_poset, tree
 from xtoplat.formats import (
@@ -106,6 +108,71 @@ class TestSpaceJson:
         b = dumps(space_to_json(spec_space(s3())))
         assert a == b
         assert json.loads(a)["X"] == ["{0}", "{0,a}"]
+
+
+# characters that json escapes or passes through raw with ensure_ascii=False:
+# quotes, backslashes, control characters, lone surrogates, non-ASCII
+_SPECIAL = '"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfffé€😀'
+_texts = st.lists(
+    st.one_of(st.sampled_from(_SPECIAL), st.integers(0, 0x10FFFF).map(chr)), max_size=8
+).map("".join)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**1000, -(3**500), 0, -1]),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, -1e-300, float("nan"), float("inf"), float("-inf")]),
+    _texts,
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(_texts, max_size=4),
+        st.dictionaries(_texts, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _indented(value) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+class TestDumps:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_values)
+    def test_same_text_as_json_dumps_with_indent(self, value):
+        assert dumps(value) == _indented(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], [[], {}]], {"": [{"": ()}]}],
+    )
+    def test_empty_containers_at_every_depth(self, value):
+        assert dumps(value) == _indented(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1, 2}, b"ab", {(1, 2): "a"}, [1, {"a": {3}}], {"a": [b"x"]}, ["a", b"b"], object()],
+    )
+    def test_json_refusals_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _indented(value)
+        with pytest.raises(TypeError):
+            dumps(value)
+
+    @pytest.mark.parametrize("key", [1, 1.5, True, None])
+    def test_only_str_keys(self, key):
+        # json would write the key as a string; no writer of this package makes one
+        with pytest.raises(TypeError):
+            dumps({key: 0})
+
+    def test_a_list_of_strings_that_ends_in_another_value(self):
+        value = ["a", "b", ["c"], 4, None]
+        assert dumps(value) == _indented(value)
 
 
 class TestDot:
