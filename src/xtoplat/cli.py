@@ -22,13 +22,15 @@ Subcommands:
   mod 12, where the full ideal lattice has six.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 not-X-top (with witness), 4 semiring axiom failure.
+3 not-X-top (with witness), 4 semiring axiom failure, 141 output pipe
+closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -44,7 +46,16 @@ from .formats import (
     space_to_json,
 )
 from .poset import FinitePoset, _by_size, chain, forest
-from .semiring import FiniteSemiring, bni, ideals, s3, spec_poset, spec_space, spectrum
+from .semiring import (
+    FiniteSemiring,
+    SpectrumReport,
+    bni,
+    ideals,
+    s3,
+    spec_poset,
+    spec_space,
+    spectrum,
+)
 from .separation import (
     PointClassification,
     SeparationReport,
@@ -84,23 +95,7 @@ _BOOL_FIELDS = [
 ]
 
 # the boolean fields of SpectrumReport, in field order
-_SPECTRUM_FLAGS = [
-    "is_local",
-    "is_reduced",
-    "is_vnr",
-    "is_pi_regular",
-    "is_add_idempotent",
-    "is_mul_idempotent",
-    "is_idempotent",
-    "is_subtractive_semiring",
-    "is_semidomain",
-    "is_fmax",
-    "is_fmin",
-    "is_bmax",
-    "is_amin",
-    "is_pamin",
-    "is_pbmax",
-]
+_SPECTRUM_FLAGS = [name for name in SpectrumReport._fields if name.startswith("is_")]
 
 # the headers of PointClassification's columns after the label, in field order
 _POINT_COLUMNS = (
@@ -368,18 +363,29 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 2
     try:
         if args.command == "classify":
-            return _cmd_classify(args, out)
-        if args.command == "spec":
-            return _cmd_spec(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        return _cmd_export(args, out)
+            code = _cmd_classify(args, out)
+        elif args.command == "spec":
+            code = _cmd_spec(args, out)
+        elif args.command == "verify":
+            code = _cmd_verify(args, out)
+        else:
+            code = _cmd_export(args, out)
+        # a reader that closed the pipe shows here, not in the flush at exit
+        out.flush()
+        return code
     except NotXTopError as err:
         print(f"error: not an X-top carrier: {err}", file=sys.stderr)
         return 3
     except AxiomError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader closed the pipe, as `head` does.  The unwritten bytes
+        # go to the null device, so the flush at exit has nothing to
+        # report; 141 is what a shell reports for a process SIGPIPE ends
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (XtoplatError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

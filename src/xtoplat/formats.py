@@ -212,11 +212,9 @@ def space_from_json(data: dict[str, Any]) -> XTopSpace:
 def report_to_json(
     report: SeparationReport, points: tuple[PointClassification, ...]
 ) -> dict[str, Any]:
-    return {
-        **report.to_dict(),
-        # each row's keys are its NamedTuple fields, so field order is key order
-        "points": [p._asdict() for p in points],
-    }
+    # each record's keys are its NamedTuple fields, so field order is key
+    # order; dumps writes the component tuples as json writes lists
+    return {**report._asdict(), "points": [p._asdict() for p in points]}
 
 
 def dumps(data: Any) -> str:

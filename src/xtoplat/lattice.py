@@ -27,13 +27,12 @@ tables; no table is ever handed in, so none needs re-checking.
 The up-set lattice is stored as its masks instead (:class:`UpsetLattice`):
 meet is OR, join is AND and a <= b is "mask a contains mask b", so it
 builds no order rows and no tables unless a caller reads them.  Its
-construction checks the mask family F in O(|F|·|P|): 0 ∈ F, every mask
-is up-closed, and U | ↑x and U & ~↓x are in F for every U ∈ F and x ∈ P.
-The last two close F under union and intersection (U ∪ V adds the ↑x for
-x ∈ V; U ∩ V removes the ↓x for x ∉ V), so OR and AND are the glb and
-lub of F under reverse inclusion; from 0 they reach every up-set (each
-is a union of principal ones), and up-closure admits nothing else, so F
-is exactly the up-sets of P.
+elements are ``P.upset_masks()``, which yields every up-set of P exactly
+once (see its docstring).  Up-sets are closed under union and
+intersection, so OR and AND stay among the elements and are their glb
+and lub under reverse inclusion, with ∅ the top and P the bottom.  No
+check is left to run at construction; the tests compare the masks with
+a filter over every subset of P.
 """
 
 from __future__ import annotations
@@ -57,14 +56,6 @@ class FiniteLattice:
         self.validate()
 
     def validate(self) -> None:
-        """Check that the storage is a lattice.
-
-        Runs once, at construction, whatever the storage: subclasses
-        supply the check for their own representation as ``_verify``.
-        """
-        self._verify()
-
-    def _verify(self) -> None:
         """Look up the glb and lub of every index pair a <= b in the order rows.
 
         The glb is the element whose down-row is down(a) ∩ down(b), the
@@ -129,7 +120,7 @@ class FiniteLattice:
 
     @property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        """meet(a, b) for every pair, kept by ``_verify`` or built on first read."""
+        """meet(a, b) for every pair, kept by ``validate`` or built on first read."""
         if self._meet is None:
             self._meet = self._table(self.meet)
         return self._meet
@@ -155,13 +146,6 @@ class FiniteLattice:
         acc = self.top
         for e in elems:
             acc = self._meet[acc][e]
-        return acc
-
-    def join_all(self, elems: Iterable[int]) -> int:
-        """Least upper bound of a set; the empty join is the bottom."""
-        acc = self.bottom
-        for e in elems:
-            acc = self._join[acc][e]
         return acc
 
     def maximals_of(self, members: Iterable[int]) -> frozenset[int]:
@@ -198,40 +182,16 @@ class UpsetLattice(FiniteLattice):
     # it and builds into _order
     __slots__ = ("ground", "masks", "_labels", "_position", "_order")
 
-    def __init__(self, ground: FinitePoset, masks: Iterable[int]):
+    def __init__(self, ground: FinitePoset):
         if ground.n == 0:
             raise EmptyPosetError("the empty poset has no up-set lattice")
-        masks = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
-        full = (1 << ground.n) - 1
-        if any(m & ~full for m in masks):
-            raise ValueError("up-set mask mentions elements out of range")
+        masks = tuple(sorted(ground.upset_masks(), key=lambda m: (m.bit_count(), m)))
         self.ground = ground
         self.masks = masks
         self._position = {m: k for k, m in enumerate(masks)}
         self._labels = self._order = self._meet = self._join = None
         self.top = 0
         self.bottom = len(masks) - 1
-        self.validate()
-
-    def _verify(self) -> None:
-        """The masks are exactly the up-sets (see the module docstring)."""
-        P = self.ground
-        up = P.up_rows()
-        down = P.down_rows()
-        full = (1 << P.n) - 1
-        position = self._position
-        if len(position) != len(self.masks):
-            raise ValueError("up-set masks must be distinct")
-        if 0 not in position:
-            raise NotALatticeError("join", self.labels[0], self.labels[-1])
-        for k, U in enumerate(self.masks):
-            for x in range(P.n):
-                grown = U | up[x]
-                if (U >> x & 1 and grown != U) or grown not in position:
-                    raise NotALatticeError("meet", self.labels[k], P.labels[x])
-                if U & ~down[x] not in position:
-                    outside = _set_label(P, full & ~down[x])
-                    raise NotALatticeError("join", self.labels[k], outside)
 
     @property
     def n(self) -> int:
@@ -294,13 +254,6 @@ class UpsetLattice(FiniteLattice):
             acc |= masks[e]
         return self._position[acc]
 
-    def join_all(self, elems: Iterable[int]) -> int:
-        masks = self.masks
-        acc = masks[self.bottom]
-        for e in elems:
-            acc &= masks[e]
-        return self._position[acc]
-
     def maximals_of(self, members: Iterable[int]) -> frozenset[int]:
         """Members with no other member's mask inside their own.
 
@@ -339,7 +292,7 @@ def upset_lattice(P: FinitePoset) -> tuple[UpsetLattice, dict[int, int]]:
     :class:`UpsetLattice`: the up-set masks themselves, with no order rows
     or tables until a caller reads them.
     """
-    lattice = UpsetLattice(P, P.upset_masks())
+    lattice = UpsetLattice(P)
     embedding = {x: lattice._position[P.up_mask(x)] for x in range(P.n)}
     return lattice, embedding
 

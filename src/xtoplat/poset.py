@@ -8,9 +8,8 @@ set iff ``i <= j``), so all queries are O(1) table lookups.
 Rows that can be malformed are checked once, where they enter:
 ``FinitePoset(labels, rows)`` validates reflexivity, antisymmetry and
 transitivity for the rows that specialization posets, inclusion orders,
-lattice orders, enumeration and :meth:`FinitePoset.restrict` pass it,
-and ``poset_from_relation`` (JSON input) first closes its pairs by one
-Warshall pass.
+lattice orders and enumeration pass it, and ``poset_from_relation``
+(JSON input) first closes its pairs by one Warshall pass.
 
 The shapes used throughout are written down instead: chains C_k,
 antichains, trees T_n (one maximal element over n pairwise-incomparable
@@ -158,16 +157,6 @@ class FinitePoset:
     def lt(self, i: int, j: int) -> bool:
         return i != j and self.leq(i, j)
 
-    def incomparable(self, i: int, j: int) -> bool:
-        """i ∥ j: neither i <= j nor j <= i."""
-        return not self.leq(i, j) and not self.leq(j, i)
-
-    @property
-    def matrix(self) -> tuple[tuple[bool, ...], ...]:
-        """Full boolean view of the relation; entry [i][j] is i <= j."""
-        n = self.n
-        return tuple(tuple(bool(row >> j & 1) for j in range(n)) for row in self._up)
-
     def up_mask(self, i: int) -> int:
         self._check(i)
         return self._up[i]
@@ -187,18 +176,6 @@ class FinitePoset:
             self._down = tuple(down)
         return self._down
 
-    def down_mask(self, i: int) -> int:
-        self._check(i)
-        return self.down_rows()[i]
-
-    def up_set(self, i: int) -> frozenset[int]:
-        """↑i = {j : i <= j}."""
-        return frozenset(_bits(self.up_mask(i)))
-
-    def down_set(self, i: int) -> frozenset[int]:
-        """↓i = {j : j <= i}."""
-        return frozenset(_bits(self.down_mask(i)))
-
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise IndexError(f"element index {i} out of range 0..{self.n - 1}")
@@ -217,11 +194,6 @@ class FinitePoset:
             ht[i] = 1 + max((ht[j] for j in _bits(below)), default=-1)
         return tuple(ht)
 
-    def height(self, x: int) -> int:
-        """Length of the longest strictly ascending chain ending at x."""
-        self._check(x)
-        return self.heights()[x]
-
     def krull_dim(self) -> int:
         """Maximum height over all elements."""
         if self.n == 0:
@@ -234,10 +206,6 @@ class FinitePoset:
 
     def maximals(self) -> frozenset[int]:
         return frozenset(i for i in range(self.n) if self._up[i] == 1 << i)
-
-    def extremes(self) -> tuple[frozenset[int], frozenset[int]]:
-        """(Min, Max) as index sets."""
-        return self.minimals(), self.maximals()
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (i, j): i < j with nothing strictly between."""
@@ -252,15 +220,17 @@ class FinitePoset:
 
     # -- up-sets ------------------------------------------------------------
 
-    def upsets(self) -> tuple[frozenset[int], ...]:
-        """All up-closed subsets, including ∅ and the full set."""
-        masks = sorted(self.upset_masks())
-        return tuple(frozenset(_bits(m)) for m in masks)
-
     def upset_masks(self) -> list[int]:
-        """Every up-set as a mask, split on a maximal element m of the
-        undecided ones: first the up-sets that contain m, then those that
-        avoid ↓m entirely.
+        """Every up-set as a mask, each exactly once, split on a maximal
+        element m of the undecided ones: first the up-sets that contain m,
+        then those that avoid ↓m entirely.
+
+        An up-set U of the undecided set A either holds m, and then
+        U \\ {m} is an up-set of A \\ {m} (nothing in A lies above m), or
+        misses m, and then it misses ↓m and is an up-set of A \\ ↓m.  Both
+        maps are one-to-one, and back again any up-set of A \\ {m} plus m,
+        or of A \\ ↓m, is an up-set of A.  The two branches are disjoint,
+        so by induction on |A| every up-set comes out once.
 
         The split is memoized on the undecided set, so the cost follows
         the output rather than 2^n, and it runs on an explicit stack, so
@@ -307,22 +277,6 @@ class FinitePoset:
             left &= ~comp
             comps.append(frozenset(_bits(comp)))
         return tuple(comps)
-
-    def restrict(self, members: Iterable[int]) -> "FinitePoset":
-        """Induced subposet on the given elements (original label text kept)."""
-        idx = sorted(set(members))
-        for i in idx:
-            self._check(i)
-        pos = {i: p for p, i in enumerate(idx)}
-        labels = [self.labels[i] for i in idx]
-        up = []
-        for i in idx:
-            row = 0
-            for j in idx:
-                if self.leq(i, j):
-                    row |= 1 << pos[j]
-            up.append(row)
-        return FinitePoset(labels, up)
 
 
 def _from_pairs(labels: Sequence[str], index_pairs: Iterable[tuple[int, int]]) -> FinitePoset:

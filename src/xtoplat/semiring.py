@@ -37,7 +37,8 @@ ideal is the sum of its principal subideals, so the closure is complete)
 and checks each set I it reaches on the masks it builds anyway; the
 test-suite checks the result against an exhaustive subset scan for small
 carriers.  Given 1·b = b, a + 0 = a, 0·b = 0 and commutativity, three
-tests are equivalent to :func:`is_ideal` (0 ∈ I, I + I ⊆ I, R·I ⊆ I):
+tests are equivalent to the definition of an ideal (0 ∈ I, I + I ⊆ I,
+R·I ⊆ I):
 
 * 0 ∈ I;
 * (b) ⊆ I for every b ∈ I, which is R·I ⊆ I, as (b) = {rb : r ∈ R};
@@ -157,12 +158,6 @@ class FiniteSemiring(NamedTuple):
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
-
-    def add_(self, a: int, b: int) -> int:
-        return self.add[a][b]
-
-    def mul_(self, a: int, b: int) -> int:
-        return self.mul[a][b]
 
     def elements(self) -> range:
         return range(self.n)
@@ -425,19 +420,6 @@ def principal_ideal(R: FiniteSemiring, a: int) -> frozenset[int]:
     return frozenset(R.mul[r][a] for r in R.elements())
 
 
-def is_ideal(R: FiniteSemiring, members: frozenset[int]) -> bool:
-    """Nonempty, contains zero, closed under + and under r·(-)."""
-    if not members or R.zero not in members:
-        return False
-    # row a of the addition table lists the a + b, and row a of the product
-    # the a·r = r·a (commutativity is checked at construction)
-    return all(
-        members.issuperset(map(R.add[a].__getitem__, members))
-        and members.issuperset(R.mul[a])
-        for a in members
-    )
-
-
 @lru_cache(maxsize=64)
 def ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
     """All ideals: the sum-closure of the principal ideals, to a fixpoint.
@@ -452,8 +434,8 @@ def ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
 
     Each set I the closure reaches is checked as it is expanded, on those
     masks: 0 ∈ I, (b) ⊆ I for every b ∈ I, and I + P_k = I for every
-    P_k ⊆ I.  Given the axioms checked at construction this is
-    :func:`is_ideal` (module docstring); a failure raises
+    P_k ⊆ I.  Given the axioms checked at construction this is the
+    definition of an ideal (module docstring); a failure raises
     :class:`NotAnIdealError`.
     """
     n = R.n

@@ -212,12 +212,6 @@ class SeparationReport(NamedTuple):
     components: tuple[tuple[str, ...], ...]
     quasicomponents: tuple[tuple[str, ...], ...]
 
-    def to_dict(self) -> dict:
-        out = self._asdict()
-        for name in ("components", "quasicomponents"):
-            out[name] = [list(part) for part in out[name]]
-        return out
-
 
 class PrimeMeets(NamedTuple):
     """J(X) = ⋀Max(X) and Q(X) = ⋀Min(X) with their irredundance flags."""

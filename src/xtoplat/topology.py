@@ -229,11 +229,6 @@ class XTopSpace:
         Y = self._require_subset(Y)
         return self.variety(self.lattice.meet_all(Y))
 
-    def interior(self, Y: Iterable[int]) -> frozenset[int]:
-        """X \\ closure(X \\ Y): the largest open set inside Y."""
-        Y = self._require_subset(Y)
-        return self.points - self.closure(self.points - Y)
-
     def kernel(self, x: int) -> frozenset[int]:
         """Intersection of all open sets containing x: X minus every V(a)
         that misses x."""
@@ -244,14 +239,6 @@ class XTopSpace:
             if not v >> x & 1:
                 outside |= v
         return frozenset(_bits(_mask(self.points) & ~outside))
-
-    def excluded_meet(self, x: int) -> tuple[int, int, bool]:
-        """(⋀(X \\ {x}), ⋀D(x), equal?): x is an excluded point iff equal."""
-        if x not in self.points:
-            raise IndexError(f"{x} is not a point of the space")
-        e = self.lattice.meet_all(self.points - {x})
-        d = self.lattice.meet_all(self.covariety(x))
-        return e, d, e == d
 
     def subspace(self, Y: Iterable[int]) -> "XTopSpace":
         """The space over the same lattice with X replaced by Y ⊆ X.
@@ -293,9 +280,8 @@ def from_poset(P: FinitePoset) -> XTopSpace:
     Realized by embedding P into its up-set lattice and taking X to be the
     image; the closure of a point is ↑x and its kernel ↓x.  V(U) is read
     off the mask: for an up-set U, ↑x ⊆ U iff x ∈ U, so V(U) is the image
-    of U itself.  No union check runs, because the lattice's validation
-    has shown that its elements are exactly the up-sets, which are closed
-    under union.
+    of U itself.  No union check runs: the lattice's elements are
+    ``P.upset_masks()``, exactly the up-sets, which are closed under union.
     """
     if P.n == 0:
         raise EmptyPosetError("from_poset needs at least one element")

@@ -25,7 +25,7 @@ from xtoplat import (
 )
 from xtoplat.lattice import _members
 from xtoplat.poset import _letters, is_dual_tree_component, is_tree_component
-from xtoplat.semiring import ideals, is_ideal
+from xtoplat.semiring import ideals
 
 
 def subsets(items):
@@ -137,6 +137,23 @@ def lattice_outcome(build, P: FinitePoset):
     return L.meet_table, L.join_table, L.bottom, L.top
 
 
+def restrict(P: FinitePoset, members) -> FinitePoset:
+    """Induced subposet on the given elements (original label text kept)."""
+    idx = sorted(set(members))
+    for i in idx:
+        P._check(i)
+    pos = {i: p for p, i in enumerate(idx)}
+    labels = [P.labels[i] for i in idx]
+    up = []
+    for i in idx:
+        row = 0
+        for j in idx:
+            if P.leq(i, j):
+                row |= 1 << pos[j]
+        up.append(row)
+    return FinitePoset(labels, up)
+
+
 def permuted(P: FinitePoset, order) -> FinitePoset:
     """P with its elements listed in ``order``: index k holds order[k]."""
     position = {x: k for k, x in enumerate(order)}
@@ -213,6 +230,19 @@ def ideals_by_subset_scan(R: FiniteSemiring) -> set[frozenset[int]]:
         if closed_add and absorbs:
             out.add(S)
     return out
+
+
+def is_ideal(R: FiniteSemiring, members: frozenset[int]) -> bool:
+    """Nonempty, contains zero, closed under + and under r·(-)."""
+    if not members or R.zero not in members:
+        return False
+    # row a of the addition table lists the a + b, and row a of the product
+    # the a·r = r·a (commutativity is checked at construction)
+    return all(
+        members.issuperset(map(R.add[a].__getitem__, members))
+        and members.issuperset(R.mul[a])
+        for a in members
+    )
 
 
 def is_prime_ideal(R: FiniteSemiring, I: frozenset[int]) -> bool:
@@ -495,6 +525,16 @@ def naive_interior(space: XTopSpace, S: frozenset[int]) -> frozenset[int]:
         if U <= S:
             acc |= U
     return acc
+
+
+def excluded_meet(space: XTopSpace, x: int) -> tuple[int, int, bool]:
+    """(⋀(X \\ {x}), ⋀D(x), equal?): x is an excluded point iff equal."""
+    if x not in space.points:
+        raise IndexError(f"{x} is not a point of the space")
+    L = space.lattice
+    e = L.meet_all(space.points - {x})
+    d = L.meet_all(space.covariety(x))
+    return e, d, e == d
 
 
 def naive_closure(space: XTopSpace, S: frozenset[int]) -> frozenset[int]:
@@ -912,7 +952,7 @@ def lattice_point_classes(space: XTopSpace) -> dict:
         "csi": leq_completely_strongly_irreducible(space),
         "amin": leq_barely(space, minima),
         "bmax": leq_barely(space, maxima),
-        "excl": frozenset(x for x in X if space.excluded_meet(x)[2]),
+        "excl": frozenset(x for x in X if excluded_meet(space, x)[2]),
         "kc": len(space.closed_family) == 1 << len(X),
         "discrete": len(space.open_family) == 1 << len(X),
     }

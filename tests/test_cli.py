@@ -1,7 +1,8 @@
 """CLI behavior: sources, output shapes, exit codes.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 not-X-top, 4 semiring axiom failure.
+3 not-X-top, 4 semiring axiom failure, 141 output pipe closed by its
+reader.
 """
 
 import io
@@ -421,7 +422,8 @@ class TestSpec:
             for which in selectors:
                 space = semiring.spec_space(R, which)
                 opens = [list(space.labels_of(U)) for U in space.open_family]
-                expected[argv, which] = opens, report_to_json(*report_and_points(space))
+                separation = report_to_json(*report_and_points(space))
+                expected[argv, which] = opens, json.loads(dumps(separation))
 
         def refuse(*args):
             raise AssertionError("a lattice or space was built")
@@ -869,3 +871,37 @@ def test_console_entrypoint():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["t_half"] is True
+
+
+def test_a_closed_pipe_exits_141_with_nothing_on_stderr():
+    # a reader that stops early, as `head` does, is not a parse error
+    import os
+    import subprocess
+    import sys
+
+    export = ["export", "--forest", "C2+C2+C2+C2+C2", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "xtoplat", *export],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "latti'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (err, proc.returncode) == (b"", 141)
+    # a short output sits in the stdout buffer until the flush; with no
+    # reader at all and a buffered stdout, that flush is what fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        short = subprocess.run(
+            [sys.executable, "-m", "xtoplat", "classify", "--chain", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (short.stderr, short.returncode) == (b"", 141)

@@ -12,12 +12,14 @@ from xtoplat import (
     UpsetLattice,
     chain,
     dual_tree,
+    forest,
     has_complete_max_property,
     poset_from_relation,
     spec_space,
     tree,
     upset_lattice,
 )
+from xtoplat.enumeration import forest_specs
 from xtoplat.semiring import bni, spectrum
 
 from .oracles import (
@@ -143,27 +145,20 @@ class TestUpsetLattice:
                     assert L.poset.leq(a, b) == L.leq(a, b) == (A >= B)
 
     @pytest.mark.parametrize("P", [chain(3), tree(2), dual_tree(2), diamond_m3()])
-    def test_mask_family_missing_an_upset_is_refused(self, P):
-        family = P.upset_masks()
-        assert UpsetLattice(P, family).n == len(family)
-        for k in range(len(family)):
-            with pytest.raises(NotALatticeError):
-                UpsetLattice(P, family[:k] + family[k + 1 :])
+    def test_elements_are_the_upset_masks(self, P):
+        L = UpsetLattice(P)
+        assert L.n == len(P.upset_masks())
+        assert set(L.masks) == set(P.upset_masks())
 
-    @pytest.mark.parametrize("P", [chain(3), tree(2), dual_tree(2), diamond_m3()])
-    def test_mask_family_with_a_non_upset_is_refused(self, P):
-        family = P.upset_masks()
-        strays = [m for m in range(1 << P.n) if m not in family]
-        assert strays
-        for m in strays:
-            with pytest.raises(NotALatticeError):
-                UpsetLattice(P, family + [m])
-
-    def test_principal_upsets_keep_their_labels(self):
-        L, emb = upset_lattice(tree(2))
-        P = tree(2)
-        for x in range(P.n):
-            assert L.labels[emb[x]] == P.labels[x]
+    def test_principal_upsets_keep_their_labels(self, posets_upto_6):
+        # the embedding hits |P| distinct elements, each ↑x labelled with
+        # its generator x
+        shapes = [forest(spec) for spec in forest_specs(9)]
+        for P in [tree(2), *posets_upto_6, *shapes]:
+            L, emb = upset_lattice(P)
+            assert sorted(emb) == list(range(P.n))
+            assert len(set(emb.values())) == P.n, P
+            assert [L.labels[emb[x]] for x in range(P.n)] == list(P.labels), P
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyPosetError):
@@ -174,7 +169,6 @@ class TestMeetJoinAll:
     def test_empty_meet_is_top(self):
         L = FiniteLattice(chain(3))
         assert L.meet_all([]) == L.top
-        assert L.join_all([]) == L.bottom
 
     def test_singleton(self):
         L = FiniteLattice(chain(3))

@@ -24,6 +24,7 @@ from xtoplat import (
 from xtoplat.enumeration import forest_specs
 from xtoplat.poset import (
     MAX_POINTS,
+    _bits,
     _from_pairs,
     has_dual_tree_component,
     is_dual_tree_component,
@@ -41,9 +42,15 @@ from .oracles import (
     pairwise_dual_tree_component,
     pairwise_tree_component,
     recursive_upset_masks,
+    restrict,
     shape_by_closure,
     upsets_by_filter,
 )
+
+
+def upset_sets(P):
+    """P's up-sets as index sets, read off its masks."""
+    return {frozenset(_bits(m)) for m in P.upset_masks()}
 
 
 def _rows_and_reads(P):
@@ -116,7 +123,8 @@ class TestShapes:
         T = tree(2)
         assert {T.labels[i] for i in T.maximals()} == {"m"}
         assert {T.labels[i] for i in T.minimals()} == {"a", "b"}
-        assert T.incomparable(T.index("a"), T.index("b"))
+        a, b = T.index("a"), T.index("b")
+        assert not T.leq(a, b) and not T.leq(b, a)
 
     def test_dual_tree_3(self):
         V = dual_tree(3)
@@ -127,7 +135,7 @@ class TestShapes:
 
     def test_dual_tree_4_extremes(self):
         V = dual_tree(4)
-        mins, maxs = V.extremes()
+        mins, maxs = V.minimals(), V.maximals()
         assert len(maxs) == 4 and len(mins) == 1
 
     def test_wide_shapes_skip_the_root_letter(self):
@@ -239,7 +247,7 @@ class TestForest:
 
     def test_extremes_of_t2_t3(self):
         F = forest([("T", 2), ("T", 3)])
-        mins, maxs = F.extremes()
+        mins, maxs = F.minimals(), F.maximals()
         assert len(mins) == 5 and len(maxs) == 2
 
 
@@ -247,33 +255,37 @@ class TestHeight:
     def test_minimal_element_has_height_zero(self):
         T = tree(3)
         for x in T.minimals():
-            assert T.height(x) == 0
+            assert T.heights()[x] == 0
 
     def test_top_of_tree_5(self):
         T = tree(5)
         (top,) = T.maximals()
-        assert T.height(top) == 1
+        assert T.heights()[top] == 1
 
     def test_middle_of_chain_3_matches_enumeration(self):
         P = chain(3)
         assert chains_ending_at(P, 1) == 1
-        assert P.height(1) == 1
+        assert P.heights()[1] == 1
 
     def test_height_is_monotone(self, posets_upto_5):
         for P in posets_upto_5:
             for x in range(P.n):
                 for y in range(P.n):
                     if P.leq(x, y):
-                        assert P.height(x) <= P.height(y)
+                        assert P.heights()[x] <= P.heights()[y]
 
     def test_height_matches_oracle(self, posets_upto_5):
         for P in posets_upto_5:
             for x in range(P.n):
-                assert P.height(x) == chains_ending_at(P, x)
+                assert P.heights()[x] == chains_ending_at(P, x)
 
     def test_index_error(self):
-        with pytest.raises(IndexError):
-            chain(2).height(5)
+        # An index outside 0..n-1 is refused by the lookups that take one.
+        P = chain(2)
+        with pytest.raises(IndexError, match="out of range 0..1"):
+            P.leq(0, 5)
+        with pytest.raises(IndexError, match="out of range 0..1"):
+            P.up_mask(-1)
 
 
 class TestKrullDim:
@@ -299,34 +311,40 @@ class TestKrullDim:
 class TestExtremes:
     def test_singleton(self):
         P = poset_from_relation(["x"], [])
-        assert P.extremes() == (frozenset({0}), frozenset({0}))
+        assert (P.minimals(), P.maximals()) == (frozenset({0}), frozenset({0}))
 
     def test_v3(self):
-        mins, maxs = dual_tree(3).extremes()
+        V = dual_tree(3)
+        mins, maxs = V.minimals(), V.maximals()
         assert len(mins) == 1 and len(maxs) == 3
 
 
 class TestUpsets:
     def test_antichain_2_has_all_subsets(self):
-        assert len(antichain(2).upsets()) == 4
+        assert len(antichain(2).upset_masks()) == 4
 
     def test_chain_2(self):
         P = chain(2)
-        assert set(P.upsets()) == {frozenset(), frozenset({1}), frozenset({0, 1})}
+        assert set(P.upset_masks()) == {0b00, 0b10, 0b11}
 
     def test_tree_2_has_five(self):
         T = tree(2)
-        assert upsets_by_filter(T) == set(T.upsets())
-        assert len(T.upsets()) == 5
+        assert upsets_by_filter(T) == upset_sets(T)
+        assert len(T.upset_masks()) == 5
 
     def test_counts(self):
         for k in range(1, 6):
-            assert len(antichain(k).upsets()) == 2**k
-            assert len(chain(k).upsets()) == k + 1
+            assert len(antichain(k).upset_masks()) == 2**k
+            assert len(chain(k).upset_masks()) == k + 1
 
-    def test_matches_filter_oracle(self, posets_upto_5):
-        for P in posets_upto_5:
-            assert set(P.upsets()) == upsets_by_filter(P)
+    def test_matches_filter_oracle(self, posets_upto_6):
+        # each up-set exactly once: an up-set lattice takes the masks as
+        # its elements unchecked
+        shapes = [forest(spec) for spec in forest_specs(9)]
+        for P in list(posets_upto_6) + shapes:
+            masks = P.upset_masks()
+            assert len(set(masks)) == len(masks), P
+            assert upset_sets(P) == upsets_by_filter(P), P
 
     def test_order_matches_the_recursive_walk(self, posets_upto_6):
         shapes = [[("V", 3)] * 3, [("T", 3), ("C", 4), ("V", 2)], [("C", 9)]]
@@ -335,7 +353,7 @@ class TestUpsets:
 
     def test_closed_under_union_and_intersection(self, posets_upto_6):
         for P in posets_upto_6:
-            family = set(P.upsets())
+            family = set(P.upset_masks())
             for A in family:
                 for B in family:
                     assert A | B in family
@@ -391,11 +409,14 @@ class TestComponentShapesOffTheRows:
             assert component_shape(F, part) == pairwise_component_shape(F, part)
 
 
-def test_matrix_view():
-    P = chain(3)
-    m = P.matrix
-    assert m[0][2] is True and m[2][0] is False
-    assert all(m[i][i] for i in range(3))
+def test_matrix_view(posets_upto_5):
+    # up_rows() and down_rows() are the rows and columns of the leq matrix.
+    for P in posets_upto_5:
+        for i in range(P.n):
+            assert P.up_rows()[i] == P.up_mask(i)
+            for j in range(P.n):
+                assert bool(P.up_rows()[i] >> j & 1) == P.leq(i, j)
+                assert bool(P.down_rows()[j] >> i & 1) == P.leq(i, j)
 
 
 def test_covers_match_naive_definition(posets_upto_5):
@@ -415,6 +436,6 @@ def test_covers_match_naive_definition(posets_upto_5):
 def test_restrict_induced_subposet():
     F = forest([("T", 2), ("C", 2)])
     comp = next(c for c in F.order_components() if len(c) == 3)
-    sub = F.restrict(comp)
+    sub = restrict(F, comp)
     assert sub.n == 3
     assert component_shape(sub, frozenset(range(3))) == ("T", 2)

@@ -39,7 +39,7 @@ from xtoplat import (
     verify_bni,
 )
 from xtoplat import cli
-from xtoplat.formats import report_to_json
+from xtoplat.formats import dumps, report_to_json
 from xtoplat.verify import SuiteFailure, SuiteResult
 
 REPORT_KEYS = [
@@ -216,8 +216,9 @@ def test_report_to_json_key_order():
     data = report_to_json(report, points)
     assert list(data) == REPORT_KEYS + ["points"]
     assert [list(row) for row in data["points"]] == [POINT_KEYS] * len(points)
-    assert list(report.to_dict()) == list(SeparationReport._fields) == REPORT_KEYS
-    assert data["components"] == [list(part) for part in report.components]
+    assert list(report._asdict()) == list(SeparationReport._fields) == REPORT_KEYS
+    written = json.loads(dumps(data))
+    assert written["components"] == [list(part) for part in report.components]
 
 
 def test_spec_flags_are_the_boolean_fields_of_the_report():

@@ -30,7 +30,6 @@ from xtoplat.semiring import (
     FiniteSemiring,
     _additive_generators,
     ideal_label,
-    is_ideal,
     principal_ideal,
 )
 from xtoplat.separation import (
@@ -51,6 +50,7 @@ from .oracles import (
     bni_by_wrap,
     downset_semiring,
     ideals_by_subset_scan,
+    is_ideal,
     is_prime_ideal,
     is_subtractive,
     leq_extremes,
@@ -74,12 +74,12 @@ def label_sets(R, family):
 class TestFromTables:
     def test_boolean(self):
         B = semiring_from_tables(["0", "1"], [["0", "1"], ["1", "1"]], [["0", "0"], ["0", "1"]], "0", "1")
-        assert B.add_(1, 1) == 1
+        assert B.add[1][1] == 1
 
     def test_s3_is_valid(self):
         R = s3()
-        assert R.add_(R.index("a"), R.index("1")) == R.index("1")
-        assert R.mul_(R.index("1"), R.index("a")) == R.index("a")
+        assert R.add[R.index("a")][R.index("1")] == R.index("1")
+        assert R.mul[R.index("1")][R.index("a")] == R.index("a")
 
     def test_broken_absorption(self):
         # proper identities, but 0·a = a
@@ -241,28 +241,28 @@ class TestFromTables:
 class TestBni:
     def test_b21_is_boolean(self):
         B = bni(2, 1)
-        assert B.add_(1, 1) == 1
-        assert B.mul_(1, 1) == 1
+        assert B.add[1][1] == 1
+        assert B.mul[1][1] == 1
 
     def test_bn0_is_integers_mod_n(self):
         for n in (2, 6, 12):
             R = bni(n, 0)
             for a in range(n):
                 for b in range(n):
-                    assert R.add_(a, b) == (a + b) % n
-                    assert R.mul_(a, b) == (a * b) % n
+                    assert R.add[a][b] == (a + b) % n
+                    assert R.mul[a][b] == (a * b) % n
 
     def test_b52_overflow_matches_search(self):
         R = bni(5, 2)
-        assert R.add_(4, 3) == wrap_by_search(7, 5, 2) == 4
+        assert R.add[4][3] == wrap_by_search(7, 5, 2) == 4
 
     def test_all_entries_match_search_oracle(self):
         for n, i in ((5, 2), (7, 1), (6, 5), (9, 4)):
             R = bni(n, i)
             for a in range(n):
                 for b in range(n):
-                    assert R.add_(a, b) == wrap_by_search(a + b, n, i)
-                    assert R.mul_(a, b) == wrap_by_search(a * b, n, i)
+                    assert R.add[a][b] == wrap_by_search(a + b, n, i)
+                    assert R.mul[a][b] == wrap_by_search(a * b, n, i)
 
     def test_slices_match_the_entrywise_wrap(self):
         for n in range(2, 31):
@@ -400,7 +400,7 @@ class TestSubtractive:
         # {0, 2} is an ideal; subtractivity by definition scan
         assert is_ideal(R, frozenset({0, 2}))
         expected = all(
-            r in {0, 2} for r in range(3) for a in (0, 2) if R.add_(r, a) in {0, 2}
+            r in {0, 2} for r in range(3) for a in (0, 2) if R.add[r][a] in {0, 2}
         )
         assert is_subtractive(R, frozenset({0, 2})) == expected
 

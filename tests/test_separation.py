@@ -7,6 +7,7 @@ is exercised exhaustively in test_acceptance.py; this module pins the
 concrete examples.
 """
 
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -26,12 +27,14 @@ from xtoplat import (
 )
 from xtoplat.enumeration import forest_specs
 from xtoplat.errors import CycleError, XtoplatError
+from xtoplat.formats import dumps, report_to_json
 from xtoplat.lattice import has_complete_max_property
 from xtoplat.semiring import bni, s3, spec_space
 from xtoplat.topology import XTopSpace, build_space, is_xtop_by_unions, radical_info
 
 from .oracles import (
     closed_points,
+    excluded_meet,
     isolated_points,
     lattice_point_classes,
     leq_completely_strongly_irreducible,
@@ -210,7 +213,7 @@ class TestSeparationReport:
             assert r.complete_max_property == has_complete_max_property(L, carrier)
 
     def test_report_serializes(self):
-        d = separation_report(from_poset(tree(2))).to_dict()
+        d = json.loads(dumps(report_to_json(*report_and_points(from_poset(tree(2))))))
         assert d["t_threequarter"] is True
         assert isinstance(d["components"], list)
 
@@ -302,7 +305,7 @@ class TestOrderLemmas:
                 for x in X
                 if naive_interior(space, naive_closure(space, frozenset({x}))) == {x}
             }
-            excl = {x for x in X if space.excluded_meet(x)[2]}
+            excl = {x for x in X if excluded_meet(space, x)[2]}
             closed = {x for x in X if naive_closure(space, frozenset({x})) == {x}}
             assert [p.is_regular_open for p in points] == [
                 x in ro for x in space.sorted_points()

@@ -32,11 +32,13 @@ from xtoplat import (
     variety,
 )
 from xtoplat.enumeration import all_lattices_upto
+from xtoplat.poset import _bits
 from xtoplat.semiring import bni, s3, spec_space
 from xtoplat.separation import cross_check, report_and_points
 
 from .oracles import (
     eager_views,
+    excluded_meet,
     minimals_of,
     naive_closure,
     naive_interior,
@@ -170,14 +172,14 @@ class TestBuildSpace:
     def test_dual_tree_closed_sets_are_upsets(self):
         P = dual_tree(2)
         space = from_poset(P)
-        assert len(space.closed_family) == len(P.upsets())
+        assert len(space.closed_family) == len(P.upset_masks())
 
     def test_closed_family_equals_upsets(self, posets_upto_5):
         for P in posets_upto_5:
             space = from_poset(P)
             L, emb = upset_lattice(P)
             expected = {
-                frozenset(emb[x] for x in U) for U in P.upsets()
+                frozenset(emb[x] for x in _bits(U)) for U in P.upset_masks()
             }
             assert set(space.closed_family) == expected
             # the mask route against build_space over the tabled lattice
@@ -202,7 +204,7 @@ class TestClosureInteriorKernel:
             space = from_poset(P)
             L, emb = upset_lattice(P)
             for x in range(P.n):
-                expected = frozenset(emb[y] for y in P.up_set(x))
+                expected = frozenset(emb[y] for y in _bits(P.up_mask(x)))
                 assert space.closure(frozenset({emb[x]})) == expected
 
     def test_closure_of_tree_minimals_is_everything(self):
@@ -234,28 +236,33 @@ class TestClosureInteriorKernel:
                 for Z in subsets(pts):
                     assert space.closure(Y | Z) == cl | space.closure(Z)
 
+    # The interior of Y is X \ cl(X \ Y); these check space.closure through it.
+
     def test_interior_of_whole_space(self):
         space = from_poset(tree(2))
-        assert space.interior(space.points) == space.points
+        pts = space.points
+        assert pts - space.closure(frozenset()) == pts
 
     def test_interior_of_tree_top_is_empty(self):
         space = from_poset(tree(2))
-        top = next(x for x in space.points if space.label(x) == "m")
-        assert space.interior(frozenset({top})) == frozenset()
+        pts = space.points
+        top = next(x for x in pts if space.label(x) == "m")
+        assert pts - space.closure(pts - {top}) == frozenset()
 
     def test_interior_of_variety_of_minimal(self):
-        P = tree(2)
-        space = from_poset(P)
-        a = next(x for x in space.points if space.label(x) == "a")
-        assert space.interior(space.variety(a)) == frozenset({a})
+        space = from_poset(tree(2))
+        pts = space.points
+        a = next(x for x in pts if space.label(x) == "a")
+        assert pts - space.closure(pts - space.variety(a)) == frozenset({a})
 
     def test_interior_is_largest_open_inside(self, posets_upto_5):
         for P in posets_upto_5:
             if P.n > 4:
                 continue
             space = from_poset(P)
-            for Y in subsets(space.points):
-                assert space.interior(Y) == naive_interior(space, Y)
+            pts = space.points
+            for Y in subsets(pts):
+                assert pts - space.closure(pts - Y) == naive_interior(space, Y)
 
     def test_kernel_of_isolated_point(self):
         space = from_poset(antichain(2))
@@ -267,7 +274,7 @@ class TestClosureInteriorKernel:
             space = from_poset(P)
             L, emb = upset_lattice(P)
             for x in range(P.n):
-                expected = frozenset(emb[y] for y in P.down_set(x))
+                expected = frozenset(emb[y] for y in _bits(P.down_rows()[x]))
                 assert space.kernel(emb[x]) == expected
                 assert space.kernel(emb[x]) == naive_kernel(space, emb[x])
 
@@ -286,18 +293,18 @@ class TestExcludedMeet:
     def test_singleton_space(self):
         space = from_poset(chain(1))
         (x,) = space.points
-        e, d, excluded = space.excluded_meet(x)
+        e, d, excluded = excluded_meet(space, x)
         assert e == d == space.lattice.top and excluded
 
     def test_tree_minimal_is_excluded(self):
         space = from_poset(tree(2))
         a = next(x for x in space.points if space.label(x) == "a")
-        assert space.excluded_meet(a)[2]
+        assert excluded_meet(space, a)[2]
 
     def test_dual_tree_minimal_is_not_excluded(self):
         space = from_poset(dual_tree(2))
         r = next(x for x in space.points if space.label(x) == "r")
-        assert not space.excluded_meet(r)[2]
+        assert not excluded_meet(space, r)[2]
 
 
 class TestSubspace:
