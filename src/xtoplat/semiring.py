@@ -163,38 +163,20 @@ class FiniteSemiring(NamedTuple):
         return range(self.n)
 
 
-def _resolve(labels: Sequence[str], entry) -> int:
-    """The index of an element given by its label or by its index."""
+def _resolve(index: dict[str, int], entry) -> int:
+    """The index of an element given by its label or by its index, for the
+    label → index map ``index``."""
     if isinstance(entry, str):
         try:
-            return labels.index(entry)
-        except ValueError:
+            return index[entry]
+        except KeyError:
             raise ValueError(f"unknown element label {entry!r}") from None
     # bool is an int subclass, but true/false are not element indices
     if isinstance(entry, bool) or not isinstance(entry, int):
         raise ValueError(f"element {entry!r} is neither a label nor an index")
-    if not 0 <= entry < len(labels):
+    if not 0 <= entry < len(index):
         raise ValueError(f"element index {entry} out of range")
     return entry
-
-
-_PLAIN = frozenset({int, str})
-
-
-def _resolve_row(labels: Sequence[str], lookup: dict, row) -> tuple[int, ...]:
-    """:func:`_resolve` on each entry, by one dict lookup each.
-
-    ``lookup`` maps every str label and every index to the index.  Only plain
-    ``int`` and ``str`` entries take it: True and 1.0 equal 1 and hash
-    like it, so anything else goes through :func:`_resolve`, as does a row
-    with an unknown entry, for its error message.
-    """
-    if set(map(type, row)) <= _PLAIN:
-        try:
-            return tuple(map(lookup.__getitem__, row))
-        except KeyError:
-            pass
-    return tuple(_resolve(labels, e) for e in row)
 
 
 def _additive_generators(add: Sequence[Sequence[int]], zero: int) -> list[int]:
@@ -305,11 +287,10 @@ def semiring_from_tables(
         raise ValueError("element labels must be pairwise distinct")
     if len(add) != n or len(mul) != n or any(len(r) != n for r in list(add) + list(mul)):
         raise ValueError("add/mul tables must be total n×n tables")
-    lookup: dict = {label: k for k, label in enumerate(labels)}
-    lookup.update((k, k) for k in range(n))
-    add_t = tuple(_resolve_row(labels, lookup, row) for row in add)
-    mul_t = tuple(_resolve_row(labels, lookup, row) for row in mul)
-    return _checked(labels, add_t, mul_t, _resolve(labels, zero), _resolve(labels, one))
+    index = {label: k for k, label in enumerate(labels)}
+    add_t = tuple(tuple(_resolve(index, e) for e in row) for row in add)
+    mul_t = tuple(tuple(_resolve(index, e) for e in row) for row in mul)
+    return _checked(labels, add_t, mul_t, _resolve(index, zero), _resolve(index, one))
 
 
 def _checked(labels: tuple[str, ...], add, mul, z: int, o: int) -> FiniteSemiring:

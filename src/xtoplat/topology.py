@@ -39,12 +39,13 @@ one-pass test by a lemma:
   sorted pair scan run, to name the first pair whose union is not a
   variety.
 
-An :class:`XTopSpace` keeps those masks and nothing else: the closed sets
-are the distinct V(a) and the open sets their complements in X, so the
-kernel of x is X minus the union of the V(a) that miss x, the
-specialization order has x <= y iff y ∈ V(x), and the subspace on Y ⊆ X
-has the varieties V(a) ∩ Y.  The frozenset families are views, built on
-first read, which only the printed outputs do.
+An :class:`XTopSpace` keeps its lattice and those masks and nothing else.
+X itself is V(bottom), since bottom <= x for every x ∈ X; every
+constructor stores ``L.variety_masks(X)`` or, for a subspace, its traces
+on Y, so the lemma holds for each.  The closed sets are the distinct V(a)
+and the open sets their complements in X, the specialization order has
+x <= y iff y ∈ V(x), and the subspace on Y ⊆ X has the varieties
+V(a) ∩ Y.
 
 X = ∅ is accepted everywhere and yields the empty space; the empty-meet
 convention (⋀∅ = top, V(top) = ∅) keeps every operation consistent there.
@@ -52,7 +53,6 @@ convention (⋀∅ = top, V(top) = ∅) keeps every operation consistent there.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyPosetError, NotXTopError, SubsetViolationError
@@ -137,86 +137,39 @@ def _irreducible(
     return True
 
 
-class XTopSpace:
+class XTopSpace(NamedTuple):
     """A Zariski-like topology on X ⊆ L \\ {top}, stored as its varieties.
 
     Points are lattice indices.  ``variety_masks[a]`` is V(a) as a mask
-    over lattice indices, the tuple ``L.variety_masks(X)``, and it is all
-    the space stores: the closed sets are the distinct V(a) and the open
-    sets their complements in X.  ``varieties``, ``closed_family`` and
-    ``open_family`` are the same sets as frozensets, built on first read;
-    the families are deduplicated and sorted by (size, elements) so
-    serialized output is byte-stable.
-
-    A space is frozen: its three fields are set once, and ``==`` and
-    ``hash`` compare them.  The views are cached in the instance
-    ``__dict__``, which ``cached_property`` writes without assignment.
+    over lattice indices, the tuple ``L.variety_masks(X)``, and X is read
+    off it as V(bottom).  ``closed_family`` is the distinct V(a) as
+    frozensets, sorted by (size, elements) so serialized output is
+    byte-stable.
     """
 
     lattice: FiniteLattice
-    points: frozenset[int]
     variety_masks: tuple[int, ...]  # indexed by lattice element
 
-    def __init__(
-        self, lattice: FiniteLattice, points: frozenset[int], variety_masks: tuple[int, ...]
-    ):
-        vars(self).update(lattice=lattice, points=points, variety_masks=variety_masks)
+    @property
+    def points(self) -> frozenset[int]:
+        return frozenset(self.sorted_points())
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen XTopSpace")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a frozen XTopSpace")
-
-    def _key(self) -> tuple:
-        return self.lattice, self.points, self.variety_masks
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "XTopSpace(lattice={!r}, points={!r}, variety_masks={!r})".format(*self._key())
-
-    @cached_property
-    def varieties(self) -> tuple[frozenset[int], ...]:
-        sets = {v: frozenset(_bits(v)) for v in set(self.variety_masks)}
-        return tuple(sets[v] for v in self.variety_masks)
-
-    @cached_property
+    @property
     def closed_family(self) -> tuple[frozenset[int], ...]:
         return _by_size(set(self.variety_masks))
 
-    @cached_property
-    def open_family(self) -> tuple[frozenset[int], ...]:
-        full = _mask(self.points)
-        return _by_size({full & ~v for v in self.variety_masks})
-
-    # -- point-set helpers ---------------------------------------------------
-
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return self.variety_masks[self.lattice.bottom].bit_count()
 
     def sorted_points(self) -> tuple[int, ...]:
-        return tuple(sorted(self.points))
+        return tuple(_bits(self.variety_masks[self.lattice.bottom]))
 
     def label(self, x: int) -> str:
         return self.lattice.label(x)
 
     def labels_of(self, S: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.label(x) for x in sorted(S))
-
-    def variety(self, a: int) -> frozenset[int]:
-        self.lattice.check(a)
-        return frozenset(_bits(self.variety_masks[a]))
-
-    def covariety(self, a: int) -> frozenset[int]:
-        return self.points - self.variety(a)
 
     def _require_subset(self, Y: Iterable[int]) -> frozenset[int]:
         Y = frozenset(Y)
@@ -227,18 +180,7 @@ class XTopSpace:
     def closure(self, Y: Iterable[int]) -> frozenset[int]:
         """The closure V(⋀Y): the smallest closed set containing Y."""
         Y = self._require_subset(Y)
-        return self.variety(self.lattice.meet_all(Y))
-
-    def kernel(self, x: int) -> frozenset[int]:
-        """Intersection of all open sets containing x: X minus every V(a)
-        that misses x."""
-        if x not in self.points:
-            raise IndexError(f"{x} is not a point of the space")
-        outside = 0
-        for v in self.variety_masks:
-            if not v >> x & 1:
-                outside |= v
-        return frozenset(_bits(_mask(self.points) & ~outside))
+        return frozenset(_bits(self.variety_masks[self.lattice.meet_all(Y)]))
 
     def subspace(self, Y: Iterable[int]) -> "XTopSpace":
         """The space over the same lattice with X replaced by Y ⊆ X.
@@ -249,7 +191,7 @@ class XTopSpace:
         """
         Y = self._require_subset(Y)
         ymask = _mask(Y)
-        return XTopSpace(self.lattice, Y, tuple(v & ymask for v in self.variety_masks))
+        return XTopSpace(self.lattice, tuple(v & ymask for v in self.variety_masks))
 
     def specialization_poset(self) -> FinitePoset:
         """The order X inherits from L: x <= y iff y ∈ closure({x}) = V(x)."""
@@ -271,7 +213,7 @@ def build_space(L: FiniteLattice, X: Iterable[int]) -> XTopSpace:
     if witness is not None:
         a, b = witness
         raise NotXTopError(L.labels[a], L.labels[b])
-    return XTopSpace(L, members, masks)
+    return XTopSpace(L, masks)
 
 
 def from_poset(P: FinitePoset) -> XTopSpace:
@@ -288,4 +230,4 @@ def from_poset(P: FinitePoset) -> XTopSpace:
     L, embedding = upset_lattice(P)
     point = [1 << embedding[x] for x in range(P.n)]
     masks = tuple(sum(point[x] for x in _bits(U)) for U in L.masks)
-    return XTopSpace(L, frozenset(embedding.values()), masks)
+    return XTopSpace(L, masks)

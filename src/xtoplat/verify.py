@@ -339,6 +339,10 @@ def run_suites(
       their axiom checks, its spectrum (no ideal is enumerated) and the
       separation reports of its spectra, and the sweep takes about 5 s
       at 60 on a 2-core machine.
+
+    It also raises :class:`RangeError` for a bound that the suite does not
+    read, ``max_n`` for a poset suite or ``max_size`` for ``bni``; ``all``
+    reads both.
     """
     if max_size is not None and max_size < 1:
         raise RangeError(f"--max-size must be at least 1, got {max_size}")
@@ -362,6 +366,11 @@ def run_suites(
     else:
         raise ValueError(f"unknown suite {suite!r}")
     bounds = {"max_size": max_size, "max_n": max_n}
+    read = {_SUITES[name][1] for name in names}
+    unread = [bound for bound, value in bounds.items() if value is not None and bound not in read]
+    if unread:
+        flag = {"max_size": "--max-size", "max_n": "--max-n"}
+        raise RangeError(f"verify {suite} takes {flag[read.pop()]}, not {flag[unread[0]]}")
     results = []
     for name in names:
         function, bound = _SUITES[name]

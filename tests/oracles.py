@@ -511,9 +511,15 @@ def eager_views(L: FiniteLattice, X) -> tuple[tuple[frozenset[int], ...], ...]:
     return varieties, closed, opens
 
 
+def open_family(space: XTopSpace) -> tuple[frozenset[int], ...]:
+    """The open sets D(a) = X \\ V(a) of a space, read off L.leq and sorted
+    by (size, sorted elements)."""
+    return eager_views(space.lattice, space.points)[2]
+
+
 def naive_kernel(space: XTopSpace, x: int) -> frozenset[int]:
     acc = space.points
-    for U in space.open_family:
+    for U in open_family(space):
         if x in U:
             acc &= U
     return acc
@@ -521,7 +527,7 @@ def naive_kernel(space: XTopSpace, x: int) -> frozenset[int]:
 
 def naive_interior(space: XTopSpace, S: frozenset[int]) -> frozenset[int]:
     acc: frozenset[int] = frozenset()
-    for U in space.open_family:
+    for U in open_family(space):
         if U <= S:
             acc |= U
     return acc
@@ -533,7 +539,7 @@ def excluded_meet(space: XTopSpace, x: int) -> tuple[int, int, bool]:
         raise IndexError(f"{x} is not a point of the space")
     L = space.lattice
     e = L.meet_all(space.points - {x})
-    d = L.meet_all(space.covariety(x))
+    d = L.meet_all(y for y in space.points if not L.leq(x, y))
     return e, d, e == d
 
 
@@ -545,49 +551,45 @@ def naive_closure(space: XTopSpace, S: frozenset[int]) -> frozenset[int]:
     return acc
 
 
-def shields(space: XTopSpace, A: frozenset[int], B: frozenset[int]) -> bool:
-    """A ⊢ B: some open set contains A and misses B."""
-    return any(A <= U and not U & B for U in space.open_family)
+def shields(opens, A: frozenset[int], B: frozenset[int]) -> bool:
+    """A ⊢ B: some open set of ``opens`` contains A and misses B."""
+    return any(A <= U and not U & B for U in opens)
 
 
 def naive_tf(space: XTopSpace) -> bool:
-    pts = space.points
+    pts, opens = space.points, open_family(space)
     for x in pts:
         for F in subsets(pts - {x}):
-            if not shields(space, frozenset({x}), F) and not shields(
-                space, F, frozenset({x})
+            if not shields(opens, frozenset({x}), F) and not shields(
+                opens, F, frozenset({x})
             ):
                 return False
     return True
 
 
 def naive_t0(space: XTopSpace) -> bool:
-    pts = sorted(space.points)
+    pts, opens = sorted(space.points), open_family(space)
     return all(
-        any((x in U) != (y in U) for U in space.open_family)
+        any((x in U) != (y in U) for U in opens)
         for i, x in enumerate(pts)
         for y in pts[i + 1 :]
     )
 
 
 def naive_t1(space: XTopSpace) -> bool:
-    pts = sorted(space.points)
+    pts, opens = sorted(space.points), open_family(space)
     return all(
-        shields(space, frozenset({x}), frozenset({y}))
-        and shields(space, frozenset({y}), frozenset({x}))
+        shields(opens, frozenset({x}), frozenset({y}))
+        and shields(opens, frozenset({y}), frozenset({x}))
         for i, x in enumerate(pts)
         for y in pts[i + 1 :]
     )
 
 
 def naive_t2(space: XTopSpace) -> bool:
-    pts = sorted(space.points)
+    pts, opens = sorted(space.points), open_family(space)
     return all(
-        any(
-            x in U and y in V and not U & V
-            for U in space.open_family
-            for V in space.open_family
-        )
+        any(x in U and y in V and not U & V for U in opens for V in opens)
         for i, x in enumerate(pts)
         for y in pts[i + 1 :]
     )
@@ -596,14 +598,10 @@ def naive_t2(space: XTopSpace) -> bool:
 def naive_quasi_hausdorff(space: XTopSpace) -> bool:
     """Any two points have disjoint open neighbourhoods or share the
     closure of one point."""
-    pts = sorted(space.points)
+    pts, opens = sorted(space.points), open_family(space)
     closures = [naive_closure(space, frozenset({z})) for z in pts]
     return all(
-        any(
-            x in U and y in V and not U & V
-            for U in space.open_family
-            for V in space.open_family
-        )
+        any(x in U and y in V and not U & V for U in opens for V in opens)
         or any(x in C and y in C for C in closures)
         for i, x in enumerate(pts)
         for y in pts[i + 1 :]
@@ -613,8 +611,10 @@ def naive_quasi_hausdorff(space: XTopSpace) -> bool:
 def naive_components(space: XTopSpace) -> dict[int, frozenset[int]]:
     """C(x) as the union of the connected subsets containing x."""
 
+    opens = open_family(space)
+
     def connected(S: frozenset[int]) -> bool:
-        rel = {U & S for U in space.open_family}
+        rel = {U & S for U in opens}
         return not any(A and A != S and S - A in rel for A in rel)
 
     out = {}
@@ -653,7 +653,7 @@ def naive_sober(space: XTopSpace) -> bool:
 
 def naive_clopens(space: XTopSpace) -> list[frozenset[int]]:
     closed = set(space.closed_family)
-    return [U for U in space.open_family if U in closed]
+    return [U for U in open_family(space) if U in closed]
 
 
 def naive_quasicomponents(space: XTopSpace) -> dict[int, frozenset[int]]:
@@ -679,7 +679,7 @@ def naive_ind_zero_dim(space: XTopSpace) -> bool:
     clopens = naive_clopens(space)
     return all(
         any(x in W and W <= U for W in clopens)
-        for U in space.open_family
+        for U in open_family(space)
         for x in U
     )
 
@@ -900,7 +900,8 @@ def closed_points(space: XTopSpace) -> frozenset[int]:
 
 def isolated_points(space: XTopSpace) -> frozenset[int]:
     """The points x whose singleton {x} is an open set."""
-    return frozenset(x for x in space.points if frozenset({x}) in space.open_family)
+    opens = set(open_family(space))
+    return frozenset(x for x in space.points if frozenset({x}) in opens)
 
 
 def leq_strongly_irreducible(space: XTopSpace) -> frozenset[int]:
@@ -954,7 +955,7 @@ def lattice_point_classes(space: XTopSpace) -> dict:
         "bmax": leq_barely(space, maxima),
         "excl": frozenset(x for x in X if excluded_meet(space, x)[2]),
         "kc": len(space.closed_family) == 1 << len(X),
-        "discrete": len(space.open_family) == 1 << len(X),
+        "discrete": len(open_family(space)) == 1 << len(X),
     }
 
 

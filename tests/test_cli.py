@@ -15,6 +15,8 @@ from xtoplat.cli import main
 from xtoplat.formats import dumps, lattice_to_json
 from xtoplat.poset import poset_from_relation
 
+from .oracles import open_family
+
 
 def run(argv):
     out = io.StringIO()
@@ -421,7 +423,7 @@ class TestSpec:
         for argv, R in sources.items():
             for which in selectors:
                 space = semiring.spec_space(R, which)
-                opens = [list(space.labels_of(U)) for U in space.open_family]
+                opens = [list(space.labels_of(U)) for U in open_family(space)]
                 separation = report_to_json(*report_and_points(space))
                 expected[argv, which] = opens, json.loads(dumps(separation))
 
@@ -655,6 +657,34 @@ class TestVerify:
         ],
     )
     def test_bound_past_the_cap_exit_2(self, monkeypatch, capsys, argv, message):
+        from xtoplat import verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        for function, _ in verify._SUITES.values():
+            monkeypatch.setattr(verify, function, refuse)
+        code, text = run(["verify", *argv])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["xct", "--max-n", "5"], "verify xct takes --max-size, not --max-n"),
+            (["quarter", "--max-n", "5"], "verify quarter takes --max-size, not --max-n"),
+            (
+                ["forest", "--max-size", "4", "--max-n", "5"],
+                "verify forest takes --max-size, not --max-n",
+            ),
+            (["bni", "--max-size", "3"], "verify bni takes --max-n, not --max-size"),
+            (["bni", "--max-size", "3", "--max-n", "3"], "verify bni takes --max-n, not --max-size"),
+        ],
+    )
+    def test_bound_the_suite_does_not_read_exit_2(
+        self, monkeypatch, capsys, argv, message
+    ):
+        # the bound was once dropped, and the suite ran at its default
         from xtoplat import verify
 
         def refuse(*args, **kwargs):

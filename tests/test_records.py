@@ -1,7 +1,7 @@
 """The result records: immutable, compared field by field, and cheap to import.
 
-The value records are ``typing.NamedTuple``s; ``XTopSpace`` and
-``SuiteResult`` are plain classes.  No module of the package imports
+The value records, ``XTopSpace`` among them, are ``typing.NamedTuple``s;
+``SuiteResult`` is a plain class.  No module of the package imports
 ``dataclasses``, whose import and per-class code generation cost more at
 start-up than a typical CLI job.
 """
@@ -140,7 +140,20 @@ def test_plain_records_compare_and_hash_by_fields():
     P = forest([("T", 2), ("C", 2)])
     first, second = from_poset(P), from_poset(P)
     assert first is not second and first == second and hash(first) == hash(second)
-    assert first != XTopSpace(first.lattice, first.points, (0,) * first.lattice.n)
+    assert first != XTopSpace(first.lattice, (0,) * first.lattice.n)
+
+
+def test_space_is_its_lattice_and_variety_masks():
+    # X is read off the masks as V(bottom); nothing mirrors them
+    from xtoplat import topology
+
+    space = from_poset(forest([("T", 2), ("C", 2)]))
+    assert XTopSpace._fields == ("lattice", "variety_masks") and isinstance(space, tuple)
+    for name in ("varieties", "open_family", "variety", "covariety", "kernel"):
+        assert not hasattr(space, name), name
+    assert not hasattr(topology, "cached_property")
+    bottom = space.variety_masks[space.lattice.bottom]
+    assert space.points == frozenset(x for x in range(space.lattice.n) if bottom >> x & 1)
 
 
 def test_suite_result_is_mutable_and_compared_by_fields():

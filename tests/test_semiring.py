@@ -14,6 +14,7 @@ from xtoplat import (
     NotAnIdealError,
     RangeError,
     bni,
+    covariety,
     ideal_lattice,
     ideals,
     omega,
@@ -57,6 +58,7 @@ from .oracles import (
     longest_inclusion_chain,
     meet_irredundant,
     mutated_tables,
+    open_family,
     pairwise_maximal_ideals,
     pairwise_minimal_primes,
     pi_regular_by_powers,
@@ -556,7 +558,7 @@ class TestIdealLattice:
 class TestSpecSpace:
     def test_s3_all(self):
         space = spec_space(s3())
-        opens = {space.labels_of(U) for U in space.open_family}
+        opens = {space.labels_of(U) for U in open_family(space)}
         assert opens == {(), ("{0}",), ("{0}", "{0,a}")}
 
     def test_s3_max_discrete_singleton(self):
@@ -608,9 +610,9 @@ def test_radical_lattice_matches_the_ideal_lattice(R, which):
     fast = spec_space(R, which)
     slow = _space_over_all_ideals(R, which)
     assert fast.labels_of(fast.points) == slow.labels_of(slow.points)
-    for family in ("closed_family", "open_family"):
-        assert [fast.labels_of(S) for S in getattr(fast, family)] == [
-            slow.labels_of(S) for S in getattr(slow, family)
+    for family in (lambda space: space.closed_family, open_family):
+        assert [fast.labels_of(S) for S in family(fast)] == [
+            slow.labels_of(S) for S in family(slow)
         ]
     assert separation_report(fast) == separation_report(slow)
     assert classify_points(fast) == classify_points(slow)
@@ -650,7 +652,7 @@ class TestSpecPoset:
 
         assert labelled(P.upset_masks()) == list(map(space.labels_of, space.closed_family))
         opens = labelled(full & ~U for U in P.upset_masks())
-        assert opens == list(map(space.labels_of, space.open_family))
+        assert opens == list(map(space.labels_of, open_family(space)))
         assert _report_and_points_in_index_order(P) == report_and_points(space)
 
     @pytest.mark.parametrize("which", ["all", "max", "min", "drop-zero"])
@@ -779,4 +781,4 @@ def test_zn_singleton_opens_have_principal_witnesses():
         for p, power in parts.items():
             witness = position(principal_ideal(R, (n // power) % n))
             target = position(principal_ideal(R, p))
-            assert space.covariety(witness) == frozenset({target})
+            assert covariety(space.lattice, space.points, witness) == frozenset({target})

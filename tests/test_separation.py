@@ -472,9 +472,7 @@ class TestCrossCheck:
         # varieties that are all ∅ or X give every point the closure X, so
         # the specialization "order" has cycles and no space is read from it
         full = space.variety_masks[space.lattice.bottom]
-        coarse = XTopSpace(
-            space.lattice, space.points, tuple(full if v else 0 for v in space.variety_masks)
-        )
+        coarse = XTopSpace(space.lattice, tuple(full if v else 0 for v in space.variety_masks))
         with pytest.raises(CycleError):
             cross_check(coarse)
         # the report's sober is a lemma; the closures from the closed family
@@ -564,7 +562,7 @@ class TestDegenerateCarriers:
         bit = {base.label(x): 1 << x for x in base.points}
         pair, full = bit["a0"] | bit["a1"], sum(bit.values())
         masks = tuple(full if v == pair else v for v in base.variety_masks)
-        broken = XTopSpace(base.lattice, base.points, masks)
+        broken = XTopSpace(base.lattice, masks)
         with pytest.raises(XtoplatError, match=r"Ker\('a2'\) is not open"):
             separation_report(broken)
 

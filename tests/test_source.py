@@ -175,3 +175,33 @@ def test_every_public_name_is_read_or_documented():
     ]
     assert sorted(set(xtoplat.__all__) - read - documented) == []
     assert unread_members == []
+
+
+def _leading_literal(comment: str) -> tuple | None:
+    """(value,) for the longest prefix of a comment that is a Python
+    literal, or None when no prefix is one."""
+    for end in range(len(comment), 0, -1):
+        try:
+            return (ast.literal_eval(comment[:end]),)
+        except (ValueError, TypeError, SyntaxError):
+            continue
+    return None
+
+
+def test_readme_library_quick_start_holds():
+    # each line of the README's library example runs, and a line whose
+    # trailing comment begins with a Python literal evaluates to it
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    checked = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        expected = _leading_literal(comment.strip())
+        if expected is None:
+            exec(code, namespace)
+        else:
+            assert eval(code, namespace) == expected[0], line
+            checked.append(expected[0])
+    assert checked == [(True, False), True, [[0, 3, 6, 9], [0, 2, 4, 6, 8, 10]], True]

@@ -9,6 +9,8 @@ Claims covered:
     - subspace topologies are the trace topologies
 """
 
+import json
+
 import pytest
 
 from xtoplat import (
@@ -16,6 +18,7 @@ from xtoplat import (
     FiniteLattice,
     NotXTopError,
     SubsetViolationError,
+    XTopSpace,
     antichain,
     build_space,
     chain,
@@ -31,9 +34,10 @@ from xtoplat import (
     upset_lattice,
     variety,
 )
-from xtoplat.enumeration import all_lattices_upto
+from xtoplat.enumeration import all_lattices_upto, forest_specs
+from xtoplat.formats import dumps, space_from_json, space_to_json
 from xtoplat.poset import _bits
-from xtoplat.semiring import bni, s3, spec_space
+from xtoplat.semiring import bni, s3, spec_poset, spec_space
 from xtoplat.separation import cross_check, report_and_points
 
 from .oracles import (
@@ -43,6 +47,7 @@ from .oracles import (
     naive_closure,
     naive_interior,
     naive_kernel,
+    open_family,
     subsets,
 )
 
@@ -79,7 +84,7 @@ class TestVariety:
         space = spec_space(bni(12, 0))
         ideal3 = next(x for x in space.points if space.label(x) == "{0,3,6,9}")
         ideal2 = next(x for x in space.points if space.label(x) == "{0,2,4,6,8,10}")
-        assert space.covariety(ideal3) == frozenset({ideal2})
+        assert covariety(space.lattice, space.points, ideal3) == frozenset({ideal2})
 
     def test_index_error(self):
         L, emb = upset_lattice(tree(2))
@@ -89,10 +94,10 @@ class TestVariety:
     def test_intersection_rule(self, posets_upto_5):
         for P in posets_upto_5:
             space = from_poset(P)
-            L = space.lattice
+            L, X = space.lattice, space.points
             for a in range(L.n):
                 for b in range(L.n):
-                    assert space.variety(L.join(a, b)) == space.variety(a) & space.variety(b)
+                    assert variety(L, X, L.join(a, b)) == variety(L, X, a) & variety(L, X, b)
 
 
 class TestRadical:
@@ -162,12 +167,12 @@ class TestCarrierCriteria:
 class TestBuildSpace:
     def test_spec_s3_opens(self):
         space = spec_space(s3())
-        opens = {space.labels_of(U) for U in space.open_family}
+        opens = {space.labels_of(U) for U in open_family(space)}
         assert opens == {(), ("{0}",), ("{0}", "{0,a}")}
 
     def test_antichain_3_is_discrete(self):
         space = from_poset(antichain(3))
-        assert len(space.open_family) == 8
+        assert len(open_family(space)) == 8
 
     def test_dual_tree_closed_sets_are_upsets(self):
         P = dual_tree(2)
@@ -185,9 +190,9 @@ class TestBuildSpace:
             # the mask route against build_space over the tabled lattice
             reference = build_space(FiniteLattice(L.poset), frozenset(emb.values()))
             assert space.points == reference.points
-            assert space.varieties == reference.varieties
+            assert space.variety_masks == reference.variety_masks
             assert space.closed_family == reference.closed_family
-            assert space.open_family == reference.open_family
+            assert open_family(space) == open_family(reference)
 
     def test_from_poset_rejects_empty(self):
         with pytest.raises(EmptyPosetError):
@@ -253,7 +258,7 @@ class TestClosureInteriorKernel:
         space = from_poset(tree(2))
         pts = space.points
         a = next(x for x in pts if space.label(x) == "a")
-        assert pts - space.closure(pts - space.variety(a)) == frozenset({a})
+        assert pts - space.closure(pts - variety(space.lattice, pts, a)) == frozenset({a})
 
     def test_interior_is_largest_open_inside(self, posets_upto_5):
         for P in posets_upto_5:
@@ -267,7 +272,7 @@ class TestClosureInteriorKernel:
     def test_kernel_of_isolated_point(self):
         space = from_poset(antichain(2))
         for x in space.points:
-            assert space.kernel(x) == frozenset({x})
+            assert naive_kernel(space, x) == frozenset({x})
 
     def test_kernel_is_down_set(self, posets_upto_5):
         for P in posets_upto_5:
@@ -275,13 +280,12 @@ class TestClosureInteriorKernel:
             L, emb = upset_lattice(P)
             for x in range(P.n):
                 expected = frozenset(emb[y] for y in _bits(P.down_rows()[x]))
-                assert space.kernel(emb[x]) == expected
-                assert space.kernel(emb[x]) == naive_kernel(space, emb[x])
+                assert naive_kernel(space, emb[x]) == expected
 
     def test_kernel_of_chain_top_is_everything(self):
         space = from_poset(chain(3))
         top = next(x for x in space.points if space.label(x) == "x2")
-        assert space.kernel(top) == space.points
+        assert naive_kernel(space, top) == space.points
 
     def test_subset_violation(self):
         space = from_poset(chain(2))
@@ -310,12 +314,12 @@ class TestExcludedMeet:
 class TestSubspace:
     def test_full_subspace_is_identity(self):
         space = from_poset(tree(2))
-        assert set(space.subspace(space.points).open_family) == set(space.open_family)
+        assert open_family(space.subspace(space.points)) == open_family(space)
 
     def test_spec_s3_max_is_discrete_singleton(self):
         space = spec_space(s3(), "max")
         assert space.n_points == 1
-        assert len(space.open_family) == 2
+        assert len(open_family(space)) == 2
 
     def test_punctured_bni_spectrum_is_tree_shaped(self):
         from xtoplat.enumeration import canonical_form
@@ -332,10 +336,11 @@ class TestSubspace:
             if P.n > 4:
                 continue
             space = from_poset(P)
+            opens = open_family(space)
             for Y in subsets(space.points):
                 sub = space.subspace(Y)
-                traces = {U & Y for U in space.open_family}
-                assert set(sub.open_family) == traces
+                traces = {U & Y for U in opens}
+                assert set(open_family(sub)) == traces
 
     def test_subset_violation(self):
         space = from_poset(chain(2))
@@ -361,9 +366,10 @@ def test_every_sub_carrier_gives_the_trace_topology(lattices_upto_5):
             if not is_xtop_by_unions(L, X):
                 continue
             space = build_space(L, X)
+            opens = open_family(space)
             for Y in subsets(X):
                 sub = space.subspace(Y)
-                assert set(sub.open_family) == {U & frozenset(Y) for U in space.open_family}
+                assert set(open_family(sub)) == {U & frozenset(Y) for U in opens}
 
 
 class TestCarrierLemmas:
@@ -427,10 +433,7 @@ class TestMaskCriteria:
         assert is_xtop_by_irreducibility(L, X) == leq_is_xtop_by_irreducibility(L, X)
         assert radical_info(L, X) == leq_radical_info(L, X)
         if witness is None:
-            varieties = build_space(L, X).varieties
-            assert varieties == tuple(
-                frozenset(x for x in X if L.leq(a, x)) for a in range(L.n)
-            )
+            assert build_space(L, X).variety_masks == masks
         else:
             with pytest.raises(NotXTopError) as err:
                 build_space(L, X)
@@ -477,41 +480,35 @@ class TestMaskCriteria:
         assert "V('{a1,a3}') ∪ V('{a0,a2}')" in str(err.value)
 
 
-VIEWS = ("varieties", "closed_family", "open_family")
-
-
 def assert_matches_eager_views(space):
-    """The lazy views, kernels, specialization order and subspaces of a
+    """The closed family, kernels, specialization order and subspaces of a
     space against the eager frozenset construction and build_space."""
     L, X = space.lattice, space.points
     varieties, closed, opens = eager_views(L, X)
     assert space.variety_masks == tuple(sum(1 << x for x in V) for V in varieties)
-    assert (space.varieties, space.closed_family, space.open_family) == (
-        varieties,
-        closed,
-        opens,
-    )
-    for x in X:
-        kernel = X
-        for U in opens:
-            if x in U:
-                kernel &= U
-        assert space.kernel(x) == kernel
+    assert space.closed_family == closed
     P = space.specialization_poset()
     pts = space.sorted_points()
     assert [P.up_mask(k) for k in range(P.n)] == [
         sum(1 << j for j, y in enumerate(pts) if L.leq(x, y)) for x in pts
     ]
+    # Ker(x), the meet of the opens around x, is ↓x in that order
+    for k, x in enumerate(pts):
+        kernel = X
+        for U in opens:
+            if x in U:
+                kernel &= U
+        assert frozenset(pts[j] for j in _bits(P.down_rows()[k])) == kernel
     for Y in subsets(pts):
         sub = space.subspace(Y)
         assert sub.points == Y
         assert sub.variety_masks == build_space(L, Y).variety_masks
-        assert (sub.varieties, sub.closed_family, sub.open_family) == eager_views(L, Y)
+        assert sub.closed_family == eager_views(L, Y)[1]
 
 
 class TestMaskViews:
-    """A space stores only its variety masks; every view and read of it
-    meets the eager frozenset construction."""
+    """A space stores only its variety masks; every read of it meets the
+    eager frozenset construction."""
 
     def test_every_carrier_up_to_six_elements(self, lattices_upto_6):
         count = 0
@@ -537,16 +534,68 @@ class TestMaskViews:
         [lambda: from_poset(forest([("V", 3)] * 3)), lambda: spec_space(bni(12, 3))],
         ids=["V3+V3+V3", "B(12,3)"],
     )
-    def test_reads_leave_the_views_unbuilt(self, make):
+    def test_reads_leave_the_views_unbuilt(self, make, monkeypatch):
+        # the closed family is built only for the printers; the report, the
+        # point rows and cross_check read the masks
         space = make()
-        cross_check(space)
-        report_and_points(space)
-        for x in space.points:
-            space.kernel(x)
+        reads = []
+
+        def refuse(self):
+            reads.append(self)
+            raise AssertionError("the closed family was built")
+
+        monkeypatch.setattr(XTopSpace, "closed_family", property(refuse))
         sub = space.subspace(space.sorted_points()[1:])
-        cross_check(sub)
         for s in (space, sub):
-            assert not set(VIEWS) & set(vars(s))
-        # each view is built on its own first read, and kept
-        assert space.open_family is space.open_family
-        assert [name in vars(space) for name in VIEWS] == [False, False, True]
+            cross_check(s)
+            report_and_points(s)
+        assert reads == []
+        with pytest.raises(AssertionError, match="closed family was built"):
+            space.closed_family
+        assert reads == [space]
+
+
+class TestPointsAreTheBottomVariety:
+    """X = V(bottom): on every route that builds a space, ``points`` is the
+    member set the space was built from."""
+
+    @staticmethod
+    def check(space, X):
+        X = frozenset(X)
+        assert space.points == X and space.n_points == len(X)
+        assert space.sorted_points() == tuple(sorted(X))
+
+    def test_build_space_up_to_six_elements(self, lattices_upto_6):
+        for L in lattices_upto_6:
+            for X in subsets(i for i in range(L.n) if i != L.top):
+                if is_xtop_by_unions(L, X):
+                    self.check(build_space(L, X), X)
+
+    def test_from_poset_up_to_six_points(self, posets_upto_6):
+        for P in posets_upto_6:
+            _, embedding = upset_lattice(P)
+            self.check(from_poset(P), embedding.values())
+
+    def test_subspace(self, posets_upto_5):
+        for P in posets_upto_5:
+            if P.n > 4:
+                continue
+            space = from_poset(P)
+            for Y in subsets(space.points):
+                self.check(space.subspace(Y), Y)
+
+    @pytest.mark.parametrize("which", ["all", "max", "min", "drop-zero"])
+    def test_spec_space(self, which):
+        for R in [s3()] + [bni(n, i) for n in range(2, 13) for i in range(n)]:
+            space = spec_space(R, which)
+            chosen = spec_poset(R, which).labels
+            self.check(space, (space.lattice.labels.index(name) for name in chosen))
+
+    def test_space_from_json(self):
+        spaces = [from_poset(forest(spec)) for spec in forest_specs(5)]
+        spaces += [spec_space(bni(12, 3), which) for which in ("all", "max", "min")]
+        for space in spaces:
+            data = json.loads(dumps(space_to_json(space)))
+            loaded = space_from_json(data)
+            self.check(loaded, (loaded.lattice.labels.index(name) for name in data["X"]))
+            assert loaded == space
