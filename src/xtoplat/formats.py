@@ -6,7 +6,7 @@ Formats (all label-based, order-independent on load, byte-stable on dump):
   first <= second; the reflexive-transitive closure is applied on load and
   cover pairs are emitted on dump.
 * lattice:  the poset format plus optional "meet"/"join" label tables,
-  validated against the derived glb/lub tables if present.
+  each entry checked, if present, against the glb/lub read off the order.
 * semiring: {"labels": [...], "add": [[...]], "mul": [[...]],
   "zero": "0", "one": "1"} with label-valued tables.
 * space:    {"lattice": ..., "X": [labels], "closed_sets": [[labels], ...]};
@@ -27,7 +27,7 @@ from typing import Any
 
 from .errors import RangeError
 from .lattice import FiniteLattice
-from .poset import FinitePoset, ForestComponent, _bits, _mask, poset_from_relation
+from .poset import FinitePoset, ForestComponent, _bits, _mask, _repeat, poset_from_relation
 from .semiring import FiniteSemiring, semiring_from_tables
 from .separation import PointClassification, SeparationReport, _in_upset_order
 from .topology import XTopSpace, build_space, from_poset
@@ -141,11 +141,7 @@ def lattice_from_json(data: dict[str, Any]) -> FiniteLattice:
             unknown = next((e for row in table for e in row if e not in known), None)
             if unknown is not None:
                 raise ValueError(f"{key!r} names unknown label {unknown!r}")
-            expected = derived.meet_table if key == "meet" else derived.join_table
-            given = tuple(
-                tuple(P.index(entry) for entry in row) for row in table
-            )
-            if given != expected:
+            if not derived.is_table(key, table):
                 raise ValueError(f"'{key}' table disagrees with the derived {key}")
     return derived
 
@@ -189,17 +185,24 @@ def space_from_json(data: dict[str, Any]) -> XTopSpace:
     X = data["X"]
     if not _is_label_list(X):
         raise ValueError("'X' must be a list of labels")
-    index = {name: i for i, name in enumerate(L.labels)}
-    unknown = next((name for name in X if name not in index), None)
-    if unknown is not None:
-        raise ValueError(f"'X' names unknown label {unknown!r}")
-    members = frozenset(index[name] for name in X)
+    try:
+        members = frozenset(map(L.poset.index, X))
+    except KeyError as err:
+        raise ValueError(f"'X' names unknown label {err.args[0]!r}") from None
+    if len(members) != len(X):
+        raise ValueError(f"'X' names label {_repeat(X)!r} twice")
     space = build_space(L, members)
     if "closed_sets" in data:
         closed_sets = data["closed_sets"]
         if not isinstance(closed_sets, list) or not all(map(_is_label_list, closed_sets)):
             raise ValueError("'closed_sets' must be a list of label lists")
+        for C in closed_sets:
+            if len(set(C)) != len(C):
+                raise ValueError(f"'closed_sets' names label {_repeat(C)!r} twice in one set")
         given = set(map(frozenset, closed_sets))
+        if len(given) != len(closed_sets):
+            repeated = sorted(_repeat(map(frozenset, closed_sets)))
+            raise ValueError(f"'closed_sets' lists the closed set {repeated} twice")
         computed = {frozenset(space.labels_of(C)) for C in space.closed_family}
         if given != computed:
             raise ValueError("'closed_sets' disagrees with the computed topology")

@@ -15,24 +15,29 @@ bottom is all of P.  Under this convention the varieties of the embedded
 copy of P are exactly the up-sets, i.e. closed = up-closed (the Alexandrov
 picture with the specialization order equal to the original order).
 
-A :class:`FiniteLattice` is given by its order alone.  c <= glb(a, b)
-iff c <= a and c <= b, so the glb of a and b is the element whose
-down-row is down(a) ∩ down(b), and a poset is a lattice exactly when
-every such intersection, and dually every up(a) ∩ up(b), is some
-element's row.  Construction looks each pair up once in the row
-dictionaries, raises :class:`NotALatticeError` at the first pair whose
-intersection is nobody's row, and keeps the answers as the meet/join
-tables; no table is ever handed in, so none needs re-checking.
+A :class:`FiniteLattice` is given by its order alone and stored as two
+keys per element: its **meet key** and its **join key**, bitmasks such
+that glb(a, b) is the element whose meet key is key(a) & key(b), and
+lub(a, b) likewise for the join keys.  Every query reads the keys alone:
 
-The up-set lattice is stored as its masks instead (:class:`UpsetLattice`):
-meet is OR, join is AND and a <= b is "mask a contains mask b", so it
-builds no order rows and no tables unless a caller reads them.  Its
-elements are ``P.upset_masks()``, which yields every up-set of P exactly
-once (see its docstring).  Up-sets are closed under union and
-intersection, so OR and AND stay among the elements and are their glb
-and lub under reverse inclusion, with ∅ the top and P the bottom.  No
-check is left to run at construction; the tests compare the masks with
-a filter over every subset of P.
+* For a lattice given by its order the keys are the down-rows and the
+  up-rows.  c <= glb(a, b) iff c <= a and c <= b, so ↓(a ∧ b) = ↓a ∩ ↓b,
+  and dually ↑(a ∨ b) = ↑a ∩ ↑b.  A poset is a lattice exactly when
+  every such intersection is some element's row, so construction looks
+  each pair up once in the row dictionaries and raises
+  :class:`NotALatticeError` at the first pair whose intersection is
+  nobody's row.  No table is built.
+* For the up-set lattice (:class:`UpsetLattice`) the join key is the
+  up-set U itself, since join is ∩, and the meet key is P \\ U, since
+  meet is ∪ and the complements of a union intersect.  Its elements are
+  ``P.upset_masks()``, which yields every up-set of P exactly once (see
+  its docstring).  Up-sets are closed under union and intersection, so
+  both lookups land on an element, with ∅ the top and P the bottom.  No
+  check is left to run at construction; the tests compare the masks with
+  a filter over every subset of P.
+
+In both, a <= b iff key(a) ⊆ key(b) for the meet keys, so a strictly
+larger element has a strictly larger meet key.
 """
 
 from __future__ import annotations
@@ -44,10 +49,11 @@ from .poset import FinitePoset, _bits
 
 
 class FiniteLattice:
-    """A finite bounded lattice, given by its order: meets and joins are
-    looked up in the order rows at construction and kept as tables."""
+    """A finite bounded lattice, given by its order and stored as the meet
+    keys ``_down`` and the join keys ``_up``, each with its inverse
+    dictionary (module docstring)."""
 
-    __slots__ = ("poset", "_meet", "_join", "bottom", "top")
+    __slots__ = ("poset", "_down", "_up", "_by_down", "_by_up", "bottom", "top")
 
     def __init__(self, poset: FinitePoset):
         if poset.n == 0:
@@ -62,8 +68,8 @@ class FiniteLattice:
         lub the one whose up-row is up(a) ∩ up(b) (module docstring).
         Pairs are scanned row by row, the meet before the join, so the
         error names the first failing pair of a scan over all ordered
-        pairs too.  The answers become the tables; bottom and top are
-        the meet and the join of everything.
+        pairs too.  The rows become the keys; the bottom is the element
+        below everything and the top the element above everything.
         """
         P = self.poset
         n = P.n
@@ -71,30 +77,22 @@ class FiniteLattice:
         down = P.down_rows()
         by_down = {row: c for c, row in enumerate(down)}
         by_up = {row: c for c, row in enumerate(up)}
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
         for a in range(n):
+            down_a, up_a = down[a], up[a]
             for b in range(a, n):
-                m = by_down.get(down[a] & down[b])
-                if m is None:
+                if down_a & down[b] not in by_down:
                     raise NotALatticeError("meet", P.labels[a], P.labels[b])
-                j = by_up.get(up[a] & up[b])
-                if j is None:
+                if up_a & up[b] not in by_up:
                     raise NotALatticeError("join", P.labels[a], P.labels[b])
-                meet[a][b] = meet[b][a] = m
-                join[a][b] = join[b][a] = j
-        self._meet = tuple(map(tuple, meet))
-        self._join = tuple(map(tuple, join))
-        bottom = top = 0
-        for e in range(n):
-            bottom, top = meet[bottom][e], join[top][e]
-        self.bottom, self.top = bottom, top
+        self._down, self._up, self._by_down, self._by_up = down, up, by_down, by_up
+        full = (1 << n) - 1
+        self.bottom, self.top = by_up[full], by_down[full]
 
     # -- queries ------------------------------------------------------------
 
     @property
     def n(self) -> int:
-        return self.poset.n
+        return len(self._down)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -110,48 +108,66 @@ class FiniteLattice:
             raise IndexError(f"element index {i} out of range 0..{self.n - 1}")
 
     def leq(self, a: int, b: int) -> bool:
-        return self.poset.leq(a, b)
+        self.check(a)
+        self.check(b)
+        return self._down[a] & ~self._down[b] == 0
 
     def meet(self, a: int, b: int) -> int:
-        return self._meet[a][b]
+        return self._by_down[self._down[a] & self._down[b]]
 
     def join(self, a: int, b: int) -> int:
-        return self._join[a][b]
+        return self._by_up[self._up[a] & self._up[b]]
 
-    @property
-    def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        """meet(a, b) for every pair, kept by ``validate`` or built on first read."""
-        if self._meet is None:
-            self._meet = self._table(self.meet)
-        return self._meet
-
-    @property
-    def join_table(self) -> tuple[tuple[int, ...], ...]:
-        if self._join is None:
-            self._join = self._table(self.join)
-        return self._join
-
-    def _table(self, op) -> tuple[tuple[int, ...], ...]:
-        n = self.n
-        return tuple(tuple(op(a, b) for b in range(n)) for a in range(n))
+    def is_table(self, op: str, table: list[list[str]]) -> bool:
+        """Whether ``table``, rows of labels, is the ``op`` ("meet" or
+        "join") table: |L| rows of |L| entries, where row a names at
+        column b the element whose key is key(a) & key(b).  Keys are
+        distinct, so each row is compared by the keys its labels name."""
+        keys = self._down if op == "meet" else self._up
+        key_of = dict(zip(self.labels, keys))
+        return len(table) == len(keys) and all(
+            [key & k for k in keys] == [key_of[name] for name in row]
+            for key, row in zip(keys, table)
+        )
 
     def variety_masks(self, members: Iterable[int]) -> tuple[int, ...]:
         """V(a) = {x ∈ members : a <= x} for every element a, as a mask
-        over element indices: the up-row of a restricted to the members."""
-        xmask = sum(1 << x for x in set(members))
-        return tuple(row & xmask for row in self.poset._up)
+        over element indices: x ∈ V(a) iff key(a) ⊆ key(x), meet keys."""
+        keys = self._down
+        out = [0] * len(keys)
+        for x in set(members):
+            key_x, bit = keys[x], 1 << x
+            for a, key_a in enumerate(keys):
+                if key_a & ~key_x == 0:
+                    out[a] |= bit
+        return tuple(out)
 
     def meet_all(self, elems: Iterable[int]) -> int:
-        """Greatest lower bound of a set; the empty meet is the top."""
-        acc = self.top
+        """Greatest lower bound of a set; the empty meet is the top, whose
+        meet key holds every bit."""
+        keys = self._down
+        acc = keys[self.top]
         for e in elems:
-            acc = self._meet[acc][e]
-        return acc
+            acc &= keys[e]
+        return self._by_down[acc]
 
     def maximals_of(self, members: Iterable[int]) -> frozenset[int]:
-        """Maximal elements of a subset under the lattice order."""
-        ms = set(members)
-        return frozenset(a for a in ms if not any(self.poset.lt(a, b) for b in ms))
+        """Maximal elements of a subset under the lattice order.
+
+        The members are scanned by decreasing meet-key size, a reversed
+        linear extension, and one is kept unless its key lies inside a
+        kept one.  A member below another is below a maximal one, which
+        the scan met first and kept; a maximal member's key lies inside
+        no other member's key.
+        """
+        keys, ms = self._down, set(members)
+        for a in ms:
+            self.check(a)
+        kept: list[int] = []
+        for a in sorted(ms, key=lambda a: keys[a].bit_count(), reverse=True):
+            if not any(keys[a] & ~keys[k] == 0 for k in kept):
+                kept.append(a)
+        return frozenset(kept)
 
     def __eq__(self, other: object) -> bool:
         # a lattice is determined by its order
@@ -169,38 +185,41 @@ class FiniteLattice:
 class UpsetLattice(FiniteLattice):
     """The up-sets of a poset under reverse inclusion, stored as bitmasks.
 
-    Element k is the up-set ``masks[k]``; the masks are sorted by (size,
-    mask), so the top ∅ is element 0 and the bottom, all of the ground
-    poset, is the last.  Meet is OR, join is AND and a <= b iff
-    masks[a] ⊇ masks[b].  The order (``poset``), the meet/join tables and
-    the labels are built on first read; the queries never read them.
+    Element k is the up-set ``masks[k]``, its join key, and its meet key is
+    the complement in the ground poset (module docstring); the masks are
+    sorted by (size, mask), so the top ∅ is element 0 and the bottom, all
+    of the ground poset, is the last.  The order (``poset``) and the
+    labels are built on first read; the queries never read them.
     Principal up-sets carry the label of their generator, the others set
     notation.
     """
 
     # the inherited poset slot stays unused: the property below shadows
     # it and builds into _order
-    __slots__ = ("ground", "masks", "_labels", "_position", "_order")
+    __slots__ = ("ground", "_labels", "_order")
 
     def __init__(self, ground: FinitePoset):
         if ground.n == 0:
             raise EmptyPosetError("the empty poset has no up-set lattice")
         masks = tuple(sorted(ground.upset_masks(), key=lambda m: (m.bit_count(), m)))
+        full = (1 << ground.n) - 1
         self.ground = ground
-        self.masks = masks
-        self._position = {m: k for k, m in enumerate(masks)}
-        self._labels = self._order = self._meet = self._join = None
-        self.top = 0
-        self.bottom = len(masks) - 1
+        self._up = masks
+        self._down = tuple(full & ~m for m in masks)
+        self._by_up = {m: k for k, m in enumerate(masks)}
+        self._by_down = {m: k for k, m in enumerate(self._down)}
+        self._labels = self._order = None
+        self.top, self.bottom = 0, len(masks) - 1
 
     @property
-    def n(self) -> int:
-        return len(self.masks)
+    def masks(self) -> tuple[int, ...]:
+        """The up-sets, element by element: the join keys."""
+        return self._up
 
     @property
     def labels(self) -> tuple[str, ...]:
         if self._labels is None:
-            self._labels = tuple(map(self.label, range(len(self.masks))))
+            self._labels = tuple(map(self.label, range(self.n)))
         return self._labels
 
     def label(self, a: int) -> str:
@@ -222,55 +241,6 @@ class UpsetLattice(FiniteLattice):
             self._order = FinitePoset(self.labels, rows)
         return self._order
 
-    def leq(self, a: int, b: int) -> bool:
-        masks = self.masks
-        if not (0 <= a < len(masks) and 0 <= b < len(masks)):
-            self.check(a)
-            self.check(b)
-        return masks[a] | masks[b] == masks[a]
-
-    def meet(self, a: int, b: int) -> int:
-        return self._position[self.masks[a] | self.masks[b]]
-
-    def variety_masks(self, members: Iterable[int]) -> tuple[int, ...]:
-        """V(a) for every element a, read off the masks: x ∈ V(a) iff
-        mask x ⊆ mask a.  Builds neither the order nor the tables."""
-        masks = self.masks
-        out = [0] * len(masks)
-        for x in set(members):
-            mx, bit = masks[x], 1 << x
-            for a, ma in enumerate(masks):
-                if ma | mx == ma:
-                    out[a] |= bit
-        return tuple(out)
-
-    def join(self, a: int, b: int) -> int:
-        return self._position[self.masks[a] & self.masks[b]]
-
-    def meet_all(self, elems: Iterable[int]) -> int:
-        masks = self.masks
-        acc = 0
-        for e in elems:
-            acc |= masks[e]
-        return self._position[acc]
-
-    def maximals_of(self, members: Iterable[int]) -> frozenset[int]:
-        """Members with no other member's mask inside their own.
-
-        Indices follow mask size, so scanning upwards meets every strictly
-        smaller mask first; comparing against the maximals kept so far
-        suffices, because each smaller member contains one of them.
-        """
-        kept: list[int] = []
-        out = []
-        for a in sorted(set(members)):
-            self.check(a)
-            m = self.masks[a]
-            if not any(k & ~m == 0 for k in kept):
-                kept.append(m)
-                out.append(a)
-        return frozenset(out)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, UpsetLattice) and self.ground == other.ground:
             return True
@@ -290,10 +260,10 @@ def upset_lattice(P: FinitePoset) -> tuple[UpsetLattice, dict[int, int]]:
     them); the embedding sends x to its principal up-set ↑x and is
     order-preserving and injective.  The lattice is an
     :class:`UpsetLattice`: the up-set masks themselves, with no order rows
-    or tables until a caller reads them.
+    until a caller reads them.
     """
     lattice = UpsetLattice(P)
-    embedding = {x: lattice._position[P.up_mask(x)] for x in range(P.n)}
+    embedding = {x: lattice._by_up[P.up_mask(x)] for x in range(P.n)}
     return lattice, embedding
 
 

@@ -69,6 +69,16 @@ def _mask(S: Iterable[int]) -> int:
     return sum(1 << x for x in S)
 
 
+def _repeat(items: Iterable):
+    """The first item that occurs a second time, or None."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+    return None
+
+
 def _by_size(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
     """Masks as sets sorted by (size, sorted elements): the order of every
     listed family of point sets and of ideals."""
@@ -85,11 +95,7 @@ class FinitePoset:
         labels = tuple(labels)
         up = tuple(up_masks)
         if len(set(labels)) != len(labels):
-            seen: set[str] = set()
-            for name in labels:
-                if name in seen:
-                    raise DuplicateLabelError(f"duplicate label {name!r}")
-                seen.add(name)
+            raise DuplicateLabelError(f"duplicate label {_repeat(labels)!r}")
         if len(up) != len(labels):
             raise ValueError("one relation row per label required")
         n = len(labels)
@@ -304,11 +310,8 @@ def poset_from_relation(
     that violates antisymmetry raises :class:`CycleError`.
     """
     labels = tuple(labels)
-    seen: set[str] = set()
-    for name in labels:
-        if name in seen:
-            raise DuplicateLabelError(f"duplicate label {name!r}")
-        seen.add(name)
+    if len(set(labels)) != len(labels):
+        raise DuplicateLabelError(f"duplicate label {_repeat(labels)!r}")
     index = {name: i for i, name in enumerate(labels)}
     index_pairs = []
     for a, b in pairs:

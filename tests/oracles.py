@@ -125,6 +125,20 @@ def lattice_by_search(P: FinitePoset):
     return tuple(map(tuple, meet)), tuple(map(tuple, join)), bottom, top
 
 
+# the |L|² meet and join tables and their stores, which no lattice keeps
+TABLE_ATTRIBUTES = ("_meet", "_join", "meet_table", "join_table")
+
+
+def tables(L: FiniteLattice):
+    """(meet table, join table) of L, one ``meet`` and one ``join`` call
+    per ordered pair."""
+    n = L.n
+    return (
+        tuple(tuple(L.meet(a, b) for b in range(n)) for a in range(n)),
+        tuple(tuple(L.join(a, b) for b in range(n)) for a in range(n)),
+    )
+
+
 def lattice_outcome(build, P: FinitePoset):
     """The tables, bottom and top that ``build`` gives P, or its
     :class:`NotALatticeError` as (kind, witness, message)."""
@@ -134,7 +148,31 @@ def lattice_outcome(build, P: FinitePoset):
         return err.kind, err.witness, str(err)
     if isinstance(L, tuple):
         return L
-    return L.meet_table, L.join_table, L.bottom, L.top
+    return (*tables(L), L.bottom, L.top)
+
+
+# -- lattice queries by pairwise definitions over the order rows -------------
+
+
+def order_meet_all(L: FiniteLattice, members) -> int:
+    """The greatest element below every member, by search over the order
+    rows of ``L.poset``; the empty set's is the top."""
+    P = L.poset
+    lower = [c for c in range(P.n) if all(P.leq(c, m) for m in members)]
+    (greatest,) = [c for c in lower if all(P.leq(d, c) for d in lower)]
+    return greatest
+
+
+def order_maximals(L: FiniteLattice, members) -> frozenset[int]:
+    """The members strictly below no other member, pair by pair."""
+    P = L.poset
+    return frozenset(a for a in members if not any(P.lt(a, b) for b in members))
+
+
+def order_variety_masks(L: FiniteLattice, X) -> tuple[int, ...]:
+    """V(a) = {x ∈ X : a <= x} for every element a, as a mask, pair by pair."""
+    P = L.poset
+    return tuple(sum(1 << x for x in X if P.leq(a, x)) for a in range(P.n))
 
 
 def restrict(P: FinitePoset, members) -> FinitePoset:

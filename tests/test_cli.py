@@ -15,7 +15,7 @@ from xtoplat.cli import main
 from xtoplat.formats import dumps, lattice_to_json
 from xtoplat.poset import poset_from_relation
 
-from .oracles import open_family
+from .oracles import TABLE_ATTRIBUTES, open_family
 
 
 def run(argv):
@@ -214,6 +214,43 @@ class TestClassify:
                 {"lattice": {"labels": ["a", "b"], "leq": [["a", "b"]]}, "X": ["a"], "closed": []},
                 "space JSON has unknown key 'closed'; the keys are 'lattice', 'X', 'closed_sets'",
             ),
+            (
+                # a repeated label in X or in a closed set, and a repeated
+                # closed set, were once read into sets and collapsed
+                "--space",
+                {"lattice": {"labels": ["a", "b"], "leq": [["a", "b"]]}, "X": ["a", "a"]},
+                "'X' names label 'a' twice",
+            ),
+            (
+                "--space",
+                {
+                    "lattice": {"labels": ["a", "b"], "leq": [["a", "b"]]},
+                    "X": ["a"],
+                    "closed_sets": [[], ["a", "a"], []],
+                },
+                "'closed_sets' names label 'a' twice in one set",
+            ),
+            (
+                "--space",
+                {
+                    "lattice": {"labels": ["a", "b"], "leq": [["a", "b"]]},
+                    "X": ["a"],
+                    "closed_sets": [[], ["a"], []],
+                },
+                "'closed_sets' lists the closed set [] twice",
+            ),
+            (
+                "--space",
+                {
+                    "lattice": {
+                        "labels": ["a", "b", "c", "d"],
+                        "leq": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]],
+                    },
+                    "X": ["b", "c"],
+                    "closed_sets": [[], ["b"], ["c"], ["c", "b"], ["b", "c"]],
+                },
+                "'closed_sets' lists the closed set ['b', 'c'] twice",
+            ),
         ],
     )
     def test_malformed_labels_exit_2(self, tmp_path, capsys, source, data, message):
@@ -245,7 +282,8 @@ class TestClassify:
         first, second = (space.lattice for space in spaces)
         assert first == second and hash(first) == hash(second)
         for L in (first, second):
-            assert (L._order, L._meet, L._join) == (None, None, None)
+            assert L._order is None
+            assert not any(hasattr(L, name) for name in TABLE_ATTRIBUTES)
 
 
     @pytest.mark.parametrize(

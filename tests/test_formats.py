@@ -74,6 +74,39 @@ class TestLatticeJson:
         with pytest.raises(ValueError):
             lattice_from_json(data)
 
+    def test_every_wrong_table_entry_is_refused(self, lattices_upto_5):
+        cases = 0
+        for L in lattices_upto_5:
+            data = lattice_to_json(L)
+            for key in ("meet", "join"):
+                for a in range(L.n):
+                    for b in range(L.n):
+                        right = data[key][a][b]
+                        for wrong in set(L.labels) - {right}:
+                            data[key][a][b] = wrong
+                            with pytest.raises(ValueError) as err:
+                                lattice_from_json(data)
+                            assert str(err.value) == f"'{key}' table disagrees with the derived {key}"
+                            cases += 1
+                        data[key][a][b] = right
+            assert lattice_from_json(data) == L
+        assert cases == 2 * sum(L.n ** 2 * (L.n - 1) for L in lattices_upto_5)
+
+    @pytest.mark.parametrize("key", ["meet", "join"])
+    @pytest.mark.parametrize("shape", ["short row", "missing row", "extra row"])
+    def test_misshapen_tables_are_refused(self, key, shape):
+        L = FiniteLattice(chain(3))
+        data = lattice_to_json(L)
+        table = data[key]
+        if shape == "short row":
+            table[1].pop()
+        elif shape == "missing row":
+            table.pop()
+        else:
+            table.append(list(table[0]))
+        with pytest.raises(ValueError, match=f"^'{key}' table disagrees with the derived {key}$"):
+            lattice_from_json(data)
+
     def test_tables_derived_when_absent(self):
         data = poset_to_json(chain(3))
         L = lattice_from_json(data)

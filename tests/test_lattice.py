@@ -1,4 +1,4 @@
-"""Lattices: table construction, up-set lattices, predicates."""
+"""Lattices: meet and join lookups on the keys, up-set lattices, predicates."""
 
 import random
 
@@ -30,7 +30,11 @@ from .oracles import (
     lattice_by_search,
     lattice_outcome,
     lub_search,
+    order_maximals,
+    order_meet_all,
+    order_variety_masks,
     permuted,
+    tables,
     upsets_by_filter,
 )
 
@@ -106,6 +110,63 @@ class TestRowLookupMatchesSearch:
         assert cases == 1620
 
 
+def query_subsets(items, rng):
+    """Every subset of ``items`` when there are at most 8, else every
+    subset of at most two and 200 seeded random ones."""
+    items = sorted(items)
+    if len(items) <= 8:
+        return [[x for k, x in enumerate(items) if S >> k & 1] for S in range(1 << len(items))]
+    small = [[], *([x] for x in items), *([x, y] for x in items for y in items if x < y)]
+    return small + [[x for x in items if rng.random() < 0.5] for _ in range(200)]
+
+
+@pytest.fixture(scope="module")
+def both_kinds(lattices_upto_6, posets_upto_5):
+    """Every order-given lattice with at most 6 elements and the up-set
+    lattice of every poset with at most 5 points."""
+    return [*lattices_upto_6, *(upset_lattice(P)[0] for P in posets_upto_5)]
+
+
+class TestQueriesMatchTheOrder:
+    """One implementation of each query serves both lattice classes; each
+    is compared with its pairwise definition over the order rows."""
+
+    def test_sizes(self, both_kinds):
+        kinds = [type(L) for L in both_kinds]
+        assert (kinds.count(FiniteLattice), kinds.count(UpsetLattice)) == (25, 87)
+
+    def test_leq_meet_join_on_every_pair(self, both_kinds):
+        for L in both_kinds:
+            rows = L.poset.up_rows()
+            for a in range(L.n):
+                for b in range(L.n):
+                    assert L.leq(a, b) == bool(rows[a] >> b & 1)
+                    assert L.meet(a, b) == glb_search(L.poset, a, b)
+                    assert L.join(a, b) == lub_search(L.poset, a, b)
+
+    def test_meet_all_and_maximals_of_on_every_subset(self, both_kinds):
+        rng = random.Random(29)
+        for L in both_kinds:
+            for S in query_subsets(range(L.n), rng):
+                assert L.meet_all(S) == order_meet_all(L, S), (L, S)
+                assert L.maximals_of(S) == order_maximals(L, S), (L, S)
+
+    def test_variety_masks_on_every_carrier(self, both_kinds):
+        rng = random.Random(30)
+        for L in both_kinds:
+            for X in query_subsets(set(range(L.n)) - {L.top}, rng):
+                assert L.variety_masks(X) == order_variety_masks(L, X), (L, X)
+
+    @pytest.mark.parametrize("build", [FiniteLattice, lambda P: upset_lattice(P)[0]])
+    def test_leq_rejects_indices_out_of_range(self, build):
+        L = build(chain(3))
+        for bad in (-1, L.n):
+            with pytest.raises(IndexError):
+                L.leq(bad, 0)
+            with pytest.raises(IndexError):
+                L.leq(0, bad)
+
+
 class TestUpsetLattice:
     def test_singleton(self):
         L, emb = upset_lattice(poset_from_relation(["x"], []))
@@ -133,8 +194,7 @@ class TestUpsetLattice:
         for P in posets_upto_5:
             L, _ = upset_lattice(P)
             rebuilt = FiniteLattice(L.poset)
-            assert rebuilt.meet_table == L.meet_table
-            assert rebuilt.join_table == L.join_table
+            assert tables(rebuilt) == tables(L)
             # the order: reverse inclusion of the up-sets, found by filtering
             upsets = sorted(
                 upsets_by_filter(P), key=lambda S: (len(S), sum(1 << i for i in S))

@@ -33,6 +33,7 @@ from xtoplat.semiring import bni, s3, spec_space
 from xtoplat.topology import XTopSpace, build_space, is_xtop_by_unions, radical_info
 
 from .oracles import (
+    TABLE_ATTRIBUTES,
     closed_points,
     excluded_meet,
     isolated_points,
@@ -536,7 +537,8 @@ class TestCrossCheck:
         failing = [c for c in cross_check(space) if not c.holds]
         assert failing == []
         L = space.lattice
-        assert L._order is None and L._meet is None and L._join is None
+        assert L._order is None
+        assert not any(hasattr(L, name) for name in TABLE_ATTRIBUTES)
 
 
 class TestDegenerateCarriers:
