@@ -45,11 +45,12 @@ from .formats import (
     space_to_dot,
     space_to_json,
 )
-from .poset import FinitePoset, _by_size, chain, forest
+from .poset import FinitePoset, _selected, _size_key, chain, forest
 from .semiring import (
     FiniteSemiring,
     SpectrumReport,
     bni,
+    ideal_label,
     ideals,
     s3,
     spec_poset,
@@ -189,14 +190,14 @@ def _cmd_spec(args, out) -> int:
     P = spec_poset(R, args.subspace)
     full = (1 << P.n) - 1
     opens = [
-        [P.labels[k] for k in sorted(U)]
-        for U in _by_size(full & ~U for U in P.upset_masks())
+        list(_selected(P.labels, U))
+        for U in sorted((full & ~C for C in P.upset_masks()), key=_size_key, reverse=True)
     ]
     separation = _report_and_points_in_index_order(P)
     if args.json:
         payload = {
             "labels": list(R.labels),
-            "ideals": [label_set(I) for I in all_ideals],
+            "ideals": [list(_selected(R.labels, I)) for I in all_ideals],
             "spec": [label_set(I) for I in report.spec],
             "max": [label_set(I) for I in report.max],
             "min_primes": [label_set(I) for I in report.min_primes],
@@ -217,7 +218,7 @@ def _cmd_spec(args, out) -> int:
 
     lines = [
         f"semiring on {R.n} elements: " + " ".join(R.labels),
-        f"ideals ({len(all_ideals)}): " + " ".join(map(braced, all_ideals)),
+        f"ideals ({len(all_ideals)}): " + " ".join(ideal_label(R, I) for I in all_ideals),
         "Spec: " + " ".join(map(braced, report.spec)),
         "Max: " + " ".join(map(braced, report.max)),
         "Min: " + " ".join(map(braced, report.min_primes)),

@@ -24,6 +24,7 @@ refused with :class:`RangeError` before any row is built.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -79,11 +80,31 @@ def _repeat(items: Iterable):
     return None
 
 
+def _size_key(mask: int) -> tuple[int, str]:
+    """The sort key, under ``reverse=True``, of the (size, sorted elements)
+    order: the order of every listed family of point sets and of ideals.
+
+    Smaller sets come first.  For equal sizes the lesser set holds the
+    first differing element, which is a "1" against a "0" in the
+    binary strings read from bit 0 up; such strings never extend one
+    another, since the longer one ends in a "1" the shorter lacks.
+    """
+    return (-mask.bit_count(), bin(mask)[:1:-1])
+
+
 def _by_size(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
-    """Masks as sets sorted by (size, sorted elements): the order of every
-    listed family of point sets and of ideals."""
-    listed = sorted(map(list, map(_bits, masks)), key=lambda s: (len(s), s))
-    return tuple(map(frozenset, listed))
+    """Masks as sets, sorted by :func:`_size_key`."""
+    return tuple(map(frozenset, map(_bits, sorted(masks, key=_size_key, reverse=True))))
+
+
+# the characters "0" and "1" to the bytes 0 and 1, false and true selectors
+_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selected(labels: Sequence[str], mask: int):
+    """The labels of the elements of a mask, in index order: ``labels[k]``
+    is selected by bit k, read off the binary string from bit 0 up."""
+    return compress(labels, bin(mask)[:1:-1].encode().translate(_FLAG_BYTES))
 
 
 class FinitePoset:

@@ -31,14 +31,22 @@ Each failing test is itself a violated instance of its axiom, so when one
 fails the O(n³) loops run to report the first violation, axiom and
 witness, in the order of the definitional scan.
 
-Ideals are plain ``frozenset[int]`` of element indices.  Enumeration runs
-the principal-ideal sum closure to a fixpoint on element bitmasks (every
-ideal is the sum of its principal subideals, so the closure is complete)
-and checks each set I it reaches on the masks it builds anyway; the
-test-suite checks the result against an exhaustive subset scan for small
-carriers.  Given 1·b = b, a + 0 = a, 0·b = 0 and commutativity, three
-tests are equivalent to the definition of an ideal (0 ∈ I, I + I ⊆ I,
-R·I ⊆ I):
+Ideals are element bitmasks, bit e standing for element e, from their
+enumeration to their printing; only :class:`SpectrumReport`, which holds
+a few primes, lists them as ``frozenset[int]``.  Enumeration runs the
+principal-ideal sum closure to a fixpoint (every ideal is the sum of its
+principal subideals, so the closure is complete) and checks each set I
+it reaches on the masks it builds anyway; the test-suite checks the
+result against an exhaustive subset scan for small carriers.
+
+The sums b + F_k for the masks F_k of a family (the principal ideals, or
+the candidate primes below) come from one row per b, built by shifts.
+Let ``spread[y]`` hold bit nk for each F_k ∋ y.  Then the OR of
+``spread[y] << (b + y)`` over all y has, in its block k of n bits, bit v
+iff some y ∈ F_k has b + y = v, so that block is b + F_k.
+
+Given 1·b = b, a + 0 = a, 0·b = 0 and commutativity, three tests are
+equivalent to the definition of an ideal (0 ∈ I, I + I ⊆ I, R·I ⊆ I):
 
 * 0 ∈ I;
 * (b) ⊆ I for every b ∈ I, which is R·I ⊆ I, as (b) = {rb : r ∈ R};
@@ -80,7 +88,7 @@ b | c for c ∈ (b), and sat(a) = {b : b | a^k for some k ≥ 1}:
   1 ∉ P, as 1 | a; and b | a^j, c | a^k give bc | a^(j+k).  So P is a
   prime ideal.  That is at most n candidates, read off
   ``div[c]`` = {b : b | c}, built once in O(n²), and each checked for
-  sums in O(n²).
+  sums by ORing the shifted sum rows of its members.
 * Maximal ideals are prime.  Let M be maximal, ab ∈ M and a ∉ M.  Then
   M + (a) is an ideal above M holding a, so it is R, and 1 = m + ra for
   some m ∈ M and r ∈ R; then b = mb + rab ∈ M.  Every proper ideal lies
@@ -133,13 +141,13 @@ integers-mod-n behavior.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
-from operator import ne
+from functools import cache, lru_cache, reduce
+from operator import lshift, ne, or_
 from typing import NamedTuple, Sequence
 
 from .errors import AxiomError, NotAnIdealError, RangeError
 from .lattice import FiniteLattice
-from .poset import FinitePoset, _bits, _by_size
+from .poset import FinitePoset, _bits, _mask, _selected, _size_key
 from .topology import XTopSpace, build_space
 
 
@@ -402,16 +410,21 @@ def principal_ideal(R: FiniteSemiring, a: int) -> frozenset[int]:
 
 
 @lru_cache(maxsize=64)
-def ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
-    """All ideals: the sum-closure of the principal ideals, to a fixpoint.
+def ideals(R: FiniteSemiring) -> tuple[int, ...]:
+    """All ideals, as element bitmasks sorted by :func:`poset._size_key`:
+    the sum-closure of the principal ideals, to a fixpoint.
 
     Closing under sums with principal ideals suffices: every ideal is the
-    sum of the principal ideals of its members.  Ideals are element
-    bitmasks during the closure.  ``packed[b]`` holds, in blocks of n
-    bits, the mask of b + P_k in block k for each of the K distinct
-    principal ideals P_k, and the mask of (b) in block K.  So one OR of
-    ``packed[b]`` over the members b of I gives every I + P_k and the
-    union of the (b), b ∈ I, at once.
+    sum of the principal ideals of its members.  ``packed[b]`` holds, in
+    blocks of n bits, the mask of b + P_k in block k for each of the K
+    distinct principal ideals P_k, and the mask of (b) in block K.  So one
+    OR of ``packed[b]`` over the members b of I gives every I + P_k and
+    the union of the (b), b ∈ I, at once.
+
+    Blocks 0 to K - 1 are the :func:`_sum_rows` of the P_k, built by
+    shifts: with ``spread[y]`` holding bit nk for each P_k ∋ y, the OR of
+    ``spread[y] << (b + y)`` over all y has bit nk + v iff some y ∈ P_k
+    has b + y = v, so its block k is b + P_k.
 
     Each set I the closure reaches is checked as it is expanded, on those
     masks: 0 ∈ I, (b) ⊆ I for every b ∈ I, and I + P_k = I for every
@@ -425,16 +438,11 @@ def ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
     # lists the b·r = r·b, so it spans (b)
     spans = [sum(set(map(bit.__getitem__, row))) for row in R.mul]
     principal = list(dict.fromkeys(spans))
-    members = [list(_bits(P)) for P in principal]
-    packed = []
-    for add_b, span in zip(R.add, spans):
-        bits_b = [bit[y] for y in add_b]
-        row = span
-        for m in reversed(members):
-            row = row << n | sum(set(map(bits_b.__getitem__, m)))
-        packed.append(row)
-    block = (1 << n) - 1
     top = n * len(principal)
+    packed = [
+        row | span << top for row, span in zip(_sum_rows(R, principal), spans)
+    ]
+    block = (1 << n) - 1
     zero = bit[R.zero]
     found = set(principal)
     frontier = principal
@@ -456,7 +464,20 @@ def ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
                         found.add(s)
                         new.append(s)
         frontier = new
-    return _by_size(found)
+    return tuple(sorted(found, key=_size_key, reverse=True))
+
+
+def _sum_rows(R: FiniteSemiring, family: Sequence[int]) -> list[int]:
+    """Row b holds, in blocks of n bits, the mask of b + F_k in block k
+    for each mask F_k of ``family``: the OR of ``spread[y] << (b + y)``
+    over all y (module docstring), one C-level fold over row b of the sum
+    table."""
+    n = R.n
+    spread = [0] * n
+    for k, F in enumerate(family):
+        for y in _bits(F):
+            spread[y] |= 1 << n * k
+    return [reduce(or_, map(lshift, spread, add_b), 0) for add_b in R.add]
 
 
 def is_subtractive_semiring(R: FiniteSemiring) -> bool:
@@ -508,12 +529,14 @@ class SpectrumReport(NamedTuple):
     is_pbmax: bool
 
 
-def _primes(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
-    """Spec(R) as the sum-closed R \\ sat(a), a not nilpotent (module docstring).
+def _primes(R: FiniteSemiring) -> tuple[int, ...]:
+    """Spec(R) as the sum-closed R \\ sat(a), a not nilpotent (module
+    docstring), as element masks in the order of :func:`ideals`.
 
     ``div[c]`` is the mask of the b with c ∈ (b), and sat(a) the OR of
-    ``div`` over the powers of a, which cycle within n steps.  The primes
-    are listed in the order of :func:`ideals`.
+    ``div`` over the powers of a, which cycle within n steps.  A candidate
+    P_k is closed under + iff P_k + P_k misses sat(a): block k of the OR of
+    the :func:`_sum_rows` of its members, one OR per member.
     """
     div = [0] * R.n
     for b, row in enumerate(R.mul):
@@ -533,13 +556,17 @@ def _primes(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
         if not sat & zero:
             complements.add(sat)
     full = (1 << R.n) - 1
+    candidates = [full & ~sat for sat in complements]
+    rows = _sum_rows(R, candidates)
     primes = []
-    for sat in complements:
-        P = full & ~sat
-        members = list(_bits(P))
-        if not any(sat >> R.add[x][y] & 1 for x in members for y in members):
+    for k, P in enumerate(candidates):
+        sums = 0
+        for x in _bits(P):
+            sums |= rows[x]
+        # block k is P + P, which must miss sat(a) = R \ P
+        if not sums >> R.n * k & full & ~P:
             primes.append(P)
-    return _by_size(primes)
+    return tuple(sorted(primes, key=_size_key, reverse=True))
 
 
 @lru_cache(maxsize=64)
@@ -549,9 +576,15 @@ def spectrum(R: FiniteSemiring) -> SpectrumReport:
     dimension, kept in the order of :func:`ideals` (module docstring).
     No ideal is enumerated: subtractivity is a pair lemma.  The flags
     that hold on every finite semiring are set true and the lemma reads
-    written out, each with its reason beside it."""
-    spec = _primes(R)
-    order = _inclusion_order(R, spec)
+    written out, each with its reason beside it.
+
+    R is a semidomain when ab ≠ 0 for all nonzero a and b.  Row a of the
+    product holds a·0 = 0 by absorption, so for a ≠ 0 that is one count:
+    the row holds 0 exactly once.
+    """
+    primes = _primes(R)
+    order = _inclusion_order(R, primes)
+    spec = tuple(map(frozenset, map(_bits, primes)))
     maximal = tuple(spec[k] for k in sorted(order.maximals()))
     min_primes = tuple(spec[k] for k in sorted(order.minimals()))
     full = frozenset(R.elements())
@@ -582,10 +615,7 @@ def spectrum(R: FiniteSemiring) -> SpectrumReport:
         is_idempotent=add_idem and mul_idem,
         is_subtractive_semiring=is_subtractive_semiring(R),
         is_semidomain=all(
-            R.mul[a][b] != R.zero
-            for a in els
-            for b in els
-            if a != R.zero and b != R.zero
+            row.count(R.zero) == 1 for a, row in enumerate(R.mul) if a != R.zero
         ),
         is_fmax=True,  # finite carrier: finitely many maximal ideals
         is_fmin=True,
@@ -598,24 +628,24 @@ def spectrum(R: FiniteSemiring) -> SpectrumReport:
     )
 
 
-def ideal_label(R: FiniteSemiring, I: frozenset[int]) -> str:
-    return "{" + ",".join(R.labels[a] for a in sorted(I)) + "}"
+def ideal_label(R: FiniteSemiring, I: int) -> str:
+    """The element mask ``I`` printed as a set, its labels in index order."""
+    return "{" + ",".join(_selected(R.labels, I)) + "}"
 
 
-def _inclusion_order(R: FiniteSemiring, family: Sequence[frozenset[int]]) -> FinitePoset:
-    """A family of ideals under ⊆, labelled by :func:`ideal_label`.
+def _inclusion_order(R: FiniteSemiring, family: Sequence[int]) -> FinitePoset:
+    """A family of ideals, given as element masks, under ⊆, labelled by
+    :func:`ideal_label`.
 
-    ``family`` must be sorted by (size, elements).  The order is built
-    from element bitmasks; for a ∩-closed family containing R,
-    :class:`FiniteLattice` reads the meets (the intersections) and the
-    joins (the least members above both) off it.
+    ``family`` must be sorted by (size, elements).  For a ∩-closed family
+    containing R, :class:`FiniteLattice` reads the meets (the
+    intersections) and the joins (the least members above both) off it.
     """
-    elem_mask = [sum(1 << e for e in I) for I in family]
     rows = []
-    for mask_a in elem_mask:
+    for mask_a in family:
         row = 0
         bit = 1
-        for mask_b in elem_mask:
+        for mask_b in family:
             if mask_a & ~mask_b == 0:
                 row |= bit
             bit <<= 1
@@ -623,33 +653,33 @@ def _inclusion_order(R: FiniteSemiring, family: Sequence[frozenset[int]]) -> Fin
     return FinitePoset([ideal_label(R, I) for I in family], rows)
 
 
-def ideal_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[int], ...]]:
+def ideal_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[int, ...]]:
     """The lattice of all ideals under inclusion: meet = ∩, join = ideal sum.
 
     The join I + J is the least ideal above both (the sum is generated by
     the union, so it is that least upper bound).  This is the definitional
     lattice of Spec(R); :func:`spec_space` uses the radical-ideal lattice,
-    which gives the same topology from far fewer elements.
+    which gives the same topology from far fewer elements.  The ideals
+    are the element masks of :func:`ideals`, in its order.
     """
     all_ideals = ideals(R)
     return FiniteLattice(_inclusion_order(R, all_ideals)), all_ideals
 
 
-def radical_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[frozenset[int], ...]]:
+def radical_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[int, ...]]:
     """The meet-closure of Spec(R) ∪ {R}: the radical ideals under inclusion.
 
     Its elements are the intersections of sets of primes (R being the
-    empty intersection), listed in the order of :func:`ideals`.  Every
-    closed set of Spec(R), Max(R) or Min(R) is V(I) = V(√I), and √I is
-    such an intersection, so this lattice carries the same topology as
+    empty intersection), as element masks in the order of :func:`ideals`.
+    Every closed set of Spec(R), Max(R) or Min(R) is V(I) = V(√I), and √I
+    is such an intersection, so this lattice carries the same topology as
     :func:`ideal_lattice` on every subspace of Spec(R).
     """
     full = (1 << R.n) - 1
     closure = {full}
-    for P in spectrum(R).spec:
-        mask = sum(1 << e for e in P)
-        closure |= {m & mask for m in closure}
-    radicals = _by_size(closure)
+    for P in map(_mask, spectrum(R).spec):
+        closure |= {m & P for m in closure}
+    radicals = tuple(sorted(closure, key=_size_key, reverse=True))
     return FiniteLattice(_inclusion_order(R, radicals)), radicals
 
 
@@ -677,7 +707,7 @@ def spec_poset(R: FiniteSemiring, which: str = "all") -> FinitePoset:
     (module docstring), so the space's report, point rows and open sets
     are read off it without the radical-ideal lattice.
     """
-    return _inclusion_order(R, _chosen_primes(R, which))
+    return _inclusion_order(R, list(map(_mask, _chosen_primes(R, which))))
 
 
 def spec_space(R: FiniteSemiring, which: str = "all") -> XTopSpace:
@@ -690,7 +720,7 @@ def spec_space(R: FiniteSemiring, which: str = "all") -> XTopSpace:
     chosen = _chosen_primes(R, which)
     lattice, radicals = radical_lattice(R)
     position = {I: k for k, I in enumerate(radicals)}
-    return build_space(lattice, [position[I] for I in chosen])
+    return build_space(lattice, [position[_mask(I)] for I in chosen])
 
 
 class BniVerification(NamedTuple):

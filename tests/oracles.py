@@ -24,7 +24,7 @@ from xtoplat import (
     semiring_from_tables,
 )
 from xtoplat.lattice import _members
-from xtoplat.poset import _letters, is_dual_tree_component, is_tree_component
+from xtoplat.poset import _bits, _letters, is_dual_tree_component, is_tree_component
 from xtoplat.semiring import ideals
 
 
@@ -307,21 +307,26 @@ def is_subtractive(R: FiniteSemiring, I: frozenset[int]) -> bool:
     )
 
 
+def ideal_sets(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
+    """The element masks of ``ideals(R)`` as sets, in its order."""
+    return tuple(frozenset(_bits(I)) for I in ideals(R))
+
+
 def subtractive_by_ideal_scan(R: FiniteSemiring) -> bool:
     """R is subtractive by its definition: every enumerated ideal is."""
-    return all(is_subtractive(R, I) for I in ideals(R))
+    return all(is_subtractive(R, I) for I in ideal_sets(R))
 
 
 def pairwise_maximal_ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
     """The proper ideals under no other proper ideal, by comparing every pair."""
     full = frozenset(R.elements())
-    proper = [I for I in ideals(R) if I != full]
+    proper = [I for I in ideal_sets(R) if I != full]
     return tuple(I for I in proper if not any(I < J for J in proper))
 
 
 def primes_by_ideal_scan(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
     """Spec(R) by its definition: the enumerated ideals that are prime."""
-    return tuple(I for I in ideals(R) if is_prime_ideal(R, I))
+    return tuple(I for I in ideal_sets(R) if is_prime_ideal(R, I))
 
 
 def pairwise_minimal_primes(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
@@ -1102,3 +1107,13 @@ def posets_by_code_scan(n: int) -> tuple[FinitePoset, ...]:
             seen.add(key)
             out.append(poset_from_code(*key))
     return tuple(out)
+
+
+def semidomain_by_pairs(R: FiniteSemiring) -> bool:
+    """R is a semidomain by its definition: ab ≠ 0 for all nonzero a, b."""
+    return all(
+        R.mul[a][b] != R.zero
+        for a in R.elements()
+        for b in R.elements()
+        if a != R.zero and b != R.zero
+    )

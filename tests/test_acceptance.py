@@ -32,7 +32,7 @@ from xtoplat import (
     verify_bni,
 )
 from xtoplat.enumeration import forest_specs
-from xtoplat.poset import forest
+from xtoplat.poset import _bits, forest
 from xtoplat.semiring import ideals, principal_ideal
 from xtoplat.separation import _report_and_checks
 
@@ -54,7 +54,7 @@ def test_criterion_1_s3_golden():
     def labelled(family):
         return {tuple(sorted(R.labels[a] for a in I)) for I in family}
 
-    assert labelled(ideals(R)) == {("0",), ("0", "a"), ("0", "1", "a")}
+    assert labelled(map(_bits, ideals(R))) == {("0",), ("0", "a"), ("0", "1", "a")}
     assert labelled(rep.spec) == {("0",), ("0", "a")}
     assert labelled(rep.max) == {("0", "a")}
     assert rep.kdim == 1

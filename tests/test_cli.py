@@ -13,7 +13,7 @@ import pytest
 from xtoplat import FiniteLattice
 from xtoplat.cli import main
 from xtoplat.formats import dumps, lattice_to_json
-from xtoplat.poset import poset_from_relation
+from xtoplat.poset import _bits, poset_from_relation
 
 from .oracles import TABLE_ATTRIBUTES, open_family
 
@@ -422,7 +422,7 @@ class TestSpec:
         from xtoplat import cli, semiring
 
         R = semiring.bni(12, 4)
-        listed = [[R.labels[a] for a in sorted(I)] for I in semiring.ideals(R)]
+        listed = [[R.labels[a] for a in sorted(_bits(I))] for I in semiring.ideals(R)]
 
         def refuse(*args):
             raise AssertionError("the ideals were enumerated")
@@ -442,6 +442,43 @@ class TestSpec:
         code, text = run(["spec", "--bni", "12", "4"])
         printed = " ".join("{" + ",".join(I) + "}" for I in listed)
         assert code == 0 and f"ideals ({len(listed)}): {printed}\n" in text
+
+    def test_ideal_lists_are_the_subset_scan_in_index_order(self, tmp_path):
+        # each ideal printed from its mask, its labels in index order: the
+        # table's labels b, a, 10, ... sort unlike their indices, and its
+        # ideals {0} × B and {0, a} × {0} tie in size
+        from xtoplat.formats import semiring_from_json
+        from xtoplat.semiring import bni, s3
+
+        from .oracles import ideals_by_subset_scan, product_semiring
+
+        R = product_semiring(s3(), bni(2, 1))
+        table = {
+            "labels": ["b", "a", "10", "9", "x", "c"],
+            "add": [list(row) for row in R.add],
+            "mul": [list(row) for row in R.mul],
+            "zero": R.zero,
+            "one": R.one,
+        }
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        sources = [(["--table", str(path)], semiring_from_json(table)), (["--s3"], s3())]
+        sources += [
+            (["--bni", str(n), str(i)], bni(n, i)) for n in range(2, 9) for i in range(n)
+        ]
+        lists = []
+        for argv, R in sources:
+            scanned = sorted(map(sorted, ideals_by_subset_scan(R)), key=lambda I: (len(I), I))
+            listed = [[R.labels[a] for a in I] for I in scanned]
+            code, text = run(["spec", *argv, "--json"])
+            assert code == 0 and json.loads(text)["ideals"] == listed, argv
+            code, text = run(["spec", *argv])
+            printed = " ".join("{" + ",".join(I) + "}" for I in listed)
+            assert code == 0 and f"ideals ({len(listed)}): {printed}\n" in text, argv
+            lists.append(listed)
+        # sorting by label would reorder the table's ideals and their members
+        by_label = sorted(map(sorted, lists[0]), key=lambda I: (len(I), I))
+        assert lists[0][:3] == [["b"], ["b", "a"], ["b", "10"]] != by_label[:3]
 
     def test_spec_reads_the_prime_order_alone(self, monkeypatch):
         # the report, point rows and opens come off the chosen primes'

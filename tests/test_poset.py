@@ -4,6 +4,8 @@ Expected values marked as derived were computed with the brute-force
 oracles in oracles.py (longest-chain search, powerset filtering).
 """
 
+import random
+
 import pytest
 
 from xtoplat import (
@@ -25,7 +27,10 @@ from xtoplat.enumeration import forest_specs
 from xtoplat.poset import (
     MAX_POINTS,
     _bits,
+    _by_size,
     _from_pairs,
+    _selected,
+    _size_key,
     has_dual_tree_component,
     is_dual_tree_component,
     is_forest_of_trees,
@@ -439,3 +444,32 @@ def test_restrict_induced_subposet():
     sub = restrict(F, comp)
     assert sub.n == 3
     assert component_shape(sub, frozenset(range(3))) == ("T", 2)
+
+
+class TestSizeKey:
+    """The one sort key of listed point sets and ideals against the
+    (size, sorted elements) order it stands for."""
+
+    def test_matches_the_size_then_sorted_list_order(self):
+        rng = random.Random(30)
+        # mixed bit lengths, and many sets of one size among few elements
+        masks = {0} | {rng.getrandbits(rng.choice((1, 3, 8, 17, 40, 70))) for _ in range(3000)}
+        for size in (1, 2, 3, 4):
+            masks |= {sum(1 << b for b in rng.sample(range(12), size)) for _ in range(300)}
+        masks = list(masks)
+        rng.shuffle(masks)
+
+        def as_list(mask):
+            return sorted(_bits(mask))
+
+        expected = sorted(masks, key=lambda m: (len(as_list(m)), as_list(m)))
+        assert sorted(masks, key=_size_key, reverse=True) == expected
+        assert expected[0] == 0
+        assert _by_size(masks) == tuple(frozenset(_bits(m)) for m in expected)
+        assert len(masks) - len({m.bit_count() for m in masks}) > 2000
+
+    def test_selected_labels_follow_the_indices(self):
+        labels = ("b", "a", "10", "c")
+        assert list(_selected(labels, 0)) == []
+        assert list(_selected(labels, 0b1101)) == ["b", "10", "c"]
+        assert list(_selected(labels, 0b0110)) == ["a", "10"]

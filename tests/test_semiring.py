@@ -26,7 +26,7 @@ from xtoplat import (
     verify_bni,
 )
 from xtoplat.enumeration import all_posets, canonical_form
-from xtoplat.poset import _by_size, chain, dual_tree
+from xtoplat.poset import _bits, _by_size, _mask, chain, dual_tree
 from xtoplat.semiring import (
     FiniteSemiring,
     _additive_generators,
@@ -64,6 +64,7 @@ from .oracles import (
     pi_regular_by_powers,
     primes_by_ideal_scan,
     product_semiring,
+    semidomain_by_pairs,
     spectrum_reads_by_scan,
     wrap_by_search,
 )
@@ -298,7 +299,7 @@ class TestOmega:
 class TestIdeals:
     def test_s3(self):
         R = s3()
-        assert label_sets(R, ideals(R)) == {("0",), ("0", "a"), ("0", "1", "a")}
+        assert label_sets(R, map(_bits, ideals(R))) == {("0",), ("0", "a"), ("0", "1", "a")}
 
     def test_pi_regular_matches_the_power_scan(self):
         # the report records π-regularity as a finite-carrier constant
@@ -312,14 +313,14 @@ class TestIdeals:
     def test_z12_has_six(self):
         R = bni(12, 0)
         assert len(ideals(R)) == 6
-        assert set(ideals(R)) == ideals_by_subset_scan(R)
+        assert set(ideals(R)) == set(map(_mask, ideals_by_subset_scan(R)))
 
     def test_matches_subset_scan_on_small_semirings(self):
         for n in range(2, 9):
             for i in (0, 1, n - 1, n // 2):
                 R = bni(n, i)
-                assert set(ideals(R)) == ideals_by_subset_scan(R)
-        assert set(ideals(s3())) == ideals_by_subset_scan(s3())
+                assert set(ideals(R)) == set(map(_mask, ideals_by_subset_scan(R)))
+        assert set(ideals(s3())) == set(map(_mask, ideals_by_subset_scan(s3())))
 
     def test_failed_ideal_check_raises_not_assert(self):
         # tables built past the axiom checks, each failing one of the three
@@ -356,7 +357,7 @@ class TestIdeals:
         sources += [downset_semiring(P) for P in all_posets(3)]
         ties = 0
         for R in sources:
-            listed = ideals(R)
+            listed = [frozenset(_bits(I)) for I in ideals(R)]
             assert list(listed) == sorted(listed, key=lambda I: (len(I), sorted(I)))
             ties += len(listed) - len({len(I) for I in listed})
         assert ties > 0
@@ -373,14 +374,14 @@ class TestIdeals:
         # the 16 ideals dZ/210Z, d | 210; the closure reads 16 columns
         R = bni(210, 0)
         divisors = [d for d in range(1, 211) if 210 % d == 0]
-        assert set(ideals(R)) == {frozenset(range(0, 210, d)) for d in divisors}
+        assert set(ideals(R)) == {_mask(range(0, 210, d)) for d in divisors}
         assert len(ideals(R)) == 16
 
     def test_every_enumerated_ideal_passes_predicate(self):
         for n, i in ((10, 3), (12, 11), (9, 1)):
             R = bni(n, i)
             for I in ideals(R):
-                assert is_ideal(R, I)
+                assert is_ideal(R, frozenset(_bits(I)))
 
 
 class TestSubtractive:
@@ -391,7 +392,7 @@ class TestSubtractive:
     def test_s3_is_subtractive(self):
         R = s3()
         for I in ideals(R):
-            assert is_subtractive(R, I)
+            assert is_subtractive(R, frozenset(_bits(I)))
 
     def test_non_ideal_rejected(self):
         with pytest.raises(NotAnIdealError):
@@ -524,6 +525,31 @@ class TestPrimesFromSaturatedSets:
             assert len(spectrum(R).spec) == points
 
 
+class TestSemidomain:
+    """is_semidomain, one count of 0 per nonzero row of the product,
+    against the pairwise definition."""
+
+    @staticmethod
+    def assert_flags_match(sources):
+        flags = [spectrum(R).is_semidomain for R in sources]
+        assert flags == [semidomain_by_pairs(R) for R in sources]
+        assert set(flags) == {True, False}
+
+    def test_spec_grid_and_s3(self):
+        grid = [bni(n, i) for n in range(2, 17) for i in range(n)]
+        self.assert_flags_match(grid + [bni(30, 15), s3()])
+
+    def test_products_and_downset_semirings(self):
+        factors = [s3()] + [bni(n, i) for n in range(2, 6) for i in range(n)]
+        sources = [product_semiring(A, B) for k, A in enumerate(factors) for B in factors[k:]]
+        sources += [downset_semiring(P) for points in range(1, 5) for P in all_posets(points)]
+        self.assert_flags_match(sources)
+        # a product has zero divisors (a, 0)·(0, b); D(P) has none iff its
+        # nonempty down-sets meet, as they do over a chain
+        assert not any(spectrum(R).is_semidomain for R in sources[:120])
+        assert spectrum(downset_semiring(chain(3))).is_semidomain
+
+
 class TestIdealLattice:
     def test_s3_is_three_chain(self):
         L, _ = ideal_lattice(s3())
@@ -549,10 +575,10 @@ class TestIdealLattice:
     def test_meet_is_intersection_join_is_sum(self):
         R = bni(12, 0)
         L, all_ideals = ideal_lattice(R)
-        two = all_ideals.index(principal_ideal(R, 2))
-        three = all_ideals.index(principal_ideal(R, 3))
-        assert all_ideals[L.meet(two, three)] == principal_ideal(R, 6)
-        assert all_ideals[L.join(two, three)] == frozenset(range(12))
+        two = all_ideals.index(_mask(principal_ideal(R, 2)))
+        three = all_ideals.index(_mask(principal_ideal(R, 3)))
+        assert all_ideals[L.meet(two, three)] == _mask(principal_ideal(R, 6))
+        assert all_ideals[L.join(two, three)] == _mask(range(12))
 
 
 class TestSpecSpace:
@@ -601,7 +627,7 @@ def _space_over_all_ideals(R, which):
         "drop-zero": [P for P in rep.spec if P != frozenset({R.zero})],
     }[which]
     position = {I: k for k, I in enumerate(all_ideals)}
-    return build_space(L, frozenset(position[I] for I in chosen))
+    return build_space(L, frozenset(position[_mask(I)] for I in chosen))
 
 
 @pytest.mark.parametrize("which", ["all", "max", "min", "drop-zero"])
@@ -763,7 +789,7 @@ def test_zn_singleton_opens_have_principal_witnesses():
             for P in primes:
                 if I <= P:
                     root &= P
-            return space.lattice.labels.index(ideal_label(R, root))
+            return space.lattice.labels.index(ideal_label(R, _mask(root)))
 
         remaining = n
         d = 2
