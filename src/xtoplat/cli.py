@@ -33,6 +33,7 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import repeat
 
 from .errors import AxiomError, NotXTopError, XtoplatError
 from .formats import (
@@ -218,7 +219,7 @@ def _cmd_spec(args, out) -> int:
 
     lines = [
         f"semiring on {R.n} elements: " + " ".join(R.labels),
-        f"ideals ({len(all_ideals)}): " + " ".join(ideal_label(R, I) for I in all_ideals),
+        f"ideals ({len(all_ideals)}): " + " ".join(map(ideal_label, repeat(R), all_ideals)),
         "Spec: " + " ".join(map(braced, report.spec)),
         "Max: " + " ".join(map(braced, report.max)),
         "Min: " + " ".join(map(braced, report.min_primes)),
@@ -292,7 +293,10 @@ def _add_semiring_sources(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--table", help="semiring JSON file", metavar="FILE")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parser_and_commands() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
+]:
+    """The parser, and the parser of each subcommand by its name."""
     parser = argparse.ArgumentParser(
         prog="xtoplat",
         description="Zariski-like topologies on finite lattices: classification and verification",
@@ -336,13 +340,35 @@ def build_parser() -> argparse.ArgumentParser:
         dest="closed_sets",
         help="annotate the DOT output with the closed sets",
     )
-    return parser
+    return parser, sub.choices
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first :func:`main` call and reused after."""
-    return build_parser()
+def build_parser() -> argparse.ArgumentParser:
+    return _parser_and_commands()[0]
+
+
+# built on the first main call and reused after
+_parsers = cache(_parser_and_commands)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one pass when argv names a
+    subcommand first and that subcommand's parser reads all the rest.
+
+    The full parser hands everything after the subcommand's name to that
+    subcommand's parser, so both paths give the same namespace, and a
+    subcommand's own refusals and help come from its parser on both.  A
+    line the subcommand leaves partly unread, or that names none first,
+    takes the full parser, which makes the refusals that are its own.
+    """
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, unread = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not unread:
+            return args
+    return parser.parse_args(argv)
 
 
 _SOURCE_FIELDS = {
@@ -354,7 +380,7 @@ _SOURCE_FIELDS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if args.command in _SOURCE_FIELDS and not _one_source(args, _SOURCE_FIELDS[args.command]):
         print(
             f"error: {args.command} needs exactly one source "

@@ -39,11 +39,11 @@ principal subideals, so the closure is complete) and checks each set I
 it reaches on the masks it builds anyway; the test-suite checks the
 result against an exhaustive subset scan for small carriers.
 
-The sums b + F_k for the masks F_k of a family (the principal ideals, or
-the candidate primes below) come from one row per b, built by shifts.
-Let ``spread[y]`` hold bit nk for each F_k ∋ y.  Then the OR of
+The sums b + P_k for the masks P_k of the principal ideals come from one
+row per b, built by shifts.  Let ``spread[y]`` hold bit nk for each
+P_k ∋ y.  Then the OR of
 ``spread[y] << (b + y)`` over all y has, in its block k of n bits, bit v
-iff some y ∈ F_k has b + y = v, so that block is b + F_k.
+iff some y ∈ P_k has b + y = v, so that block is b + P_k.
 
 Given 1·b = b, a + 0 = a, 0·b = 0 and commutativity, three tests are
 equivalent to the definition of an ideal (0 ∈ I, I + I ⊆ I, R·I ⊆ I):
@@ -86,9 +86,10 @@ b | c for c ∈ (b), and sat(a) = {b : b | a^k for some k ≥ 1}:
   be non-nilpotent and P = R \\ sat(a) closed under +.  Then 0 ∈ P, as
   0 | a^k forces a^k = 0; rb ∈ P for b ∈ P, as rb | a^k gives b | a^k;
   1 ∉ P, as 1 | a; and b | a^j, c | a^k give bc | a^(j+k).  So P is a
-  prime ideal.  That is at most n candidates, read off
-  ``div[c]`` = {b : b | c}, built once in O(n²), and each checked for
-  sums by ORing the shifted sum rows of its members.
+  prime ideal.  That is at most n candidates.  sat(a) is div(a^m), the
+  b with b | a^m, for any m >= n, by a power lemma (:func:`_primes`), so
+  div is read only at the distinct a^m, and each candidate is checked
+  for sums by reading the sum rows of its members at its members.
 * Maximal ideals are prime.  Let M be maximal, ab ∈ M and a ∉ M.  Then
   M + (a) is an ideal above M holding a, so it is R, and 1 = m + ra for
   some m ∈ M and r ∈ R; then b = mb + rab ∈ M.  Every proper ideal lies
@@ -142,8 +143,9 @@ integers-mod-n behavior.
 from __future__ import annotations
 
 from functools import cache, lru_cache, reduce
-from operator import lshift, ne, or_
-from typing import NamedTuple, Sequence
+from itertools import compress, cycle, islice, repeat
+from operator import eq, getitem, itemgetter, lshift, or_
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AxiomError, NotAnIdealError, RangeError
 from .lattice import FiniteLattice
@@ -210,34 +212,44 @@ def _additive_generators(add: Sequence[Sequence[int]], zero: int) -> list[int]:
     return gens
 
 
+def _read(row: tuple[int, ...], at: tuple[int, ...]) -> tuple[int, ...]:
+    """``row`` read at the positions ``at``, which has n >= 2 entries, so
+    that ``itemgetter`` returns a tuple."""
+    return itemgetter(*at)(row)
+
+
 def _generated_axioms_hold(add, mul, gens: Sequence[int]) -> bool:
     """+ associative, · distributive and · associative, tested over ``gens``.
 
     Equivalent to the definitions once the identities, absorption and
     both commutativities hold (see the module docstring); the
-    commutativities let each test compare whole table rows.  The rows are
-    compared lazily, entry by entry: building a tuple per row raised the
-    peak memory of a run over many small semirings.
+    commutativities let each test compare whole table rows, row x of
+    each side for every x, each row a tuple built by ``itemgetter``.
+    The rows are built and compared one pair at a time, never as a list
+    of rows: holding every row at once raised the peak memory of a run
+    over many small semirings.  Every row has n >= 2 entries, as the
+    construction checks 0 ≠ 1 first.
     """
     for g in gens:
-        # (x + g) + y = x + (g + y)
+        # (x + g) + y = x + (g + y): row x + g = g + x of the sum, and
+        # row x read at the g + y
         add_g = add[g]
-        for add_x in add:
-            if any(map(ne, add[add_x[g]], map(add_x.__getitem__, add_g))):
-                return False
+        lefts = map(add.__getitem__, add_g)
+        if not all(map(eq, lefts, map(itemgetter(*add_g), add))):
+            return False
     for g in gens:
-        # a(b + g) = ab + ag
-        add_g = add[g]
-        for mul_a in mul:
-            ag_plus = add[mul_a[g]].__getitem__
-            if any(map(ne, map(mul_a.__getitem__, add_g), map(ag_plus, mul_a))):
-                return False
+        # a(b + g) = ab + ag: row a of the product read at the b + g, and
+        # row ag = ga of the sum read at the ab
+        rights = map(_read, map(add.__getitem__, mul[g]), mul)
+        if not all(map(eq, map(itemgetter(*add[g]), mul), rights)):
+            return False
     for g in gens:
-        # (ab)g = a(bg)
+        # (ab)g = a(bg): row g of the product read at the ab, and row a
+        # read at the bg
         mul_g = mul[g]
-        for mul_a in mul:
-            if any(map(ne, map(mul_g.__getitem__, mul_a), map(mul_a.__getitem__, mul_g))):
-                return False
+        lefts = map(_read, repeat(mul_g), mul)
+        if not all(map(eq, lefts, map(itemgetter(*mul_g), mul))):
+            return False
     return True
 
 
@@ -306,27 +318,32 @@ def _checked(labels: tuple[str, ...], add, mul, z: int, o: int) -> FiniteSemirin
     five axioms hold.
 
     Raises :class:`AxiomError` naming the first violated axiom and a
-    witness, in the order of the definitional scan: each commutativity is
-    one comparison of a table with its transpose, and only when one fails
-    does the entrywise loop run, to name the first violated pair.
+    witness, in the order of the definitional scan: each identity and
+    absorption is one comparison of a row and one of a column, each
+    commutativity one comparison of a table with its transpose, and only
+    when one fails does the entrywise loop run, to name the first
+    violated element or pair.
     """
     n = len(labels)
 
     def witness(*idx: int) -> tuple[str, ...]:
         return tuple(labels[i] for i in idx)
 
+    def row_and_column(axiom: str, table, k: int, expected: tuple[int, ...]) -> None:
+        # row k and column k of the table are both ``expected``
+        column = tuple(map(itemgetter(k), table))
+        if column != expected or table[k] != expected:
+            for a in range(n):
+                if column[a] != expected[a] or table[k][a] != expected[a]:
+                    raise AxiomError(axiom, witness(a))
+
     # one pass per axiom so the reported violation is deterministic
     if z == o:
         raise AxiomError("distinct-identities", witness(z))
-    for a in range(n):
-        if add[a][z] != a or add[z][a] != a:
-            raise AxiomError("additive-identity", witness(a))
-    for a in range(n):
-        if mul[a][o] != a or mul[o][a] != a:
-            raise AxiomError("multiplicative-identity", witness(a))
-    for a in range(n):
-        if mul[a][z] != z or mul[z][a] != z:
-            raise AxiomError("absorption", witness(a))
+    identity = tuple(range(n))
+    row_and_column("additive-identity", add, z, identity)
+    row_and_column("multiplicative-identity", mul, o, identity)
+    row_and_column("absorption", mul, z, (z,) * n)
     if tuple(zip(*add)) != add or tuple(zip(*mul)) != mul:
         for a in range(n):
             for b in range(n):
@@ -348,7 +365,8 @@ def bni(n: int, i: int) -> FiniteSemiring:
     semiring.  Both tables are slices of one wrapped range W, W[v] being
     v wrapped, over every sum a + b <= 2n - 2 and product ab <= (n-1)²:
     row a of the sum is W[a], ..., W[a + n - 1] and of the product W[0],
-    W[a], ..., W[a(n - 1)].  The index tables go straight to the axiom
+    W[a], ..., W[a(n - 1)].  W is 0, ..., n - 1 followed by i, ..., n - 1
+    repeated, as W[n] = i.  The index tables go straight to the axiom
     checks, guarding the overflow rule against off-by-one errors.  Every
     element is a sum of 1s, so (R, +) is generated by G = {1} and the
     associativity and distributivity tests take O(n²) steps, not O(n³).
@@ -358,7 +376,7 @@ def bni(n: int, i: int) -> FiniteSemiring:
     if not 0 <= i <= n - 1:
         raise RangeError("B(n, i) needs 0 <= i <= n-1")
     top = max(2 * n - 1, (n - 1) ** 2 + 1)
-    W = tuple(v if v < n else i + (v - i) % (n - i) for v in range(top))
+    W = tuple(range(n)) + tuple(islice(cycle(range(i, n)), top - n))
     add = tuple(W[a : a + n] for a in range(n))
     mul = ((0,) * n,) + tuple(W[0 : a * (n - 1) + 1 : a] for a in range(1, n))
     return _checked(tuple(map(str, range(n))), add, mul, 0, 1)
@@ -529,44 +547,60 @@ class SpectrumReport(NamedTuple):
     is_pbmax: bool
 
 
+def _high_powers(R: FiniteSemiring) -> tuple[int, ...]:
+    """a^m for every a, with m = 2^L >= n: L squarings of every element
+    at once, each one ``itemgetter`` read of the product's diagonal."""
+    squares = _diagonal(R.mul)
+    powers = tuple(R.elements())
+    for _ in range((R.n - 1).bit_length()):
+        powers = itemgetter(*powers)(squares)
+    return powers
+
+
+def _divisor_masks(R: FiniteSemiring, values: Iterable[int]) -> list[int]:
+    """div(c) for each c of ``values``: the mask of the b with b | c, that
+    is of the rows b of the product that hold c."""
+    rows = list(map(frozenset, R.mul))
+    bits = [1 << b for b in R.elements()]
+    return [
+        sum(compress(bits, map(frozenset.__contains__, rows, repeat(c)))) for c in values
+    ]
+
+
 def _primes(R: FiniteSemiring) -> tuple[int, ...]:
     """Spec(R) as the sum-closed R \\ sat(a), a not nilpotent (module
     docstring), as element masks in the order of :func:`ideals`.
 
-    ``div[c]`` is the mask of the b with c ∈ (b), and sat(a) the OR of
-    ``div`` over the powers of a, which cycle within n steps.  A candidate
-    P_k is closed under + iff P_k + P_k misses sat(a): block k of the OR of
-    the :func:`_sum_rows` of its members, one OR per member.
+    sat(a), the OR of :func:`_divisor_masks` over the powers of a, is
+    div(a^m) for the a^m of :func:`_high_powers`.  Power lemma:
+    a^k | a^(k+1), as a^(k+1) = a·a^k ∈ (a^k), so div grows along the
+    powers of a; two of a, ..., a^(n+1) are equal, so the powers repeat
+    from an index j <= n on; so div is constant from a^j on, and that
+    constant is the OR over all the powers.  So div is read only at the
+    distinct a^m, and a is nilpotent iff a^m = 0, as div(c) holds 0 iff
+    c ∈ (0) = {0}.
+
+    A candidate P is closed under + iff row x of the sum, read at the
+    members of P, stays in P for every member x: one ``itemgetter`` read
+    per member.  P holds 0, as a is not nilpotent, so a one-member P is
+    {0}, closed as 0 + 0 = 0.
     """
-    div = [0] * R.n
-    for b, row in enumerate(R.mul):
-        bit = 1 << b
-        for c in set(row):
-            div[c] |= bit
-    zero = 1 << R.zero
-    complements = set()
-    for a, mul_a in enumerate(R.mul):
-        sat = 0
-        power = a
-        seen = set()
-        while power not in seen:
-            seen.add(power)
-            sat |= div[power]
-            power = mul_a[power]
-        if not sat & zero:
-            complements.add(sat)
     full = (1 << R.n) - 1
-    candidates = [full & ~sat for sat in complements]
-    rows = _sum_rows(R, candidates)
     primes = []
-    for k, P in enumerate(candidates):
-        sums = 0
-        for x in _bits(P):
-            sums |= rows[x]
-        # block k is P + P, which must miss sat(a) = R \ P
-        if not sums >> R.n * k & full & ~P:
+    for sat in set(_divisor_masks(R, set(_high_powers(R)) - {R.zero})):
+        P = full & ~sat
+        members = tuple(_selected(R.elements(), P))
+        rows = map(R.add.__getitem__, members)
+        if len(members) == 1 or all(
+            map(frozenset(members).issuperset, map(itemgetter(*members), rows))
+        ):
             primes.append(P)
     return tuple(sorted(primes, key=_size_key, reverse=True))
+
+
+def _diagonal(table) -> tuple[int, ...]:
+    """The entries a·a (or a + a) of a table, for every a."""
+    return tuple(map(getitem, table, range(len(table))))
 
 
 @lru_cache(maxsize=64)
@@ -589,13 +623,11 @@ def spectrum(R: FiniteSemiring) -> SpectrumReport:
     min_primes = tuple(spec[k] for k in sorted(order.minimals()))
     full = frozenset(R.elements())
     prime_radical = full.intersection(*spec)
-    els = R.elements()
-    is_vnr = all(
-        any(R.mul[R.mul[a][b]][a] == a for b in els) for a in els
-    )
-
-    add_idem = all(R.add[a][a] == a for a in els)
-    mul_idem = all(R.mul[a][a] == a for a in els)
+    # von Neumann regular: some b has (ab)a = a, and (ab)a = a(ab)
+    is_vnr = all(a in map(mul_a.__getitem__, mul_a) for a, mul_a in enumerate(R.mul))
+    identity = tuple(R.elements())
+    add_idem = _diagonal(R.add) == identity
+    mul_idem = _diagonal(R.mul) == identity
     return SpectrumReport(
         spec=spec,
         max=maximal,

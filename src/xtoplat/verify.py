@@ -306,7 +306,7 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
 # the largest bounds run_suites accepts
 MAX_ENUMERATED_SIZE = 7
 MAX_FOREST_SIZE = 13
-MAX_N = 60
+MAX_N = 120
 
 # each suite's function, by its name in this module, with the bound it
 # takes; run_suites looks the function up when it runs, so a wrapper bound
@@ -335,10 +335,10 @@ def run_suites(
     * ``max_size > 13`` for ``forest``: every forest gets the full
       cross-check, in O(|L|·|X|) steps per forest with |L| its number of
       up-sets, and the sweep took 12 s at 12 points and 28-34 s at 13;
-    * ``max_n > 60`` for ``bni``: each B(n, i) costs its tables and
+    * ``max_n > 120`` for ``bni``: each B(n, i) costs its tables and
       their axiom checks, its spectrum (no ideal is enumerated) and the
-      separation reports of its spectra, and the sweep takes about 5 s
-      at 60 on a 2-core machine.
+      separation reports of its spectra, and the sweep takes 2.4-2.8 s
+      at 60, 8-10 s at 90 and 23-25 s at 120 on a shared 2-core machine.
 
     It also raises :class:`RangeError` for a bound that the suite does not
     read, ``max_n`` for a poset suite or ``max_size`` for ``bni``; ``all``

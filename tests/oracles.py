@@ -378,12 +378,34 @@ def nilradical(R: FiniteSemiring) -> frozenset[int]:
     return frozenset(out)
 
 
+def saturations_by_orbits(R: FiniteSemiring) -> tuple[int, ...]:
+    """sat(a) for every a, as element masks, by its definition: the OR over
+    the whole orbit a, a², ... of a (walked until a power repeats) of the
+    mask of the b with b | a^k, each (b) listed as the products r·b."""
+    div = [0] * R.n
+    for b in R.elements():
+        for r in R.elements():
+            div[R.mul[r][b]] |= 1 << b
+    out = []
+    for a in R.elements():
+        sat = 0
+        power = a
+        seen = set()
+        while power not in seen:
+            seen.add(power)
+            sat |= div[power]
+            power = R.mul[power][a]
+        out.append(sat)
+    return tuple(out)
+
+
 def spectrum_reads_by_scan(R: FiniteSemiring) -> dict:
     """The fields of ``spectrum(R)`` read off the prime order or by a
     lemma, from the ideal scans and the definitions: Max and Min by pairs
     of ideals, K.dim as the longest chain of primes, the nilradical by
-    powers, BMax, AMin, PAMin and PBMax by intersections, and
-    subtractivity over every ideal."""
+    powers, BMax, AMin, PAMin and PBMax by intersections,
+    subtractivity over every ideal, and von Neumann regularity (some b
+    with a·b·a = a) and both idempotences by their definitions."""
     spec = primes_by_ideal_scan(R)
     maximal = pairwise_maximal_ideals(R)
     min_primes = pairwise_minimal_primes(R)
@@ -399,6 +421,11 @@ def spectrum_reads_by_scan(R: FiniteSemiring) -> dict:
         "is_pamin": all(absolutely_minimal(P, min_primes) for P in spec),
         "is_pbmax": all(barely_maximal(P, maximal) for P in spec),
         "is_subtractive_semiring": subtractive_by_ideal_scan(R),
+        "is_vnr": all(
+            any(R.mul[R.mul[a][b]][a] == a for b in R.elements()) for a in R.elements()
+        ),
+        "is_add_idempotent": all(R.add[a][a] == a for a in R.elements()),
+        "is_mul_idempotent": all(R.mul[a][a] == a for a in R.elements()),
     }
 
 
@@ -416,6 +443,20 @@ def product_semiring(A: FiniteSemiring, B: FiniteSemiring) -> FiniteSemiring:
         table(A.mul, B.mul),
         index[A.zero, B.zero],
         index[A.one, B.one],
+    )
+
+
+def truncated_power_semiring(k: int) -> FiniteSemiring:
+    """{1, a, a², ..., a^(k-1), 0 = a^k}, element i standing for a^i, with
+    a^i + a^j = a^min(i, j) and a^i·a^j = a^min(i + j, k): the powers of a
+    reach 0 only at a^k, so its orbit takes n - 1 = k steps to repeat."""
+    exponents = range(k + 1)
+    return semiring_from_tables(
+        [f"a{i}" for i in exponents],
+        [[min(i, j) for j in exponents] for i in exponents],
+        [[min(i + j, k) for j in exponents] for i in exponents],
+        k,
+        0,
     )
 
 

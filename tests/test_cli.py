@@ -726,9 +726,9 @@ class TestVerify:
                 ["forest", "--max-size", "14"],
                 "--max-size must be at most 13 for verify forest, got 14",
             ),
-            (["bni", "--max-n", "61"], "--max-n must be at most 60, got 61"),
-            (["bni", "--max-n", "100000"], "--max-n must be at most 60, got 100000"),
-            (["all", "--max-n", "61"], "--max-n must be at most 60, got 61"),
+            (["bni", "--max-n", "121"], "--max-n must be at most 120, got 121"),
+            (["bni", "--max-n", "100000"], "--max-n must be at most 120, got 100000"),
+            (["all", "--max-n", "121"], "--max-n must be at most 120, got 121"),
         ],
     )
     def test_bound_past_the_cap_exit_2(self, monkeypatch, capsys, argv, message):
@@ -963,6 +963,94 @@ def test_parser_error_leaves_later_calls_unchanged():
     )
     assert fresh.returncode == code == 0
     assert fresh.stdout == text
+
+
+# command lines of the shapes the benchmark runs, each read in one pass
+ONE_PASS_LINES = [
+    ["spec", "--bni", "10", "6"],
+    ["spec", "--bni", "16", "3", "--subspace", "drop-zero"],
+    ["spec", "--bni", "30", "15"],
+    ["spec", "--s3"],
+    ["classify", "--forest", "T2+V3+C2"],
+    ["classify", "--json", "--forest", "C5+C6+C5"],
+    ["verify", "xct", "--max-size", "5"],
+    ["verify", "forest", "--max-size", "7"],
+    ["export", "--bni", "12", "6", "--format", "json", "--subspace", "max"],
+    ["spec", "--bn", "3", "1"],  # an abbreviation
+    ["spec", "--subspace=min", "--s3"],
+    ["verify", "--", "bni"],
+    ["spec"],  # no source: refused after the parse
+]
+
+# command lines the parse refuses or answers with help, and the one a
+# subcommand leaves partly unread
+REFUSED_LINES = [
+    ["spec", "--bni", "3", "1", "extra"],
+    ["spec", "--s3", "--"],
+    ["spec", "--", "--s3"],
+    ["--", "spec", "--s3"],
+    ["spec", "--bni", "3"],
+    ["spec", "--bni=3", "1"],
+    ["spec", "--subspace", "nowhere"],
+    ["verify", "bni", "--max-n", "x"],
+    ["classify", "--chain"],
+    ["nope"],
+    [],
+    ["-h"],
+    ["spec", "-h"],
+]
+
+
+class TestOnePassParse:
+    """``cli._parse`` against the full parser: the same namespace for every
+    line, and the same exit code, stdout and stderr for every refusal."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exit:
+            result = ("exit", exit.code)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", ONE_PASS_LINES + REFUSED_LINES)
+    def test_matches_the_full_parser(self, capsys, argv):
+        from xtoplat.cli import _parse, build_parser
+
+        expected = self.outcome(build_parser().parse_args, argv, capsys)
+        assert self.outcome(_parse, argv, capsys) == expected
+        # a refusal or help is ("exit", code), a parsed line a namespace
+        assert isinstance(expected[0], tuple) == (argv in REFUSED_LINES)
+
+    def test_every_spec_grid_line_matches_the_full_parser(self):
+        from xtoplat.cli import _parse, build_parser
+
+        parser = build_parser()
+        subspaces = [[], *(["--subspace", which] for which in ("max", "min", "drop-zero"))]
+        for n in range(2, 17):
+            for i in range(n):
+                for subspace in subspaces:
+                    for json_flag in ([], ["--json"]):
+                        argv = ["spec", "--bni", str(n), str(i), *subspace, *json_flag]
+                        assert _parse(argv) == parser.parse_args(argv), argv
+
+    @pytest.mark.parametrize("argv", ONE_PASS_LINES)
+    def test_a_subcommand_line_takes_one_parse(self, monkeypatch, argv):
+        import argparse
+
+        from xtoplat.cli import _parse
+
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        _parse(argv)
+        assert calls == [f"xtoplat {argv[0]}"]
 
 
 def test_console_entrypoint():

@@ -18,6 +18,9 @@ from xtoplat.formats import poset_from_json, poset_to_json
 from xtoplat.poset import FinitePoset, _from_pairs
 from xtoplat.semiring import (
     _additive_generators,
+    _divisor_masks,
+    _generated_axioms_hold,
+    _high_powers,
     bni,
     semiring_from_tables,
     spec_space,
@@ -39,6 +42,7 @@ from .oracles import (
     primes_by_ideal_scan,
     product_semiring,
     restrict,
+    saturations_by_orbits,
     spectrum_reads_by_scan,
 )
 
@@ -110,6 +114,14 @@ def test_primes_from_saturated_sets_match_the_ideal_scan(R):
 
 @given(semirings())
 @settings(max_examples=60, deadline=None, derandomize=True)
+def test_saturation_by_squaring_matches_the_orbit_scan(R):
+    # the power lemma of semiring._primes
+    squared = tuple(_divisor_masks(R, _high_powers(R)))
+    assert squared == saturations_by_orbits(R)
+
+
+@given(semirings())
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_pi_regular_matches_the_power_scan(R):
     assert spectrum(R).is_pi_regular == pi_regular_by_powers(R) is True
 
@@ -126,6 +138,7 @@ def test_generator_check_meets_the_scan(R, data):
     # R passed the generator check; so must it the scan, and a symmetric
     # change of one add or mul entry must meet the same verdict in both
     assert axiom_violation_by_scan(R.labels, R.add, R.mul, R.zero, R.one) is None
+    assert _generated_axioms_hold(R.add, R.mul, _additive_generators(R.add, R.zero))
     key = data.draw(st.sampled_from(["add", "mul"]))
     element = st.integers(min_value=0, max_value=R.n - 1)
     args = mutated_tables(R, key, data.draw(element), data.draw(element), data.draw(element))

@@ -30,6 +30,9 @@ from xtoplat.poset import _bits, _by_size, _mask, chain, dual_tree
 from xtoplat.semiring import (
     FiniteSemiring,
     _additive_generators,
+    _divisor_masks,
+    _generated_axioms_hold,
+    _high_powers,
     ideal_label,
     principal_ideal,
 )
@@ -64,6 +67,8 @@ from .oracles import (
     pi_regular_by_powers,
     primes_by_ideal_scan,
     product_semiring,
+    saturations_by_orbits,
+    truncated_power_semiring,
     semidomain_by_pairs,
     spectrum_reads_by_scan,
     wrap_by_search,
@@ -162,6 +167,14 @@ class TestFromTables:
     def test_generator_check_matches_the_scan_on_the_grid(self):
         for R in [s3()] + [bni(n, i) for n in range(2, 17) for i in range(n)]:
             assert axiom_violation_by_scan(R.labels, R.add, R.mul, R.zero, R.one) is None
+
+    def test_generator_tests_hold_on_every_semiring(self):
+        # so the definitional scan runs only for a table that breaks an axiom
+        sources = [s3(), *(bni(n, i) for n in range(2, 31) for i in range(n))]
+        sources += [truncated_power_semiring(k) for k in range(1, 17)]
+        sources += [downset_semiring(P) for P in all_posets(4)]
+        for R in sources:
+            assert _generated_axioms_hold(R.add, R.mul, _additive_generators(R.add, R.zero))
 
     def test_non_associative_product_is_caught(self):
         # F2³ on the basis 1, x, y with the commutative bilinear product
@@ -477,6 +490,10 @@ class TestMaximalIdeals:
         assert spectrum(s3()).max == pairwise_maximal_ideals(s3())
 
 
+def saturations_by_squaring(R):
+    return tuple(_divisor_masks(R, _high_powers(R)))
+
+
 def assert_spectrum_matches_the_ideal_scans(R):
     # Spec from saturated sets, the reads off its prime order and the lemma
     # reads against the ideal scans, and the irredundance of J(X) and Q(X)
@@ -492,6 +509,28 @@ def assert_spectrum_matches_the_ideal_scans(R):
         meet_irredundant(space, maxima),
         meet_irredundant(space, minima),
     ), R
+
+
+class TestPowerLemma:
+    """sat(a) read as div(a^m) after L squarings, m = 2^L >= n, against the
+    OR of div over the whole orbit of a."""
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_bni_grid(self, n):
+        for i in range(n):
+            R = bni(n, i)
+            assert saturations_by_squaring(R) == saturations_by_orbits(R), (n, i)
+
+    def test_s3(self):
+        assert saturations_by_squaring(s3()) == saturations_by_orbits(s3())
+
+    def test_orbits_of_n_minus_one_steps(self):
+        # a^(n-2) != 0 = a^(n-1): only m >= n - 1 reaches the constant
+        for k in range(1, 41):
+            R = truncated_power_semiring(k)
+            assert saturations_by_squaring(R) == saturations_by_orbits(R), k
+        for k in range(1, 13):
+            assert_spectrum_matches_the_ideal_scans(truncated_power_semiring(k))
 
 
 class TestPrimesFromSaturatedSets:
