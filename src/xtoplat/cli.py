@@ -183,9 +183,6 @@ def _cmd_spec(args, out) -> int:
     report = spectrum(R)
     all_ideals = ideals(R)
 
-    def label_set(members) -> list[str]:
-        return [R.labels[a] for a in sorted(members)]
-
     # the chosen primes under inclusion: the closed sets are its up-sets
     # (semiring module docstring), so no lattice or space is built
     P = spec_poset(R, args.subspace)
@@ -199,12 +196,12 @@ def _cmd_spec(args, out) -> int:
         payload = {
             "labels": list(R.labels),
             "ideals": [list(_selected(R.labels, I)) for I in all_ideals],
-            "spec": [label_set(I) for I in report.spec],
-            "max": [label_set(I) for I in report.max],
-            "min_primes": [label_set(I) for I in report.min_primes],
-            "jacobson": label_set(report.jacobson),
-            "nilradical": label_set(report.nilradical),
-            "prime_radical": label_set(report.prime_radical),
+            "spec": [list(_selected(R.labels, I)) for I in report.spec],
+            "max": [list(_selected(R.labels, I)) for I in report.max],
+            "min_primes": [list(_selected(R.labels, I)) for I in report.min_primes],
+            "jacobson": list(_selected(R.labels, report.jacobson)),
+            "nilradical": list(_selected(R.labels, report.nilradical)),
+            "prime_radical": list(_selected(R.labels, report.prime_radical)),
             "opens": opens,
             "kdim": report.kdim,
             "flags": {name: getattr(report, name) for name in _SPECTRUM_FLAGS},
@@ -214,17 +211,14 @@ def _cmd_spec(args, out) -> int:
         print(dumps(payload), file=out)
         return 0
 
-    def braced(members) -> str:
-        return "{" + ",".join(label_set(members)) + "}"
-
     lines = [
         f"semiring on {R.n} elements: " + " ".join(R.labels),
         f"ideals ({len(all_ideals)}): " + " ".join(map(ideal_label, repeat(R), all_ideals)),
-        "Spec: " + " ".join(map(braced, report.spec)),
-        "Max: " + " ".join(map(braced, report.max)),
-        "Min: " + " ".join(map(braced, report.min_primes)),
-        "jacobson: " + braced(report.jacobson),
-        "nilradical: " + braced(report.nilradical),
+        "Spec: " + " ".join(map(ideal_label, repeat(R), report.spec)),
+        "Max: " + " ".join(map(ideal_label, repeat(R), report.max)),
+        "Min: " + " ".join(map(ideal_label, repeat(R), report.min_primes)),
+        "jacobson: " + ideal_label(R, report.jacobson),
+        "nilradical: " + ideal_label(R, report.nilradical),
         f"K.dim(R): {report.kdim}",
     ]
     lines += [f"{name}: {_yes(getattr(report, name))}" for name in _SPECTRUM_FLAGS]

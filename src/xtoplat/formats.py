@@ -186,10 +186,10 @@ def space_from_json(data: dict[str, Any]) -> XTopSpace:
     if not _is_label_list(X):
         raise ValueError("'X' must be a list of labels")
     try:
-        members = frozenset(map(L.poset.index, X))
+        members = _mask(set(map(L.poset.index, X)))
     except KeyError as err:
         raise ValueError(f"'X' names unknown label {err.args[0]!r}") from None
-    if len(members) != len(X):
+    if members.bit_count() != len(X):
         raise ValueError(f"'X' names label {_repeat(X)!r} twice")
     space = build_space(L, members)
     if "closed_sets" in data:
@@ -199,6 +199,7 @@ def space_from_json(data: dict[str, Any]) -> XTopSpace:
         for C in closed_sets:
             if len(set(C)) != len(C):
                 raise ValueError(f"'closed_sets' names label {_repeat(C)!r} twice in one set")
+        # label sets, not masks: a label the lattice lacks only disagrees
         given = set(map(frozenset, closed_sets))
         if len(given) != len(closed_sets):
             repeated = sorted(_repeat(map(frozenset, closed_sets)))
@@ -308,7 +309,7 @@ def poset_to_dot(
         lines.append(f"  {_quote(name)};")
     for i, j in P.covers():
         lines.append(f"  {_quote(P.labels[i])} -> {_quote(P.labels[j])};")
-    minimals = sorted(P.minimals())
+    minimals = list(_bits(P.minimals()))
     if minimals:
         names = " ".join(_quote(P.labels[i]) for i in minimals)
         lines.append(f"  {{ rank=min; {names} }}")

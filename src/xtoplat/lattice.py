@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import EmptyPosetError, NotALatticeError, SubsetViolationError
-from .poset import FinitePoset, _bits
+from .poset import FinitePoset, _bits, _point_set
 
 
 class FiniteLattice:
@@ -130,12 +130,13 @@ class FiniteLattice:
             for key, row in zip(keys, table)
         )
 
-    def variety_masks(self, members: Iterable[int]) -> tuple[int, ...]:
-        """V(a) = {x ∈ members : a <= x} for every element a, as a mask
-        over element indices: x ∈ V(a) iff key(a) ⊆ key(x), meet keys."""
+    def variety_masks(self, members: int) -> tuple[int, ...]:
+        """V(a) = {x ∈ members : a <= x} for every element a, for the mask
+        ``members``, as a mask over element indices: x ∈ V(a) iff
+        key(a) ⊆ key(x), meet keys."""
         keys = self._down
         out = [0] * len(keys)
-        for x in set(members):
+        for x in _bits(self._in_range(members)):
             key_x, bit = keys[x], 1 << x
             for a, key_a in enumerate(keys):
                 if key_a & ~key_x == 0:
@@ -151,8 +152,9 @@ class FiniteLattice:
             acc &= keys[e]
         return self._by_down[acc]
 
-    def maximals_of(self, members: Iterable[int]) -> frozenset[int]:
-        """Maximal elements of a subset under the lattice order.
+    def maximals_of(self, members: int) -> int:
+        """The mask of the maximal elements of the mask ``members`` under
+        the lattice order.
 
         The members are scanned by decreasing meet-key size, a reversed
         linear extension, and one is kept unless its key lies inside a
@@ -160,14 +162,24 @@ class FiniteLattice:
         the scan met first and kept; a maximal member's key lies inside
         no other member's key.
         """
-        keys, ms = self._down, set(members)
-        for a in ms:
-            self.check(a)
+        keys = self._down
         kept: list[int] = []
-        for a in sorted(ms, key=lambda a: keys[a].bit_count(), reverse=True):
+        ranked = sorted(
+            _bits(self._in_range(members)), key=lambda a: keys[a].bit_count(), reverse=True
+        )
+        for a in ranked:
             if not any(keys[a] & ~keys[k] == 0 for k in kept):
                 kept.append(a)
-        return frozenset(kept)
+        return sum(1 << a for a in kept)
+
+    def _in_range(self, S: int) -> int:
+        """The mask S, checked to name elements only: an index at or past
+        ``n`` raises IndexError naming the lowest one."""
+        high = _point_set(S) >> self.n << self.n
+        if high:
+            lowest = (high & -high).bit_length() - 1
+            raise IndexError(f"element index {lowest} out of range 0..{self.n - 1}")
+        return S
 
     def __eq__(self, other: object) -> bool:
         # a lattice is determined by its order
@@ -267,18 +279,16 @@ def upset_lattice(P: FinitePoset) -> tuple[UpsetLattice, dict[int, int]]:
     return lattice, embedding
 
 
-def _members(L: FiniteLattice, X: Iterable[int]) -> frozenset[int]:
-    """X as a set of element indices, checked to be a carrier: every index
-    names an element (else IndexError) and the top is not among them."""
-    members = frozenset(X)
-    for x in members:
-        L.check(x)
-    if L.top in members:
+def _members(L: FiniteLattice, X: int) -> int:
+    """The mask X, checked to be a carrier: every index names an element
+    (else IndexError, naming the lowest that does not) and the top is not
+    among them."""
+    if L._in_range(X) >> L.top & 1:
         raise SubsetViolationError("the top element cannot belong to X")
-    return members
+    return X
 
 
-def has_complete_max_property(L: FiniteLattice, X: Iterable[int]) -> bool:
-    """Every q maximal in X satisfies ⋀(Max(X) \\ {q}) ≰ q."""
+def has_complete_max_property(L: FiniteLattice, X: int) -> bool:
+    """Every q maximal in the mask X satisfies ⋀(Max(X) \\ {q}) ≰ q."""
     maxima = L.maximals_of(_members(L, X))
-    return all(not L.leq(L.meet_all(maxima - {q}), q) for q in maxima)
+    return all(not L.leq(L.meet_all(_bits(maxima & ~(1 << q))), q) for q in _bits(maxima))

@@ -1,9 +1,10 @@
 """Finite partially ordered sets.
 
-Elements are dense indices ``0..n-1`` with a label table; subsets are
-``frozenset[int]``.  The order is stored as a full n×n boolean relation,
-kept internally as one bitmask row per element (bit ``j`` of ``up[i]`` is
-set iff ``i <= j``), so all queries are O(1) table lookups.
+Elements are dense indices ``0..n-1`` with a label table; a subset is an
+int mask, bit ``i`` standing for element ``i``, whether a caller passes it
+in or a query returns it.  The order is stored as a full n×n boolean
+relation, kept internally as one bitmask row per element (bit ``j`` of
+``up[i]`` is set iff ``i <= j``), so all queries are O(1) table lookups.
 
 Rows that can be malformed are checked once, where they enter:
 ``FinitePoset(labels, rows)`` validates reflexivity, antisymmetry and
@@ -70,6 +71,16 @@ def _mask(S: Iterable[int]) -> int:
     return sum(1 << x for x in S)
 
 
+def _point_set(S: int) -> int:
+    """``S`` checked to be a set of indices given as a mask: an int, not a
+    bool, and not negative (a negative int has infinitely many bits)."""
+    if isinstance(S, bool) or not isinstance(S, int):
+        raise TypeError(f"a set of indices is an int mask, not {type(S).__name__}")
+    if S < 0:
+        raise ValueError(f"a set of indices is a mask >= 0, not {S}")
+    return S
+
+
 def _repeat(items: Iterable):
     """The first item that occurs a second time, or None."""
     seen = set()
@@ -90,11 +101,6 @@ def _size_key(mask: int) -> tuple[int, str]:
     another, since the longer one ends in a "1" the shorter lacks.
     """
     return (-mask.bit_count(), bin(mask)[:1:-1])
-
-
-def _by_size(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
-    """Masks as sets, sorted by :func:`_size_key`."""
-    return tuple(map(frozenset, map(_bits, sorted(masks, key=_size_key, reverse=True))))
 
 
 # the characters "0" and "1" to the bytes 0 and 1, false and true selectors
@@ -227,12 +233,13 @@ class FinitePoset:
             raise EmptyPosetError("Krull dimension of the empty poset is undefined")
         return max(self.heights())
 
-    def minimals(self) -> frozenset[int]:
-        down = self.down_rows()
-        return frozenset(i for i in range(self.n) if down[i] == 1 << i)
+    def minimals(self) -> int:
+        """The mask of the minimal elements."""
+        return _mask(i for i, row in enumerate(self.down_rows()) if row == 1 << i)
 
-    def maximals(self) -> frozenset[int]:
-        return frozenset(i for i in range(self.n) if self._up[i] == 1 << i)
+    def maximals(self) -> int:
+        """The mask of the maximal elements."""
+        return _mask(i for i, row in enumerate(self._up) if row == 1 << i)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (i, j): i < j with nothing strictly between."""
@@ -287,9 +294,9 @@ class FinitePoset:
 
     # -- structure ----------------------------------------------------------
 
-    def order_components(self) -> tuple[frozenset[int], ...]:
-        """Connected components of the comparability graph, in order of
-        their least element."""
+    def order_components(self) -> tuple[int, ...]:
+        """Connected components of the comparability graph, as masks in
+        order of their least element."""
         down = self.down_rows()
         comps = []
         left = (1 << self.n) - 1
@@ -302,7 +309,7 @@ class FinitePoset:
                 frontier = reach & ~comp
                 comp |= reach
             left &= ~comp
-            comps.append(frozenset(_bits(comp)))
+            comps.append(comp)
         return tuple(comps)
 
 
@@ -434,30 +441,29 @@ def forest(spec: Sequence[ForestComponent]) -> FinitePoset:
 # -- component shape classification ----------------------------------------
 
 
-def is_tree_component(P: FinitePoset, component: frozenset[int]) -> int | None:
-    """n if the component is a T_n (n >= 1), else None."""
+def is_tree_component(P: FinitePoset, component: int) -> int | None:
+    """n if the component, a mask, is a T_n (n >= 1), else None."""
     return _star(P._up, component)
 
 
-def is_dual_tree_component(P: FinitePoset, component: frozenset[int]) -> int | None:
-    """m if the component is a V_m (m >= 1), else None."""
+def is_dual_tree_component(P: FinitePoset, component: int) -> int | None:
+    """m if the component, a mask, is a V_m (m >= 1), else None."""
     return _star(P.down_rows(), component)
 
 
-def _star(rows: Sequence[int], component: frozenset[int]) -> int | None:
-    """The number of leaves if ``component`` C is one hub t with rows[t] ∩ C
+def _star(rows: Sequence[int], C: int) -> int | None:
+    """The number of leaves if the mask C is one hub t with rows[t] ∩ C
     = {t} and at least one leaf, every leaf i having rows[i] ∩ C = {i, t};
     else None.  On the up rows that is T_n, on the down rows V_m.  Nothing
     in C lies on the other side of a leaf i: such a j would be a leaf, and
     rows[j] ∩ C would hold i."""
-    C = sum(1 << i for i in component)
-    hubs = [t for t in component if rows[t] & C == 1 << t]
-    if len(hubs) != 1 or len(component) == 1:
+    hubs = [t for t in _bits(_point_set(C)) if rows[t] & C == 1 << t]
+    if len(hubs) != 1 or C & (C - 1) == 0:
         return None
     hub = 1 << hubs[0]
     if any(rows[i] & C != 1 << i | hub for i in _bits(C & ~hub)):
         return None
-    return len(component) - 1
+    return C.bit_count() - 1
 
 
 def is_forest_of_trees(P: FinitePoset) -> bool:

@@ -31,13 +31,15 @@ Each failing test is itself a violated instance of its axiom, so when one
 fails the O(n³) loops run to report the first violation, axiom and
 witness, in the order of the definitional scan.
 
-Ideals are element bitmasks, bit e standing for element e, from their
-enumeration to their printing; only :class:`SpectrumReport`, which holds
-a few primes, lists them as ``frozenset[int]``.  Enumeration runs the
-principal-ideal sum closure to a fixpoint (every ideal is the sum of its
-principal subideals, so the closure is complete) and checks each set I
-it reaches on the masks it builds anyway; the test-suite checks the
-result against an exhaustive subset scan for small carriers.
+Ideals, primes and every other set of elements are element bitmasks, bit
+e standing for element e, from their enumeration to their printing: the
+ideals, :func:`principal_ideal`, the spectra and radicals of
+:class:`SpectrumReport` and the spectra of :class:`BniVerification`.
+Enumeration runs the principal-ideal sum closure to a fixpoint (every
+ideal is the sum of its principal subideals, so the closure is complete)
+and checks each set I it reaches on the masks it builds anyway; the
+test-suite checks the result against an exhaustive subset scan for small
+carriers.
 
 The sums b + P_k for the masks P_k of the principal ideals come from one
 row per b, built by shifts.  Let ``spread[y]`` hold bit nk for each
@@ -144,12 +146,12 @@ from __future__ import annotations
 
 from functools import cache, lru_cache, reduce
 from itertools import compress, cycle, islice, repeat
-from operator import eq, getitem, itemgetter, lshift, or_
+from operator import and_, eq, getitem, itemgetter, lshift, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AxiomError, NotAnIdealError, RangeError
 from .lattice import FiniteLattice
-from .poset import FinitePoset, _bits, _mask, _selected, _size_key
+from .poset import FinitePoset, _bits, _selected, _size_key
 from .topology import XTopSpace, build_space
 
 
@@ -422,11 +424,14 @@ def prime_divisors(k: int) -> tuple[int, ...]:
 # -- ideals -----------------------------------------------------------------
 
 
-def principal_ideal(R: FiniteSemiring, a: int) -> frozenset[int]:
-    """(a) = {r·a : r ∈ R}; closed under sums by distributivity."""
-    return frozenset(R.mul[r][a] for r in R.elements())
+def principal_ideal(R: FiniteSemiring, a: int) -> int:
+    """(a) = {r·a : r ∈ R} as an element mask; closed under sums by
+    distributivity.  Row a of the product lists the a·r = r·a."""
+    return sum({1 << c for c in R.mul[a]})
 
 
+# kept: a process that runs `spec` on one semiring again (once per
+# `--subspace`, say) skips the closure; a hit hashes both tables
 @lru_cache(maxsize=64)
 def ideals(R: FiniteSemiring) -> tuple[int, ...]:
     """All ideals, as element bitmasks sorted by :func:`poset._size_key`:
@@ -502,10 +507,12 @@ def is_subtractive_semiring(R: FiniteSemiring) -> bool:
     """Every ideal is subtractive: r ∈ (a) + (r + a) for all r and a
     (module docstring), each sum of two principal ideals formed once."""
     add = R.add
+    # frozensets, not masks: a mask version, each sum read off _sum_rows,
+    # ran 4.5-24x slower on B(n, i >= 2), where this scan stops early
     principal = [frozenset(row) for row in R.mul]
 
     @cache
-    def ideal_sum(P: frozenset[int], Q: frozenset[int]) -> frozenset[int]:
+    def ideal_sum(P, Q):
         # P ⊆ Q gives P + Q = Q (module docstring)
         if P <= Q:
             return Q
@@ -523,12 +530,12 @@ def is_subtractive_semiring(R: FiniteSemiring) -> bool:
 class SpectrumReport(NamedTuple):
     """The prime/maximal/minimal spectra and algebraic flags."""
 
-    spec: tuple[frozenset[int], ...]
-    max: tuple[frozenset[int], ...]
-    min_primes: tuple[frozenset[int], ...]
-    jacobson: frozenset[int]
-    nilradical: frozenset[int]
-    prime_radical: frozenset[int]
+    spec: tuple[int, ...]  # element masks, in the order of ideals(R)
+    max: tuple[int, ...]
+    min_primes: tuple[int, ...]
+    jacobson: int  # element masks
+    nilradical: int
+    prime_radical: int
     kdim: int
     is_local: bool
     is_reduced: bool
@@ -560,6 +567,7 @@ def _high_powers(R: FiniteSemiring) -> tuple[int, ...]:
 def _divisor_masks(R: FiniteSemiring, values: Iterable[int]) -> list[int]:
     """div(c) for each c of ``values``: the mask of the b with b | c, that
     is of the rows b of the product that hold c."""
+    # frozensets for the C-level membership reads below
     rows = list(map(frozenset, R.mul))
     bits = [1 << b for b in R.elements()]
     return [
@@ -591,6 +599,7 @@ def _primes(R: FiniteSemiring) -> tuple[int, ...]:
         P = full & ~sat
         members = tuple(_selected(R.elements(), P))
         rows = map(R.add.__getitem__, members)
+        # a frozenset of the members tests each sum row in one C-level call
         if len(members) == 1 or all(
             map(frozenset(members).issuperset, map(itemgetter(*members), rows))
         ):
@@ -603,6 +612,9 @@ def _diagonal(table) -> tuple[int, ...]:
     return tuple(map(getitem, table, range(len(table))))
 
 
+# kept: each `verify bni` instance reads its spectrum four times, and a
+# process that runs `spec` on one semiring again reads it once; a hit
+# hashes both tables
 @lru_cache(maxsize=64)
 def spectrum(R: FiniteSemiring) -> SpectrumReport:
     """Spec(R) from saturated sets, read as its inclusion order: Max(R),
@@ -616,13 +628,12 @@ def spectrum(R: FiniteSemiring) -> SpectrumReport:
     product holds a·0 = 0 by absorption, so for a ≠ 0 that is one count:
     the row holds 0 exactly once.
     """
-    primes = _primes(R)
-    order = _inclusion_order(R, primes)
-    spec = tuple(map(frozenset, map(_bits, primes)))
-    maximal = tuple(spec[k] for k in sorted(order.maximals()))
-    min_primes = tuple(spec[k] for k in sorted(order.minimals()))
-    full = frozenset(R.elements())
-    prime_radical = full.intersection(*spec)
+    spec = _primes(R)
+    order = _inclusion_order(R, spec)
+    maximal = tuple(_selected(spec, order.maximals()))
+    min_primes = tuple(_selected(spec, order.minimals()))
+    full = (1 << R.n) - 1
+    prime_radical = reduce(and_, spec, full)
     # von Neumann regular: some b has (ab)a = a, and (ab)a = a(ab)
     is_vnr = all(a in map(mul_a.__getitem__, mul_a) for a, mul_a in enumerate(R.mul))
     identity = tuple(R.elements())
@@ -632,13 +643,13 @@ def spectrum(R: FiniteSemiring) -> SpectrumReport:
         spec=spec,
         max=maximal,
         min_primes=min_primes,
-        jacobson=full.intersection(*maximal),
+        jacobson=reduce(and_, maximal, full),
         # a non-nilpotent a misses some prime (module docstring)
         nilradical=prime_radical,
         prime_radical=prime_radical,
         kdim=order.krull_dim(),
         is_local=len(maximal) == 1,
-        is_reduced=prime_radical == frozenset({R.zero}),
+        is_reduced=prime_radical == 1 << R.zero,
         is_vnr=is_vnr,
         # finite: some power e = a^k, k <= n, is idempotent, and e·1·e = e
         is_pi_regular=True,
@@ -709,22 +720,22 @@ def radical_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[int, ...]]:
     """
     full = (1 << R.n) - 1
     closure = {full}
-    for P in map(_mask, spectrum(R).spec):
+    for P in spectrum(R).spec:
         closure |= {m & P for m in closure}
     radicals = tuple(sorted(closure, key=_size_key, reverse=True))
     return FiniteLattice(_inclusion_order(R, radicals)), radicals
 
 
-def _chosen_primes(R: FiniteSemiring, which: str) -> Sequence[frozenset[int]]:
+def _chosen_primes(R: FiniteSemiring, which: str) -> Sequence[int]:
     """Spec(R), Max(R), Min(R), or for ``"drop-zero"`` Spec(R) without the
-    zero ideal (all of Spec(R) when the zero ideal is not prime), in the
-    order of :attr:`SpectrumReport.spec`."""
+    zero ideal (all of Spec(R) when the zero ideal is not prime), as
+    element masks in the order of :attr:`SpectrumReport.spec`."""
     report = spectrum(R)
     chosen = {
         "all": report.spec,
         "max": report.max,
         "min": report.min_primes,
-        "drop-zero": [P for P in report.spec if P != {R.zero}],
+        "drop-zero": [P for P in report.spec if P != 1 << R.zero],
     }
     if which not in chosen:
         raise ValueError("subspace selector must be one of 'all', 'max', 'min', 'drop-zero'")
@@ -739,7 +750,7 @@ def spec_poset(R: FiniteSemiring, which: str = "all") -> FinitePoset:
     (module docstring), so the space's report, point rows and open sets
     are read off it without the radical-ideal lattice.
     """
-    return _inclusion_order(R, list(map(_mask, _chosen_primes(R, which))))
+    return _inclusion_order(R, _chosen_primes(R, which))
 
 
 def spec_space(R: FiniteSemiring, which: str = "all") -> XTopSpace:
@@ -752,19 +763,20 @@ def spec_space(R: FiniteSemiring, which: str = "all") -> XTopSpace:
     chosen = _chosen_primes(R, which)
     lattice, radicals = radical_lattice(R)
     position = {I: k for k, I in enumerate(radicals)}
-    return build_space(lattice, [position[_mask(I)] for I in chosen])
+    return build_space(lattice, sum(1 << position[I] for I in chosen))
 
 
 class BniVerification(NamedTuple):
-    """Predicted vs computed spectrum of one B(n, i)."""
+    """Predicted vs computed spectrum of one B(n, i), each spectrum a tuple
+    of element masks in the order of :func:`spectrum`."""
 
     n: int
     i: int
     case: str
     predicted_kdim: int
-    predicted_spec: frozenset[frozenset[int]]
+    predicted_spec: tuple[int, ...]
     computed_kdim: int
-    computed_spec: frozenset[frozenset[int]]
+    computed_spec: tuple[int, ...]
 
     @property
     def match(self) -> bool:
@@ -790,8 +802,8 @@ def _verify_bni(R: FiniteSemiring, i: int) -> BniVerification:
     """:func:`verify_bni` for R = B(R.n, i), already built."""
     n = R.n
     computed = spectrum(R)
-    zero_ideal = frozenset({0})
-    m_n = frozenset({0}) | frozenset(range(2, n))
+    zero_ideal = 1  # {0}
+    m_n = (1 << n) - 1 & ~2  # {0, 2, ..., n-1}
     if i == 0:
         case = "integers-mod-n"
         predicted_kdim = 0
@@ -822,7 +834,7 @@ def _verify_bni(R: FiniteSemiring, i: int) -> BniVerification:
         i=i,
         case=case,
         predicted_kdim=predicted_kdim,
-        predicted_spec=frozenset(predicted),
+        predicted_spec=tuple(sorted(predicted, key=_size_key, reverse=True)),
         computed_kdim=computed.kdim,
-        computed_spec=frozenset(computed.spec),
+        computed_spec=computed.spec,
     )

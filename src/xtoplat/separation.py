@@ -124,12 +124,12 @@ lattice not at all.  :func:`cross_check` takes the other side of each
 lemma and theorem from the families, as the varieties and their
 complements in X, from pair scans and from meets in L, and compares it
 with X, Min, Max, RO or Excl.  Every point set on either side is a mask
-over lattice indices, like the space's variety masks, so no frozenset is
-built there.  It computes each side on demand, the first time a check
-reads it, so a run of some of the checks (``verify quarter`` and
-``verify discrete`` ask for theirs) computes only the sides they read,
-and a check builds its witness, the lowest point in one set but not the
-other, only when it fails.
+over lattice indices, like the space's variety masks and every point set
+the library takes or returns.  It computes each side on demand, the
+first time a check reads it, so a run of some of the checks (``verify
+quarter`` and ``verify discrete`` ask for theirs) computes only the sides
+they read, and a check builds its witness, the lowest point in one set
+but not the other, only when it fails.
 
 A :class:`~xtoplat.poset.FinitePoset` P is accepted wherever a space is
 classified, and read as the space ``from_poset(P)``: X is {↑x : x ∈ P}
@@ -252,7 +252,7 @@ class _Analysis:
             P = source.specialization_poset()
             # Ker(x) = ↓x is open iff X \\ ↓x is a variety
             closed = set(source.variety_masks)
-            full = _mask(self.pts)
+            full = source.points
             for k, kernel in enumerate(P.down_rows()):
                 if full & ~self.lift(kernel) not in closed:
                     raise XtoplatError(
@@ -263,8 +263,8 @@ class _Analysis:
         self.spec_poset = P
         self.n = P.n
         self.full = (1 << self.n) - 1
-        self.min_mask = sum(1 << k for k in P.minimals())
-        self.max_mask = sum(1 << k for k in P.maximals())
+        self.min_mask = P.minimals()
+        self.max_mask = P.maximals()
         # regular open: minimal, and no other y has Min ∩ ↓y = {x}; excluded:
         # not minimal, or regular open (module docstring)
         shared = 0
@@ -292,8 +292,7 @@ class _Analysis:
         """The components, which are the quasicomponents: the comparability
         components of the order, as masks in order of their first point."""
         parts = self.spec_poset.order_components()
-        masks = [sum(1 << k for k in part) for part in parts]
-        return sorted(masks, key=lambda m: min(self.position[k] for k in _bits(m)))
+        return sorted(parts, key=lambda m: min(self.position[k] for k in _bits(m)))
 
 
 def _in_upset_order(P: FinitePoset) -> tuple[list[int], dict[int, int]]:
@@ -474,7 +473,7 @@ class _Sides:
     def __init__(self, space: XTopSpace):
         self.space, self.L, self.masks = space, space.lattice, space.variety_masks
         self.a = a = _Analysis(space)
-        self.r, self.pts, self.full = _report(a), a.pts, a.lift(a.full)
+        self.r, self.pts, self.full = _report(a), a.pts, space.points
         self.min, self.max, self.ro, self.excl = (
             a.lift(m) for m in (a.min_mask, a.max_mask, a.ro_mask, a.excl_mask)
         )
@@ -603,7 +602,7 @@ class _Sides:
 
     @cached_property
     def radicals(self) -> int:
-        return _mask(_radical_info(self.L, self.masks).radical_elements)
+        return _radical_info(self.L, self.masks).radical_elements
 
     @cached_property
     def tf(self) -> bool:
@@ -797,12 +796,12 @@ class _Sides:
 
     def check_union_criterion_iff_irreducibility(self) -> Verdict:
         by_unions = _union_witness(self.masks) is None
-        by_irreducibility = _irreducible(self.L, self.masks, _bits(self.radicals))
+        by_irreducibility = _irreducible(self.L, self.masks, self.radicals)
         return by_unions == by_irreducibility, lambda: "the two carrier criteria disagree"
 
     def check_maxima_of_radicals(self) -> Verdict:
         proper = self.radicals & ~(1 << self.L.top)
-        radical_maxima, maxima = _mask(self.L.maximals_of(_bits(proper))), self.max
+        radical_maxima, maxima = self.L.maximals_of(proper), self.max
         return radical_maxima == maxima, lambda: self._diff(radical_maxima & self.full, maxima)
 
     def check_jacobson_irredundant_iff_bmax_iff_max_discrete(self) -> Verdict:

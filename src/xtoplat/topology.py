@@ -53,32 +53,32 @@ convention (⋀∅ = top, V(top) = ∅) keeps every operation consistent there.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptyPosetError, NotXTopError, SubsetViolationError
 from .lattice import FiniteLattice, _members, upset_lattice
-from .poset import FinitePoset, _bits, _by_size, _mask
+from .poset import FinitePoset, _bits, _point_set, _size_key
 
 
-def variety(L: FiniteLattice, X: Iterable[int], a: int) -> frozenset[int]:
-    """V(a) = {x ∈ X : a <= x}."""
+def variety(L: FiniteLattice, X: int, a: int) -> int:
+    """V(a) = {x ∈ X : a <= x}, as a mask, for the mask X."""
     L.check(a)
-    return frozenset(x for x in _members(L, X) if L.leq(a, x))
+    return sum(1 << x for x in _bits(_members(L, X)) if L.leq(a, x))
 
 
-def covariety(L: FiniteLattice, X: Iterable[int], a: int) -> frozenset[int]:
-    """D(a) = X \\ V(a)."""
-    return _members(L, X) - variety(L, X, a)
+def covariety(L: FiniteLattice, X: int, a: int) -> int:
+    """D(a) = X \\ V(a), as a mask, for the mask X."""
+    return _members(L, X) & ~variety(L, X, a)
 
 
 class RadicalInfo(NamedTuple):
     """The radical map a ↦ √a = ⋀V(a) and its fixed points."""
 
     radical_of: tuple[int, ...]  # indexed by lattice element
-    radical_elements: frozenset[int]  # {a : √a = a}
+    radical_elements: int  # the mask of the a with √a = a
 
 
-def radical_info(L: FiniteLattice, X: Iterable[int]) -> RadicalInfo:
+def radical_info(L: FiniteLattice, X: int) -> RadicalInfo:
     """√a = ⋀V(a) for every a; the radical elements are the fixed points.
 
     X itself always consists of radical elements, √ is inflationary and
@@ -91,11 +91,11 @@ def _radical_info(L: FiniteLattice, varieties: Sequence[int]) -> RadicalInfo:
     """:func:`radical_info` from the variety masks: one meet per distinct V(a)."""
     meets = {v: L.meet_all(_bits(v)) for v in set(varieties)}
     radical = tuple(meets[v] for v in varieties)
-    fixed = frozenset(a for a, r in enumerate(radical) if r == a)
+    fixed = sum(1 << a for a, r in enumerate(radical) if r == a)
     return RadicalInfo(radical, fixed)
 
 
-def is_xtop_by_unions(L: FiniteLattice, X: Iterable[int]) -> bool:
+def is_xtop_by_unions(L: FiniteLattice, X: int) -> bool:
     """True iff for all a, b there is c with V(a) ∪ V(b) = V(c)."""
     return _union_witness(L.variety_masks(_members(L, X))) is None
 
@@ -118,18 +118,16 @@ def _union_witness(varieties: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
-def is_xtop_by_irreducibility(L: FiniteLattice, X: Iterable[int]) -> bool:
+def is_xtop_by_irreducibility(L: FiniteLattice, X: int) -> bool:
     """True iff every x ∈ X is strongly irreducible over the radical elements."""
     varieties = L.variety_masks(_members(L, X))
     return _irreducible(L, varieties, _radical_info(L, varieties).radical_elements)
 
 
-def _irreducible(
-    L: FiniteLattice, varieties: Sequence[int], radicals: Iterable[int]
-) -> bool:
+def _irreducible(L: FiniteLattice, varieties: Sequence[int], radicals: int) -> bool:
     """Every point x has ⋀{a ∈ R : a ≰ x} ≰ x, for the meet-closed set R of
-    radical elements (module docstring)."""
-    radicals = list(radicals)
+    radical elements, a mask (module docstring)."""
+    radicals = list(_bits(radicals))
     for x in _bits(varieties[L.bottom]):
         m = L.meet_all(a for a in radicals if not varieties[a] >> x & 1)
         if varieties[m] >> x & 1:
@@ -140,49 +138,50 @@ def _irreducible(
 class XTopSpace(NamedTuple):
     """A Zariski-like topology on X ⊆ L \\ {top}, stored as its varieties.
 
-    Points are lattice indices.  ``variety_masks[a]`` is V(a) as a mask
-    over lattice indices, the tuple ``L.variety_masks(X)``, and X is read
-    off it as V(bottom).  ``closed_family`` is the distinct V(a) as
-    frozensets, sorted by (size, elements) so serialized output is
-    byte-stable.
+    Points are lattice indices, and every set of points, taken or
+    returned, is a mask over lattice indices.  ``variety_masks[a]`` is V(a),
+    the tuple ``L.variety_masks(X)``, and X is read off it as V(bottom).
+    ``closed_family`` is the distinct V(a), sorted by (size, elements)
+    (:func:`~xtoplat.poset._size_key`) so serialized output is byte-stable.
     """
 
     lattice: FiniteLattice
     variety_masks: tuple[int, ...]  # indexed by lattice element
 
     @property
-    def points(self) -> frozenset[int]:
-        return frozenset(self.sorted_points())
+    def points(self) -> int:
+        """X, the mask V(bottom)."""
+        return self.variety_masks[self.lattice.bottom]
 
     @property
-    def closed_family(self) -> tuple[frozenset[int], ...]:
-        return _by_size(set(self.variety_masks))
+    def closed_family(self) -> tuple[int, ...]:
+        return tuple(sorted(set(self.variety_masks), key=_size_key, reverse=True))
 
     @property
     def n_points(self) -> int:
-        return self.variety_masks[self.lattice.bottom].bit_count()
+        return self.points.bit_count()
 
     def sorted_points(self) -> tuple[int, ...]:
-        return tuple(_bits(self.variety_masks[self.lattice.bottom]))
+        return tuple(_bits(self.points))
 
     def label(self, x: int) -> str:
         return self.lattice.label(x)
 
-    def labels_of(self, S: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.label(x) for x in sorted(S))
+    def labels_of(self, S: int) -> tuple[str, ...]:
+        """The labels of the mask S, in index order."""
+        return tuple(map(self.label, _bits(_point_set(S))))
 
-    def _require_subset(self, Y: Iterable[int]) -> frozenset[int]:
-        Y = frozenset(Y)
-        if not Y <= self.points:
+    def _require_subset(self, Y: int) -> int:
+        if _point_set(Y) & ~self.points:
             raise SubsetViolationError("argument must be a subset of X")
         return Y
 
-    def closure(self, Y: Iterable[int]) -> frozenset[int]:
-        """The closure V(⋀Y): the smallest closed set containing Y."""
-        Y = self._require_subset(Y)
-        return frozenset(_bits(self.variety_masks[self.lattice.meet_all(Y)]))
+    def closure(self, Y: int) -> int:
+        """The closure V(⋀Y) of the mask Y: the smallest closed set
+        containing Y."""
+        return self.variety_masks[self.lattice.meet_all(_bits(self._require_subset(Y)))]
 
-    def subspace(self, Y: Iterable[int]) -> "XTopSpace":
+    def subspace(self, Y: int) -> "XTopSpace":
         """The space over the same lattice with X replaced by Y ⊆ X.
 
         Always succeeds: a subset of an X-top carrier is again a carrier,
@@ -190,8 +189,7 @@ class XTopSpace(NamedTuple):
         varieties are the V(a) ∩ Y.
         """
         Y = self._require_subset(Y)
-        ymask = _mask(Y)
-        return XTopSpace(self.lattice, tuple(v & ymask for v in self.variety_masks))
+        return XTopSpace(self.lattice, tuple(v & Y for v in self.variety_masks))
 
     def specialization_poset(self) -> FinitePoset:
         """The order X inherits from L: x <= y iff y ∈ closure({x}) = V(x)."""
@@ -201,14 +199,14 @@ class XTopSpace(NamedTuple):
         return FinitePoset([self.label(x) for x in pts], rows)
 
 
-def build_space(L: FiniteLattice, X: Iterable[int]) -> XTopSpace:
-    """The space on (L, X), once its varieties are shown closed under unions.
+def build_space(L: FiniteLattice, X: int) -> XTopSpace:
+    """The space on (L, X), X a mask over element indices, once its
+    varieties are shown closed under unions.
 
     Raises :class:`NotXTopError` carrying a witness pair (a, b) whose
     varieties have a union that is not a variety.
     """
-    members = _members(L, X)
-    masks = L.variety_masks(members)
+    masks = L.variety_masks(_members(L, X))
     witness = _union_witness(masks)
     if witness is not None:
         a, b = witness

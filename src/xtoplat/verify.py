@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .enumeration import (
     all_lattices_upto,
@@ -30,11 +30,12 @@ from .enumeration import (
     forest_specs,
 )
 from .errors import RangeError
-from .poset import chain, dual_tree, forest, tree
+from .poset import _selected, chain, dual_tree, forest, tree
 from .semiring import _verify_bni, bni, omega, spec_poset, spec_space
 from .separation import CheckResult, _report_and_checks, cross_check, separation_report
 from .topology import from_poset, is_xtop_by_irreducibility, is_xtop_by_unions
 
+# check-id sets: frozensets of names, read by `in`, not point sets
 QUARTER_CHECKS = frozenset(
     {
         "closed-points-are-maximal",
@@ -138,9 +139,10 @@ def verify_xct(max_size: int = 5) -> SuiteResult:
     """Union-closure vs irreducibility on every (lattice, X) pair."""
     result = SuiteResult("xct")
     for L in all_lattices_upto(max_size):
-        candidates = [i for i in range(L.n) if i != L.top]
-        for mask in range(1 << len(candidates)):
-            X = frozenset(c for k, c in enumerate(candidates) if mask >> k & 1)
+        # every X ⊆ L \ {top}: the bits of `mask` spread around the top's
+        below_top = (1 << L.top) - 1
+        for mask in range(1 << (L.n - 1)):
+            X = mask & below_top | (mask & ~below_top) << 1
             result.instances += 1
             result.checks += 1
             by_unions = is_xtop_by_unions(L, X)
@@ -149,7 +151,7 @@ def verify_xct(max_size: int = 5) -> SuiteResult:
                 result.failures.append(
                     SuiteFailure(
                         f"lattice({L.n} elements, covers={L.poset.covers()}) "
-                        f"X={sorted(L.labels[x] for x in X)}",
+                        f"X={sorted(_selected(L.labels, X))}",
                         "union-criterion-iff-irreducibility",
                         f"unions={by_unions}; irreducibility={by_irred}",
                     )
@@ -157,7 +159,7 @@ def verify_xct(max_size: int = 5) -> SuiteResult:
     return result
 
 
-def _cross_check_sweep(suite: str, max_size: int, selected: frozenset[str]) -> SuiteResult:
+def _cross_check_sweep(suite: str, max_size: int, selected: Collection[str]) -> SuiteResult:
     result = SuiteResult(suite)
     for P in all_posets_upto(max_size):
         result.instances += 1
@@ -237,8 +239,8 @@ def verify_bni_grid(max_n: int = 20) -> SuiteResult:
                 verdict.match,
                 "spectrum-closed-form",
                 f"kdim {verdict.computed_kdim} vs {verdict.predicted_kdim}; "
-                f"spec sizes {sorted(len(P) for P in verdict.computed_spec)} vs "
-                f"{sorted(len(P) for P in verdict.predicted_spec)}",
+                f"spec sizes {sorted(map(int.bit_count, verdict.computed_spec))} vs "
+                f"{sorted(map(int.bit_count, verdict.predicted_spec))}",
             )
             report, prime_meets, results = _report_and_checks(spec_space(R))
             spec_shape = canonical_form(spec_poset(R))

@@ -28,6 +28,26 @@ from xtoplat.poset import _bits, _letters, is_dual_tree_component, is_tree_compo
 from xtoplat.semiring import ideals
 
 
+def mask(S) -> int:
+    """The mask of a set of indices: bit x for each member x."""
+    return sum(1 << x for x in set(S))
+
+
+def members(m: int) -> frozenset[int]:
+    """The indices a mask holds, as the frozenset the oracles compare."""
+    return frozenset(_bits(m))
+
+
+def points(space: XTopSpace) -> frozenset[int]:
+    """X as a frozenset of lattice indices."""
+    return members(space.points)
+
+
+def closed_sets(space: XTopSpace) -> tuple[frozenset[int], ...]:
+    """The closed family as frozensets, in the space's order."""
+    return tuple(map(members, space.closed_family))
+
+
 def subsets(items):
     items = list(items)
     for r in range(len(items) + 1):
@@ -226,7 +246,7 @@ def _require_between(L: FiniteLattice, X, A) -> frozenset[int]:
     A = frozenset(A)
     for a in A:
         L.check(a)
-    if not _members(L, X) <= A:
+    if not members(_members(L, mask(X))) <= A:
         raise SubsetViolationError("X must be contained in A")
     return A
 
@@ -234,7 +254,7 @@ def _require_between(L: FiniteLattice, X, A) -> frozenset[int]:
 def is_coatomic(L: FiniteLattice, X, A) -> bool:
     """Every a ∈ A lies below some maximal element of X."""
     A = _require_between(L, X, A)
-    maxima = L.maximals_of(X)
+    maxima = members(L.maximals_of(mask(X)))
     return all(any(L.leq(a, m) for m in maxima) for a in A)
 
 
@@ -410,11 +430,12 @@ def spectrum_reads_by_scan(R: FiniteSemiring) -> dict:
     maximal = pairwise_maximal_ideals(R)
     min_primes = pairwise_minimal_primes(R)
     nil = nilradical(R)
+    # the set-valued fields compared as the report holds them, element masks
     return {
-        "max": maximal,
-        "min_primes": min_primes,
+        "max": tuple(map(mask, maximal)),
+        "min_primes": tuple(map(mask, min_primes)),
         "kdim": longest_inclusion_chain(spec),
-        "nilradical": nil,
+        "nilradical": mask(nil),
         "is_reduced": nil == frozenset({R.zero}),
         "is_bmax": all(barely_maximal(P, maximal) for P in maximal),
         "is_amin": all(absolutely_minimal(P, min_primes) for P in min_primes),
@@ -598,11 +619,11 @@ def eager_views(L: FiniteLattice, X) -> tuple[tuple[frozenset[int], ...], ...]:
 def open_family(space: XTopSpace) -> tuple[frozenset[int], ...]:
     """The open sets D(a) = X \\ V(a) of a space, read off L.leq and sorted
     by (size, sorted elements)."""
-    return eager_views(space.lattice, space.points)[2]
+    return eager_views(space.lattice, points(space))[2]
 
 
 def naive_kernel(space: XTopSpace, x: int) -> frozenset[int]:
-    acc = space.points
+    acc = points(space)
     for U in open_family(space):
         if x in U:
             acc &= U
@@ -619,17 +640,17 @@ def naive_interior(space: XTopSpace, S: frozenset[int]) -> frozenset[int]:
 
 def excluded_meet(space: XTopSpace, x: int) -> tuple[int, int, bool]:
     """(⋀(X \\ {x}), ⋀D(x), equal?): x is an excluded point iff equal."""
-    if x not in space.points:
+    if x not in points(space):
         raise IndexError(f"{x} is not a point of the space")
     L = space.lattice
-    e = L.meet_all(space.points - {x})
-    d = L.meet_all(y for y in space.points if not L.leq(x, y))
+    e = L.meet_all(points(space) - {x})
+    d = L.meet_all(y for y in points(space) if not L.leq(x, y))
     return e, d, e == d
 
 
 def naive_closure(space: XTopSpace, S: frozenset[int]) -> frozenset[int]:
-    candidates = [C for C in space.closed_family if S <= C]
-    acc = space.points
+    candidates = [C for C in closed_sets(space) if S <= C]
+    acc = points(space)
     for C in candidates:
         acc &= C
     return acc
@@ -641,7 +662,7 @@ def shields(opens, A: frozenset[int], B: frozenset[int]) -> bool:
 
 
 def naive_tf(space: XTopSpace) -> bool:
-    pts, opens = space.points, open_family(space)
+    pts, opens = points(space), open_family(space)
     for x in pts:
         for F in subsets(pts - {x}):
             if not shields(opens, frozenset({x}), F) and not shields(
@@ -652,7 +673,7 @@ def naive_tf(space: XTopSpace) -> bool:
 
 
 def naive_t0(space: XTopSpace) -> bool:
-    pts, opens = sorted(space.points), open_family(space)
+    pts, opens = sorted(points(space)), open_family(space)
     return all(
         any((x in U) != (y in U) for U in opens)
         for i, x in enumerate(pts)
@@ -661,7 +682,7 @@ def naive_t0(space: XTopSpace) -> bool:
 
 
 def naive_t1(space: XTopSpace) -> bool:
-    pts, opens = sorted(space.points), open_family(space)
+    pts, opens = sorted(points(space)), open_family(space)
     return all(
         shields(opens, frozenset({x}), frozenset({y}))
         and shields(opens, frozenset({y}), frozenset({x}))
@@ -671,7 +692,7 @@ def naive_t1(space: XTopSpace) -> bool:
 
 
 def naive_t2(space: XTopSpace) -> bool:
-    pts, opens = sorted(space.points), open_family(space)
+    pts, opens = sorted(points(space)), open_family(space)
     return all(
         any(x in U and y in V and not U & V for U in opens for V in opens)
         for i, x in enumerate(pts)
@@ -682,7 +703,7 @@ def naive_t2(space: XTopSpace) -> bool:
 def naive_quasi_hausdorff(space: XTopSpace) -> bool:
     """Any two points have disjoint open neighbourhoods or share the
     closure of one point."""
-    pts, opens = sorted(space.points), open_family(space)
+    pts, opens = sorted(points(space)), open_family(space)
     closures = [naive_closure(space, frozenset({z})) for z in pts]
     return all(
         any(x in U and y in V and not U & V for U in opens for V in opens)
@@ -702,9 +723,9 @@ def naive_components(space: XTopSpace) -> dict[int, frozenset[int]]:
         return not any(A and A != S and S - A in rel for A in rel)
 
     out = {}
-    for x in space.points:
+    for x in points(space):
         acc = frozenset({x})
-        for S in subsets(space.points):
+        for S in subsets(points(space)):
             if x in S and connected(S):
                 acc |= S
         out[x] = acc
@@ -713,16 +734,16 @@ def naive_components(space: XTopSpace) -> dict[int, frozenset[int]]:
 
 def naive_irreducible(space: XTopSpace) -> bool:
     """X is non-empty and no two proper closed sets cover it."""
-    if not space.points:
+    if not points(space):
         return False
-    proper = [C for C in space.closed_family if C != space.points]
-    return not any(A | B == space.points for A in proper for B in proper)
+    proper = [C for C in closed_sets(space) if C != points(space)]
+    return not any(A | B == points(space) for A in proper for B in proper)
 
 
 def naive_sober(space: XTopSpace) -> bool:
     """Every irreducible closed set (under the trace topology) has exactly
     one generic point, a point whose closure is the whole set."""
-    closed = space.closed_family
+    closed = closed_sets(space)
     for C in closed:
         if not C:
             continue
@@ -736,7 +757,7 @@ def naive_sober(space: XTopSpace) -> bool:
 
 
 def naive_clopens(space: XTopSpace) -> list[frozenset[int]]:
-    closed = set(space.closed_family)
+    closed = set(closed_sets(space))
     return [U for U in open_family(space) if U in closed]
 
 
@@ -744,8 +765,8 @@ def naive_quasicomponents(space: XTopSpace) -> dict[int, frozenset[int]]:
     """Q(x) as the intersection of the clopen sets containing x."""
     clopens = naive_clopens(space)
     out = {}
-    for x in space.points:
-        acc = space.points
+    for x in points(space):
+        acc = points(space)
         for W in clopens:
             if x in W:
                 acc &= W
@@ -755,7 +776,7 @@ def naive_quasicomponents(space: XTopSpace) -> dict[int, frozenset[int]]:
 
 def naive_connected(space: XTopSpace) -> bool:
     """No clopen set other than ∅ and X."""
-    return not any(W and W != space.points for W in naive_clopens(space))
+    return not any(W and W != points(space) for W in naive_clopens(space))
 
 
 def naive_ind_zero_dim(space: XTopSpace) -> bool:
@@ -788,12 +809,12 @@ def leq_union_witness(L: FiniteLattice, X: frozenset[int]) -> tuple[int, int] | 
 def leq_radical_info(L: FiniteLattice, X: frozenset[int]) -> RadicalInfo:
     """√a = ⋀{x ∈ X : a <= x} for every a, and its fixed points."""
     radical = tuple(L.meet_all(x for x in X if L.leq(a, x)) for a in range(L.n))
-    return RadicalInfo(radical, frozenset(a for a in range(L.n) if radical[a] == a))
+    return RadicalInfo(radical, mask(a for a in range(L.n) if radical[a] == a))
 
 
 def leq_is_xtop_by_irreducibility(L: FiniteLattice, X: frozenset[int]) -> bool:
     """Every x ∈ X: radical a, b not below x have a ∧ b not below x."""
-    radicals = sorted(leq_radical_info(L, X).radical_elements)
+    radicals = sorted(members(leq_radical_info(L, X).radical_elements))
     for x in X:
         outside = [a for a in radicals if not L.leq(a, x)]
         for i, a in enumerate(outside):
@@ -825,10 +846,10 @@ def pair_union_witness(varieties) -> tuple[int, int] | None:
     return None
 
 
-def pair_irreducible(L: FiniteLattice, varieties, radicals) -> bool:
-    """No pair (a, b) of the given elements has a point in
-    V(a ∧ b) \\ (V(a) ∪ V(b)): every pair is scanned."""
-    radicals = sorted(radicals)
+def pair_irreducible(L: FiniteLattice, varieties, radicals: int) -> bool:
+    """No pair (a, b) of the elements of the mask ``radicals`` has a point
+    in V(a ∧ b) \\ (V(a) ∪ V(b)): every pair is scanned."""
+    radicals = sorted(members(radicals))
     for i, a in enumerate(radicals):
         for b in radicals[i + 1 :]:
             if varieties[L.meet(a, b)] & ~(varieties[a] | varieties[b]):
@@ -893,9 +914,10 @@ def forest_by_closure(spec) -> FinitePoset:
     return fixpoint_from_pairs(labels, pairs)
 
 
-def pairwise_tree_component(P: FinitePoset, component: frozenset[int]) -> int | None:
-    """n if the component is a T_n (n >= 1), by lt calls over its pairs."""
-    comp = sorted(component)
+def pairwise_tree_component(P: FinitePoset, component: int) -> int | None:
+    """n if the component, a mask, is a T_n (n >= 1), by lt calls over its
+    pairs."""
+    comp = sorted(_bits(component))
     tops = [i for i in comp if not any(P.lt(i, j) for j in comp)]
     if len(tops) != 1:
         return None
@@ -911,9 +933,10 @@ def pairwise_tree_component(P: FinitePoset, component: frozenset[int]) -> int | 
     return len(base)
 
 
-def pairwise_dual_tree_component(P: FinitePoset, component: frozenset[int]) -> int | None:
-    """m if the component is a V_m (m >= 1), by lt calls over its pairs."""
-    comp = sorted(component)
+def pairwise_dual_tree_component(P: FinitePoset, component: int) -> int | None:
+    """m if the component, a mask, is a V_m (m >= 1), by lt calls over its
+    pairs."""
+    comp = sorted(_bits(component))
     bottoms = [i for i in comp if not any(P.lt(j, i) for j in comp)]
     if len(bottoms) != 1:
         return None
@@ -929,9 +952,10 @@ def pairwise_dual_tree_component(P: FinitePoset, component: frozenset[int]) -> i
     return len(cover)
 
 
-def pairwise_component_shape(P: FinitePoset, component: frozenset[int]):
-    """("C", k), ("T", n), ("V", m) or None, by leq calls over its pairs."""
-    comp = sorted(component)
+def pairwise_component_shape(P: FinitePoset, component: int):
+    """("C", k), ("T", n), ("V", m) or None for the component, a mask, by
+    leq calls over its pairs."""
+    comp = sorted(_bits(component))
     if all(P.leq(a, b) or P.leq(b, a) for a in comp for b in comp):
         return ("C", len(comp))
     n = pairwise_tree_component(P, component)
@@ -943,17 +967,17 @@ def pairwise_component_shape(P: FinitePoset, component: frozenset[int]):
     return None
 
 
-def component_shape(P: FinitePoset, component: frozenset[int]):
-    """Classify one order-component as ("C", k), ("T", n) or ("V", m).
+def component_shape(P: FinitePoset, component: int):
+    """Classify one order-component, a mask, as ("C", k), ("T", n) or ("V", m).
 
     A 2-chain reports as ("C", 2) even though T_1 = C_2 = V_1; callers that
     care about the coincidence should test with ``is_tree_component`` and
     ``is_dual_tree_component`` instead.  Returns None for any other shape.
     """
     down = P.down_rows()
-    C = sum(1 << i for i in component)
-    if all((P.up_mask(i) | down[i]) & C == C for i in component):
-        return ("C", len(component))
+    C = component
+    if all((P.up_mask(i) | down[i]) & C == C for i in _bits(C)):
+        return ("C", C.bit_count())
     n = is_tree_component(P, component)
     if n is not None:
         return ("T", n)
@@ -968,7 +992,7 @@ def component_shape(P: FinitePoset, component: frozenset[int]):
 
 def leq_extremes(space: XTopSpace) -> tuple[frozenset[int], frozenset[int]]:
     """(Min(X), Max(X)) under the order of L."""
-    L, X = space.lattice, space.points
+    L, X = space.lattice, points(space)
     below = {x: {y for y in X if y != x and L.leq(y, x)} for x in X}
     above = {x: {y for y in X if y != x and L.leq(x, y)} for x in X}
     return (
@@ -979,18 +1003,18 @@ def leq_extremes(space: XTopSpace) -> tuple[frozenset[int], frozenset[int]]:
 
 def closed_points(space: XTopSpace) -> frozenset[int]:
     """The points x whose singleton {x} is a closed set."""
-    return frozenset(x for x in space.points if frozenset({x}) in space.closed_family)
+    return frozenset(x for x in points(space) if frozenset({x}) in closed_sets(space))
 
 
 def isolated_points(space: XTopSpace) -> frozenset[int]:
     """The points x whose singleton {x} is an open set."""
     opens = set(open_family(space))
-    return frozenset(x for x in space.points if frozenset({x}) in opens)
+    return frozenset(x for x in points(space) if frozenset({x}) in opens)
 
 
 def leq_strongly_irreducible(space: XTopSpace) -> frozenset[int]:
     """SI: the q with a ∧ b <= q only if a <= q or b <= q, over a, b ∈ X."""
-    L, xs = space.lattice, sorted(space.points)
+    L, xs = space.lattice, sorted(points(space))
     return frozenset(
         q
         for q in xs
@@ -1004,7 +1028,7 @@ def leq_strongly_irreducible(space: XTopSpace) -> frozenset[int]:
 
 def leq_completely_strongly_irreducible(space: XTopSpace) -> frozenset[int]:
     """CSI: the q with ⋀{a ∈ X : a ≰ q} ≰ q."""
-    L, X = space.lattice, space.points
+    L, X = space.lattice, points(space)
     return frozenset(
         q for q in X if not L.leq(L.meet_all(a for a in X if not L.leq(a, q)), q)
     )
@@ -1028,7 +1052,7 @@ def meet_irredundant(space: XTopSpace, extremes: frozenset[int]) -> bool:
 def lattice_point_classes(space: XTopSpace) -> dict:
     """The lattice classes and the KC/discrete flags the way they are
     defined: meets in L, ``excluded_meet`` and the family sizes."""
-    X = space.points
+    X = points(space)
     minima, maxima = leq_extremes(space)
     return {
         "min": minima,
@@ -1038,7 +1062,7 @@ def lattice_point_classes(space: XTopSpace) -> dict:
         "amin": leq_barely(space, minima),
         "bmax": leq_barely(space, maxima),
         "excl": frozenset(x for x in X if excluded_meet(space, x)[2]),
-        "kc": len(space.closed_family) == 1 << len(X),
+        "kc": len(closed_sets(space)) == 1 << len(X),
         "discrete": len(open_family(space)) == 1 << len(X),
     }
 

@@ -13,7 +13,7 @@ import pytest
 from xtoplat import FiniteLattice
 from xtoplat.cli import main
 from xtoplat.formats import dumps, lattice_to_json
-from xtoplat.poset import _bits, poset_from_relation
+from xtoplat.poset import _bits, _mask, poset_from_relation
 
 from .oracles import TABLE_ATTRIBUTES, open_family
 
@@ -498,7 +498,7 @@ class TestSpec:
         for argv, R in sources.items():
             for which in selectors:
                 space = semiring.spec_space(R, which)
-                opens = [list(space.labels_of(U)) for U in open_family(space)]
+                opens = [list(space.labels_of(_mask(U))) for U in open_family(space)]
                 separation = report_to_json(*report_and_points(space))
                 expected[argv, which] = opens, json.loads(dumps(separation))
 

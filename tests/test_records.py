@@ -153,7 +153,7 @@ def test_space_is_its_lattice_and_variety_masks():
         assert not hasattr(space, name), name
     assert not hasattr(topology, "cached_property")
     bottom = space.variety_masks[space.lattice.bottom]
-    assert space.points == frozenset(x for x in range(space.lattice.n) if bottom >> x & 1)
+    assert space.points == sum(1 << x for x in range(space.lattice.n) if bottom >> x & 1)
 
 
 def test_suite_result_is_mutable_and_compared_by_fields():
@@ -169,8 +169,10 @@ def test_suite_result_is_mutable_and_compared_by_fields():
 
 
 class TestEmbeddedSubsetValidates:
-    """X, the subset embedded in L \\ {top}, is a set of element indices,
-    and every public entry that takes it runs the one carrier check."""
+    """X, the subset embedded in L \\ {top}, is a mask of element indices,
+    and every public entry that takes it runs the one carrier check: an
+    index at or past |L| raises IndexError naming the lowest, and a
+    negative int, a bool or a non-int is refused."""
 
     L, _ = upset_lattice(forest([("T", 2)]))
 
@@ -186,10 +188,12 @@ class TestEmbeddedSubsetValidates:
     def test_every_constructor_call_checks(self, make):
         L = self.L
         with pytest.raises(SubsetViolationError, match="top element"):
-            make(L, frozenset({L.bottom, L.top}))
-        for bad in (L.n, -1):
-            with pytest.raises(IndexError):
-                make(L, frozenset({bad}))
+            make(L, 1 << L.bottom | 1 << L.top)
+        with pytest.raises(IndexError, match=f"index {L.n} out of range"):
+            make(L, 1 << L.n + 3 | 1 << L.n | 1 << L.bottom)
+        for refused, error in ((-1, ValueError), (True, TypeError), ({L.bottom}, TypeError)):
+            with pytest.raises(error):
+                make(L, refused)
 
     @pytest.mark.parametrize(
         "entry, out_of_range",
@@ -202,7 +206,7 @@ class TestEmbeddedSubsetValidates:
             (lambda L, X: variety(L, X, L.bottom), IndexError),
             (lambda L, X: covariety(L, X, L.bottom), IndexError),
             # a subspace's Y must lie inside X, which holds neither
-            (lambda L, X: build_space(L, {L.bottom}).subspace(X), SubsetViolationError),
+            (lambda L, X: build_space(L, 1 << L.bottom).subspace(X), SubsetViolationError),
         ],
         ids=[
             "build_space",
@@ -218,10 +222,38 @@ class TestEmbeddedSubsetValidates:
     def test_every_entry_rejects_top_and_out_of_range(self, entry, out_of_range):
         L = self.L
         with pytest.raises(SubsetViolationError):
-            entry(L, frozenset({L.bottom, L.top}))
-        for bad in (L.n, -1):
-            with pytest.raises(out_of_range):
-                entry(L, frozenset({bad}))
+            entry(L, 1 << L.bottom | 1 << L.top)
+        with pytest.raises(out_of_range):
+            entry(L, 1 << L.n)
+        for refused, error in ((-1, ValueError), (True, TypeError), ({L.bottom}, TypeError)):
+            with pytest.raises(error):
+                entry(L, refused)
+
+
+def test_mask_readers_refuse_what_is_not_a_mask():
+    # a negative int has infinitely many bits, so reading one bit by bit
+    # would never end; a bool or a set is not a mask
+    from xtoplat.poset import is_tree_component
+
+    P = forest([("T", 2)])
+    L, _ = upset_lattice(P)
+    space = from_poset(P)
+    readers = [
+        L.maximals_of,
+        L.variety_masks,
+        space.labels_of,
+        space.closure,
+        space.subspace,
+        lambda S: is_tree_component(P, S),
+    ]
+    for read in readers:
+        for refused, error in ((-1, ValueError), (False, TypeError), ({0}, TypeError)):
+            with pytest.raises(error):
+                read(refused)
+    with pytest.raises(IndexError, match=f"index {L.n} out of range"):
+        L.maximals_of(1 << L.n | 1)
+    with pytest.raises(IndexError, match=f"index {L.n + 2} out of range"):
+        L.variety_masks(1 << L.n + 2)
 
 
 def test_report_to_json_key_order():

@@ -55,7 +55,9 @@ from .oracles import (
     naive_t1,
     naive_t2,
     naive_tf,
+    mask,
     pair_scan_flags,
+    points,
     subsets,
 )
 
@@ -78,7 +80,7 @@ def point_classes(space):
 
 def component_points(space, parts):
     """The report's component label tuples as sets of points."""
-    point = {space.label(x): x for x in space.points}
+    point = {space.label(x): x for x in points(space)}
     return [frozenset(point[label] for label in part) for part in parts]
 
 
@@ -89,8 +91,8 @@ def carriers_and_forests(lattices_upto_5):
     spaces = []
     for L in lattices_upto_5:
         for X in subsets(i for i in range(L.n) if i != L.top):
-            if is_xtop_by_unions(L, X):
-                spaces.append(build_space(L, X))
+            if is_xtop_by_unions(L, mask(X)):
+                spaces.append(build_space(L, mask(X)))
     spaces.extend(from_poset(forest(spec)) for spec in forest_specs(7))
     return spaces
 
@@ -105,16 +107,16 @@ class TestSpecialSets:
     def test_spec_s3(self):
         space = spec_space(s3())
         s = point_classes(space)
-        zero = next(x for x in space.points if space.label(x) == "{0}")
-        maximal = next(x for x in space.points if space.label(x) == "{0,a}")
+        zero = next(x for x in points(space) if space.label(x) == "{0}")
+        maximal = next(x for x in points(space) if space.label(x) == "{0,a}")
         assert isolated_points(space) == s.min == frozenset({zero})
         assert closed_points(space) == s.max == frozenset({maximal})
 
     def test_finite_carrier_is_all_csi(self, posets_upto_5):
         for P in posets_upto_5:
             space = from_poset(P)
-            assert leq_completely_strongly_irreducible(space) == space.points
-            assert leq_strongly_irreducible(space) == space.points
+            assert leq_completely_strongly_irreducible(space) == points(space)
+            assert leq_strongly_irreducible(space) == points(space)
 
 
 class TestClassifyPoints:
@@ -191,7 +193,7 @@ class TestSeparationReport:
             assert r.quasi_hausdorff == naive_quasi_hausdorff(space)
             # the point classes and partitions read off the order
             s = point_classes(space)
-            X = space.points
+            X = points(space)
             assert closed_points(space) == s.max
             assert isolated_points(space) == s.min
             assert s.ro == {
@@ -202,7 +204,7 @@ class TestSeparationReport:
             quasi = set(naive_quasicomponents(space).values())
             assert set(component_points(space, r.components)) == quasi
             assert {frozenset(part) for part in r.quasicomponents} == {
-                frozenset(space.labels_of(Q)) for Q in quasi
+                frozenset(space.labels_of(mask(Q))) for Q in quasi
             }
             assert r.totally_separated == all(len(Q) == 1 for Q in quasi)
             assert r.ind_zero_dim == naive_ind_zero_dim(space)
@@ -210,7 +212,7 @@ class TestSeparationReport:
             # every proper radical lies below a point, so Max(X) is the
             # set of maximal proper radicals
             L = space.lattice
-            carrier = radical_info(L, X).radical_elements - {L.top}
+            carrier = radical_info(L, space.points).radical_elements & ~mask({L.top})
             assert r.complete_max_property == has_complete_max_property(L, carrier)
 
     def test_report_serializes(self):
@@ -242,8 +244,8 @@ def lattice_spaces(lattices_upto_6):
     spaces = []
     for L in lattices_upto_6:
         for X in subsets(i for i in range(L.n) if i != L.top):
-            if is_xtop_by_unions(L, X):
-                spaces.append(build_space(L, X))
+            if is_xtop_by_unions(L, mask(X)):
+                spaces.append(build_space(L, mask(X)))
     for n in range(2, 15):
         for i in range(n):
             spaces.extend(spec_space(bni(n, i), which) for which in ("all", "max", "min"))
@@ -260,7 +262,7 @@ class TestOrderLemmas:
         assert len(lattice_spaces) == 742
         for space in lattice_spaces:
             o = lattice_point_classes(space)
-            X = space.points
+            X = points(space)
             s = point_classes(space)
             assert (s.min, s.max, s.excl) == (o["min"], o["max"], o["excl"])
             # SI = CSI = X, AMin = Min and BMax = Max
@@ -299,8 +301,8 @@ class TestOrderLemmas:
         sources += [(P, from_poset(P)) for P in posets]
         assert len(sources) == 742 + 405 + 183
         for source, space in sources:
-            r, points = report_and_points(source)
-            X = space.points
+            r, rows = report_and_points(source)
+            X = points(space)
             ro = {
                 x
                 for x in X
@@ -308,10 +310,10 @@ class TestOrderLemmas:
             }
             excl = {x for x in X if excluded_meet(space, x)[2]}
             closed = {x for x in X if naive_closure(space, frozenset({x})) == {x}}
-            assert [p.is_regular_open for p in points] == [
+            assert [p.is_regular_open for p in rows] == [
                 x in ro for x in space.sorted_points()
             ], source
-            assert [p.is_excluded for p in points] == [
+            assert [p.is_excluded for p in rows] == [
                 x in excl for x in space.sorted_points()
             ], source
             assert r.t_threequarter == (closed | ro == X), source
@@ -320,7 +322,7 @@ class TestOrderLemmas:
     def test_pair_flags_match_the_pair_scans(self, lattice_spaces, posets_upto_6):
         fields = ("t0", "r0", "t1", "r1", "t2")
         for space in lattice_spaces:
-            flags = pair_scan_flags({x: naive_kernel(space, x) for x in space.points})
+            flags = pair_scan_flags({x: naive_kernel(space, x) for x in points(space)})
             r = separation_report(space)
             assert {k: getattr(r, k) for k in fields} == flags
         for P in posets_upto_6:
@@ -333,7 +335,7 @@ class TestComponents:
     def test_irreducible_space_has_one_component(self):
         space = from_poset(dual_tree(3))
         comps = component_points(space, separation_report(space).components)
-        assert len(comps) == 1 and comps[0] == space.points
+        assert len(comps) == 1 and comps[0] == points(space)
 
     def test_forest_components_match_order_components(self):
         r = separation_report(from_poset(forest([("T", 2), ("T", 3)])))
@@ -543,15 +545,15 @@ class TestCrossCheck:
 
 class TestDegenerateCarriers:
     def test_empty_subspace(self):
-        space = from_poset(chain(2)).subspace(frozenset())
+        space = from_poset(chain(2)).subspace(mask(()))
         r = separation_report(space)
         assert r.t0 and r.t1 and r.discrete and r.kdim == 0
         assert all(c.holds for c in cross_check(space))
 
     def test_singleton_subspace(self):
         base = from_poset(chain(2))
-        (x, y) = sorted(base.points)
-        space = base.subspace(frozenset({x}))
+        (x, y) = sorted(points(base))
+        space = base.subspace(mask({x}))
         r = separation_report(space)
         assert r.discrete and r.irreducible
         assert all(c.holds for c in cross_check(space))
@@ -561,7 +563,7 @@ class TestDegenerateCarriers:
         # replace the variety {a0, a1} by X: the points keep their closures,
         # so the order is still an antichain, but X \ Ker(a2) = {a0, a1} is
         # no longer closed, so Ker(a2) = {a2} is no longer open
-        bit = {base.label(x): 1 << x for x in base.points}
+        bit = {base.label(x): 1 << x for x in points(base)}
         pair, full = bit["a0"] | bit["a1"], sum(bit.values())
         masks = tuple(full if v == pair else v for v in base.variety_masks)
         broken = XTopSpace(base.lattice, masks)
@@ -576,8 +578,8 @@ def test_cross_check_on_every_small_sub_carrier(posets_upto_5):
         if P.n > 4:
             continue
         space = from_poset(P)
-        for Y in subsets(space.points):
-            sub = space.subspace(Y)
+        for Y in subsets(points(space)):
+            sub = space.subspace(mask(Y))
             for result in cross_check(sub):
                 assert result.holds, (P, sorted(Y), result.check_id, result.witness)
 
@@ -591,7 +593,7 @@ class TestLongChainCarriers:
         r = separation_report(space)
         assert r.kdim == 15
         assert r.t0 and not r.t_quarter and not r.tf
-        assert leq_completely_strongly_irreducible(space) == space.points
+        assert leq_completely_strongly_irreducible(space) == points(space)
         assert len(r.components) == 1 and len(r.quasicomponents) == 1
         for result in cross_check(space):
             assert result.holds, (result.check_id, result.witness)

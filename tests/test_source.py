@@ -93,8 +93,9 @@ def test_separation_reads_families_only_to_check_them():
 
 
 def test_only_the_printers_read_the_frozenset_views():
-    # a space stores its variety masks; the frozenset views are built for
-    # the commands that print them, and the other modules read the masks
+    # a space stores its variety masks; the closed family, those masks
+    # deduplicated and sorted, is built only for the commands that print
+    # it, and the other modules read the masks themselves
     views = {"varieties", "closed_family", "open_family"}
     found = []
     for path in sorted(Path(xtoplat.__file__).parent.glob("*.py")):
@@ -106,6 +107,34 @@ def test_only_the_printers_read_the_frozenset_views():
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr in views
         ]
+    assert found == []
+
+
+def _annotations(tree: ast.AST):
+    """Every annotation in a module: of the arguments and returns of each
+    function, and of each annotated name (NamedTuple fields included)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs
+            every += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            yield from (arg.annotation for arg in every if arg.annotation is not None)
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def test_no_annotation_names_frozenset():
+    # every point set, prime and ideal the library takes or returns is an
+    # int mask; a frozenset left in the code is local, with its reason in
+    # a comment beside it
+    found = []
+    for path in sorted(Path(xtoplat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for annotation in _annotations(tree):
+            if "frozenset" in ast.unparse(annotation):
+                found.append(f"{path.name}:{annotation.lineno}")
     assert found == []
 
 
