@@ -59,6 +59,8 @@ from .semiring import (
     spectrum,
 )
 from .separation import (
+    POINT_COLUMNS,
+    REPORT_FLAGS,
     PointClassification,
     SeparationReport,
     _report_and_points_in_index_order,
@@ -67,45 +69,13 @@ from .separation import (
 from .topology import XTopSpace, from_poset
 from .verify import run_suites
 
-_BOOL_FIELDS = [
-    "t0",
-    "t_quarter",
-    "t_half",
-    "t_threequarter",
-    "t1",
-    "t1half_kc",
-    "t2",
-    "r0",
-    "r1",
-    "tf",
-    "es",
-    "discrete",
-    "irreducible",
-    "connected",
-    "sober",
-    "spectral",
-    "quasi_hausdorff",
-    "totally_separated",
-    "totally_disconnected",
-    "ind_zero_dim",
-    "stone",
-    "amin",
-    "bmax",
-    "pamin",
-    "pbmax",
-    "complete_max_property",
-]
-
 # the boolean fields of SpectrumReport, in field order
 _SPECTRUM_FLAGS = [name for name in SpectrumReport._fields if name.startswith("is_")]
 
-# the headers of PointClassification's columns after the label, in field order
-_POINT_COLUMNS = (
-    "closed kerneled isolated reg.open excluded min max SI CSI abs.min barely.max"
-).split()
-
-# each column's cell for a false and a true flag, padded to its header
-_POINT_CELLS = [("no".ljust(len(name)), "yes".ljust(len(name))) for name in _POINT_COLUMNS]
+# the point table's header, and each column's cell for a false and a true
+# flag, padded to its header
+_POINT_HEADER = " ".join(header for _, header, _ in POINT_COLUMNS)
+_POINT_CELLS = [("no".ljust(len(h)), "yes".ljust(len(h))) for h in _POINT_HEADER.split()]
 
 
 def _yes(value: bool) -> str:
@@ -124,12 +94,12 @@ def _separation_lines(
         f"points ({len(points)}): " + " ".join(p.label for p in points),
         f"K.dim: {report.kdim}",
     ]
-    lines += [f"{name}: {_yes(getattr(report, name))}" for name in _BOOL_FIELDS]
+    lines += [f"{name}: {_yes(getattr(report, name))}" for name, _ in REPORT_FLAGS]
     lines.append("components: " + " | ".join(map(",".join, report.components)))
     lines.append("quasicomponents: " + " | ".join(map(",".join, report.quasicomponents)))
     if points:
         width = max(len(p.label) for p in points)
-        lines.append(f"{'point'.ljust(width)} {' '.join(_POINT_COLUMNS)}")
+        lines.append(f"{'point'.ljust(width)} {_POINT_HEADER}")
         lines += [
             f"{p.label.ljust(width)} {' '.join(map(tuple.__getitem__, _POINT_CELLS, p[1:]))}"
             for p in points

@@ -42,8 +42,6 @@ larger element has a strictly larger meet key.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .errors import EmptyPosetError, NotALatticeError, SubsetViolationError
 from .poset import FinitePoset, _bits, _point_set
 
@@ -113,9 +111,14 @@ class FiniteLattice:
         return self._down[a] & ~self._down[b] == 0
 
     def meet(self, a: int, b: int) -> int:
+        # a negative index would read a key from the end
+        if a | b < 0:
+            self.check(min(a, b))
         return self._by_down[self._down[a] & self._down[b]]
 
     def join(self, a: int, b: int) -> int:
+        if a | b < 0:
+            self.check(min(a, b))
         return self._by_up[self._up[a] & self._up[b]]
 
     def is_table(self, op: str, table: list[list[str]]) -> bool:
@@ -143,12 +146,12 @@ class FiniteLattice:
                     out[a] |= bit
         return tuple(out)
 
-    def meet_all(self, elems: Iterable[int]) -> int:
-        """Greatest lower bound of a set; the empty meet is the top, whose
-        meet key holds every bit."""
+    def meet_all(self, members: int) -> int:
+        """Greatest lower bound of the mask ``members``; the empty meet is
+        the top, whose meet key holds every bit."""
         keys = self._down
         acc = keys[self.top]
-        for e in elems:
+        for e in _bits(self._in_range(members)):
             acc &= keys[e]
         return self._by_down[acc]
 
@@ -175,10 +178,11 @@ class FiniteLattice:
     def _in_range(self, S: int) -> int:
         """The mask S, checked to name elements only: an index at or past
         ``n`` raises IndexError naming the lowest one."""
-        high = _point_set(S) >> self.n << self.n
+        n = len(self._down)
+        high = _point_set(S) >> n
         if high:
-            lowest = (high & -high).bit_length() - 1
-            raise IndexError(f"element index {lowest} out of range 0..{self.n - 1}")
+            lowest = n + (high & -high).bit_length() - 1
+            raise IndexError(f"element index {lowest} out of range 0..{n - 1}")
         return S
 
     def __eq__(self, other: object) -> bool:
@@ -291,4 +295,4 @@ def _members(L: FiniteLattice, X: int) -> int:
 def has_complete_max_property(L: FiniteLattice, X: int) -> bool:
     """Every q maximal in the mask X satisfies ⋀(Max(X) \\ {q}) ≰ q."""
     maxima = L.maximals_of(_members(L, X))
-    return all(not L.leq(L.meet_all(_bits(maxima & ~(1 << q))), q) for q in _bits(maxima))
+    return all(not L.leq(L.meet_all(maxima & ~(1 << q)), q) for q in _bits(maxima))

@@ -27,6 +27,8 @@ x <= y in L, with these one-line reductions:
 * X is zero-dimensional (ind) iff every component is one point: then every
   set is clopen; if x < y, every clopen set around x holds C(x) ∋ y, so
   none fits in the open ↓x.
+* Max = X iff no two points are comparable iff Min = X iff every
+  component is one point: each says no x < y.
 * T_F needs only |F| <= 2: a failing F has some y ∈ F ∩ Ker(x) (else
   {x} ⊢ F) and some f ∈ F with x ∈ Ker(f) (else F ⊢ {x}), and then
   {y, f} fails too.
@@ -50,10 +52,6 @@ x <= y in L, with these one-line reductions:
 * Every space is quasi-Hausdorff: if two points i, j have no disjoint
   open neighbourhoods, ↓i ∩ ↓j holds some k, and then i and j both lie in
   ↑k = closure({k}).  The report records the field as true.
-
-The report sets T0, sober and quasi-Hausdorff true and reads
-T1 = R0 = T2 = R1 off Max; :func:`cross_check` still runs the pair scans
-and compares the closures.
 
 The classes defined by meets in L are order reads too.  For A ⊆ X,
 V(⋀A) = closure(A) = ∪{↑a : a ∈ A}: V(⋀A) is closed and contains A; a
@@ -111,10 +109,12 @@ Min, Max and the rows ↓y:
   maximal.
 * T¾ (every point closed or regular open) holds iff X = Max ∪ RO.
 
-Of the paper's point classes, then, only Min, Max, RO and Excl are sets
-of their own.  SI and CSI are X, AMin and the isolated and kerneled
-points are Min, and BMax and the closed points are Max, so the point rows
-read them off X, Min and Max.
+Every printed flag, then, takes one of six reads of the order: true on
+every space, Max = X, Max ∪ Min = X, Max ∪ RO = X, |Min| = 1, or at most
+one component.  Every point column reads one of five masks: Max, Min,
+RO, Excl or X.  :data:`REPORT_FLAGS` names each flag's read, and
+:data:`POINT_COLUMNS` each column's mask and header, in the order they
+print; the report, the point rows and the CLI's text are built from them.
 
 So every source takes one route: Min, Max, the rows ↓y, the heights and
 the comparability components of its specialization order, in O(n)
@@ -211,6 +211,55 @@ class SeparationReport(NamedTuple):
     complete_max_property: bool
     components: tuple[tuple[str, ...], ...]
     quasicomponents: tuple[tuple[str, ...], ...]
+
+
+# Each boolean field of SeparationReport and the read of the order it
+# takes (module docstring), in the order ``classify`` prints them
+REPORT_FLAGS = (
+    ("t0", "every space"),
+    ("t_quarter", "Max ∪ Min = X"),
+    ("t_half", "Max ∪ Min = X"),
+    ("t_threequarter", "Max ∪ RO = X"),
+    ("t1", "Max = X"),
+    ("t1half_kc", "Max = X"),
+    ("t2", "Max = X"),
+    ("r0", "Max = X"),
+    ("r1", "Max = X"),
+    ("tf", "Max ∪ Min = X"),
+    ("es", "every space"),
+    ("discrete", "Max = X"),
+    ("irreducible", "|Min| = 1"),
+    ("connected", "at most one component"),
+    ("sober", "every space"),
+    ("spectral", "every space"),
+    ("quasi_hausdorff", "every space"),
+    ("totally_separated", "Max = X"),
+    ("totally_disconnected", "Max = X"),
+    ("ind_zero_dim", "Max = X"),
+    ("stone", "Max = X"),
+    ("amin", "every space"),
+    ("bmax", "every space"),
+    ("pamin", "Max = X"),
+    ("pbmax", "Max = X"),
+    ("complete_max_property", "every space"),
+)
+
+# Each column of PointClassification after the label: its field, its
+# printed header and the mask of _Analysis it reads (Max, Min, RO, Excl,
+# or X as ``full``), in field order
+POINT_COLUMNS = (
+    ("is_closed", "closed", "max_mask"),
+    ("is_kerneled", "kerneled", "min_mask"),
+    ("is_isolated", "isolated", "min_mask"),
+    ("is_regular_open", "reg.open", "ro_mask"),
+    ("is_excluded", "excluded", "excl_mask"),
+    ("is_min", "min", "min_mask"),
+    ("is_max", "max", "max_mask"),
+    ("in_SI", "SI", "full"),
+    ("in_CSI", "CSI", "full"),
+    ("is_abs_min", "abs.min", "min_mask"),
+    ("is_barely_max", "barely.max", "max_mask"),
+)
 
 
 class PrimeMeets(NamedTuple):
@@ -316,18 +365,15 @@ def classify_points(source: XTopSpace | FinitePoset) -> tuple[PointClassificatio
 
 
 def _points(a: _Analysis) -> tuple[PointClassification, ...]:
-    def column(mask: int) -> list[bool]:
-        return [mask >> k & 1 == 1 for k in a.order]
-
-    closed, minimal = column(a.max_mask), column(a.min_mask)
-    everywhere = [True] * a.n
+    # each distinct mask's column once; X's is every point
+    columns = {"full": [True] * a.n}
+    for _, _, name in POINT_COLUMNS:
+        if name not in columns:
+            mask = getattr(a, name)
+            columns[name] = [mask >> k & 1 == 1 for k in a.order]
     labels = a.spec_poset.labels
-    # the columns in field order: closed points are Max; kerneled and
-    # isolated points are both Min; SI = CSI = X, AMin = Min and BMax = Max
-    # (module docstring)
-    columns = (closed, minimal, minimal, column(a.ro_mask), column(a.excl_mask),
-               minimal, closed, everywhere, everywhere, minimal, closed)
-    return tuple(map(PointClassification, [labels[k] for k in a.order], *columns))
+    cells = [columns[name] for _, _, name in POINT_COLUMNS]
+    return tuple(map(PointClassification, [labels[k] for k in a.order], *cells))
 
 
 def jacobson_and_prime_meets(space: XTopSpace) -> PrimeMeets:
@@ -362,46 +408,27 @@ def _report_and_points_in_index_order(P: FinitePoset):
     return _report(a), _points(a)
 
 
+def _flag_reads(a: _Analysis) -> dict[str, bool]:
+    """Each read of :data:`REPORT_FLAGS`, by its name (module docstring)."""
+    full, maxima, minima = a.full, a.max_mask, a.min_mask
+    return {
+        "every space": True,
+        "Max = X": maxima == full,
+        "Max ∪ Min = X": maxima | minima == full,
+        "Max ∪ RO = X": maxima | a.ro_mask == full,
+        "|Min| = 1": minima.bit_count() == 1,
+        "at most one component": len(a.components) <= 1,
+    }
+
+
 def _report(a: _Analysis) -> SeparationReport:
-    # closed points are Max; kerneled and isolated points are both Min
-    minima, maxima = a.min_mask, a.max_mask
-    # T1 = R0 = T2 = R1 = KC = discrete: every ↑x is {x}; T¼ = T½ = T_F:
-    # height <= 1 (module docstring)
-    antichain = maxima == a.full
-    height_le_1 = maxima | minima == a.full
-    comp = a.components
-    singletons = len(comp) == a.n
-    parts = tuple(a.labels(m) for m in comp)
+    reads = _flag_reads(a)
+    parts = tuple(a.labels(m) for m in a.components)
     return SeparationReport(
         kdim=a.spec_poset.krull_dim() if a.n else 0,
-        t0=True,
-        t_quarter=height_le_1,
-        t_half=height_le_1,
-        t_threequarter=maxima | a.ro_mask == a.full,
-        t1=antichain,
-        t2=antichain,
-        t1half_kc=antichain,
-        r0=antichain,
-        r1=antichain,
-        tf=height_le_1,
-        es=True,
-        discrete=antichain,
-        irreducible=minima.bit_count() == 1,
-        connected=len(comp) <= 1,
-        sober=True,
-        spectral=True,
-        quasi_hausdorff=True,
-        totally_separated=singletons,
-        totally_disconnected=singletons,
-        ind_zero_dim=singletons,
-        stone=singletons,
-        amin=True,
-        bmax=True,
-        pamin=minima == a.full,
-        pbmax=maxima == a.full,
-        complete_max_property=True,
         components=parts,
         quasicomponents=parts,
+        **{name: reads[read] for name, read in REPORT_FLAGS},
     )
 
 
@@ -503,8 +530,8 @@ class _Sides:
         L = self.L
 
         def irredundant(Y: int) -> tuple[int, bool]:
-            meet = L.meet_all(_bits(Y))
-            return meet, all(L.meet_all(_bits(Y & ~(1 << m))) != meet for m in _bits(Y))
+            meet = L.meet_all(Y)
+            return meet, all(L.meet_all(Y & ~(1 << m)) != meet for m in _bits(Y))
 
         (j, j_ok), (q, q_ok) = irredundant(self.max), irredundant(self.min)
         return PrimeMeets(j, q, j_ok, q_ok)
@@ -545,7 +572,7 @@ class _Sides:
         L, pts, full, varieties = self.L, self.pts, self.full, self.masks
 
         def meet_avoids(A: int, q: int) -> bool:
-            return not varieties[L.meet_all(_bits(A))] >> q & 1
+            return not varieties[L.meet_all(A)] >> q & 1
 
         def barely(S: int) -> int:
             return _mask(m for m in _bits(S) if meet_avoids(S & ~(1 << m), m))
@@ -559,7 +586,7 @@ class _Sides:
         excl = _mask(
             x
             for x in pts
-            if L.meet_all(_bits(full & ~(1 << x))) == L.meet_all(_bits(full & ~varieties[x]))
+            if L.meet_all(full & ~(1 << x)) == L.meet_all(full & ~varieties[x])
         )
         return SimpleNamespace(
             csi=csi,

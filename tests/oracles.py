@@ -643,8 +643,8 @@ def excluded_meet(space: XTopSpace, x: int) -> tuple[int, int, bool]:
     if x not in points(space):
         raise IndexError(f"{x} is not a point of the space")
     L = space.lattice
-    e = L.meet_all(points(space) - {x})
-    d = L.meet_all(y for y in points(space) if not L.leq(x, y))
+    e = L.meet_all(mask(points(space) - {x}))
+    d = L.meet_all(mask(y for y in points(space) if not L.leq(x, y)))
     return e, d, e == d
 
 
@@ -808,7 +808,7 @@ def leq_union_witness(L: FiniteLattice, X: frozenset[int]) -> tuple[int, int] | 
 
 def leq_radical_info(L: FiniteLattice, X: frozenset[int]) -> RadicalInfo:
     """√a = ⋀{x ∈ X : a <= x} for every a, and its fixed points."""
-    radical = tuple(L.meet_all(x for x in X if L.leq(a, x)) for a in range(L.n))
+    radical = tuple(L.meet_all(mask(x for x in X if L.leq(a, x))) for a in range(L.n))
     return RadicalInfo(radical, mask(a for a in range(L.n) if radical[a] == a))
 
 
@@ -1030,7 +1030,7 @@ def leq_completely_strongly_irreducible(space: XTopSpace) -> frozenset[int]:
     """CSI: the q with ⋀{a ∈ X : a ≰ q} ≰ q."""
     L, X = space.lattice, points(space)
     return frozenset(
-        q for q in X if not L.leq(L.meet_all(a for a in X if not L.leq(a, q)), q)
+        q for q in X if not L.leq(L.meet_all(mask(a for a in X if not L.leq(a, q))), q)
     )
 
 
@@ -1038,15 +1038,15 @@ def leq_barely(space: XTopSpace, extremes: frozenset[int]) -> frozenset[int]:
     """The q in ``extremes`` with ⋀(extremes \\ {q}) ≰ q: AMin from Min(X),
     BMax from Max(X)."""
     L = space.lattice
-    return frozenset(q for q in extremes if not L.leq(L.meet_all(extremes - {q}), q))
+    return frozenset(q for q in extremes if not L.leq(L.meet_all(mask(extremes - {q})), q))
 
 
 def meet_irredundant(space: XTopSpace, extremes: frozenset[int]) -> bool:
     """No point of ``extremes`` can be dropped without changing its meet:
     J(X) from Max(X), Q(X) from Min(X)."""
     L = space.lattice
-    meet = L.meet_all(extremes)
-    return all(L.meet_all(extremes - {m}) != meet for m in extremes)
+    meet = L.meet_all(mask(extremes))
+    return all(L.meet_all(mask(extremes - {m})) != meet for m in extremes)
 
 
 def lattice_point_classes(space: XTopSpace) -> dict:

@@ -588,10 +588,11 @@ class TestSpec:
 
 
 def test_one_point_column_per_flag():
-    from xtoplat.cli import _POINT_COLUMNS
-    from xtoplat.separation import PointClassification
+    from xtoplat.cli import _POINT_CELLS, _POINT_HEADER
+    from xtoplat.separation import POINT_COLUMNS, PointClassification
 
-    assert len(_POINT_COLUMNS) == len(PointClassification._fields) - 1
+    assert len(POINT_COLUMNS) == len(PointClassification._fields) - 1
+    assert len(_POINT_CELLS) == len(_POINT_HEADER.split()) == len(POINT_COLUMNS)
 
 
 class TestJsonOutput:

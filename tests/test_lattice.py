@@ -151,7 +151,7 @@ class TestQueriesMatchTheOrder:
         rng = random.Random(29)
         for L in both_kinds:
             for S in query_subsets(range(L.n), rng):
-                assert L.meet_all(S) == order_meet_all(L, S), (L, S)
+                assert L.meet_all(mask(S)) == order_meet_all(L, S), (L, S)
                 assert L.maximals_of(mask(S)) == mask(order_maximals(L, S)), (L, S)
 
     def test_variety_masks_on_every_carrier(self, both_kinds):
@@ -231,11 +231,28 @@ class TestUpsetLattice:
 class TestMeetJoinAll:
     def test_empty_meet_is_top(self):
         L = FiniteLattice(chain(3))
-        assert L.meet_all([]) == L.top
+        assert L.meet_all(0) == L.top
 
     def test_singleton(self):
         L = FiniteLattice(chain(3))
-        assert L.meet_all([1]) == 1
+        assert L.meet_all(0b10) == 1
+
+    @pytest.mark.parametrize("kind", ["order-given", "up-set"])
+    def test_negative_index_and_non_mask_refused(self, kind):
+        # an unchecked negative index would read a key from the end
+        P = chain(3)
+        L = FiniteLattice(P) if kind == "order-given" else upset_lattice(P)[0]
+        for a, b in [(-1, 0), (0, -1), (-1, -1)]:
+            with pytest.raises(IndexError):
+                L.meet(a, b)
+            with pytest.raises(IndexError):
+                L.join(a, b)
+        with pytest.raises(ValueError):
+            L.meet_all(-1)
+        with pytest.raises(IndexError, match=f"element index {L.n} "):
+            L.meet_all(1 << L.n | 1)
+        with pytest.raises(TypeError):
+            L.meet_all([0])
 
     def test_meet_in_upset_lattice_is_union(self):
         P = tree(2)
@@ -250,10 +267,10 @@ class TestMeetJoinAll:
             if P.n > 4:
                 continue
             L, _ = upset_lattice(P)
-            elems = list(range(L.n))
-            for cut in range(len(elems)):
-                left, right = elems[:cut], elems[cut:]
-                assert L.meet_all(elems) == L.meet(L.meet_all(left), L.meet_all(right))
+            full = (1 << L.n) - 1
+            for cut in range(L.n):
+                left = (1 << cut) - 1
+                assert L.meet_all(full) == L.meet(L.meet_all(left), L.meet_all(full & ~left))
 
 
 class TestPredicates:

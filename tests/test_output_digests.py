@@ -45,6 +45,20 @@ PINNED = {
         "929bd2127babf3b327705504921a8fab87eea02943ff07d783d8fef5aaa2f599",
     "verify bni --max-n 30":
         "cdf0fb2954bb764e722a7f04f056c714a7f112d49c300a4aec1034b4ed7cb70b",
+    # between them every read of the order behind a printed flag takes
+    # both values
+    "classify --forest T2":
+        "eaf356a5c8476a0e595ae493dea828189256175fd27e3a5e1561e459dc6338f0",
+    "classify --forest V2 --json":
+        "96a506d8b8aae227e275b664f13d4c0a4b0b9fedaeb9d595f8a8c1501364e1ea",
+    "classify --forest C3+C3 --json":
+        "cf310e1031595dbc3cd9c987edc922f626195ad690a6563ae0d78852413152ba",
+    "classify --forest C1+C1+C1":
+        "afa6d4f1051ba375e21a20d120ef0c8a2e808be660b2a29cdfd2af7ac5c7c6db",
+    "classify --chain 1 --json":
+        "bb9fa03ff1f8c85e833d21add9dd89524b2c48918308c393319bc5f7c7eb397e",
+    "classify --forest T3+V2+C4":
+        "2a56ae97c6986e33e29cf5e9c6272d556236408c14ea4a5800298bc1da25a2a4",
 }
 
 

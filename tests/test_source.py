@@ -110,6 +110,44 @@ def test_only_the_printers_read_the_frozenset_views():
     assert found == []
 
 
+def test_one_table_each_for_the_printed_flags_and_point_columns():
+    # separation.REPORT_FLAGS and POINT_COLUMNS say which read of the order
+    # each printed flag and point column takes and the order they print
+    # in; the report, the point rows and the CLI's text are built from them
+    from xtoplat import chain, cli, separation_report
+    from xtoplat.separation import (
+        POINT_COLUMNS,
+        REPORT_FLAGS,
+        PointClassification,
+        _Analysis,
+        _flag_reads,
+    )
+
+    report = separation_report(chain(1))
+    flags = [name for name, _ in REPORT_FLAGS]
+    booleans = [name for name, value in report._asdict().items() if isinstance(value, bool)]
+    assert len(set(flags)) == len(flags) and sorted(flags) == sorted(booleans)
+    assert [field for field, _, _ in POINT_COLUMNS] == list(PointClassification._fields[1:])
+    a = _Analysis(chain(2))
+    assert {read for _, read in REPORT_FLAGS} == set(_flag_reads(a))
+    masks = {mask for _, _, mask in POINT_COLUMNS}
+    assert masks == {"max_mask", "min_mask", "ro_mask", "excl_mask", "full"}
+    assert all(isinstance(getattr(a, mask), int) for mask in masks)
+    # no module-level binding of the CLI lists a flag or a column header
+    printed = set(flags) | {header for _, header, _ in POINT_COLUMNS}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    listed = [
+        f"cli.py:{node.lineno}"
+        for statement in tree.body
+        if isinstance(statement, (ast.Assign, ast.AnnAssign))
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and printed & set(node.value.split())
+    ]
+    assert listed == []
+
+
 def _annotations(tree: ast.AST):
     """Every annotation in a module: of the arguments and returns of each
     function, and of each annotated name (NamedTuple fields included)."""
@@ -161,19 +199,47 @@ def test_cross_check_sides_are_masks():
     assert sides and found == []
 
 
+def _locals(tree: ast.AST, owner: dict[ast.AST, str]) -> dict[str, set[str]]:
+    """Each function's dotted name mapped to the names it binds itself: its
+    arguments, the targets it assigns and the functions it defines."""
+    bound: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs
+            every += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            bound.setdefault(owner[node], set()).update(arg.arg for arg in every)
+    for node in ast.walk(tree):
+        name = owner.get(node, "")
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            inner = name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = name.rpartition(".")[0]
+        else:
+            continue
+        if inner in bound:
+            bound[inner].add(node.id if isinstance(node, ast.Name) else node.name)
+    return bound
+
+
 def _reads(paths, kinds) -> set[str]:
     """The names that nodes of the given kinds read in the files, each
     outside its own definition: a name read only inside the function or
-    class it names does not count."""
+    class it names does not count, nor does a name read in a function
+    that binds it itself (a local of the same name)."""
     read: set[str] = set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         owner = _owners(tree)
+        bound = _locals(tree, owner)
         for node in ast.walk(tree):
             if not isinstance(node, kinds):
                 continue
             name = node.attr if isinstance(node, ast.Attribute) else node.id
-            if name not in owner.get(node, "").split("."):
+            where = owner.get(node, "")
+            if isinstance(node, ast.Name) and name in bound.get(where, ()):
+                continue
+            if name not in where.split("."):
                 read.add(name)
     return read
 
