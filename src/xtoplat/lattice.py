@@ -111,15 +111,30 @@ class FiniteLattice:
         return self._down[a] & ~self._down[b] == 0
 
     def meet(self, a: int, b: int) -> int:
-        # a negative index would read a key from the end
+        # a negative index would read a key from the end; an index past the
+        # end is named once the read has failed, so a good read is one read
         if a | b < 0:
-            self.check(min(a, b))
-        return self._by_down[self._down[a] & self._down[b]]
+            self._refuse(a, b)
+        try:
+            return self._by_down[self._down[a] & self._down[b]]
+        except IndexError:
+            self._refuse(a, b)
+            raise
 
     def join(self, a: int, b: int) -> int:
         if a | b < 0:
-            self.check(min(a, b))
-        return self._by_up[self._up[a] & self._up[b]]
+            self._refuse(a, b)
+        try:
+            return self._by_up[self._up[a] & self._up[b]]
+        except IndexError:
+            self._refuse(a, b)
+            raise
+
+    def _refuse(self, a: int, b: int) -> None:
+        """Raise :meth:`check`'s IndexError for the first of a and b that
+        is no element index, as :meth:`leq` does."""
+        self.check(a)
+        self.check(b)
 
     def is_table(self, op: str, table: list[list[str]]) -> bool:
         """Whether ``table``, rows of labels, is the ``op`` ("meet" or
@@ -149,9 +164,14 @@ class FiniteLattice:
     def meet_all(self, members: int) -> int:
         """Greatest lower bound of the mask ``members``; the empty meet is
         the top, whose meet key holds every bit."""
+        return self._meet_all(self._in_range(members))
+
+    def _meet_all(self, members: int) -> int:
+        """:meth:`meet_all` of a mask already known to name elements only:
+        one the library built, or one a caller checked at its boundary."""
         keys = self._down
         acc = keys[self.top]
-        for e in _bits(self._in_range(members)):
+        for e in _bits(members):
             acc &= keys[e]
         return self._by_down[acc]
 
@@ -295,4 +315,4 @@ def _members(L: FiniteLattice, X: int) -> int:
 def has_complete_max_property(L: FiniteLattice, X: int) -> bool:
     """Every q maximal in the mask X satisfies ⋀(Max(X) \\ {q}) ≰ q."""
     maxima = L.maximals_of(_members(L, X))
-    return all(not L.leq(L.meet_all(maxima & ~(1 << q)), q) for q in _bits(maxima))
+    return all(not L.leq(L._meet_all(maxima & ~(1 << q)), q) for q in _bits(maxima))

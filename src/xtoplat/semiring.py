@@ -35,11 +35,33 @@ Ideals, primes and every other set of elements are element bitmasks, bit
 e standing for element e, from their enumeration to their printing: the
 ideals, :func:`principal_ideal`, the spectra and radicals of
 :class:`SpectrumReport` and the spectra of :class:`BniVerification`.
-Enumeration runs the principal-ideal sum closure to a fixpoint (every
-ideal is the sum of its principal subideals, so the closure is complete)
-and checks each set I it reaches on the masks it builds anyway; the
-test-suite checks the result against an exhaustive subset scan for small
-carriers.
+
+:func:`ideals` finds each ideal exactly once, by prefix-preserving
+closure extension (Uno, Kiyomi & Arimura, "LCM ver. 2", FIMI 2004; the
+canonicity test of Ganter's NextClosure, 1984).  Let P_0, ..., P_{K-1} be
+the distinct principal ideals in the order of their first generators
+r_0 < ... < r_{K-1}, r_k the least b with (b) = P_k.
+
+* Bijection.  An ideal J is the sum of the P_k with r_k ∈ J: each such
+  P_k lies in J, and each b ∈ J lies in (b) = P_k for some k, whose r_k
+  lies in P_k ⊆ J.  So J is fixed by the r_k it holds; the empty sum is
+  (0) = {0}.
+* One parent per ideal.  For J ≠ (0) let its core be the least k with
+  J = Σ{P_j : j <= k, r_j ∈ J}, and its parent I = Σ{P_j : j < k,
+  r_j ∈ J}; (0) has core -1.  For j < k, r_j ∈ J iff r_j ∈ I (P_j is a
+  summand of I), so J \\ I holds no r_j with j < k, and the core of I is
+  below k.  r_k ∉ I, else the sums up to k and below k would agree; and
+  J = I + P_k.  Conversely, let I have core c, k > c, r_k ∉ I, and let
+  J = I + P_k hold no r_j, j < k, outside I.  Then the P_j with j < k
+  and r_j ∈ J are those with r_j ∈ I, whose sum holds those up to c,
+  which sum to I, and lies in I; so J has parent I and, as r_k ∉ I,
+  core k.
+* So the search that extends each ideal I of core c to every
+  J = I + P_k with k > c and r_k ∉ I that passes that test reaches each
+  ideal once, along the tree of parents rooted at (0), and keeps no set
+  of the ideals found.  It checks each set I it reaches on the masks it
+  builds anyway (below); the test-suite checks the result against the
+  breadth-first sum closure and an exhaustive subset scan.
 
 The sums b + P_k for the masks P_k of the principal ideals come from one
 row per b, built by shifts.  Let ``spread[y]`` hold bit nk for each
@@ -55,7 +77,8 @@ equivalent to the definition of an ideal (0 ∈ I, I + I ⊆ I, R·I ⊆ I):
 * I + P = I for every principal ideal P ⊆ I.  For an ideal I,
   I + P ⊆ I + I ⊆ I, and I ⊆ I + P as 0 = 0·c ∈ P and a + 0 = a.
   Conversely, for a, b ∈ I the principal ideal (b) ⊆ I holds b = 1·b, so
-  a + b ∈ I + (b) = I.
+  a + b ∈ I + (b) = I.  Given the second test, the P ⊆ I are the (b),
+  b ∈ I: each such (b) lies in I, and P_k ⊆ I holds r_k = 1·r_k.
 
 An ideal I is subtractive (a k-ideal) when a ∈ I and r + a ∈ I force
 r ∈ I, and R is subtractive when every ideal is (Golan 1999).
@@ -431,29 +454,41 @@ def principal_ideal(R: FiniteSemiring, a: int) -> int:
 
 
 # kept: a process that runs `spec` on one semiring again (once per
-# `--subspace`, say) skips the closure; a hit hashes both tables
+# `--subspace`, say) skips the search; a hit hashes both tables
 @lru_cache(maxsize=64)
 def ideals(R: FiniteSemiring) -> tuple[int, ...]:
-    """All ideals, as element bitmasks sorted by :func:`poset._size_key`:
-    the sum-closure of the principal ideals, to a fixpoint.
+    """All ideals, as element bitmasks sorted by :func:`poset._size_key`,
+    each found once by prefix-preserving closure extension from (0).
 
-    Closing under sums with principal ideals suffices: every ideal is the
-    sum of the principal ideals of its members.  ``packed[b]`` holds, in
-    blocks of n bits, the mask of b + P_k in block k for each of the K
-    distinct principal ideals P_k, and the mask of (b) in block K.  So one
-    OR of ``packed[b]`` over the members b of I gives every I + P_k and
-    the union of the (b), b ∈ I, at once.
+    The lemma (module docstring), for the distinct principal ideals
+    P_0, ..., P_{K-1} in the order of their first generators r_k:
 
-    Blocks 0 to K - 1 are the :func:`_sum_rows` of the P_k, built by
-    shifts: with ``spread[y]`` holding bit nk for each P_k ∋ y, the OR of
-    ``spread[y] << (b + y)`` over all y has bit nk + v iff some y ∈ P_k
-    has b + y = v, so its block k is b + P_k.
+    * an ideal J is the sum of the P_k with r_k ∈ J, so it is fixed by the
+      r_k it holds;
+    * J ≠ (0) has one parent: for its core k, the least k with
+      J = Σ{P_j : j <= k, r_j ∈ J}, the sum I of the P_j with j < k and
+      r_j ∈ J, whose core is below k; J = I + P_k, and r_k is the least
+      r_j in J \\ I;
+    * an ideal I of core c is the parent of I + P_k exactly for the k > c
+      with r_k ∉ I whose r_k is the least r_j in I + P_k outside I.
 
-    Each set I the closure reaches is checked as it is expanded, on those
-    masks: 0 ∈ I, (b) ⊆ I for every b ∈ I, and I + P_k = I for every
-    P_k ⊆ I.  Given the axioms checked at construction this is the
-    definition of an ideal (module docstring); a failure raises
-    :class:`NotAnIdealError`.
+    So the search from (0) over those extensions reaches every ideal
+    once, and no set of found ideals is kept.
+
+    ``packed[1 << b]`` holds, in blocks of n bits, the mask of b + P_k in
+    block k for each k (the :func:`_sum_rows`); above them the mask of
+    (b); and above that a full block k for the P_k = (b).  So the OR of
+    those rows over the members b of I gives every I + P_k, the union of
+    the (b), b ∈ I, and the blocks of those (b) at once.  A child's OR is
+    its parent's OR and the rows of its new members.
+
+    Each set I the search reaches is checked on that OR: 0 ∈ I, (b) ⊆ I
+    for every b ∈ I, and I + P_k = I for every P_k ⊆ I, read as every
+    block of a (b), b ∈ I, equal to I, which is one mask test.  Given the
+    axioms checked at construction this is the definition of an ideal
+    (module docstring).  A failure raises :class:`NotAnIdealError`,
+    naming the first principal ideal, in the order of the P_k, that fails
+    the checks, or else the set that failed them.
     """
     n = R.n
     bit = [1 << e for e in range(n)]
@@ -462,31 +497,50 @@ def ideals(R: FiniteSemiring) -> tuple[int, ...]:
     spans = [sum(set(map(bit.__getitem__, row))) for row in R.mul]
     principal = list(dict.fromkeys(spans))
     top = n * len(principal)
-    packed = [
-        row | span << top for row, span in zip(_sum_rows(R, principal), spans)
-    ]
+    at = {P: n * k for k, P in enumerate(principal)}  # block k starts at nk
     block = (1 << n) - 1
+    packed = {
+        b: row | span << top | block << at[span] << top + n
+        for b, row, span in zip(bit, _sum_rows(R, principal), spans)
+    }
+    ones = ((1 << top) - 1) // block  # bit nk for each k: I * ones is I in every block
+    # the bit of each first generator r_k, mapped to where block k starts
+    shift = {bit[spans.index(P)]: at[P] for P in principal}
+    reps = sum(shift)
     zero = bit[R.zero]
-    found = set(principal)
-    frontier = principal
-    while frontier:
-        new: list[int] = []
-        for I in frontier:
-            sums = 0
-            for b in _bits(I):
-                sums |= packed[b]
-            if not I & zero or sums >> top & ~I:
-                raise NotAnIdealError(f"{list(_bits(I))} is not an ideal")
+
+    def fails(I: int, sums: int) -> bool:
+        # 0 ∉ I, some (b) ⊄ I, or the block of some (b) other than I
+        own = sums >> top + n
+        return not I & zero or sums >> top & block & ~I != 0 or (I * ones ^ sums) & own != 0
+
+    found = []
+    # each reached set with its OR and the mask of the elements above the
+    # first generator of its core, all of them for (0)
+    stack = [(zero, packed[zero], -1)]
+    while stack:
+        I, sums, above = stack.pop()
+        if fails(I, sums):
             for P in principal:
-                s = sums & block
-                sums >>= n
-                if s != I:
-                    if not P & ~I:
-                        raise NotAnIdealError(f"{list(_bits(I))} is not an ideal")
-                    if s not in found:
-                        found.add(s)
-                        new.append(s)
-        frontier = new
+                if fails(P, reduce(or_, [packed[b] for b in bit if b & P])):
+                    I = P
+                    break
+            raise NotAnIdealError(f"{list(_bits(I))} is not an ideal")
+        found.append(I)
+        outside = ~I
+        candidates = reps & outside & above
+        while candidates:
+            r = candidates & -candidates
+            candidates ^= r
+            J = sums >> shift[r] & block
+            new = J & outside
+            if new & reps & 2 * r - 1 == r:
+                more = sums
+                while new:
+                    low = new & -new
+                    more |= packed[low]
+                    new ^= low
+                stack.append((J, more, -2 * r))
     return tuple(sorted(found, key=_size_key, reverse=True))
 
 

@@ -530,8 +530,8 @@ class _Sides:
         L = self.L
 
         def irredundant(Y: int) -> tuple[int, bool]:
-            meet = L.meet_all(Y)
-            return meet, all(L.meet_all(Y & ~(1 << m)) != meet for m in _bits(Y))
+            meet = L._meet_all(Y)
+            return meet, all(L._meet_all(Y & ~(1 << m)) != meet for m in _bits(Y))
 
         (j, j_ok), (q, q_ok) = irredundant(self.max), irredundant(self.min)
         return PrimeMeets(j, q, j_ok, q_ok)
@@ -572,7 +572,7 @@ class _Sides:
         L, pts, full, varieties = self.L, self.pts, self.full, self.masks
 
         def meet_avoids(A: int, q: int) -> bool:
-            return not varieties[L.meet_all(A)] >> q & 1
+            return not varieties[L._meet_all(A)] >> q & 1
 
         def barely(S: int) -> int:
             return _mask(m for m in _bits(S) if meet_avoids(S & ~(1 << m), m))
@@ -586,7 +586,7 @@ class _Sides:
         excl = _mask(
             x
             for x in pts
-            if L.meet_all(full & ~(1 << x)) == L.meet_all(full & ~varieties[x])
+            if L._meet_all(full & ~(1 << x)) == L._meet_all(full & ~varieties[x])
         )
         return SimpleNamespace(
             csi=csi,

@@ -89,7 +89,7 @@ def radical_info(L: FiniteLattice, X: int) -> RadicalInfo:
 
 def _radical_info(L: FiniteLattice, varieties: Sequence[int]) -> RadicalInfo:
     """:func:`radical_info` from the variety masks: one meet per distinct V(a)."""
-    meets = {v: L.meet_all(v) for v in set(varieties)}
+    meets = {v: L._meet_all(v) for v in set(varieties)}
     radical = tuple(meets[v] for v in varieties)
     fixed = sum(1 << a for a, r in enumerate(radical) if r == a)
     return RadicalInfo(radical, fixed)
@@ -129,7 +129,7 @@ def _irreducible(L: FiniteLattice, varieties: Sequence[int], radicals: int) -> b
     radical elements, a mask (module docstring)."""
     radicals = [(varieties[a], 1 << a) for a in _bits(radicals)]
     for x in _bits(varieties[L.bottom]):
-        m = L.meet_all(sum(bit for v, bit in radicals if not v >> x & 1))
+        m = L._meet_all(sum(bit for v, bit in radicals if not v >> x & 1))
         if varieties[m] >> x & 1:
             return False
     return True
@@ -179,7 +179,8 @@ class XTopSpace(NamedTuple):
     def closure(self, Y: int) -> int:
         """The closure V(⋀Y) of the mask Y: the smallest closed set
         containing Y."""
-        return self.variety_masks[self.lattice.meet_all(self._require_subset(Y))]
+        # Y ⊆ X names lattice elements only, so the meet reads it unchecked
+        return self.variety_masks[self.lattice._meet_all(self._require_subset(Y))]
 
     def subspace(self, Y: int) -> "XTopSpace":
         """The space over the same lattice with X replaced by Y ⊆ X.

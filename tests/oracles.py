@@ -290,6 +290,32 @@ def ideals_by_subset_scan(R: FiniteSemiring) -> set[frozenset[int]]:
     return out
 
 
+def bfs_ideals(R: FiniteSemiring) -> tuple[int, ...]:
+    """The ideals by the breadth-first sum closure: each ideal found plus
+    each distinct principal ideal, to a fixpoint, deduplicated through the
+    set of those found; element masks listed by size, then elements.
+
+    The frontier starts at the principal ideals in the order of their
+    first generators, and each set it reaches is checked against
+    :func:`is_ideal`; the first that fails raises NotAnIdealError.
+    """
+    principal = list(dict.fromkeys(frozenset(row) for row in R.mul))
+    found = set(principal)
+    frontier = principal
+    while frontier:
+        new = []
+        for I in frontier:
+            if not is_ideal(R, I):
+                raise NotAnIdealError(f"{sorted(I)} is not an ideal")
+            for P in principal:
+                S = frozenset(R.add[a][p] for a in I for p in P)
+                if S not in found:
+                    found.add(S)
+                    new.append(S)
+        frontier = new
+    return tuple(map(mask, sorted(found, key=lambda I: (len(I), sorted(I)))))
+
+
 def is_ideal(R: FiniteSemiring, members: frozenset[int]) -> bool:
     """Nonempty, contains zero, closed under + and under r·(-)."""
     if not members or R.zero not in members:

@@ -254,6 +254,18 @@ class TestMeetJoinAll:
         with pytest.raises(TypeError):
             L.meet_all([0])
 
+    @pytest.mark.parametrize("kind", ["order-given", "up-set"])
+    def test_index_past_the_end_named_as_leq_names_it(self, kind):
+        # not a bare "tuple index out of range": the first of the two
+        # indices that is out of range is named, as leq names it
+        P = chain(3)
+        L = FiniteLattice(P) if kind == "order-given" else upset_lattice(P)[0]
+        n = L.n
+        for a, b, named in [(n + 2, 0, n + 2), (0, n, n), (n, -1, n), (-1, n, -1)]:
+            for op in (L.meet, L.join, L.leq):
+                with pytest.raises(IndexError, match=f"^element index {named} out of range 0..{n - 1}$"):
+                    op(a, b)
+
     def test_meet_in_upset_lattice_is_union(self):
         P = tree(2)
         L, emb = upset_lattice(P)

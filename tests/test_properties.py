@@ -22,6 +22,7 @@ from xtoplat.semiring import (
     _generated_axioms_hold,
     _high_powers,
     bni,
+    ideals,
     semiring_from_tables,
     spec_space,
     spectrum,
@@ -30,6 +31,7 @@ from xtoplat.semiring import (
 from .oracles import (
     axiom_outcome,
     axiom_violation_by_scan,
+    bfs_ideals,
     fixpoint_from_pairs,
     lattice_by_search,
     lattice_outcome,
@@ -88,6 +90,17 @@ def semirings(draw):
         index[0],
         index[(1 << P.n) - 1],
     )
+
+
+@given(semirings())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_ideals_match_the_breadth_first_closure(R):
+    # in a product many elements generate one principal ideal, so the
+    # search's canonicity test meets extensions that add an earlier
+    # first generator, and must drop them
+    found = ideals(R)
+    assert found == bfs_ideals(R)
+    assert len(set(found)) == len(found)
 
 
 @given(semirings())

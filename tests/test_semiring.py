@@ -51,6 +51,7 @@ from .oracles import (
     axiom_outcome,
     axiom_violation_by_scan,
     barely_maximal,
+    bfs_ideals,
     bni_by_wrap,
     downset_semiring,
     ideals_by_subset_scan,
@@ -334,6 +335,20 @@ class TestIdeals:
                 R = bni(n, i)
                 assert set(ideals(R)) == set(map(_mask, ideals_by_subset_scan(R)))
         assert set(ideals(s3())) == set(map(_mask, ideals_by_subset_scan(s3())))
+
+    def test_search_matches_the_breadth_first_closure(self):
+        # each ideal once: the prefix-preserving search against the
+        # ideal × principal sweep deduplicated through its found set
+        for R in [bni(n, i) for n in range(2, 17) for i in range(n)] + [s3()]:
+            found = ideals(R)
+            assert found == bfs_ideals(R)
+            assert len(set(found)) == len(found)
+
+    def test_reach_counts(self):
+        # the two counts the reach steps read off `spec --bni`
+        for n, i, count in ((30, 25, 14939), (40, 30, 99077)):
+            found = ideals.__wrapped__(bni(n, i))
+            assert len(found) == len(set(found)) == count
 
     def test_failed_ideal_check_raises_not_assert(self):
         # tables built past the axiom checks, each failing one of the three

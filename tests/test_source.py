@@ -39,6 +39,22 @@ def test_only_the_order_modules_reach_into_order_rows():
     assert found == []
 
 
+def test_the_library_meets_only_masks_it_checked():
+    # FiniteLattice.meet_all checks its mask for a caller; every meet the
+    # library takes itself is of a mask it built or checked at its own
+    # boundary, so it reads the unchecked _meet_all, and a mask is
+    # checked once
+    found = []
+    for path in sorted(Path(xtoplat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "meet_all"
+        ]
+    assert found == []
+
+
 def _owners(tree: ast.AST) -> dict[ast.AST, str]:
     """Each node mapped to the dotted name of the class/function around it."""
     owner: dict[ast.AST, str] = {}
