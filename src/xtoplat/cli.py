@@ -46,7 +46,7 @@ from .formats import (
     space_to_dot,
     space_to_json,
 )
-from .poset import FinitePoset, _selected, _size_key, chain, forest
+from .poset import FinitePoset, _selected, _size_sorted, chain, forest
 from .semiring import (
     FiniteSemiring,
     SpectrumReport,
@@ -159,7 +159,7 @@ def _cmd_spec(args, out) -> int:
     full = (1 << P.n) - 1
     opens = [
         list(_selected(P.labels, U))
-        for U in sorted((full & ~C for C in P.upset_masks()), key=_size_key, reverse=True)
+        for U in _size_sorted(full & ~C for C in P.upset_masks())
     ]
     separation = _report_and_points_in_index_order(P)
     if args.json:

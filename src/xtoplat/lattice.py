@@ -30,11 +30,11 @@ lub(a, b) likewise for the join keys.  Every query reads the keys alone:
 * For the up-set lattice (:class:`UpsetLattice`) the join key is the
   up-set U itself, since join is ∩, and the meet key is P \\ U, since
   meet is ∪ and the complements of a union intersect.  Its elements are
-  ``P.upset_masks()``, which yields every up-set of P exactly once (see
-  its docstring).  Up-sets are closed under union and intersection, so
-  both lookups land on an element, with ∅ the top and P the bottom.  No
-  check is left to run at construction; the tests compare the masks with
-  a filter over every subset of P.
+  the up-sets of P, each found exactly once by :func:`_upsets`.  Up-sets
+  are closed under union and intersection, so both lookups land on an
+  element, with ∅ the top and P the bottom.  No check is left to run at
+  construction; the tests compare the masks with a filter over every
+  subset of P and with ``P.upset_masks()``.
 
 In both, a <= b iff key(a) ⊆ key(b) for the meet keys, so a strictly
 larger element has a strictly larger meet key.
@@ -42,8 +42,32 @@ larger element has a strictly larger meet key.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
+from typing import Iterable, Iterator, Sequence
+
 from .errors import EmptyPosetError, NotALatticeError, SubsetViolationError
-from .poset import FinitePoset, _bits, _point_set
+from .poset import FinitePoset, _bits, _point_set, _selected
+
+
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """Each byte's bits in increasing order, doubled up bit by bit: entry
+    m + 2^k is entry m and then k, for m < 2^k."""
+    table: list[tuple[int, ...]] = [()]
+    for k in range(8):
+        table += [bits + (k,) for bits in table]
+    return tuple(table)
+
+
+# the elements of a mask below 256
+_BYTE_BITS = _byte_bits()
+
+
+def _elements(mask: int):
+    """The indices of the mask's bits in increasing order, read without a
+    Python-level walk: a table entry below 256, else ``compress`` over the
+    mask's flag bytes."""
+    return _BYTE_BITS[mask] if mask < 256 else _selected(range(mask.bit_length()), mask)
 
 
 class FiniteLattice:
@@ -168,32 +192,102 @@ class FiniteLattice:
 
     def _meet_all(self, members: int) -> int:
         """:meth:`meet_all` of a mask already known to name elements only:
-        one the library built, or one a caller checked at its boundary."""
+        one the library built, or one a caller checked at its boundary.
+
+        Below 256 the keys are ANDed over a table entry; a wider mask of
+        at most 8 members has its lowest bit peeled off in turn, and a
+        denser one has its keys ANDed at C level, as the flag bytes
+        select them."""
         keys = self._down
         acc = keys[self.top]
-        for e in _bits(members):
-            acc &= keys[e]
+        if members < 256:
+            for e in _BYTE_BITS[members]:
+                acc &= keys[e]
+        elif members.bit_count() <= 8:
+            while members:
+                low = members & -members
+                acc &= keys[low.bit_length() - 1]
+                members ^= low
+        else:
+            acc = reduce(and_, _selected(keys, members), acc)
         return self._by_down[acc]
+
+    def _meets_of(self, masks: Iterable[int]) -> dict[int, int]:
+        """⋀S for each distinct mask S of ``masks``, by mask.  The masks go
+        by increasing size, and S's key is the AND of its highest member's
+        key with the key of S less that member, read off an earlier mask
+        when there was one: a meet per mask at the cost of one AND."""
+        keys = self._down
+        key_of = {0: keys[self.top]}
+        for S in sorted(set(masks), key=int.bit_count):
+            if S:
+                high = S.bit_length() - 1
+                rest = S ^ 1 << high
+                key = key_of.get(rest)
+                if key is None:
+                    key = keys[self._meet_all(rest)]
+                key_of[S] = key & keys[high]
+        by_down = self._by_down
+        return {S: by_down[key_of[S]] for S in masks}
+
+    def _meets_without_each(self, members: int) -> list[int]:
+        """⋀(members \\ {x}) for each x of the mask ``members``, in index
+        order: the AND of the keys before x with the AND of those after
+        it, both kept as running ANDs, so k meets cost O(k) ANDs."""
+        keys = self._down
+        chosen = [keys[e] for e in _elements(members)]
+        top = keys[self.top]
+        after = [top]  # after[j]: the AND of the last j keys
+        for key in reversed(chosen):
+            after.append(after[-1] & key)
+        after.pop()
+        out, before, by_down = [], top, self._by_down
+        for key, rest in zip(chosen, reversed(after)):
+            out.append(by_down[before & rest])
+            before &= key
+        return out
+
+    def _meets_avoiding(
+        self, varieties: Sequence[int], among: int, points: int
+    ) -> Iterator[int]:
+        """⋀{a ∈ among : x ∉ varieties[a]} for each x of the mask
+        ``points``, in index order, ``among`` a mask of elements: one AND
+        pass over their keys per point."""
+        keys = self._down
+        pairs = [(varieties[a], keys[a]) for a in _elements(among)]
+        top, by_down = keys[self.top], self._by_down
+        for x in _elements(points):
+            bit, acc = 1 << x, top
+            for v, key in pairs:
+                if not v & bit:
+                    acc &= key
+            yield by_down[acc]
 
     def maximals_of(self, members: int) -> int:
         """The mask of the maximal elements of the mask ``members`` under
         the lattice order.
 
-        The members are scanned by decreasing meet-key size, a reversed
-        linear extension, and one is kept unless its key lies inside a
-        kept one.  A member below another is below a maximal one, which
-        the scan met first and kept; a maximal member's key lies inside
-        no other member's key.
+        The members are scanned by decreasing (meet-key size, index), a
+        reversed linear extension, and one is kept unless its key lies
+        inside a kept one.  A member below another is below a maximal
+        one, which the scan met first and kept; a maximal member's key
+        lies inside no other member's key.
         """
         keys = self._down
-        kept: list[int] = []
         ranked = sorted(
-            _bits(self._in_range(members)), key=lambda a: keys[a].bit_count(), reverse=True
+            [(keys[a].bit_count(), a) for a in _elements(self._in_range(members))], reverse=True
         )
-        for a in ranked:
-            if not any(keys[a] & ~keys[k] == 0 for k in kept):
-                kept.append(a)
-        return sum(1 << a for a in kept)
+        kept: list[int] = []
+        out = 0
+        for _, a in ranked:
+            key = keys[a]
+            for k in kept:
+                if key & ~k == 0:
+                    break
+            else:
+                kept.append(key)
+                out |= 1 << a
+        return out
 
     def _in_range(self, S: int) -> int:
         """The mask S, checked to name elements only: an index at or past
@@ -232,19 +326,24 @@ class UpsetLattice(FiniteLattice):
 
     # the inherited poset slot stays unused: the property below shadows
     # it and builds into _order
-    __slots__ = ("ground", "_labels", "_order")
+    __slots__ = ("ground", "_labels", "_order", "_generator")
 
     def __init__(self, ground: FinitePoset):
         if ground.n == 0:
             raise EmptyPosetError("the empty poset has no up-set lattice")
-        masks = tuple(sorted(ground.upset_masks(), key=lambda m: (m.bit_count(), m)))
+        # (size, mask) order by two C-level passes: the second sort is stable
+        masks = sorted(_upsets(ground))
+        masks.sort(key=int.bit_count)
         full = (1 << ground.n) - 1
         self.ground = ground
-        self._up = masks
-        self._down = tuple(full & ~m for m in masks)
-        self._by_up = {m: k for k, m in enumerate(masks)}
-        self._by_down = {m: k for k, m in enumerate(self._down)}
+        self._up = masks = tuple(masks)
+        # each up-set lies inside the ground set, so XOR with it complements
+        self._down = tuple(map(full.__xor__, masks))
+        self._by_up = dict(zip(masks, range(len(masks))))
+        self._by_down = dict(zip(self._down, range(len(masks))))
         self._labels = self._order = None
+        # each principal up-set's generator: its up row is the up-set
+        self._generator = dict(zip(ground._up, range(ground.n)))
         self.top, self.bottom = 0, len(masks) - 1
 
     @property
@@ -260,9 +359,9 @@ class UpsetLattice(FiniteLattice):
 
     def label(self, a: int) -> str:
         """The generator's label for a principal up-set ↑x, else set notation."""
-        m, P = self.masks[a], self.ground
-        x = next((x for x in _bits(m) if P._up[x] == m), None)
-        return _set_label(P, m) if x is None else P.labels[x]
+        m = self.masks[a]
+        x = self._generator.get(m)
+        return _set_label(self.ground, m) if x is None else self.ground.labels[x]
 
     @property
     def poset(self) -> FinitePoset:
@@ -285,6 +384,26 @@ class UpsetLattice(FiniteLattice):
     __hash__ = FiniteLattice.__hash__
 
 
+def _upsets(P: FinitePoset) -> list[int]:
+    """Every up-set of P as a mask, each exactly once.
+
+    The elements are decided by increasing |↑x|, so all of ↑x \\ {x} is
+    decided before x.  After each step the list holds every up-set of the
+    decided elements once: each stays as it is without x, and x joins
+    exactly those that hold ↑x \\ {x}.  That is one list comprehension
+    per element.  ``P.upset_masks()`` lists the same sets in the order of
+    its memoized split, which its tests pin; the lattice sorts them by
+    (size, mask) anyway.
+    """
+    up = P._up
+    out = [0]
+    for x in sorted(range(P.n), key=list(map(int.bit_count, up)).__getitem__):
+        bit = 1 << x
+        above = up[x] ^ bit
+        out += [U | bit for U in out if U & above == above]
+    return out
+
+
 def _set_label(P: FinitePoset, mask: int) -> str:
     return "{" + ",".join(P.labels[i] for i in _bits(mask)) + "}"
 
@@ -299,7 +418,7 @@ def upset_lattice(P: FinitePoset) -> tuple[UpsetLattice, dict[int, int]]:
     until a caller reads them.
     """
     lattice = UpsetLattice(P)
-    embedding = {x: lattice._by_up[P.up_mask(x)] for x in range(P.n)}
+    embedding = dict(enumerate(map(lattice._by_up.__getitem__, P._up)))
     return lattice, embedding
 
 
@@ -315,4 +434,8 @@ def _members(L: FiniteLattice, X: int) -> int:
 def has_complete_max_property(L: FiniteLattice, X: int) -> bool:
     """Every q maximal in the mask X satisfies ⋀(Max(X) \\ {q}) ≰ q."""
     maxima = L.maximals_of(_members(L, X))
-    return all(not L.leq(L._meet_all(maxima & ~(1 << q)), q) for q in _bits(maxima))
+    keys = L._down
+    for q, m in zip(_elements(maxima), L._meets_without_each(maxima)):
+        if keys[m] & ~keys[q] == 0:  # m <= q
+            return False
+    return True

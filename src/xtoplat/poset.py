@@ -103,6 +103,16 @@ def _size_key(mask: int) -> tuple[int, str]:
     return (-mask.bit_count(), bin(mask)[:1:-1])
 
 
+def _size_sorted(masks: Iterable[int]) -> list[int]:
+    """The masks in the order of :func:`_size_key` under ``reverse=True``,
+    by two stable passes that build no key tuple: by the binary string
+    read from bit 0 up, descending, and then by size, ascending, which
+    keeps the first order among masks of one size."""
+    out = sorted(masks, key=lambda mask: bin(mask)[:1:-1], reverse=True)
+    out.sort(key=int.bit_count)
+    return out
+
+
 # the characters "0" and "1" to the bytes 0 and 1, false and true selectors
 _FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
 

@@ -174,12 +174,22 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AxiomError, NotAnIdealError, RangeError
 from .lattice import FiniteLattice
-from .poset import FinitePoset, _bits, _selected, _size_key
+from .poset import FinitePoset, _bits, _selected, _size_sorted
 from .topology import XTopSpace, build_space
 
 
 class FiniteSemiring(NamedTuple):
-    """Element labels plus total addition/multiplication tables."""
+    """Element labels plus total addition/multiplication tables.
+
+    Calling ``FiniteSemiring(labels, add, mul, zero, one)`` directly checks
+    nothing: no axiom, no table shape, no label.  Every function here
+    assumes the axioms, and :func:`ideals` is unspecified on tables that
+    break them: it may list a set that is no ideal, or raise
+    :class:`NotAnIdealError`.  Build a semiring with
+    :func:`semiring_from_tables`, which checks the tables and raises
+    :class:`AxiomError` naming a witness, or with :func:`bni` and
+    :func:`s3`, which check theirs the same way.
+    """
 
     labels: tuple[str, ...]
     add: tuple[tuple[int, ...], ...]
@@ -541,7 +551,7 @@ def ideals(R: FiniteSemiring) -> tuple[int, ...]:
                     more |= packed[low]
                     new ^= low
                 stack.append((J, more, -2 * r))
-    return tuple(sorted(found, key=_size_key, reverse=True))
+    return tuple(_size_sorted(found))
 
 
 def _sum_rows(R: FiniteSemiring, family: Sequence[int]) -> list[int]:
@@ -658,7 +668,7 @@ def _primes(R: FiniteSemiring) -> tuple[int, ...]:
             map(frozenset(members).issuperset, map(itemgetter(*members), rows))
         ):
             primes.append(P)
-    return tuple(sorted(primes, key=_size_key, reverse=True))
+    return tuple(_size_sorted(primes))
 
 
 def _diagonal(table) -> tuple[int, ...]:
@@ -776,7 +786,7 @@ def radical_lattice(R: FiniteSemiring) -> tuple[FiniteLattice, tuple[int, ...]]:
     closure = {full}
     for P in spectrum(R).spec:
         closure |= {m & P for m in closure}
-    radicals = tuple(sorted(closure, key=_size_key, reverse=True))
+    radicals = tuple(_size_sorted(closure))
     return FiniteLattice(_inclusion_order(R, radicals)), radicals
 
 
@@ -888,7 +898,7 @@ def _verify_bni(R: FiniteSemiring, i: int) -> BniVerification:
         i=i,
         case=case,
         predicted_kdim=predicted_kdim,
-        predicted_spec=tuple(sorted(predicted, key=_size_key, reverse=True)),
+        predicted_spec=tuple(_size_sorted(predicted)),
         computed_kdim=computed.kdim,
         computed_spec=computed.spec,
     )

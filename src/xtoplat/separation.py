@@ -150,7 +150,7 @@ from types import SimpleNamespace
 from typing import Callable, Collection, NamedTuple
 
 from .errors import EmptyPosetError, XtoplatError
-from .lattice import has_complete_max_property
+from .lattice import _elements, has_complete_max_property
 from .poset import (
     FinitePoset,
     _bits,
@@ -297,6 +297,8 @@ class _Analysis:
                 self.order, self.position = _in_upset_order(P)
         else:
             self.pts = source.sorted_points()
+            # the bit of point pts[k], by k: lift sums those a mask names
+            self.point_bits = [1 << x for x in self.pts]
             # the poset lists the points in sorted order too, so its rows are masks
             P = source.specialization_poset()
             # Ker(x) = ↓x is open iff X \\ ↓x is a variety
@@ -326,8 +328,9 @@ class _Analysis:
         self.excl_mask = self.full & ~self.min_mask | self.ro_mask
 
     def lift(self, mask: int) -> int:
-        """A mask over the bits k as a mask over the lattice indices pts[k]."""
-        return _mask(self.pts[k] for k in _bits(mask))
+        """A mask over the bits k as a mask over the lattice indices pts[k]:
+        the sum of the point bits of its elements."""
+        return sum(map(self.point_bits.__getitem__, _elements(mask)))
 
     def labels(self, mask: int) -> tuple[str, ...]:
         """The labels of the points in ``mask``, in output order."""
@@ -527,14 +530,20 @@ class _Sides:
     def pm(self) -> PrimeMeets:
         """The prime meets, with their irredundance by its definition: each
         point dropped in turn."""
-        L = self.L
+        L, dropped = self.L, self.dropped
 
         def irredundant(Y: int) -> tuple[int, bool]:
             meet = L._meet_all(Y)
-            return meet, all(L._meet_all(Y & ~(1 << m)) != meet for m in _bits(Y))
+            return meet, meet not in dropped[Y]
 
         (j, j_ok), (q, q_ok) = irredundant(self.max), irredundant(self.min)
         return PrimeMeets(j, q, j_ok, q_ok)
+
+    @cached_property
+    def dropped(self) -> dict[int, list[int]]:
+        """⋀(Y \\ {m}) for each m ∈ Y, for Y = Max and Y = Min: the prime
+        meets' irredundance and the classes AMin and BMax read them."""
+        return {Y: self.L._meets_without_each(Y) for Y in (self.max, self.min)}
 
     @cached_property
     def families(self) -> SimpleNamespace:
@@ -571,23 +580,24 @@ class _Sides:
         """The lattice classes, from meets in L: ⋀A <= q iff q ∈ V(⋀A)."""
         L, pts, full, varieties = self.L, self.pts, self.full, self.masks
 
-        def meet_avoids(A: int, q: int) -> bool:
-            return not varieties[L._meet_all(A)] >> q & 1
-
         def barely(S: int) -> int:
-            return _mask(m for m in _bits(S) if meet_avoids(S & ~(1 << m), m))
+            """The m ∈ S with ⋀(S \\ {m}) ≰ m, for S = Max or S = Min."""
+            out = 0
+            for m, meet in zip(_elements(S), self.dropped[S]):
+                if not varieties[meet] >> m & 1:
+                    out |= 1 << m
+            return out
 
-        # CSI: ⋀{a ∈ X : a ≰ q} ≰ q; Excl: ⋀(X \ {x}) = ⋀D(x), D(x) = X \ V(x)
-        csi = _mask(
-            q
-            for q in pts
-            if meet_avoids(_mask(a for a in pts if not varieties[a] >> q & 1), q)
-        )
-        excl = _mask(
-            x
-            for x in pts
-            if L._meet_all(full & ~(1 << x)) == L._meet_all(full & ~varieties[x])
-        )
+        # CSI: ⋀{a ∈ X : a ≰ q} ≰ q, and a ≰ q iff q ∉ V(a)
+        csi = 0
+        for q, meet in zip(pts, L._meets_avoiding(varieties, full, full)):
+            if not varieties[meet] >> q & 1:
+                csi |= 1 << q
+        # Excl: ⋀(X \ {x}) = ⋀D(x), D(x) = X \ V(x)
+        excl = 0
+        for x, meet in zip(pts, L._meets_without_each(full)):
+            if meet == L._meet_all(full & ~varieties[x]):
+                excl |= 1 << x
         return SimpleNamespace(
             csi=csi,
             amin=barely(self.min),
@@ -602,29 +612,33 @@ class _Sides:
         """T0, T1 = R0, T2 = R1 and quasi-Hausdorff by pair scans over the
         kernels from the open family; the report records them as lemmas."""
         kernel, varieties, pts = self.kernel, self.masks, self.pts
-
-        def separated(x: int, y: int) -> bool:
-            return not kernel[x] >> y & 1 and not kernel[y] >> x & 1
-
-        def disjoint(x: int, y: int) -> bool:
-            return kernel[x] & kernel[y] == 0
-
-        pairs = list(combinations(pts, 2))
-        distinguishable = [
-            (x, y) for x, y in pairs if not (kernel[x] >> y & 1 and kernel[y] >> x & 1)
-        ]
+        t0 = t1 = r0 = t2 = r1 = quasi_hausdorff = True
+        some_disjoint = False
+        for x, y in combinations(pts, 2):
+            kx, ky = kernel[x], kernel[y]
+            y_in_kx, x_in_ky = kx >> y & 1, ky >> x & 1
+            separated = not y_in_kx and not x_in_ky
+            disjoint = kx & ky == 0
+            t1 = t1 and separated
+            t2 = t2 and disjoint
+            if y_in_kx and x_in_ky:
+                t0 = False
+            else:  # distinguishable
+                r0 = r0 and separated
+                r1 = r1 and disjoint
+            some_disjoint = some_disjoint or disjoint
+            if not disjoint and quasi_hausdorff:
+                # some closure({z}) = V(z) must hold both
+                both = 1 << x | 1 << y
+                quasi_hausdorff = any(varieties[z] & both == both for z in pts)
         return SimpleNamespace(
-            t0=len(distinguishable) == len(pairs),
-            t1=all(separated(x, y) for x, y in pairs),
-            r0=all(separated(x, y) for x, y in distinguishable),
-            t2=all(disjoint(x, y) for x, y in pairs),
-            r1=all(disjoint(x, y) for x, y in distinguishable),
-            anti_t2=len(pts) >= 2 and not any(disjoint(x, y) for x, y in pairs),
-            quasi_hausdorff=all(
-                disjoint(x, y)
-                or any(varieties[z] >> x & 1 and varieties[z] >> y & 1 for z in pts)
-                for x, y in pairs
-            ),
+            t0=t0,
+            t1=t1,
+            r0=r0,
+            t2=t2,
+            r1=r1,
+            anti_t2=len(pts) >= 2 and not some_disjoint,
+            quasi_hausdorff=quasi_hausdorff,
         )
 
     @cached_property
@@ -635,12 +649,14 @@ class _Sides:
     def tf(self) -> bool:
         """T_F by its definition (|F| <= 2 suffices): for every x and every
         F = {y, f} ⊆ X \\ {x}, y = f allowed, {x} ⊢ F or F ⊢ {x}."""
-        kernel, pts = self.kernel, self.pts
-        return all(
-            not kernel[x] & (1 << y | 1 << f) or not (kernel[y] | kernel[f]) >> x & 1
-            for x in pts
-            for y, f in combinations_with_replacement([y for y in pts if y != x], 2)
-        )
+        kernel = self.kernel
+        for x, kx in kernel.items():
+            bit = 1 << x
+            others = [(1 << y, ky) for y, ky in kernel.items() if y != x]
+            for (y, ky), (f, kf) in combinations_with_replacement(others, 2):
+                if kx & (y | f) and (ky | kf) & bit:
+                    return False
+        return True
 
     # -- checks: check_<id> tests the check <id>, with '_' for '-' ------------
 

@@ -28,8 +28,9 @@ one-pass test by a lemma:
   pair case to it and ⋀rest ∈ R; for A = ∅, ⋀∅ = top is below no point.
   Taking A = {a ∈ R : a ≰ x} gives m ≰ x.  Conversely, if a, b ∈ R have
   a ∧ b <= x but neither is below x, both lie in that set, so
-  m <= a ∧ b <= x.  That is one ``meet_all`` per point, O(|X|·|R|) meets
-  in all, where the pairs took O(|R|²).
+  m <= a ∧ b <= x.  That is one AND pass over the keys of R per point
+  (``FiniteLattice._meets_avoiding``), O(|X|·|R|) steps in all, where
+  the pairs took O(|R|²) meets.
 * The family F of varieties is closed under unions iff S ∪ V(x) ∈ F for
   every S ∈ F and x ∈ X.  V(x) is the least variety that holds x: x ∈ V(a)
   means a <= x, so V(x) ⊆ V(a).  Hence every variety T is the union of
@@ -53,11 +54,13 @@ convention (⋀∅ = top, V(top) = ∅) keeps every operation consistent there.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from operator import and_, or_, rshift
+from typing import Collection, NamedTuple, Sequence
 
 from .errors import EmptyPosetError, NotXTopError, SubsetViolationError
-from .lattice import FiniteLattice, _members, upset_lattice
-from .poset import FinitePoset, _bits, _point_set, _size_key
+from .lattice import FiniteLattice, _elements, _members, upset_lattice
+from .poset import FinitePoset, _bits, _point_set, _selected, _size_sorted
 
 
 def variety(L: FiniteLattice, X: int, a: int) -> int:
@@ -88,10 +91,15 @@ def radical_info(L: FiniteLattice, X: int) -> RadicalInfo:
 
 
 def _radical_info(L: FiniteLattice, varieties: Sequence[int]) -> RadicalInfo:
-    """:func:`radical_info` from the variety masks: one meet per distinct V(a)."""
-    meets = {v: L._meet_all(v) for v in set(varieties)}
-    radical = tuple(meets[v] for v in varieties)
-    fixed = sum(1 << a for a, r in enumerate(radical) if r == a)
+    """:func:`radical_info` from the variety masks: one meet per distinct
+    V(a), each read off a smaller one's where it can
+    (``FiniteLattice._meets_of``)."""
+    meets = L._meets_of(varieties)
+    radical = tuple(map(meets.__getitem__, varieties))
+    fixed = 0
+    for a, r in enumerate(radical):
+        if r == a:
+            fixed |= 1 << a
     return RadicalInfo(radical, fixed)
 
 
@@ -103,12 +111,12 @@ def is_xtop_by_unions(L: FiniteLattice, X: int) -> bool:
 def _union_witness(varieties: Sequence[int]) -> tuple[int, int] | None:
     """The first pair of distinct varieties, in (size, sorted elements)
     order, whose union is not a variety, named by their least elements."""
-    first: dict[int, int] = {}
-    for a, v in enumerate(varieties):
-        first.setdefault(v, a)
+    # each variety's least element: the last write of a key wins, so the
+    # masks go in from the end
+    first = dict(zip(reversed(varieties), range(len(varieties) - 1, -1, -1)))
     # the union lemma of the module docstring; X is the largest variety
-    points = [varieties[x] for x in _bits(max(first, key=int.bit_count))]
-    if all(v | p in first for v in first for p in points):
+    points = [varieties[x] for x in _elements(max(first, key=int.bit_count))]
+    if _closed_under(first, points):
         return None
     values = sorted(first, key=lambda v: (v.bit_count(), list(_bits(v))))
     for i, va in enumerate(values):
@@ -116,6 +124,15 @@ def _union_witness(varieties: Sequence[int]) -> tuple[int, int] | None:
             if va | vb not in first:
                 return first[va], first[vb]
     return None
+
+
+def _closed_under(family: Collection[int], points: Sequence[int]) -> bool:
+    """S ∪ p ∈ family for every S in the family and every p in points."""
+    for v in family:
+        for p in points:
+            if v | p not in family:
+                return False
+    return True
 
 
 def is_xtop_by_irreducibility(L: FiniteLattice, X: int) -> bool:
@@ -126,13 +143,10 @@ def is_xtop_by_irreducibility(L: FiniteLattice, X: int) -> bool:
 
 def _irreducible(L: FiniteLattice, varieties: Sequence[int], radicals: int) -> bool:
     """Every point x has ⋀{a ∈ R : a ≰ x} ≰ x, for the meet-closed set R of
-    radical elements, a mask (module docstring)."""
-    radicals = [(varieties[a], 1 << a) for a in _bits(radicals)]
-    for x in _bits(varieties[L.bottom]):
-        m = L._meet_all(sum(bit for v, bit in radicals if not v >> x & 1))
-        if varieties[m] >> x & 1:
-            return False
-    return True
+    radical elements, a mask (module docstring): a ≰ x iff x ∉ V(a)."""
+    points = varieties[L.bottom]
+    meets = L._meets_avoiding(varieties, radicals, points)
+    return not any(varieties[m] >> x & 1 for x, m in zip(_elements(points), meets))
 
 
 class XTopSpace(NamedTuple):
@@ -155,14 +169,14 @@ class XTopSpace(NamedTuple):
 
     @property
     def closed_family(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.variety_masks), key=_size_key, reverse=True))
+        return tuple(_size_sorted(set(self.variety_masks)))
 
     @property
     def n_points(self) -> int:
         return self.points.bit_count()
 
     def sorted_points(self) -> tuple[int, ...]:
-        return tuple(_bits(self.points))
+        return tuple(_elements(self.points))
 
     def label(self, x: int) -> str:
         return self.lattice.label(x)
@@ -195,8 +209,11 @@ class XTopSpace(NamedTuple):
     def specialization_poset(self) -> FinitePoset:
         """The order X inherits from L: x <= y iff y ∈ closure({x}) = V(x)."""
         pts = self.sorted_points()
-        pos = {x: k for k, x in enumerate(pts)}
-        rows = [sum(1 << pos[y] for y in _bits(self.variety_masks[x])) for x in pts]
+        # each point's bit in the rows, by lattice index; V(x) selects them
+        row_bit = [0] * (pts[-1] + 1 if pts else 0)
+        for k, x in enumerate(pts):
+            row_bit[x] = 1 << k
+        rows = [sum(_selected(row_bit, self.variety_masks[x])) for x in pts]
         return FinitePoset([self.label(x) for x in pts], rows)
 
 
@@ -228,5 +245,19 @@ def from_poset(P: FinitePoset) -> XTopSpace:
         raise EmptyPosetError("from_poset needs at least one element")
     L, embedding = upset_lattice(P)
     point = [1 << embedding[x] for x in range(P.n)]
-    masks = tuple(sum(point[x] for x in _bits(U)) for U in L.masks)
-    return XTopSpace(L, masks)
+    # V(U) is the OR of point[x] over x ∈ U, read byte by byte off
+    # tables: table k maps a byte of U to the points of its 8 elements
+    tables = []
+    for base in range(0, P.n, 8):
+        table = [0]
+        for bit in point[base : base + 8]:
+            table += [v | bit for v in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return XTopSpace(L, tuple(map(tables[0].__getitem__, L.masks)))
+    # wider: one column of lookups per byte, ORed together at C level
+    masks = repeat(0)
+    for k, table in enumerate(tables):
+        byte = map(and_, map(rshift, L.masks, repeat(8 * k)), repeat(255))
+        masks = map(or_, masks, map(table.__getitem__, byte))
+    return XTopSpace(L, tuple(masks))

@@ -333,10 +333,12 @@ def run_suites(
 
     * ``max_size > 7`` on a suite that enumerates posets: the enumeration
       searches the linear extensions of each class once, and
-      ``all_posets(7)`` takes about 1 s but ``all_posets(8)`` about 30 s;
+      ``all_posets(7)`` takes about 0.5 s but ``all_posets(8)`` about
+      17 s;
     * ``max_size > 13`` for ``forest``: every forest gets the full
       cross-check, in O(|L|·|X|) steps per forest with |L| its number of
-      up-sets, and the sweep took 12 s at 12 points and 28-34 s at 13;
+      up-sets, and the sweep takes 3.5-4.3 s at 12 points and 9-12 s at
+      13 (whole process, shared 2-core machine);
     * ``max_n > 120`` for ``bni``: each B(n, i) costs its tables and
       their axiom checks, its spectrum (no ideal is enumerated) and the
       separation reports of its spectra, and the sweep takes 2.4-2.8 s

@@ -30,6 +30,7 @@ from xtoplat.poset import (
     _from_pairs,
     _selected,
     _size_key,
+    _size_sorted,
     has_dual_tree_component,
     is_dual_tree_component,
     is_forest_of_trees,
@@ -444,18 +445,24 @@ def test_restrict_induced_subposet():
     assert component_shape(sub, 0b111) == ("T", 2)
 
 
+def _mixed_masks() -> list[int]:
+    """Masks of mixed bit lengths, and many sets of one size among few
+    elements, shuffled."""
+    rng = random.Random(30)
+    masks = {0} | {rng.getrandbits(rng.choice((1, 3, 8, 17, 40, 70))) for _ in range(3000)}
+    for size in (1, 2, 3, 4):
+        masks |= {sum(1 << b for b in rng.sample(range(12), size)) for _ in range(300)}
+    masks = list(masks)
+    rng.shuffle(masks)
+    return masks
+
+
 class TestSizeKey:
     """The one sort key of listed point sets and ideals against the
     (size, sorted elements) order it stands for."""
 
     def test_matches_the_size_then_sorted_list_order(self):
-        rng = random.Random(30)
-        # mixed bit lengths, and many sets of one size among few elements
-        masks = {0} | {rng.getrandbits(rng.choice((1, 3, 8, 17, 40, 70))) for _ in range(3000)}
-        for size in (1, 2, 3, 4):
-            masks |= {sum(1 << b for b in rng.sample(range(12), size)) for _ in range(300)}
-        masks = list(masks)
-        rng.shuffle(masks)
+        masks = _mixed_masks()
 
         def as_list(mask):
             return sorted(_bits(mask))
@@ -464,6 +471,26 @@ class TestSizeKey:
         assert sorted(masks, key=_size_key, reverse=True) == expected
         assert expected[0] == 0
         assert len(masks) - len({m.bit_count() for m in masks}) > 2000
+
+    def test_two_pass_sort_gives_the_key_order(self, posets_upto_5):
+        # the library sorts with _size_sorted; on the masks above, every
+        # ideal family of S3 and of the B(n, i) up to n = 12, and the closed
+        # and open families of every space on at most 5 points, it gives
+        # the order of _size_key
+        from xtoplat import from_poset
+        from xtoplat.semiring import bni, ideals, s3
+
+        families = [_mixed_masks()]
+        families += [ideals(R) for R in [s3(), *(bni(n, i) for n in range(2, 13) for i in range(n))]]
+        for P in posets_upto_5:
+            space = from_poset(P)
+            closed = set(space.variety_masks)
+            families += [closed, {space.points & ~C for C in closed}]
+        rng = random.Random(31)
+        for family in families:
+            masks = list(family)
+            rng.shuffle(masks)
+            assert _size_sorted(masks) == sorted(masks, key=_size_key, reverse=True)
 
     def test_selected_labels_follow_the_indices(self):
         labels = ("b", "a", "10", "c")

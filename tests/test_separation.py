@@ -237,22 +237,6 @@ class TestPosetSource:
         assert classify_points(P) == classify_points(from_poset(P))
 
 
-@pytest.fixture(scope="module")
-def lattice_spaces(lattices_upto_6):
-    """Every X-top (L, X) with |L| <= 6 (429 spaces), Spec(B(n, i)) for
-    n <= 14 under all/max/min (312 spaces), and Spec(S3)."""
-    spaces = []
-    for L in lattices_upto_6:
-        for X in subsets(i for i in range(L.n) if i != L.top):
-            if is_xtop_by_unions(L, mask(X)):
-                spaces.append(build_space(L, mask(X)))
-    for n in range(2, 15):
-        for i in range(n):
-            spaces.extend(spec_space(bni(n, i), which) for which in ("all", "max", "min"))
-    spaces.append(spec_space(s3()))
-    return spaces
-
-
 class TestOrderLemmas:
     """The report reads the lattice classes, KC/discrete and the pair flags
     off the specialization order; here they meet the definitions: meets in
